@@ -63,26 +63,6 @@ class ContentStream:
         )
         self._ops.append("f")
 
-    def stroke_circle(self, cx: float, cy: float, r: float, width_pt: float) -> None:
-        k = KAPPA * r
-        p = fmt_pt
-        self._ops.append(f"{fmt_pt(width_pt)} w")
-        self._ops.append("0 G")
-        self._ops.append(f"{p(cx + r)} {p(cy)} m")
-        self._ops.append(
-            f"{p(cx + r)} {p(cy + k)} {p(cx + k)} {p(cy + r)} {p(cx)} {p(cy + r)} c"
-        )
-        self._ops.append(
-            f"{p(cx - k)} {p(cy + r)} {p(cx - r)} {p(cy + k)} {p(cx - r)} {p(cy)} c"
-        )
-        self._ops.append(
-            f"{p(cx - r)} {p(cy - k)} {p(cx - k)} {p(cy - r)} {p(cx)} {p(cy - r)} c"
-        )
-        self._ops.append(
-            f"{p(cx + k)} {p(cy - r)} {p(cx + r)} {p(cy - k)} {p(cx + r)} {p(cy)} c"
-        )
-        self._ops.append("s")
-
     def to_bytes(self) -> bytes:
         return ("\n".join(self._ops) + "\n").encode("ascii")
 

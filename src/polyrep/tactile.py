@@ -6,6 +6,12 @@ of marker shapes); every text label is re-set in braille. Axis ticks are
 thinned to at most five per axis and label runs are displaced outward
 until no braille dot touches a stroke. Underscores in labels become
 spaces so column names stay within the braille alphabet.
+
+Label collision goes through a uniform grid over the page's stroke
+segments (`_SegmentGrid`), built once all strokes are drawn: each braille
+dot is tested only against the segments bucketed in its own and the eight
+neighbouring cells. `dot_touches_stroke` is the single collision kernel
+the grid calls and the brute-force oracle the tests compare it with.
 """
 
 from __future__ import annotations
@@ -147,13 +153,67 @@ def _seg_point_distance(
 
 
 def dot_touches_stroke(dot: Dot, stroke: Stroke, clearance: float = 0.25) -> bool:
-    """True when the dot's ink comes within `clearance` of the stroke's ink."""
+    """True when the dot's ink comes within `clearance` of the stroke's ink.
+
+    The single collision kernel: `_SegmentGrid` calls it per nearby
+    segment, and tests call it over whole strokes as the brute-force
+    oracle. Dashed strokes are treated as solid."""
     limit = dot.diameter / 2 + stroke.width / 2 + clearance
     pts = stroke.points + (stroke.points[0],) if stroke.close else stroke.points
     for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
         if _seg_point_distance(dot.x, dot.y, x1, y1, x2, y2) < limit:
             return True
     return False
+
+
+# bare paper (mm) kept between a braille label dot and any stroke's ink
+LABEL_CLEARANCE = 0.5
+
+# mm added around each segment's bounding box when bucketing, so float
+# rounding at a cell boundary can never drop a segment within reach
+_GRID_PAD = 1e-6
+
+
+class _SegmentGrid:
+    """Stroke segments bucketed into square cells of the collision reach.
+
+    The cell is `dot_diameter/2 + max stroke width/2 + clearance` wide, the
+    farthest a touching segment can be from the dot's center, so every
+    segment in reach of a dot lies in the dot's cell or one of its eight
+    neighbours.
+    Each segment is kept as a two-point `Stroke` with its stroke's width
+    (closing segments included) in every cell its bounding box covers."""
+
+    def __init__(self, strokes: list[Stroke], dot_diameter: float, clearance: float):
+        self.clearance = clearance
+        self.cell = (
+            dot_diameter / 2 + max((s.width for s in strokes), default=0.0) / 2
+            + clearance
+        )
+        self.buckets: dict[tuple[int, int], list[Stroke]] = {}
+        for stroke in strokes:
+            pts = stroke.points + (stroke.points[0],) if stroke.close else stroke.points
+            for a, b in zip(pts, pts[1:]):
+                seg = Stroke((a, b), stroke.width)  # shares the stroke's point tuples
+                (x1, y1), (x2, y2) = a, b
+                i0, j0 = self._key(min(x1, x2) - _GRID_PAD, min(y1, y2) - _GRID_PAD)
+                i1, j1 = self._key(max(x1, x2) + _GRID_PAD, max(y1, y2) + _GRID_PAD)
+                for i in range(i0, i1 + 1):
+                    for j in range(j0, j1 + 1):
+                        self.buckets.setdefault((i, j), []).append(seg)
+
+    def _key(self, x: float, y: float) -> tuple[int, int]:
+        return math.floor(x / self.cell), math.floor(y / self.cell)
+
+    def touches(self, dot: Dot) -> bool:
+        """True when `dot_touches_stroke` holds for some segment in reach."""
+        i, j = self._key(dot.x, dot.y)
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                for seg in self.buckets.get((i + di, j + dj), ()):
+                    if dot_touches_stroke(dot, seg, clearance=self.clearance):
+                        return True
+        return False
 
 
 def _bbox_overlap(
@@ -288,6 +348,7 @@ class _PageBuilder:
         self.strokes: list[Stroke] = []
         self.dots: list[Dot] = []
         self.runs: list[BrailleRun] = []
+        self.grid: _SegmentGrid | None = None  # built once every stroke is drawn
 
     # -- braille helpers ---------------------------------------------------
 
@@ -341,11 +402,7 @@ class _PageBuilder:
         for other in self.runs:
             if _bbox_overlap(box, other.bbox(), self.layout.dot_pitch):
                 return True
-        for dot in run.dots():
-            for stroke in self.strokes:
-                if dot_touches_stroke(dot, stroke, clearance=0.5):
-                    return True
-        return False
+        return any(self.grid.touches(dot) for dot in run.dots())
 
     # -- chart geometry ------------------------------------------------------
 
@@ -455,6 +512,8 @@ class _PageBuilder:
                                    layout.min_stroke)
                 )
             # TextMarks inside marks would be re-set in braille; none today
+
+        self.grid = _SegmentGrid(self.strokes, layout.dot_diameter, LABEL_CLEARANCE)
 
         # braille labels: x ticks below, y ticks left, titles around
         for tx, label in x_pairs:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import wave
@@ -136,6 +137,23 @@ def test_tactile_paper_a4(workdir):
                  "--paper", "a4"]) == 0
     mb = validate_pdf(Path("box.pdf").read_bytes())["media_box"]
     assert abs(mb[2] - 595.28) < 0.5 and abs(mb[3] - 841.89) < 0.5
+
+
+# Tactile PDFs on letter paper, pinned byte for byte: performance work on
+# the page builder must not move a single dot or stroke.
+TACTILE_SHA256 = {
+    "penguins_bar": "0640a450ac064224e65a5301ebc21ad15c74690d5d2106ae28e6fd65afb9baad",
+    "penguins_hist": "ea8ed9be792f3c93b047cd5d8de69f4372f996523a0c194d9f586a5cfb41fe33",
+    "penguins_box": "eb77bd517195dadf0a5ba8d5a7d0dde27585e5a425a616e4931dd63bd7318403",
+    "lin": "157ad24083567191b89c45b6d22368727c6a64dc67f6205159549151f082fa52",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TACTILE_SHA256))
+def test_tactile_pdf_golden_hash(workdir, name):
+    assert main(["tactile", f"{name}.json", "-o", "t.pdf"]) == 0
+    digest = hashlib.sha256(Path("t.pdf").read_bytes()).hexdigest()
+    assert digest == TACTILE_SHA256[name]
 
 
 def test_audit_palette_pass_and_fail_exit_codes(workdir, capsys):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_fixture_spec
 from oracles import (
@@ -17,7 +20,13 @@ from polyrep.errors import TactileError
 from polyrep.pdfwrite import MM_TO_PT
 from polyrep.scene import layout
 from polyrep.tactile import (
+    LABEL_CLEARANCE,
+    Dot,
+    Stroke,
     TactileLayout,
+    _bbox_overlap,
+    _PageBuilder,
+    _SegmentGrid,
     dot_touches_stroke,
     emit_pdf,
     emit_preview_svg,
@@ -249,11 +258,8 @@ def test_single_box_page(penguins):
     assert len(page.strokes) >= 2  # the two axis lines at minimum
 
 
-def test_random_scenes_keep_ink_inside_and_clear_of_braille():
-    """Every buildable random page keeps ink inside the margins, braille
-    dots clear of strokes, and cross-cell dots at least a dot pitch apart."""
-    import random
-
+def _random_scenes():
+    """30 seeded small scenes of every chart type: (trial, kind, scene)."""
     rng = random.Random(99)
     specs = {
         "bar": b'{"chart":{"type":"bar","x":"c"}}',
@@ -262,7 +268,6 @@ def test_random_scenes_keep_ink_inside_and_clear_of_braille():
         "scatter": b'{"chart":{"type":"scatter","x":"v","y":"w","group":"c"}}',
         "line": b'{"chart":{"type":"line","x":"v","y":"w","group":"c"}}',
     }
-    built = 0
     for trial in range(30):
         kind = rng.choice(list(specs))
         n = rng.randint(2, 40)
@@ -274,7 +279,14 @@ def test_random_scenes_keep_ink_inside_and_clear_of_braille():
                 "w": [round(rng.uniform(0, 9), 2) for _ in range(n)],
             }
         )
-        scene = layout(parse_spec(specs[kind]), data)
+        yield trial, kind, layout(parse_spec(specs[kind]), data)
+
+
+def test_random_scenes_keep_ink_inside_and_clear_of_braille():
+    """Every buildable random page keeps ink inside the margins, braille
+    dots clear of strokes, and cross-cell dots at least a dot pitch apart."""
+    built = 0
+    for trial, kind, scene in _random_scenes():
         try:
             page = tactualize(scene, alt=auto_alt(scene.summary))
         except TactileError:
@@ -310,3 +322,180 @@ def test_markless_scene_page_has_axes_only(penguins):
     assert len(vertical_axis) >= 2
     assert all(not s.close for s in page.strokes)
     assert any(d.kind == "braille" for d in page.dots)
+
+
+# -- segment grid vs the brute-force oracle -------------------------------------
+
+_GROUPS = ("north", "south", "east")
+
+
+def _clip(v: float) -> float:
+    return min(100.0, max(0.0, v))
+
+
+@pytest.fixture(scope="module")
+def big_scatter_scene():
+    """Seeded 2,000-point scatter in three groups, axis ranges pinned."""
+    rng = random.Random(3001)
+    xs, ys, gs = [0.0, 100.0], [0.0, 100.0], [_GROUPS[0], _GROUPS[1]]
+    for i in range(1998):
+        g = i % 3
+        x = _clip(rng.gauss(30 + 20 * g, 12))
+        xs.append(round(x, 2))
+        ys.append(round(_clip(0.7 * x + 10 + rng.gauss(0, 10)), 2))
+        gs.append(_GROUPS[g])
+    spec = parse_spec(b'{"chart":{"type":"scatter","x":"x","y":"y","group":"grp"}}')
+    return layout(spec, inline_dataset({"x": xs, "y": ys, "grp": gs}))
+
+
+@pytest.fixture(scope="module")
+def big_line_scene():
+    """Seeded line chart of three 3,333-point noisy sine polylines."""
+    rng = random.Random(3002)
+    ts, levels, gs = [], [], []
+    for name in _GROUPS:
+        period = rng.uniform(200.0, 600.0)
+        phase = rng.uniform(0.0, 2 * math.pi)
+        for t in range(3333):
+            y = 50 + 35 * math.sin(2 * math.pi * t / period + phase) + rng.gauss(0, 4)
+            ts.append(float(t))
+            levels.append(round(_clip(y), 2))
+            gs.append(name)
+    levels[0], levels[1] = 0.0, 100.0  # pin the axis range
+    spec = parse_spec(b'{"chart":{"type":"line","x":"t","y":"level","group":"grp"}}')
+    return layout(spec, inline_dataset({"t": ts, "level": levels, "grp": gs}))
+
+
+def _brute_force_run_conflicts(self, run):
+    """The label check before the segment grid: every dot of the run
+    against every segment of every stroke on the page."""
+    box = run.bbox()
+    for other in self.runs:
+        if _bbox_overlap(box, other.bbox(), self.layout.dot_pitch):
+            return True
+    for dot in run.dots():
+        for stroke in self.strokes:
+            if dot_touches_stroke(dot, stroke, clearance=0.5):
+                return True
+    return False
+
+
+def _tactile_outcome(scene):
+    """PDF bytes of the scene's tactile page, or the TactileError message."""
+    try:
+        return emit_pdf(tactualize(scene, alt=auto_alt(scene.summary)))
+    except TactileError as exc:
+        return f"TactileError: {exc}"
+
+
+def _assert_grid_matches_brute_force(scenes, monkeypatch):
+    indexed = [_tactile_outcome(scene) for scene in scenes]
+    with monkeypatch.context() as m:
+        m.setattr(_PageBuilder, "_run_conflicts", _brute_force_run_conflicts)
+        brute = [_tactile_outcome(scene) for scene in scenes]
+    for i, (a, b) in enumerate(zip(indexed, brute)):
+        assert a == b, i
+
+
+def test_grid_matches_brute_force_on_random_scenes(monkeypatch):
+    scenes = [scene for _, _, scene in _random_scenes()]
+    _assert_grid_matches_brute_force(scenes, monkeypatch)
+
+
+def test_grid_matches_brute_force_on_big_scatter(big_scatter_scene, monkeypatch):
+    _assert_grid_matches_brute_force([big_scatter_scene], monkeypatch)
+
+
+def test_grid_matches_brute_force_on_big_line_chart(big_line_scene, monkeypatch):
+    _assert_grid_matches_brute_force([big_line_scene], monkeypatch)
+
+
+def test_label_check_work_stays_local(big_scatter_scene, monkeypatch):
+    """Each braille dot is tested against a few nearby segments, not against
+    every stroke on the page (which costs ~950 checks per dot here)."""
+    import polyrep.tactile as tactile
+
+    calls = 0
+    kernel = tactile.dot_touches_stroke
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(tactile, "dot_touches_stroke", counting)
+    page = tactualize(big_scatter_scene, alt=auto_alt(big_scatter_scene.summary))
+    braille = sum(1 for d in page.dots if d.kind == "braille")
+    assert braille > 50
+    assert calls <= 10 * braille, (calls, braille)
+
+
+_LAYOUT = TactileLayout()
+_PAGE_MM = 300.0
+
+
+@st.composite
+def _strokes_and_dots(draw):
+    """Random strokes (open and closed, 1-40 points, 1-4 mm wide, with
+    repeated points and vertices on cell boundaries) and dots across the
+    page, near stroke segments, or grazing them at the collision reach."""
+    widths = draw(st.lists(st.floats(1.0, 4.0), min_size=1, max_size=6))
+    cell = _LAYOUT.dot_diameter / 2 + max(widths) / 2 + LABEL_CLEARANCE
+    coord = st.one_of(
+        st.floats(-5.0, _PAGE_MM),
+        st.integers(0, int(_PAGE_MM / cell)).map(lambda k: k * cell),
+    )
+    strokes = []
+    for width in widths:
+        points = []
+        for _ in range(draw(st.integers(1, 40))):
+            if not points:
+                points.append((draw(coord), draw(coord)))
+                continue
+            x, y = points[-1]
+            move = draw(st.sampled_from(("repeat", "step", "across", "down")))
+            if move == "repeat":
+                points.append((x, y))  # zero-length segment
+            elif move == "step":  # like a data polyline's
+                points.append((x + draw(st.floats(-8.0, 8.0)),
+                               y + draw(st.floats(-8.0, 8.0))))
+            elif move == "across":  # like an axis; long diagonals would
+                points.append((draw(coord), y))  # bucket into ~10^4 cells
+            else:
+                points.append((x, draw(coord)))
+        strokes.append(Stroke(tuple(points), width, close=draw(st.booleans())))
+    dot_r = _LAYOUT.dot_diameter / 2
+    dots = []
+    for _ in range(draw(st.integers(1, 30))):
+        where = draw(st.sampled_from(("near", "graze", "anywhere")))
+        if where == "anywhere":
+            dots.append(Dot(draw(coord), draw(coord), _LAYOUT.dot_diameter))
+            continue
+        # a point along one segment of a stroke, closing segments included
+        stroke = draw(st.sampled_from(strokes))
+        pts = stroke.points + stroke.points[:1] if stroke.close else stroke.points
+        k = draw(st.integers(0, max(0, len(pts) - 2)))
+        (x1, y1), (x2, y2) = pts[k], pts[min(k + 1, len(pts) - 1)]
+        t = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0))
+        x, y = x1 + t * (x2 - x1), y1 + t * (y2 - y1)
+        if where == "near":
+            x += draw(st.floats(-2 * cell, 2 * cell))
+            y += draw(st.floats(-2 * cell, 2 * cell))
+        else:  # about the collision reach away: touching or only just clear
+            reach = dot_r + stroke.width / 2 + LABEL_CLEARANCE
+            reach += draw(st.floats(-1e-3, 1e-3))
+            angle = draw(st.floats(0.0, 2 * math.pi))
+            x += reach * math.cos(angle)
+            y += reach * math.sin(angle)
+        dots.append(Dot(x, y, _LAYOUT.dot_diameter))
+    return strokes, dots
+
+
+@settings(deadline=None)
+@given(_strokes_and_dots())
+def test_segment_grid_matches_brute_force(case):
+    strokes, dots = case
+    grid = _SegmentGrid(strokes, _LAYOUT.dot_diameter, LABEL_CLEARANCE)
+    for dot in dots:
+        expected = any(dot_touches_stroke(dot, s, clearance=0.5) for s in strokes)
+        assert grid.touches(dot) == expected, dot
