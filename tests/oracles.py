@@ -7,12 +7,16 @@ under test.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 import re
 import wave
 
 import numpy as np
+
+from polyrep.dataset import MISSING_TOKENS, Column, Dataset
+from polyrep.errors import CsvParseError
 
 # -- order statistics --------------------------------------------------------
 
@@ -72,6 +76,79 @@ def normal_equations_fit(x: list[float], y: list[float]):
     slope = (n * sxy - sx * sy) / det
     intercept = (sy * sxx - sx * sxy) / det
     return slope, intercept
+
+
+# -- CSV ---------------------------------------------------------------------
+# The original row-by-row parser, kept verbatim as the reference for the
+# column-at-a-time `polyrep.dataset.parse_csv`. Two documented differences:
+# it keeps a UTF-8 byte-order mark in the first header name, and a field
+# longer than `csv.field_size_limit()` escapes from it as `csv.Error`.
+
+
+def _parse_cell(cell: str) -> float | None:
+    """Float value if the cell is a decimal number, else None."""
+    s = cell.strip()
+    if not s or "_" in s:
+        return None
+    try:
+        v = float(s)
+    except ValueError:
+        return None
+    # inf / nan spellings are data, not numbers, for our purposes
+    return v if math.isfinite(v) else None
+
+
+def parse_csv_oracle(data: bytes) -> Dataset:
+    """Parse RFC-4180-style CSV bytes (UTF-8, header row) into a Dataset.
+
+    Raises CsvParseError for undecodable bytes, duplicate or empty header
+    names, and ragged rows (with the offending 1-based row number).
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"input is not valid UTF-8: {exc}") from None
+
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvParseError("empty input, expected a header row") from None
+
+    names = [h.strip() for h in header]
+    if any(not n for n in names):
+        raise CsvParseError("header contains an empty column name", row=1)
+    seen = set()
+    for n in names:
+        if n in seen:
+            raise CsvParseError(f"duplicate header {n!r}", row=1)
+        seen.add(n)
+
+    cells: list[list[str]] = [[] for _ in names]
+    n_rows = 0
+    for i, row in enumerate(reader, start=2):
+        if not row:
+            continue  # ignore trailing blank line
+        if len(row) != len(names):
+            raise CsvParseError(
+                f"expected {len(names)} fields, found {len(row)}", row=i
+            )
+        for j, cell in enumerate(row):
+            cells[j].append(cell)
+        n_rows += 1
+
+    columns: dict[str, Column] = {}
+    for name, raw in zip(names, cells):
+        missing = [c.strip() in MISSING_TOKENS for c in raw]
+        parsed = [None if m else _parse_cell(c) for c, m in zip(raw, missing)]
+        if all(p is not None for p, m in zip(parsed, missing) if not m):
+            columns[name] = Column("numeric", tuple(parsed))
+        else:
+            columns[name] = Column(
+                "categorical",
+                tuple(None if m else c.strip() for c, m in zip(raw, missing)),
+            )
+    return Dataset(columns, n_rows)
 
 
 # -- audio -------------------------------------------------------------------

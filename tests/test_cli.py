@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
+import random
 import shutil
 import wave
 from pathlib import Path
@@ -156,6 +158,60 @@ def test_tactile_pdf_golden_hash(workdir, name):
     assert digest == TACTILE_SHA256[name]
 
 
+# Charts over a seeded 10^4-row table shaped like the benchmark's many-rows
+# workload (grp, cat, value, weight), pinned byte for byte: performance work
+# on the CSV parser must not change a single parsed value.
+MANY_ROWS_SHA256 = {  # (SVG, alt text sidecar, tactile PDF)
+    "bar": ("cefb7a0233658e4f9b0b66aadb493200dea6e2d5ae252ac021dc43e62f65d08a",
+            "f9ce37991cbef3c5fac5970b8b5d6daf753b2a17576b62331a24c041eceea07a",
+            "d2dc1be7af0610d343947307cf60aba44b98b7b50e91993ee9391aced451122e"),
+    "box": ("9b61c577df99203260e38844e252d7f29c8d670ce96c40d18a69e6a3a326172a",
+            "c52a68685fbef0c4ee8bc2c5406cbcc82ae1a807b868434142353eded3aa2bda",
+            "3f547f0840b678e93e30d521efc91fab91b341a4dded6ee5851262fae7509e41"),
+    "hist": ("58aac730b661e79bfbbe6029cb73f47bc191526291b4618f815e7852e2192ba2",
+             "0c5c8b777a4e0ac0600c09957449ac256aa3f2e6c79d264d039c1d6a168a65b7",
+             "6afccb5bb265d30522558ff0100c04fb63539d6b3630f41895ef59b8b6cb91e1"),
+}
+MANY_ROWS_CHARTS = {
+    "hist": {"type": "histogram", "x": "value", "bins": 20},
+    "bar": {"type": "bar", "x": "cat"},
+    "box": {"type": "boxplot", "x": "grp", "y": "value"},
+}
+
+
+@pytest.fixture(scope="module")
+def many_rows_dir(tmp_path_factory):
+    rng = random.Random(4242)
+    levels = [f"level{i}" for i in range(8)]
+    rows = [
+        [rng.choice(("north", "south", "east")), rng.choice(levels),
+         f"{rng.triangular(0.0, 200.0):.3f}", f"{rng.random():.4f}"]
+        for _ in range(10_000)
+    ]
+    rows[0][2], rows[1][2] = "0", "200"
+    root = tmp_path_factory.mktemp("many_rows")
+    with (root / "rows.csv").open("w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["grp", "cat", "value", "weight"])
+        writer.writerows(rows)
+    for name, chart in MANY_ROWS_CHARTS.items():
+        spec = {"data": {"csv": "rows.csv"}, "chart": chart}
+        (root / f"{name}.json").write_text(json.dumps(spec), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(MANY_ROWS_CHARTS))
+def test_many_rows_artifacts_golden_hash(many_rows_dir, name, monkeypatch):
+    monkeypatch.chdir(many_rows_dir)
+    assert main(["render", f"{name}.json", "-o", f"{name}.svg"]) == 0
+    assert main(["tactile", f"{name}.json", "-o", f"{name}.pdf"]) == 0
+    digests = tuple(
+        hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for path in (f"{name}.svg", f"{name}.svg.alt.txt", f"{name}.pdf")
+    )
+    assert digests == MANY_ROWS_SHA256[name]
+
+
 def test_audit_palette_pass_and_fail_exit_codes(workdir, capsys):
     assert main(["audit-palette", "#E69F00,#56B4E9,#009E73"]) == 0
     out = capsys.readouterr().out
@@ -193,6 +249,16 @@ def test_bind_error_exits_1(workdir, capsys):
     )
     assert main(["render", "bad.json"]) == 1
     assert "error[spec]" in capsys.readouterr().err
+
+
+def test_overlong_csv_field_exits_1(workdir, capsys):
+    Path("long.csv").write_text("species\nAdelie\n" + "x" * 131073 + "\n")
+    Path("long.json").write_text(
+        '{"data":{"csv":"long.csv"},"chart":{"type":"bar","x":"species"}}'
+    )
+    assert main(["alt", "long.json"]) == 1
+    err = capsys.readouterr().err
+    assert "error[csv]: row 3: field larger than field limit" in err
 
 
 def test_no_command_prints_help(capsys):

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import csv
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import parse_csv_oracle
 from polyrep.dataset import Column, Dataset, format_number, parse_csv, serialize_csv
 from polyrep.errors import CsvParseError, DataError
 
@@ -93,6 +98,30 @@ def test_categorical_rejects_reserved_missing_tokens():
         Column("categorical", ("",))
 
 
+@pytest.mark.parametrize(
+    "kind,values,bad",
+    [
+        ("numeric", (1.0, None, math.nan, 2.0), math.nan),
+        ("numeric", (0.0, -0.0, None, math.inf), math.inf),
+        ("numeric", (1.0, -math.inf), -math.inf),
+        ("numeric", (1.0, None, 3), 3),
+        ("numeric", (1.0, True), True),
+        ("categorical", ("a", None, 1.0), 1.0),
+        ("categorical", ("a", 2), 2),
+        ("categorical", ("a", b"b"), b"b"),
+    ],
+)
+def test_column_rejects_invalid_value_by_name(kind, values, bad):
+    with pytest.raises(DataError) as err:
+        Column(kind, values)
+    assert repr(bad) in str(err.value)
+
+
+def test_column_accepts_zeros_and_float_subclasses():
+    assert Column("numeric", (0.0, -0.0, None, 1.5)).values[:2] == (0.0, 0.0)
+    Column("numeric", (np.float64(2.5), None))  # isinstance(float) holds
+
+
 def test_roundtrip_penguins(penguins):
     assert parse_csv(serialize_csv(penguins)) == penguins
 
@@ -138,3 +167,126 @@ def test_roundtrip_random(names, rows, data):
 )
 def test_format_number(value, expected):
     assert format_number(value) == expected
+
+
+# -- the column-at-a-time parser against the original row-by-row one -----------
+
+
+def _assert_same_as_oracle(data: bytes) -> None:
+    """parse_csv gives the reference parser's Dataset, column order included,
+    or raises CsvParseError with the same message and record number."""
+    try:
+        expected = parse_csv_oracle(data)
+    except CsvParseError as exc:
+        with pytest.raises(CsvParseError) as got:
+            parse_csv(data)
+        assert (str(got.value), got.value.row) == (str(exc), exc.row)
+        return
+    got = parse_csv(data)
+    assert got == expected
+    assert list(got.columns) == list(expected.columns)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",  # empty input
+        b"\n",  # a blank header and no rows
+        b"\r\n\r\n",
+        b"\nx\n",  # a blank header, then a record
+        b"x\n\n1\n\n\nNA\n 2 \n\n",  # one column with blank lines
+        b"x\r\rabc\r\r",
+        b'"x"\n\n1\n\n\n2\n',
+        b"a,b\n\n\n1\n",  # ragged after blank lines: record 4
+        b"a,b\r\n\r\n1,2\r\n3,4,5\r\n",
+        b'a,b\n\n"1"\n',
+        b"a,a\n1\n",  # header error and a ragged row: the header error wins
+        b"a, \n1,2,3\n",
+        b'a,a\n"1"\n',
+        b"a,b\n1,2\n3\n4,5,6\n",  # the first ragged row is reported
+        b"x,y\n 1 , NA\n2,\n_,inf\n",
+        b"x\n1_0\n",
+        b"x,y\nnan,1e3\n-inf,-0\n",
+        b'x\n"a\nb"\n"1"\n',  # an embedded newline shifts rows from records
+    ],
+)
+def test_parser_edge_cases_match_oracle(data):
+    _assert_same_as_oracle(data)
+
+
+# fragments chosen to hit quoting, line ends, missing and non-numeric spellings
+_PIECES = (",", '"', "\r", "\n", "\r\n", " ", "NA", "_", "inf", "nan", "-",
+           ".", "e", "0", "1", "7", "a", "Q")
+_NUMBERS = ("", " ", "NA", "0", "-1", "2.5", " 3 ", "1e2", ".5", "inf", "1_0")
+
+
+@st.composite
+def _tables(draw):
+    """Mostly well-formed CSV: random cells, line ends, blank and ragged rows."""
+    n = draw(st.integers(1, 4))
+    soup = st.lists(st.sampled_from(_PIECES), max_size=3).map("".join)
+    header = draw(st.one_of(
+        st.just([f"c{j}" for j in range(n)]),
+        st.lists(soup, min_size=n, max_size=n),
+    ))
+    cell_kinds = [st.sampled_from(_NUMBERS) if draw(st.booleans()) else soup
+                  for _ in range(n)]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(("row", "row", "row", "blank", "ragged")))
+        if shape == "blank":
+            lines.append("")
+        elif shape == "ragged":
+            lines.append(",".join(["1"] * draw(st.integers(1, n + 2))))
+        else:
+            lines.append(",".join(draw(kind) for kind in cell_kinds))
+    ends = [draw(st.sampled_from(("\n", "\r\n", "\r"))) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
+    _tables(),
+))
+def test_parser_matches_oracle_on_random_text(text):
+    _assert_same_as_oracle(text.encode("utf-8"))
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_utf8_bom_is_dropped(quoted):
+    header = b'"species"' if quoted else b"species"
+    data = parse_csv(b"\xef\xbb\xbf" + header + b"\nA\n")
+    assert list(data.columns) == ["species"]
+    assert data.columns["species"].values == ("A",)
+
+
+LIMIT = csv.field_size_limit()
+
+
+def _quote(field: str, quoted: bool) -> str:
+    return f'"{field}"' if quoted else field
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_overlong_field_reports_its_record(quoted):
+    long = _quote("x" * (LIMIT + 1), quoted)
+    message = f"field larger than field limit ({LIMIT})"
+    with pytest.raises(CsvParseError) as err:
+        parse_csv(f"a,b\n1,2\n\n{long},3\n4\n".encode())
+    assert (err.value.row, str(err.value)) == (4, f"row 4: {message}")
+    with pytest.raises(CsvParseError) as err:
+        parse_csv(f"a,{long}\n1,2\n".encode())
+    assert (err.value.row, str(err.value)) == (1, f"row 1: {message}")
+    with pytest.raises(CsvParseError, match="row 2: expected 2 fields"):
+        parse_csv(f"a,b\n1\n{long},3\n".encode())
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_field_at_the_size_limit_parses(quoted):
+    # the line is longer than the limit, no field is
+    edge = _quote("x" * LIMIT, quoted)
+    data = parse_csv(f"a,b\n{edge},y\n".encode())
+    assert data.columns["a"].values == ("x" * LIMIT,)
