@@ -158,6 +158,72 @@ def test_tactile_pdf_golden_hash(workdir, name):
     assert digest == TACTILE_SHA256[name]
 
 
+def _sha256(path: str) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# Every bundled fixture's chart, CVD grid and categorical sonification,
+# pinned byte for byte: work on the shared chart path, glyph geometry,
+# escaping or series choice must not change a single byte.
+FIXTURE_SHA256 = {  # (render SVG, cvd-grid SVG, sonify --categorical WAV)
+    "lin": ("4921f7fea9648c6c879e27fafb47d6eb59d5e05995d0ac0d59055e1d060d032c",
+            "0fc1a5aa7358e4881af0e88f738fba8a13ba30c8587a6cde4caeb15a0d9e7a37",
+            "6c3a47e1589a7bcfb1b1d361b57f42536c4baa306820332d2b227491a623bdeb"),
+    "penguins_bar": (
+        "7bd1798be0b6c7026dbff7548e56e5bf0dd549dccb07f0908447be66f8ed9175",
+        "d14fcd23431611173929b2d7c937b846845f480f3cec7a4022f605064d3c7450",
+        "dc8e8ace71fa6d0b60ce8df01d4ff193570e7de72a5411f37189cd4ba209c2eb"),
+    "penguins_box": (  # a box plot has no series to sonify
+        "3d273db780a3220bd0cee8e24765901224c339983b35f38ed90a27f1dd4eaa81",
+        "37894e23fa2d2d0ca3ac392b18b0f509d6899665475111817686ab8ce007756e",
+        None),
+    "penguins_hist": (
+        "e5e58d245c31ac903cb249483dec7497cdde9e034cac176f863ed0c96389a271",
+        "86ba32530e4ae1e417c01c367d9dde051945b131001f1f714938b309414adaa7",
+        "5be10bf2db7fb2851a3b503a698cb51b339129064b84aa16d3ce1bd37df9fac0"),
+    "penguins_scatter": (
+        "c07df6a63e422fccc999d737dbd611cb40b0960f37dcb29e748edf54622b7f1e",
+        "ef0e75411b64312abfab3c30ad3ea64a3a0efe48ef6bbefb62278c1cac8f8c1b",
+        "4e4026fc3aa42a6765ff62249e9eca40641f261a9fdc63879097461e8e3f2084"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SHA256))
+def test_fixture_artifacts_golden_hash(workdir, name, capsys):
+    svg, grid, wav = FIXTURE_SHA256[name]
+    assert main(["render", f"{name}.json", "-o", "r.svg"]) == 0
+    assert main(["cvd-grid", f"{name}.json", "-o", "g.svg"]) == 0
+    rc = main(["sonify", f"{name}.json", "--categorical", "-o", "s.wav"])
+    assert (_sha256("r.svg"), _sha256("g.svg")) == (svg, grid)
+    if wav is None:
+        assert rc == 1 and "error[data]" in capsys.readouterr().err
+    else:
+        assert rc == 0 and _sha256("s.wav") == wav
+
+
+# A scatter with six groups draws every marker shape (circle, triangle,
+# square, diamond, plus, cross) in the SVG and as tactile outlines.
+SIX_SHAPES_SPEC = {
+    "data": {"inline": {
+        "x": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+        "y": [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8],
+        "g": ["a", "b", "c", "d", "e", "f"] * 2,
+    }},
+    "chart": {"type": "scatter", "x": "x", "y": "y", "group": "g"},
+}
+SIX_SHAPES_SHA256 = (  # (render SVG, tactile PDF)
+    "47a3bad01ec36d705c32c08da76f5fd2a648f7149a9e6947e7700d0c5ab74300",
+    "d5251ad6f528938149e963d8273ac369ba4a216e451b323f244eefe246751552",
+)
+
+
+def test_six_shapes_golden_hash(workdir):
+    Path("six.json").write_text(json.dumps(SIX_SHAPES_SPEC), encoding="utf-8")
+    assert main(["render", "six.json", "-o", "six.svg"]) == 0
+    assert main(["tactile", "six.json", "-o", "six.pdf"]) == 0
+    assert (_sha256("six.svg"), _sha256("six.pdf")) == SIX_SHAPES_SHA256
+
+
 # Charts over a seeded 10^4-row table shaped like the benchmark's many-rows
 # workload (grp, cat, value, weight), pinned byte for byte: performance work
 # on the CSV parser must not change a single parsed value.
