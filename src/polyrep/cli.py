@@ -23,10 +23,10 @@ from . import __version__
 from .chartspec import ChartSpec, load_dataset, parse_spec
 from .color import Palette, Rgb, audit_palette, okabe_ito
 from .dataset import Dataset
-from .errors import DataError, PolyrepError, SpecError
-from .scene import layout
+from .errors import PolyrepError, SpecError
+from .scene import Scene, layout, sonify_series
 from .sonify import SonifyConfig, sonify_points, sonify_sweep, write_wav
-from .stats import bar_counts, histogram, linear_fit
+from .stats import linear_fit
 from .svgout import cvd_grid, emit_svg, grid_alt
 from .tactile import (
     PAPER_SIZES_MM,
@@ -35,7 +35,7 @@ from .tactile import (
     emit_preview_svg,
     tactualize,
 )
-from .verbalize import auto_alt
+from .verbalize import AltText, auto_alt
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,103 +126,72 @@ def _load(spec_path: str) -> tuple[ChartSpec, Dataset]:
     return spec, data
 
 
-def _default_output(spec_path: str, suffix: str) -> Path:
-    return Path(Path(spec_path).stem + suffix)
+def _chart(args) -> tuple[ChartSpec, Scene, AltText]:
+    """The spec, its laid-out scene and the scene's alt text."""
+    spec, data = _load(args.spec)
+    scene = layout(spec, data)
+    return spec, scene, auto_alt(scene.summary)
 
 
-def _write(path: Path, payload: bytes) -> None:
+def _output(args, suffix: str) -> Path:
+    """The -o path, or the spec's file stem plus `suffix` in the working directory."""
+    return Path(args.output) if args.output else Path(Path(args.spec).stem + suffix)
+
+
+def _write(path: Path, payload: bytes, alt: AltText | None = None) -> None:
+    """Write an artifact, and its alt text as a ``<path>.alt.txt`` sidecar."""
     path.write_bytes(payload)
     print(f"wrote {path}")
+    if alt is not None:
+        sidecar = Path(f"{path}.alt.txt")
+        sidecar.write_text(alt.flattened + "\n", encoding="utf-8")
+        print(f"wrote {sidecar}")
 
 
 def _cmd_render(args) -> int:
-    spec, data = _load(args.spec)
-    scene = layout(spec, data)
-    alt = auto_alt(scene.summary)
-    out = Path(args.output) if args.output else _default_output(args.spec, ".svg")
-    _write(out, emit_svg(scene, alt, short_alt=spec.manual_alt))
-    sidecar = Path(str(out) + ".alt.txt")
-    sidecar.write_text(alt.flattened + "\n", encoding="utf-8")
-    print(f"wrote {sidecar}")
+    spec, scene, alt = _chart(args)
+    _write(_output(args, ".svg"), emit_svg(scene, alt, short_alt=spec.manual_alt), alt)
     return 0
 
 
 def _cmd_cvd_grid(args) -> int:
-    spec, data = _load(args.spec)
-    scene = layout(spec, data)
-    alt = auto_alt(scene.summary)
-    out = Path(args.output) if args.output else _default_output(args.spec, ".cvd.svg")
-    _write(out, cvd_grid(scene, alt))
-    sidecar = Path(str(out) + ".alt.txt")
-    sidecar.write_text(grid_alt(alt).flattened + "\n", encoding="utf-8")
-    print(f"wrote {sidecar}")
+    _, scene, alt = _chart(args)
+    _write(_output(args, ".cvd.svg"), cvd_grid(scene, alt), grid_alt(alt))
     return 0
 
 
 def _cmd_alt(args) -> int:
-    spec, data = _load(args.spec)
-    alt = auto_alt(layout(spec, data).summary)
-    if args.json:
-        print(json.dumps(list(alt.sentences), indent=2))
-    else:
-        print(alt.flattened)
+    _, _, alt = _chart(args)
+    print(json.dumps(list(alt.sentences), indent=2) if args.json else alt.flattened)
     return 0
-
-
-def _series_for_sonify(spec: ChartSpec, data: Dataset, categorical: bool):
-    if spec.chart_type in ("scatter", "line"):
-        return data.numeric(spec.x).values, data.numeric(spec.y).values
-    if spec.chart_type in ("bar", "histogram") and categorical:
-        if spec.chart_type == "bar":
-            counts = bar_counts(data, spec.x, spec.sort_order)
-            return [float(i) for i in range(len(counts))], [float(c) for _, c in counts]
-        bins = histogram(data, spec.x, spec.bins)
-        return (
-            [(lo + hi) / 2 for lo, hi, _ in bins],
-            [float(c) for _, _, c in bins],
-        )
-    raise DataError(
-        f"cannot sonify a {spec.chart_type} chart"
-        + ("" if categorical else "; pass --categorical for bar/histogram")
-    )
 
 
 def _cmd_sonify(args) -> int:
     spec, data = _load(args.spec)
-    xs, ys = _series_for_sonify(spec, data, args.categorical)
+    xs, ys = sonify_series(spec, data, args.categorical)
     cfg = SonifyConfig(
         duration_s=args.duration,
         sample_rate=args.rate,
         f_min=args.fmin,
         f_max=args.fmax,
-        mode=args.mode or ("sweep" if spec.chart_type == "line" else "discrete"),
         log_pitch=args.log_pitch,
     )
-    if cfg.mode == "regression":
-        fit = linear_fit(list(xs), list(ys))
-        pairs = [(x, y) for x, y in zip(xs, ys) if x is not None and y is not None]
-        xs = [p[0] for p in pairs]
+    mode = args.mode or ("sweep" if spec.chart_type == "line" else "discrete")
+    if mode == "regression":
+        fit = linear_fit(xs, ys)
         ys = [fit.predict(x) for x in xs]
-        buf = sonify_sweep(xs, ys, cfg)
-    elif cfg.mode == "sweep":
-        buf = sonify_sweep(list(xs), list(ys), cfg)
-    else:
-        buf = sonify_points(list(xs), list(ys), cfg)
-    out = Path(args.output) if args.output else _default_output(args.spec, ".wav")
-    _write(out, write_wav(buf))
+    play = sonify_points if mode == "discrete" else sonify_sweep
+    _write(_output(args, ".wav"), write_wav(play(xs, ys, cfg)))
     return 0
 
 
 def _cmd_tactile(args) -> int:
-    spec, data = _load(args.spec)
-    scene = layout(spec, data)
-    alt = auto_alt(scene.summary)
+    _, scene, alt = _chart(args)
     page = tactualize(scene, TactileLayout.for_paper(args.paper), alt)
-    out = Path(args.output) if args.output else _default_output(args.spec, ".pdf")
+    out = _output(args, ".pdf")
     _write(out, emit_pdf(page))
     if args.preview:
-        preview = out.with_suffix(".preview.svg")
-        _write(preview, emit_preview_svg(page))
+        _write(out.with_suffix(".preview.svg"), emit_preview_svg(page))
     return 0
 
 

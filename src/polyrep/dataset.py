@@ -34,7 +34,12 @@ class Column:
             if v is None:
                 continue
             if self.kind == "numeric":
-                if not isinstance(v, float) or not math.isfinite(v):
+                if not isinstance(v, float):
+                    raise DataError(
+                        f"numeric column holds {type(v).__name__} value {v!r}, "
+                        "expected float"
+                    )
+                if not math.isfinite(v):
                     raise DataError(f"numeric column holds non-finite value {v!r}")
             elif not isinstance(v, str) or v in MISSING_TOKENS:
                 # "" and the literal NA are reserved as missing-value tokens

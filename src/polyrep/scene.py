@@ -9,7 +9,8 @@ pixels, y down; the summary carried on the scene feeds the verbalizer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .chartspec import ChartSpec, bind
 from .color import Rgb
@@ -55,6 +56,32 @@ class ShapeKind(enum.Enum):
 
 
 SHAPE_CYCLE = tuple(ShapeKind)
+
+Ring = tuple[tuple[float, float], ...]
+
+
+def glyph_rings(shape: ShapeKind, r: float) -> tuple[tuple[Ring, ...], bool]:
+    """Vertices of a marker glyph of radius r centred on the origin (y down).
+
+    The second member is True when the rings are closed outlines of a
+    filled shape, False when they are open strokes (plus and cross). The
+    circle is a 16-gon, for outputs that draw polylines only.
+    """
+    if shape is ShapeKind.TRIANGLE:
+        dx = r * math.sqrt(3.0) / 2.0
+        return (((0.0, -r), (dx, r / 2), (-dx, r / 2)),), True
+    if shape is ShapeKind.SQUARE:
+        a = 0.85 * r
+        return (((-a, -a), (a, -a), (a, a), (-a, a)),), True
+    if shape is ShapeKind.DIAMOND:
+        return (((0.0, -r), (r, 0.0), (0.0, r), (-r, 0.0)),), True
+    if shape is ShapeKind.PLUS:
+        return (((0.0, -r), (0.0, r)), ((-r, 0.0), (r, 0.0))), False
+    if shape is ShapeKind.CROSS:
+        b = r * math.sqrt(2.0) / 2.0
+        return (((-b, -b), (b, b)), ((-b, b), (b, -b))), False
+    angles = (i * math.pi / 8 for i in range(16))
+    return (tuple((r * math.cos(a), r * math.sin(a)) for a in angles),), True
 
 
 @dataclass(frozen=True)
@@ -272,7 +299,7 @@ def _legend_decorations(
     for i, entry in enumerate(entries):
         y = plot.y + 32 + i * 22
         if entry.shape is not None:
-            decos.extend(_glyph_marks(entry.shape, x0 + 7, y, POINT_RADIUS, entry.color))
+            decos.append(PointMark(x0 + 7, y, entry.shape, entry.color))
         else:
             decos.append(
                 SegmentMark(x0, y, x0 + 15, y, color=entry.color, width=2.0,
@@ -280,13 +307,6 @@ def _legend_decorations(
             )
         decos.append(TextMark(x0 + 22, y + 4, entry.label))
     return decos
-
-
-def _glyph_marks(
-    shape: ShapeKind, x: float, y: float, r: float, color: Rgb
-) -> list[Mark]:
-    # legend swatches reuse the point mark so glyph geometry stays in one place
-    return [PointMark(x, y, shape, color, size=r)]
 
 
 def _palette_color(spec: ChartSpec, i: int, n_levels: int) -> Rgb:
@@ -492,28 +512,61 @@ def _layout_boxplot(spec: ChartSpec, data: Dataset) -> Scene:
 # -- scatter / line --------------------------------------------------------
 
 
+def _complete_rows(
+    spec: ChartSpec, data: Dataset
+) -> list[tuple[float, float, str | None]]:
+    """(x, y, group level) of each row a scatter or line chart draws, in
+    data order: x and y present, and the level too when the chart is grouped."""
+    xs = data.numeric(spec.x).values
+    ys = data.numeric(spec.y).values
+    grouped = spec.group is not None
+    gs = data.categorical(spec.group).values if grouped else (None,) * len(xs)
+    return [
+        (x, y, g)
+        for x, y, g in zip(xs, ys, gs)
+        if x is not None and y is not None and (g is not None or not grouped)
+    ]
+
+
 def _points_by_level(
     spec: ChartSpec, data: Dataset
 ) -> tuple[dict[str | None, list[tuple[float, float]]], list[str], int]:
-    xs = data.numeric(spec.x).values
-    ys = data.numeric(spec.y).values
-    if spec.group is not None:
-        gs = data.categorical(spec.group).values
-        levels = _group_levels(data, spec.group, spec.sort_order)
-    else:
-        gs = (None,) * len(xs)
-        levels = []
-    by_level: dict[str | None, list[tuple[float, float]]] = {}
-    used = 0
-    for x, y, g in zip(xs, ys, gs):
-        if x is None or y is None or (spec.group is not None and g is None):
-            continue
-        by_level.setdefault(g, []).append((x, y))
-        used += 1
-    dropped = data.n_rows - used
-    if not used:
+    rows = _complete_rows(spec, data)
+    if not rows:
         raise DataError("nothing to draw: no complete rows")
-    return by_level, levels, dropped
+    levels = (
+        _group_levels(data, spec.group, spec.sort_order) if spec.group is not None else []
+    )
+    by_level: dict[str | None, list[tuple[float, float]]] = {}
+    for x, y, g in rows:
+        by_level.setdefault(g, []).append((x, y))
+    return by_level, levels, data.n_rows - len(rows)
+
+
+def sonify_series(
+    spec: ChartSpec, data: Dataset, categorical: bool
+) -> tuple[list[float], list[float]]:
+    """The (x, y) series a chart's sonification plays.
+
+    A scatter or line chart plays the rows it draws, in data order. With
+    `categorical`, a bar chart plays (bar index, count) and a histogram
+    (bin centre, count). Raises SpecError like `layout` when the spec does
+    not bind to the data, DataError for a chart without a series.
+    """
+    bind(spec, data)
+    if spec.chart_type in ("scatter", "line"):
+        rows = _complete_rows(spec, data)
+        return [x for x, _, _ in rows], [y for _, y, _ in rows]
+    if categorical and spec.chart_type == "bar":
+        counts = bar_counts(data, spec.x, spec.sort_order)
+        return [float(i) for i in range(len(counts))], [float(c) for _, c in counts]
+    if categorical and spec.chart_type == "histogram":
+        bins = histogram(data, spec.x, spec.bins)
+        return [(lo + hi) / 2 for lo, hi, _ in bins], [float(c) for _, _, c in bins]
+    raise DataError(
+        f"cannot sonify a {spec.chart_type} chart"
+        + ("" if categorical else "; pass --categorical for bar/histogram")
+    )
 
 
 def _layout_points(spec: ChartSpec, data: Dataset) -> Scene:

@@ -24,7 +24,6 @@ class SonifyConfig:
     sample_rate: int = 44100
     f_min: float = 440.0
     f_max: float = 880.0
-    mode: str = "discrete"
     gap_fraction: float = 0.15
     amplitude: float = 0.8
     log_pitch: bool = False

@@ -9,7 +9,6 @@ produce identical bytes.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 from .color import CvdKind, Rgb, simulate_cvd
@@ -22,6 +21,7 @@ from .scene import (
     SegmentMark,
     ShapeKind,
     TextMark,
+    glyph_rings,
 )
 from .verbalize import AltText, join_labels
 
@@ -40,7 +40,8 @@ def _fmt(v: float) -> str:
     return "0" if s == "-0" else s
 
 
-def _esc(text: str) -> str:
+def xml_escape(text: str) -> str:
+    """Text for XML content in every SVG this package writes."""
     return (
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
@@ -57,32 +58,13 @@ def _shape_path(shape: ShapeKind, r: float) -> tuple[str, bool]:
             f"A {_fmt(r)},{_fmt(r)} 0 1 0 {_fmt(-r)},0 Z"
         )
         return d, True
-    if shape is ShapeKind.TRIANGLE:
-        dx = r * math.sqrt(3.0) / 2.0
-        return (
-            f"M 0,{_fmt(-r)} L {_fmt(dx)},{_fmt(r / 2)} L {_fmt(-dx)},{_fmt(r / 2)} Z",
-            True,
-        )
-    if shape is ShapeKind.SQUARE:
-        a = 0.85 * r
-        return (
-            f"M {_fmt(-a)},{_fmt(-a)} L {_fmt(a)},{_fmt(-a)} "
-            f"L {_fmt(a)},{_fmt(a)} L {_fmt(-a)},{_fmt(a)} Z",
-            True,
-        )
-    if shape is ShapeKind.DIAMOND:
-        return (
-            f"M 0,{_fmt(-r)} L {_fmt(r)},0 L 0,{_fmt(r)} L {_fmt(-r)},0 Z",
-            True,
-        )
-    if shape is ShapeKind.PLUS:
-        return f"M 0,{_fmt(-r)} L 0,{_fmt(r)} M {_fmt(-r)},0 L {_fmt(r)},0", False
-    b = r * math.sqrt(2.0) / 2.0
-    return (
-        f"M {_fmt(-b)},{_fmt(-b)} L {_fmt(b)},{_fmt(b)} "
-        f"M {_fmt(-b)},{_fmt(b)} L {_fmt(b)},{_fmt(-b)}",
-        False,
+    rings, closed = glyph_rings(shape, r)
+    end = " Z" if closed else ""
+    d = " ".join(
+        "M " + " L ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in ring) + end
+        for ring in rings
     )
+    return d, closed
 
 
 def _mark_element(mark: Mark, recolor: Recolor, mark_id: str | None) -> str:
@@ -144,7 +126,7 @@ def _mark_element(mark: Mark, recolor: Recolor, mark_id: str | None) -> str:
             f'<text{ident} x="{_fmt(mark.x)}" y="{_fmt(mark.y)}" '
             f'text-anchor="{mark.anchor}" font-family="sans-serif" '
             f'font-size="{_fmt(mark.size)}" fill="{recolor(mark.color).to_hex()}"'
-            f"{rotate}>{_esc(mark.text)}</text>"
+            f"{rotate}>{xml_escape(mark.text)}</text>"
         )
     raise TypeError(f"unknown mark {mark!r}")
 
@@ -167,8 +149,8 @@ def _document(
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}" role="img" '
         f'aria-labelledby="title desc">',
-        f"<title id=\"title\">{_esc(short_alt)}</title>",
-        f"<desc id=\"desc\">{_esc(long_alt)}</desc>",
+        f"<title id=\"title\">{xml_escape(short_alt)}</title>",
+        f"<desc id=\"desc\">{xml_escape(long_alt)}</desc>",
         f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
         f'fill="#FFFFFF"/>',
     ]
@@ -209,7 +191,8 @@ def cvd_grid(scene: Scene, alt: AltText) -> bytes:
         ]
         panel.append(
             f'<text x="{_fmt(scene.width / 2)}" y="16" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" fill="#000000">{_esc(name)}</text>'
+            f'font-family="sans-serif" font-size="13" fill="#000000">'
+            f"{xml_escape(name)}</text>"
         )
         panel.extend(
             _scene_body(scene, lambda c, k=kind: simulate_cvd(c, k), f"{kind.value}-m")

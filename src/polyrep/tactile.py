@@ -29,9 +29,10 @@ from .scene import (
     RectMark,
     Scene,
     SegmentMark,
-    ShapeKind,
     WHITE,
+    glyph_rings,
 )
+from .svgout import xml_escape
 from .verbalize import AltText
 
 PAPER_SIZES_MM: dict[str, tuple[float, float]] = {
@@ -101,6 +102,13 @@ class TactilePage:
 _DOT_GRID = {1: (0, 0), 2: (0, 1), 3: (0, 2), 4: (1, 0), 5: (1, 1), 6: (1, 2)}
 
 
+def _run_width(cells: tuple[BrailleCell, ...], layout: TactileLayout) -> float:
+    """Center of dot 1 of the first cell to the right dot column of the last."""
+    if not cells:
+        return 0.0
+    return (len(cells) - 1) * layout.cell_pitch + layout.dot_pitch
+
+
 @dataclass(frozen=True)
 class BrailleRun:
     """A placed row of braille cells; origin is the center of dot 1 of the
@@ -112,18 +120,13 @@ class BrailleRun:
     layout: TactileLayout
 
     @property
-    def width(self) -> float:
-        if not self.cells:
-            return 0.0
-        return (len(self.cells) - 1) * self.layout.cell_pitch + self.layout.dot_pitch
-
-    @property
     def height(self) -> float:
         return 2 * self.layout.dot_pitch
 
     def bbox(self) -> tuple[float, float, float, float]:
         r = self.layout.dot_diameter / 2
-        return (self.x - r, self.y - r, self.x + self.width + r, self.y + self.height + r)
+        width = _run_width(self.cells, self.layout)
+        return (self.x - r, self.y - r, self.x + width + r, self.y + self.height + r)
 
     def dots(self) -> list[Dot]:
         out = []
@@ -307,39 +310,6 @@ def _limit_ticks(
     return [pairs[i] for i in idx]
 
 
-def _shape_outline(
-    shape: ShapeKind, cx: float, cy: float, r: float, width: float
-) -> list[Stroke]:
-    if shape is ShapeKind.TRIANGLE:
-        dx = r * math.sqrt(3.0) / 2.0
-        return [Stroke(((cx, cy - r), (cx + dx, cy + r / 2), (cx - dx, cy + r / 2)),
-                       width, close=True)]
-    if shape is ShapeKind.SQUARE:
-        a = 0.85 * r
-        return [Stroke(((cx - a, cy - a), (cx + a, cy - a), (cx + a, cy + a),
-                        (cx - a, cy + a)), width, close=True)]
-    if shape is ShapeKind.DIAMOND:
-        return [Stroke(((cx, cy - r), (cx + r, cy), (cx, cy + r), (cx - r, cy)),
-                       width, close=True)]
-    if shape is ShapeKind.PLUS:
-        return [
-            Stroke(((cx, cy - r), (cx, cy + r)), width),
-            Stroke(((cx - r, cy), (cx + r, cy)), width),
-        ]
-    if shape is ShapeKind.CROSS:
-        b = r * math.sqrt(2.0) / 2.0
-        return [
-            Stroke(((cx - b, cy - b), (cx + b, cy + b)), width),
-            Stroke(((cx - b, cy + b), (cx + b, cy - b)), width),
-        ]
-    # circle: 16-gon approximation keeps Stroke polyline-only
-    pts = tuple(
-        (cx + r * math.cos(a), cy + r * math.sin(a))
-        for a in (i * math.pi / 8 for i in range(16))
-    )
-    return [Stroke(pts, width, close=True)]
-
-
 class _PageBuilder:
     def __init__(self, scene: Scene, layout: TactileLayout, alt: AltText):
         self.scene = scene
@@ -355,17 +325,12 @@ class _PageBuilder:
     def _cells(self, text: str) -> tuple[BrailleCell, ...]:
         return tuple(to_braille(text.replace("_", " ")))
 
-    def _run_width(self, cells: tuple[BrailleCell, ...]) -> float:
-        if not cells:
-            return 0.0
-        return (len(cells) - 1) * self.layout.cell_pitch + self.layout.dot_pitch
-
     def _printable(self) -> Rect:
         m = self.layout.margin
         return Rect(m, m, self.layout.page_w - 2 * m, self.layout.page_h - 2 * m)
 
     def _check_width(self, cells, what: str):
-        ink = self._run_width(cells) + self.layout.dot_diameter
+        ink = _run_width(cells, self.layout) + self.layout.dot_diameter
         if ink > self._printable().w:
             raise TactileError(
                 f"{what} is too long for the page at braille size; "
@@ -415,12 +380,12 @@ class _PageBuilder:
 
         # gutters reserve room for braille before the chart is scaled
         y_label_w = max(
-            [self._run_width(self._cells(lbl)) + layout.dot_diameter
+            [_run_width(self._cells(lbl), layout) + layout.dot_diameter
              for _, lbl in y_pairs],
             default=0.0,
         )
         x_label_w = max(
-            [self._run_width(self._cells(lbl)) + layout.dot_diameter
+            [_run_width(self._cells(lbl), layout) + layout.dot_diameter
              for _, lbl in x_pairs],
             default=0.0,
         )
@@ -506,10 +471,12 @@ class _PageBuilder:
                            dash=tuple(d * 1.5 for d in mark.dash) if mark.dash else None)
                 )
             elif isinstance(mark, PointMark):
-                r = max(2.5, mark.size * scale)
+                cx, cy = mx(mark.x), my(mark.y)
+                rings, closed = glyph_rings(mark.shape, max(2.5, mark.size * scale))
                 self.strokes.extend(
-                    _shape_outline(mark.shape, mx(mark.x), my(mark.y), r,
-                                   layout.min_stroke)
+                    Stroke(tuple((cx + x, cy + y) for x, y in ring),
+                           layout.min_stroke, close=closed)
+                    for ring in rings
                 )
             # TextMarks inside marks would be re-set in braille; none today
 
@@ -519,14 +486,14 @@ class _PageBuilder:
         for tx, label in x_pairs:
             cells = self._cells(label)
             self._check_width(cells, f"x label {label!r}")
-            w = self._run_width(cells)
+            w = _run_width(cells, layout)
             self._place_run(
                 cells, mx(tx) - w / 2, plot_mm.y1 + tick_len + 3.0, push="down"
             )
         dot_r = layout.dot_diameter / 2
         for ty, label in y_pairs:
             cells = self._cells(label)
-            w = self._run_width(cells)
+            w = _run_width(cells, layout)
             x0 = plot_mm.x - tick_len - 3.0 - w
             if x0 - dot_r < printable.x - 1e-6:
                 raise TactileError(
@@ -547,7 +514,7 @@ class _PageBuilder:
         if scene.x_axis.title:
             cells = self._cells(scene.x_axis.title)
             self._check_width(cells, f"x-axis title {scene.x_axis.title!r}")
-            w = self._run_width(cells)
+            w = _run_width(cells, layout)
             self._place_run(
                 cells,
                 plot_mm.x + plot_mm.w / 2 - w / 2,
@@ -620,7 +587,7 @@ def emit_preview_svg(page: TactilePage) -> bytes:
         f'viewBox="0 0 {fmt_pt(lay.page_w)} {fmt_pt(lay.page_h)}" role="img" '
         f'aria-labelledby="title desc">',
         "<title id=\"title\">Tactile page preview</title>",
-        f"<desc id=\"desc\">{_esc(page.source_alt.flattened)}</desc>",
+        f"<desc id=\"desc\">{xml_escape(page.source_alt.flattened)}</desc>",
         f'<rect x="0" y="0" width="{fmt_pt(lay.page_w)}" '
         f'height="{fmt_pt(lay.page_h)}" fill="#FFFFFF"/>',
     ]
@@ -645,9 +612,3 @@ def emit_preview_svg(page: TactilePage) -> bytes:
             f'fill="#000000"/>'
         )
     return ("\n".join(lines) + "\n</svg>\n").encode("utf-8")
-
-
-def _esc(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )

@@ -8,10 +8,13 @@ import shutil
 import wave
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from oracles import validate_pdf
+from oracles import read_wav_oracle, validate_pdf
+from polyrep.chartspec import load_dataset, parse_spec
 from polyrep.cli import build_parser, main
+from polyrep.scene import layout
 
 TOP_HELP = """\
 usage: polyrep [-h] [--version] command ...
@@ -315,6 +318,54 @@ def test_bind_error_exits_1(workdir, capsys):
     )
     assert main(["render", "bad.json"]) == 1
     assert "error[spec]" in capsys.readouterr().err
+
+
+CHART_COMMANDS = ("render", "cvd-grid", "alt", "sonify", "tactile")
+
+
+def _scatter_spec(inline: dict, **chart) -> dict:
+    return {"data": {"inline": inline},
+            "chart": {"type": "scatter", "x": "x", "y": "y", **chart}}
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (_scatter_spec({"x": [1, 2], "y": [3, 4]}, x="nope"),
+         "x column 'nope' is not in the dataset"),
+        (_scatter_spec({"x": [1, 2], "y": [3, 4], "g": [5, 6]}, group="g"),
+         "group column must be categorical"),
+    ],
+    ids=["missing-column", "numeric-group"],
+)
+@pytest.mark.parametrize("command", CHART_COMMANDS)
+def test_chart_commands_reject_unbound_spec_alike(workdir, capsys, command, spec,
+                                                  message):
+    Path("bad.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main([command, "bad.json"]) == 1
+    assert capsys.readouterr().err == f"polyrep: error[spec]: {message}\n"
+
+
+def _tones(wav: bytes) -> int:
+    """Runs of sound separated by at least 10 ms of silence."""
+    frames, rate = read_wav_oracle(wav)
+    loud = np.flatnonzero(np.abs(frames).max(axis=1) > 0)
+    return int(loud.size > 0) + int(np.count_nonzero(np.diff(loud) > rate // 100))
+
+
+def test_sonify_plays_the_points_the_chart_draws(workdir):
+    # the row with no group level is not drawn, so it must not sound either
+    spec = _scatter_spec(
+        {"x": [1, 2, 3, 4, 5], "y": [2, 4, 1, 5, 3], "g": ["a", "b", None, "a", "b"]},
+        group="g",
+    )
+    raw = json.dumps(spec).encode("utf-8")
+    Path("g.json").write_bytes(raw)
+    parsed = parse_spec(raw)
+    n_points = layout(parsed, load_dataset(parsed)).summary.n_points
+    assert n_points == 4
+    assert main(["sonify", "g.json", "-o", "g.wav"]) == 0
+    assert _tones(Path("g.wav").read_bytes()) == n_points
 
 
 def test_overlong_csv_field_exits_1(workdir, capsys):

@@ -109,12 +109,22 @@ def test_categorical_rejects_reserved_missing_tokens():
         ("categorical", ("a", None, 1.0), 1.0),
         ("categorical", ("a", 2), 2),
         ("categorical", ("a", b"b"), b"b"),
+        ("numeric", (1.0, "2"), "2"),
     ],
 )
 def test_column_rejects_invalid_value_by_name(kind, values, bad):
     with pytest.raises(DataError) as err:
         Column(kind, values)
-    assert repr(bad) in str(err.value)
+    message = str(err.value)
+    assert repr(bad) in message
+    if kind == "categorical":
+        assert message == f"categorical column holds invalid value {bad!r}"
+    elif isinstance(bad, float):
+        assert message == f"numeric column holds non-finite value {bad!r}"
+    else:  # a wrong type is not reported as non-finite
+        assert message == (
+            f"numeric column holds {type(bad).__name__} value {bad!r}, expected float"
+        )
 
 
 def test_column_accepts_zeros_and_float_subclasses():

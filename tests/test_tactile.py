@@ -32,7 +32,8 @@ from polyrep.tactile import (
     emit_preview_svg,
     tactualize,
 )
-from polyrep.verbalize import auto_alt
+from polyrep.svgout import emit_svg
+from polyrep.verbalize import AltText, auto_alt
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +246,14 @@ def test_preview_svg_well_formed(box_page):
     assert root.get("width").endswith("mm")
     tags = {e.tag.split("}")[1] for e in root.iter()}
     assert tags <= {"svg", "rect", "path", "text", "g", "title", "desc", "line"}
+
+
+def test_preview_and_chart_svg_escape_text_alike(penguins):
+    scene = layout(load_fixture_spec("penguins_box.json"), penguins)
+    alt = AltText(('Boxes of "body mass" & <species>.',))
+    desc = b'<desc id="desc">Boxes of &quot;body mass&quot; &amp; &lt;species&gt;.</desc>'
+    assert desc in emit_svg(scene, alt)
+    assert desc in emit_preview_svg(tactualize(scene, alt=alt))
 
 
 def test_single_box_page(penguins):
