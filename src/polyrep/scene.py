@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .chartspec import ChartSpec, bind
@@ -182,9 +183,6 @@ class Scene:
     y_axis: AxisInfo
     legend: tuple[LegendEntry, ...]
     summary: ChartSummary
-    title: str | None = None
-    subtitle: str | None = None
-    caption: str | None = None
 
 
 class LinearScale:
@@ -207,23 +205,6 @@ def padded_domain(lo: float, hi: float, anchor_zero: bool = False) -> tuple[floa
         return 0.0, hi + 0.05 * (hi - 0.0)
     pad = 0.05 * (hi - lo)
     return lo - pad, hi + pad
-
-
-def _group_levels(data: Dataset, name: str, sort_order: str) -> list[str]:
-    seen: dict[str, None] = {}
-    for v in data.categorical(name).values:
-        if v is not None and v not in seen:
-            seen[v] = None
-    levels = list(seen)
-    return sorted(levels) if sort_order == "alpha" else levels
-
-
-def _shape_for(i: int) -> ShapeKind:
-    return SHAPE_CYCLE[i % len(SHAPE_CYCLE)]
-
-
-def _dash_for(i: int) -> tuple[float, ...] | None:
-    return DASH_CYCLE[i % len(DASH_CYCLE)]
 
 
 def layout(spec: ChartSpec, data: Dataset) -> Scene:
@@ -309,56 +290,47 @@ def _legend_decorations(
     return decos
 
 
-def _palette_color(spec: ChartSpec, i: int, n_levels: int) -> Rgb:
-    if n_levels > len(spec.palette):
-        raise SpecError(
-            f"{n_levels} group levels exceed the palette's {len(spec.palette)} colors"
-        )
-    return spec.palette[i] if spec.encodings.color else INK
-
-
 def _assemble(
     spec: ChartSpec,
     plot: Rect,
     marks: list[Mark],
     x_axis: AxisInfo,
     y_axis: AxisInfo,
-    legend: tuple[LegendEntry, ...],
-    legend_name: str | None,
-    summary: ChartSummary,
-    extra_decorations: list[Mark] | None = None,
+    legend: tuple[LegendEntry, ...] = (),
+    extra_decorations: Sequence[Mark] = (),
+    **summary_fields,
 ) -> Scene:
+    """The scene, with a summary whose axes and metadata are the drawn ones;
+    `summary_fields` holds the chart type's own ChartSummary fields."""
     decos = _axis_decorations(plot, x_axis, y_axis)
     decos.extend(_chrome_decorations(spec))
-    if legend and legend_name:
-        decos.extend(_legend_decorations(plot, legend_name, legend))
-    if extra_decorations:
-        decos.extend(extra_decorations)
-    return Scene(
-        width=WIDTH,
-        height=HEIGHT,
-        plot=plot,
-        marks=tuple(marks),
-        decorations=tuple(decos),
-        x_axis=x_axis,
-        y_axis=y_axis,
-        legend=legend,
-        summary=summary,
+    if legend:
+        decos.extend(_legend_decorations(plot, spec.group, legend))
+    decos.extend(extra_decorations)
+    summary = ChartSummary(
+        chart_type=spec.chart_type,
+        x_name=x_axis.title,
+        y_name=y_axis.title,
+        x_labels=x_axis.labels,
+        y_labels=y_axis.labels,
         title=spec.title,
         subtitle=spec.subtitle,
         caption=spec.caption,
+        **summary_fields,
     )
+    return Scene(WIDTH, HEIGHT, plot, tuple(marks), tuple(decos), x_axis, y_axis,
+                 legend, summary)
 
 
 # -- bar / histogram -------------------------------------------------------
 
 
-def _count_axis(plot: Rect, max_count: int) -> tuple[LinearScale, TickSet, AxisInfo]:
+def _count_axis(plot: Rect, max_count: int) -> tuple[LinearScale, AxisInfo]:
     d0, d1 = padded_domain(0.0, float(max_count), anchor_zero=True)
     scale = LinearScale(d0, d1, plot.y1, plot.y)
     ticks = nice_ticks(0.0, float(max_count)) if max_count > 0 else TickSet((0.0,), ("0",))
     axis = AxisInfo("count", tuple(scale(p) for p in ticks.positions), ticks.labels)
-    return scale, ticks, axis
+    return scale, axis
 
 
 def _layout_bar(spec: ChartSpec, data: Dataset) -> Scene:
@@ -367,7 +339,7 @@ def _layout_bar(spec: ChartSpec, data: Dataset) -> Scene:
         raise DataError("nothing to draw: no non-missing values")
     plot = _plot_rect(with_legend=False)
     max_count = max(c for _, c in counts)
-    sy, ticks, y_axis = _count_axis(plot, max_count)
+    sy, y_axis = _count_axis(plot, max_count)
 
     slot = plot.w / len(counts)
     marks: list[Mark] = []
@@ -380,28 +352,15 @@ def _layout_bar(spec: ChartSpec, data: Dataset) -> Scene:
             RectMark(cx - 0.4 * slot, top, 0.8 * slot, sy(0.0) - top, fill=INK)
         )
     x_axis = AxisInfo(spec.x, tuple(centers), tuple(label for label, _ in counts))
-
-    col = data.column(spec.x)
-    summary = ChartSummary(
-        chart_type="bar",
-        x_name=spec.x,
-        y_name="count",
-        x_labels=x_axis.labels,
-        y_labels=ticks.labels,
-        title=spec.title,
-        subtitle=spec.subtitle,
-        caption=spec.caption,
-        bars=tuple(counts),
-        dropped_rows=col.n_missing(),
-    )
-    return _assemble(spec, plot, marks, x_axis, y_axis, (), None, summary)
+    return _assemble(spec, plot, marks, x_axis, y_axis, bars=tuple(counts),
+                     dropped_rows=data.column(spec.x).n_missing())
 
 
 def _layout_histogram(spec: ChartSpec, data: Dataset) -> Scene:
     bins = histogram(data, spec.x, spec.bins)
     plot = _plot_rect(with_legend=False)
     max_count = max(c for _, _, c in bins)
-    sy, yticks, y_axis = _count_axis(plot, max_count)
+    sy, y_axis = _count_axis(plot, max_count)
 
     lo, hi = bins[0][0], bins[-1][1]
     dx0, dx1 = padded_domain(lo, hi)
@@ -419,19 +378,8 @@ def _layout_histogram(spec: ChartSpec, data: Dataset) -> Scene:
             RectMark(left, top, right - left, sy(0.0) - top, fill=INK, stroke=WHITE)
         )
 
-    summary = ChartSummary(
-        chart_type="histogram",
-        x_name=spec.x,
-        y_name="count",
-        x_labels=xticks.labels,
-        y_labels=yticks.labels,
-        title=spec.title,
-        subtitle=spec.subtitle,
-        caption=spec.caption,
-        bins=tuple(bins),
-        dropped_rows=data.column(spec.x).n_missing(),
-    )
-    return _assemble(spec, plot, marks, x_axis, y_axis, (), None, summary)
+    return _assemble(spec, plot, marks, x_axis, y_axis, bins=tuple(bins),
+                     dropped_rows=data.column(spec.x).n_missing())
 
 
 # -- boxplot ---------------------------------------------------------------
@@ -494,19 +442,8 @@ def _layout_boxplot(spec: ChartSpec, data: Dataset) -> Scene:
         x_axis = AxisInfo("", (), ())
         dropped = data.column(spec.x).n_missing()
 
-    summary = ChartSummary(
-        chart_type="boxplot",
-        x_name=spec.x if grouped else "",
-        y_name=value_col,
-        x_labels=x_axis.labels,
-        y_labels=yticks.labels,
-        title=spec.title,
-        subtitle=spec.subtitle,
-        caption=spec.caption,
-        boxes=tuple(boxes),
-        dropped_rows=dropped,
-    )
-    return _assemble(spec, plot, marks, x_axis, y_axis, (), None, summary)
+    return _assemble(spec, plot, marks, x_axis, y_axis, boxes=tuple(boxes),
+                     dropped_rows=dropped)
 
 
 # -- scatter / line --------------------------------------------------------
@@ -526,21 +463,6 @@ def _complete_rows(
         for x, y, g in zip(xs, ys, gs)
         if x is not None and y is not None and (g is not None or not grouped)
     ]
-
-
-def _points_by_level(
-    spec: ChartSpec, data: Dataset
-) -> tuple[dict[str | None, list[tuple[float, float]]], list[str], int]:
-    rows = _complete_rows(spec, data)
-    if not rows:
-        raise DataError("nothing to draw: no complete rows")
-    levels = (
-        _group_levels(data, spec.group, spec.sort_order) if spec.group is not None else []
-    )
-    by_level: dict[str | None, list[tuple[float, float]]] = {}
-    for x, y, g in rows:
-        by_level.setdefault(g, []).append((x, y))
-    return by_level, levels, data.n_rows - len(rows)
 
 
 def sonify_series(
@@ -570,100 +492,95 @@ def sonify_series(
 
 
 def _layout_points(spec: ChartSpec, data: Dataset) -> Scene:
-    by_level, levels, dropped = _points_by_level(spec, data)
-    facet = spec.encodings.facet and bool(levels)
-    with_legend = bool(levels) and not facet
-    plot = _plot_rect(with_legend)
+    rows = _complete_rows(spec, data)
+    if not rows:
+        raise DataError("nothing to draw: no complete rows")
+    by_level: dict[str | None, list[tuple[float, float]]] = {}
+    for x, y, g in rows:
+        by_level.setdefault(g, []).append((x, y))
+    # the drawn levels in first-appearance order; ungrouped, the one key None
+    order = sorted(by_level) if spec.sort_order == "alpha" else list(by_level)
+    grouped = spec.group is not None
+    facet = spec.encodings.facet and grouped
+    plot = _plot_rect(with_legend=grouped and not facet)
 
-    all_pts = [p for pts in by_level.values() for p in pts]
-    x_lo, x_hi = min(p[0] for p in all_pts), max(p[0] for p in all_pts)
-    y_lo, y_hi = min(p[1] for p in all_pts), max(p[1] for p in all_pts)
+    # one style per level, read by the marks and by the legend alike
+    if grouped and len(order) > len(spec.palette):
+        raise SpecError(
+            f"{len(order)} group levels exceed the palette's {len(spec.palette)} colors"
+        )
+    enc = spec.encodings
+    styles: list[LegendEntry] = []
+    for i, level in enumerate(order):
+        color = spec.palette[i] if grouped and enc.color else INK
+        if spec.chart_type == "line":
+            dash = DASH_CYCLE[i % len(DASH_CYCLE)] if grouped and enc.linetype else None
+            styles.append(LegendEntry(level or "", color, dash=dash))
+        else:
+            shape = (SHAPE_CYCLE[i % len(SHAPE_CYCLE)] if grouped and enc.shape
+                     else ShapeKind.CIRCLE)
+            styles.append(LegendEntry(level or "", color, shape=shape))
+
+    pairs = [p for level in order for p in by_level[level]]
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
     dy0, dy1 = padded_domain(y_lo, y_hi)
     sy = LinearScale(dy0, dy1, plot.y1, plot.y)
     yticks = nice_ticks(y_lo, y_hi) if y_lo < y_hi else nice_ticks(y_lo - 0.5, y_hi + 0.5)
     y_axis = AxisInfo(spec.y or "", tuple(sy(p) for p in yticks.positions), yticks.labels)
     xticks = nice_ticks(x_lo, x_hi) if x_lo < x_hi else nice_ticks(x_lo - 0.5, x_hi + 0.5)
+    dx0, dx1 = padded_domain(x_lo, x_hi)
 
-    marks: list[Mark] = []
-    extra_decos: list[Mark] = []
-    grouped = bool(levels)
+    panels = [plot] * len(order)
     if facet:
         gap = 12.0
-        panel_w = (plot.w - gap * (len(levels) - 1)) / len(levels)
-        panel0_ticks: tuple[float, ...] = ()
-        for i, level in enumerate(levels):
-            panel = Rect(plot.x + i * (panel_w + gap), plot.y, panel_w, plot.h)
-            dx0, dx1 = padded_domain(x_lo, x_hi)
-            sx = LinearScale(dx0, dx1, panel.x, panel.x1)
-            marks.extend(
-                _series_marks(spec, by_level.get(level, []), i, len(levels),
-                              grouped, sx, sy)
-            )
-            tick_px = tuple(sx(p) for p in xticks.positions)
-            if i == 0:
-                panel0_ticks = tick_px
-            extra_decos.append(
+        panel_w = (plot.w - gap * (len(order) - 1)) / len(order)
+        panels = [Rect(plot.x + i * (panel_w + gap), plot.y, panel_w, plot.h)
+                  for i in range(len(order))]
+    marks: list[Mark] = []
+    facet_decos: list[Mark] = []
+    for i, (level, style, panel) in enumerate(zip(order, styles, panels)):
+        sx = LinearScale(dx0, dx1, panel.x, panel.x1)
+        marks.extend(_series_marks(spec, by_level[level], i, style, sx, sy))
+        if i == 0:  # _axis_decorations draws the ticks of x_axis
+            x_axis = AxisInfo(spec.x, tuple(sx(p) for p in xticks.positions),
+                              xticks.labels)
+        if facet:
+            facet_decos.append(
                 TextMark(panel.x + panel.w / 2, panel.y - 8, level, anchor="middle")
             )
-            extra_decos.append(
+            facet_decos.append(
                 SegmentMark(panel.x, panel.y1, panel.x1, panel.y1, width=1.0)
             )
-            for tx, label in zip(tick_px, xticks.labels):
-                extra_decos.append(SegmentMark(tx, plot.y1, tx, plot.y1 + 5, width=1.0))
-                extra_decos.append(TextMark(tx, plot.y1 + 18, label, anchor="middle"))
-        x_axis = AxisInfo(spec.x, panel0_ticks, xticks.labels)
-    else:
-        dx0, dx1 = padded_domain(x_lo, x_hi)
-        sx = LinearScale(dx0, dx1, plot.x, plot.x1)
-        order = levels if levels else [None]
-        for i, level in enumerate(order):
-            marks.extend(
-                _series_marks(spec, by_level.get(level, []), i,
-                              max(len(levels), 1), grouped, sx, sy)
-            )
-        x_axis = AxisInfo(
-            spec.x, tuple(sx(p) for p in xticks.positions), xticks.labels
-        )
+            if i > 0:
+                for p, label in zip(xticks.positions, xticks.labels):
+                    tx = sx(p)
+                    facet_decos.append(
+                        SegmentMark(tx, plot.y1, tx, plot.y1 + 5, width=1.0)
+                    )
+                    facet_decos.append(
+                        TextMark(tx, plot.y1 + 18, label, anchor="middle")
+                    )
 
-    legend: tuple[LegendEntry, ...] = ()
-    if with_legend:
-        entries = []
-        for i, level in enumerate(levels):
-            color = _palette_color(spec, i, len(levels))
-            if spec.chart_type == "scatter":
-                shape = _shape_for(i) if spec.encodings.shape else ShapeKind.CIRCLE
-                entries.append(LegendEntry(level, color, shape=shape))
-            else:
-                dash = _dash_for(i) if spec.encodings.linetype else None
-                entries.append(LegendEntry(level, color, dash=dash))
-        legend = tuple(entries)
-
-    pairs = [p for level in (levels or [None]) for p in by_level.get(level, [])]
     try:
-        fit = linear_fit([p[0] for p in pairs], [p[1] for p in pairs])
+        fit = linear_fit(xs, ys)
         slope_sign = 0 if fit.slope == 0 else (1 if fit.slope > 0 else -1)
     except DataError:
         slope_sign = None
 
-    summary = ChartSummary(
-        chart_type=spec.chart_type,
-        x_name=spec.x,
-        y_name=spec.y or "",
-        x_labels=xticks.labels,
-        y_labels=yticks.labels,
-        title=spec.title,
-        subtitle=spec.subtitle,
-        caption=spec.caption,
+    return _assemble(
+        spec, plot, marks, x_axis, y_axis,
+        tuple(styles) if grouped and not facet else (),
+        facet_decos,
         n_points=len(pairs),
         x_range=(x_lo, x_hi),
         y_range=(y_lo, y_hi),
         slope_sign=slope_sign,
         group_name=spec.group,
-        group_levels=tuple(levels),
-        dropped_rows=dropped,
-    )
-    return _assemble(
-        spec, plot, marks, x_axis, y_axis, legend, spec.group, summary, extra_decos
+        group_levels=tuple(order) if grouped else (),
+        dropped_rows=data.n_rows - len(rows),
     )
 
 
@@ -671,32 +588,18 @@ def _series_marks(
     spec: ChartSpec,
     pts: list[tuple[float, float]],
     level_index: int,
-    n_levels: int,
-    grouped: bool,
+    style: LegendEntry,
     sx: LinearScale,
     sy: LinearScale,
 ) -> list[Mark]:
-    if not pts:
-        return []
-    color = _palette_color(spec, level_index, n_levels) if grouped else INK
-    marks: list[Mark] = []
     if spec.chart_type == "line":
-        ordered = sorted(pts)
-        dash = _dash_for(level_index) if spec.encodings.linetype and grouped else None
-        marks.append(
+        return [
             PolylineMark(
-                tuple((sx(x), sy(y)) for x, y in ordered),
-                color=color,
-                dash=dash,
+                tuple((sx(x), sy(y)) for x, y in sorted(pts)),
+                color=style.color,
+                dash=style.dash,
                 group=level_index,
             )
-        )
-    else:
-        shape = (
-            _shape_for(level_index)
-            if spec.encodings.shape and grouped
-            else ShapeKind.CIRCLE
-        )
-        for x, y in pts:
-            marks.append(PointMark(sx(x), sy(y), shape, color, group=level_index))
-    return marks
+        ]
+    return [PointMark(sx(x), sy(y), style.shape, style.color, group=level_index)
+            for x, y in pts]

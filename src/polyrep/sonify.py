@@ -61,7 +61,8 @@ class AudioBuffer:
 
 
 def map_pitch(y: float, y_lo: float, y_hi: float, cfg: SonifyConfig) -> float:
-    """Frequency for a y value; the midpoint frequency when the range is flat."""
+    """Frequency for a y value, or elementwise for a numpy array of them; the
+    midpoint frequency (a scalar) when the range is flat."""
     if y_lo == y_hi:
         return (
             math.sqrt(cfg.f_min * cfg.f_max)
@@ -159,16 +160,8 @@ def sonify_sweep(
         if x_lo == x_hi
         else np.linspace(0.0, 1.0, n_frames)
     )
-    xq = x_lo + pan * (x_hi - x_lo) if x_lo != x_hi else np.full(n_frames, x_lo)
-    yq = np.interp(xq, xs, ys)
-    if y_lo == y_hi:
-        f = np.full(n_frames, map_pitch(y_lo, y_lo, y_hi, cfg))
-    else:
-        t = (yq - y_lo) / (y_hi - y_lo)
-        if cfg.log_pitch:
-            f = cfg.f_min * (cfg.f_max / cfg.f_min) ** t
-        else:
-            f = cfg.f_min + t * (cfg.f_max - cfg.f_min)
+    yq = np.interp(x_lo + pan * (x_hi - x_lo), xs, ys)
+    f = np.broadcast_to(map_pitch(yq, y_lo, y_hi, cfg), n_frames)
 
     phase = np.empty(n_frames)
     phase[0] = 0.0

@@ -395,7 +395,7 @@ class _PageBuilder:
         bottom_gutter = 7.0 + 2 * layout.line_pitch + (
             layout.line_pitch if scene.x_axis.title else 0.0
         ) + 2.0
-        top_lines = (1 if scene.title else 0) + (1 if scene.y_axis.title else 0)
+        top_lines = (1 if scene.summary.title else 0) + (1 if scene.y_axis.title else 0)
         top_gutter = top_lines * layout.line_pitch + 4.0
 
         avail = Rect(
@@ -502,8 +502,8 @@ class _PageBuilder:
             self._place_run(cells, x0, my(ty) - layout.dot_pitch, push="left")
 
         y_base = printable.y + dot_r
-        if scene.title:
-            cells = self._cells(scene.title)
+        if scene.summary.title:
+            cells = self._cells(scene.summary.title)
             self._check_width(cells, "title")
             self._place_run(cells, printable.x + dot_r, y_base, push="down")
             y_base += layout.line_pitch

@@ -5,12 +5,19 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import load_fixture_spec
-from polyrep.chartspec import inline_dataset, parse_spec
+from polyrep.chartspec import inline_dataset, load_dataset, parse_spec
 from polyrep.color import CvdKind, Rgb, simulate_cvd
 from polyrep.errors import DataError, SpecError
-from polyrep.scene import PointMark, RectMark, ShapeKind, layout
+from polyrep.scene import (
+    PointMark,
+    RectMark,
+    SegmentMark,
+    ShapeKind,
+    TextMark,
+    layout,
+)
 from polyrep.svgout import cvd_grid, emit_svg
-from polyrep.verbalize import auto_alt
+from polyrep.verbalize import auto_alt, join_labels
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 ALLOWED_TAGS = {"svg", "rect", "path", "line", "text", "g", "title", "desc"}
@@ -133,6 +140,58 @@ def test_facet_panels(penguins):
     labels = [m.text for m in scene.decorations if hasattr(m, "text")]
     for level in ("Adelie", "Chinstrap", "Gentoo"):
         assert level in labels
+
+
+FACET_SCATTER = (
+    b'{"title":"Faceted","data":{"csv":"penguins.csv"},"encodings":{"facet":true},'
+    b'"chart":{"type":"scatter","x":"flipper_length_mm",'
+    b'"y":"bill_length_mm","group":"species"}}'
+)
+
+
+def test_facet_decorations_drawn_once(penguins):
+    scene = layout(parse_spec(FACET_SCATTER), penguins)
+    decos = [m for m in scene.decorations if isinstance(m, (TextMark, SegmentMark))]
+    assert len(decos) == len(set(decos))
+    tick_labels = [
+        m.text for m in decos
+        if isinstance(m, TextMark) and m.y == scene.plot.y1 + 18
+    ]
+    # three panels, each with one label per x tick
+    assert sorted(tick_labels) == sorted(scene.x_axis.labels * 3)
+
+
+def test_group_levels_come_from_drawn_rows():
+    data = inline_dataset(
+        {"x": [1, 2, 3, 4], "y": [1, 2, 3, None], "g": ["a", "b", "a", "c"]}
+    )
+    spec = parse_spec(b'{"chart":{"type":"scatter","x":"x","y":"y","group":"g"}}')
+    scene = layout(spec, data)
+    assert len(scene.marks) == 3
+    assert [e.label for e in scene.legend] == ["a", "b"]
+    assert "Points are grouped by 'g' as a and b." in auto_alt(scene.summary).sentences
+
+
+AGREEMENT_CASES = [
+    "lin.json", "penguins_bar.json", "penguins_box.json",
+    "penguins_hist.json", "penguins_scatter.json", "facet",
+]
+
+
+@pytest.mark.parametrize("name", AGREEMENT_CASES)
+def test_alt_axes_are_the_drawn_axes(name, fixtures_dir):
+    spec = parse_spec(FACET_SCATTER) if name == "facet" else load_fixture_spec(name)
+    scene = layout(spec, load_dataset(spec, base_dir=fixtures_dir))
+    sentences = auto_alt(scene.summary).sentences
+    x, y = scene.x_axis, scene.y_axis
+    if x.labels:
+        assert f"It has x-axis '{x.title}' with labels {join_labels(x.labels)}." in sentences
+    else:
+        assert not any(s.startswith("It has x-axis") for s in sentences)
+    assert f"It has y-axis '{y.title}' with labels {join_labels(y.labels)}." in sentences
+    drawn = {m.text for m in scene.decorations if isinstance(m, TextMark)}
+    assert set(x.labels) | set(y.labels) <= drawn
+    assert {t for t in (x.title, y.title) if t} <= drawn
 
 
 def test_axis_ticks_are_scaled_nice_ticks(penguins):

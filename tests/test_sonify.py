@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -209,6 +210,47 @@ def test_sweep_log_pitch_midpoint_is_geometric():
     mid = mono[n * 9 // 20 : n * 11 // 20]
     f_mid = zero_crossing_freq(mid, buf.rate)
     assert abs(f_mid - math.sqrt(440 * 880)) / f_mid < 0.03
+
+
+SWEEP_CASES = {
+    "flat_x": ([2.0, 2.0, 2.0], [1.0, 4.0, 2.0]),
+    "flat_y": ([0.0, 1.0, 2.0], [4.0, 4.0, 4.0]),
+    "both_flat": ([5.0, 5.0], [7.0, 7.0]),
+    "unsorted_x": ([3.0, 0.0, 2.0, 1.0], [1.0, 0.0, 5.0, 2.0]),
+    "repeated_x": ([0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]),
+}
+
+SWEEP_SHA256 = {  # (linear pitch, log pitch) WAV digests at 0.25 s
+    "flat_x": (
+        "36d4ee454f91ae151c2f26a28221dd652231567734628a6cf899037c98c96c1c",
+        "af0e32cbc3c7be1591a39997eb3898a8fac24d5f181487bb292bfc4584acf576",
+    ),
+    "flat_y": (
+        "dd5188b67e9a88d6623b726786147417705129128b3936a607d0cadd77b3a20d",
+        "cc20ea0fee122f35e72697673531727c6413b85f653da9c21ce8ce753f7be878",
+    ),
+    "both_flat": (
+        "ce73745c3fd929c6c1b179342448790797973d124cd0957a90754d55bcf1a109",
+        "6df5c01bae61c5f8519fed582bcd63f80339b618a69a24fea823798f9fb36b5b",
+    ),
+    "unsorted_x": (
+        "25047cb1c8b44b64415ddac53448b7bfbc8870008940013bddea3d1de4dbbad0",
+        "72da4d44424c2c873f9cd64b5dd48e89ee2c5394bd5d0e9db83eed698a666710",
+    ),
+    "repeated_x": (
+        "5055a6d4cd28fc5c7117a1741e6b3bc840c8b9146a05f29acc8bb8c411c7a9cf",
+        "36f13ea7b95c3fc1bdfab7fcd51d2e3fca80253dae182d919bff205c61be260a",
+    ),
+}
+
+
+@pytest.mark.parametrize("log_pitch", [False, True])
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_sweep_wav_bytes_pinned(name, log_pitch):
+    x, y = SWEEP_CASES[name]
+    cfg = SonifyConfig(duration_s=0.25, log_pitch=log_pitch)
+    digest = hashlib.sha256(write_wav(sonify_sweep(x, y, cfg))).hexdigest()
+    assert digest == SWEEP_SHA256[name][log_pitch]
 
 
 # -- wav ---------------------------------------------------------------------
