@@ -165,6 +165,94 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+# Tactile PDFs on the other papers, and bar charts whose braille labels are
+# displaced: one 20-letter category squeezes the plot so that the two lowest
+# y tick labels are pushed left twice each, and five 10-letter categories
+# push their x labels down by 1, 2, 3 and 2 lines.
+TACTILE_PAPER_SHA256 = {
+    ("penguins_bar", "a4"):
+        "fc34d673b0e65a91bd1456e017e54ce3d4d70d96e27ab8f178f4b70d94277c31",
+    ("penguins_bar", "braille11x11"):
+        "320feb76b39c66ff6708eb93b664c966b839e71cbb00ed2cbb4bf98ff2e5a516",
+    ("penguins_box", "a4"):
+        "c839c37ab9ca3f322ce07760b8021e5c5d017a445c9d89023b31478a582624e2",
+    ("penguins_box", "braille11x11"):
+        "7c65beca0abcaba919a42e5dbf878d90be7ee957a6185b5ae49f1dcf7db79a89",
+}
+LONG_CATEGORY = "abcdefghijklmnopqrst"
+_DIRECTIONS = {"northwards": 4, "southwards": 3, "eastwardly": 1, "westwardly": 8,
+               "upwardness": 4}
+PUSHED_LABELS = {  # name: (bar chart categories, tactile PDF sha256)
+    "left": ([LONG_CATEGORY] * 8,
+             "de8af323d9c8228eb332360d0412eaf016216a4b8b5c1e1eddd3b03a753570ef"),
+    "down": ([c for c, n in _DIRECTIONS.items() for _ in range(n)],
+             "e16888a2f18ce536829af9528e9a8dbf9e0732038642f5ae051cac5259506185"),
+}
+
+
+@pytest.mark.parametrize("name,paper", sorted(TACTILE_PAPER_SHA256))
+def test_tactile_paper_golden_hash(workdir, name, paper):
+    assert main(["tactile", f"{name}.json", "-o", "t.pdf", "--paper", paper]) == 0
+    assert _sha256("t.pdf") == TACTILE_PAPER_SHA256[name, paper]
+
+
+@pytest.mark.parametrize("name", sorted(PUSHED_LABELS))
+def test_tactile_pushed_labels_golden_hash(workdir, name):
+    categories, digest = PUSHED_LABELS[name]
+    spec = {"data": {"inline": {"c": categories}}, "chart": {"type": "bar", "x": "c"}}
+    Path("pushed.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["tactile", "pushed.json", "-o", "t.pdf"]) == 0
+    assert _sha256("t.pdf") == digest
+
+
+def _tactile_error(name: str, capsys) -> str:
+    assert main(["tactile", name, "-o", "t.pdf"]) == 1
+    assert not Path("t.pdf").exists()
+    return capsys.readouterr().err
+
+
+def test_tactile_title_too_long_error(workdir, capsys):
+    assert _tactile_error("penguins_scatter.json", capsys) == (
+        "polyrep: error[tactile]: title is too long for the page at braille "
+        "size; abbreviate it to fewer characters\n"
+    )
+
+
+def test_tactile_labels_overlap_error(workdir, capsys):
+    # 150 rows put the count ticks so close that pushing left cannot clear them
+    spec = {"data": {"inline": {"c": [LONG_CATEGORY] * 150}},
+            "chart": {"type": "bar", "x": "c"}}
+    Path("crowded.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert _tactile_error("crowded.json", capsys) == (
+        "polyrep: error[tactile]: braille labels overlap even after "
+        "displacement; abbreviate the labels or enlarge the page\n"
+    )
+
+
+def test_tactile_y_label_margin_error(workdir, capsys, monkeypatch):
+    """The left gutter is sized from the y labels' braille, so a y label
+    overflows the margin only if it is set wider than it was measured: the
+    y tick label '150' grows by 20 cells after its first translation."""
+    import polyrep.tactile as tactile
+
+    translate = tactile.to_braille
+    measured = set()
+
+    def widening(text):
+        cells = translate(text)
+        if text == "150":
+            if text in measured:
+                cells = cells + translate("0" * 20)
+            measured.add(text)
+        return cells
+
+    monkeypatch.setattr(tactile, "to_braille", widening)
+    assert _tactile_error("penguins_bar.json", capsys) == (
+        "polyrep: error[tactile]: y label '150' does not fit in the margin; "
+        "abbreviate it\n"
+    )
+
+
 # Every bundled fixture's chart, CVD grid and categorical sonification,
 # pinned byte for byte: work on the shared chart path, glyph geometry,
 # escaping or series choice must not change a single byte.
