@@ -233,15 +233,22 @@ def _plot_rect(with_legend: bool) -> Rect:
 
 
 def _axis_decorations(
-    plot: Rect, x_axis: AxisInfo, y_axis: AxisInfo
+    plot: Rect,
+    x_axis: AxisInfo,
+    y_axis: AxisInfo,
+    panels: Sequence[tuple[Rect, tuple[float, ...]]],
 ) -> list[Mark]:
+    """One x baseline and one set of x ticks per panel (a panel and its x
+    tick positions, labelled alike), then the shared y axis and titles."""
     decos: list[Mark] = [
-        SegmentMark(plot.x, plot.y1, plot.x1, plot.y1, width=1.0),
-        SegmentMark(plot.x, plot.y, plot.x, plot.y1, width=1.0),
+        SegmentMark(panel.x, panel.y1, panel.x1, panel.y1, width=1.0)
+        for panel, _ in panels
     ]
-    for tx, label in zip(x_axis.ticks, x_axis.labels):
-        decos.append(SegmentMark(tx, plot.y1, tx, plot.y1 + 5, width=1.0))
-        decos.append(TextMark(tx, plot.y1 + 18, label, anchor="middle"))
+    decos.append(SegmentMark(plot.x, plot.y, plot.x, plot.y1, width=1.0))
+    for _, ticks in panels:
+        for tx, label in zip(ticks, x_axis.labels):
+            decos.append(SegmentMark(tx, plot.y1, tx, plot.y1 + 5, width=1.0))
+            decos.append(TextMark(tx, plot.y1 + 18, label, anchor="middle"))
     for ty, label in zip(y_axis.ticks, y_axis.labels):
         decos.append(SegmentMark(plot.x - 5, ty, plot.x, ty, width=1.0))
         decos.append(TextMark(plot.x - 8, ty + 4, label, anchor="end"))
@@ -298,11 +305,13 @@ def _assemble(
     y_axis: AxisInfo,
     legend: tuple[LegendEntry, ...] = (),
     extra_decorations: Sequence[Mark] = (),
+    panels: Sequence[tuple[Rect, tuple[float, ...]]] = (),
     **summary_fields,
 ) -> Scene:
     """The scene, with a summary whose axes and metadata are the drawn ones;
-    `summary_fields` holds the chart type's own ChartSummary fields."""
-    decos = _axis_decorations(plot, x_axis, y_axis)
+    `panels` splits the plot for facets, and `summary_fields` holds the
+    chart type's own ChartSummary fields."""
+    decos = _axis_decorations(plot, x_axis, y_axis, panels or ((plot, x_axis.ticks),))
     decos.extend(_chrome_decorations(spec))
     if legend:
         decos.extend(_legend_decorations(plot, spec.group, legend))
@@ -533,36 +542,24 @@ def _layout_points(spec: ChartSpec, data: Dataset) -> Scene:
     xticks = nice_ticks(x_lo, x_hi) if x_lo < x_hi else nice_ticks(x_lo - 0.5, x_hi + 0.5)
     dx0, dx1 = padded_domain(x_lo, x_hi)
 
-    panels = [plot] * len(order)
+    panels = [plot]
     if facet:
         gap = 12.0
         panel_w = (plot.w - gap * (len(order) - 1)) / len(order)
         panels = [Rect(plot.x + i * (panel_w + gap), plot.y, panel_w, plot.h)
                   for i in range(len(order))]
+    x_scales = [LinearScale(dx0, dx1, panel.x, panel.x1) for panel in panels]
     marks: list[Mark] = []
-    facet_decos: list[Mark] = []
-    for i, (level, style, panel) in enumerate(zip(order, styles, panels)):
-        sx = LinearScale(dx0, dx1, panel.x, panel.x1)
+    for i, (level, style) in enumerate(zip(order, styles)):
+        sx = x_scales[i if facet else 0]
         marks.extend(_series_marks(spec, by_level[level], i, style, sx, sy))
-        if i == 0:  # _axis_decorations draws the ticks of x_axis
-            x_axis = AxisInfo(spec.x, tuple(sx(p) for p in xticks.positions),
-                              xticks.labels)
-        if facet:
-            facet_decos.append(
-                TextMark(panel.x + panel.w / 2, panel.y - 8, level, anchor="middle")
-            )
-            facet_decos.append(
-                SegmentMark(panel.x, panel.y1, panel.x1, panel.y1, width=1.0)
-            )
-            if i > 0:
-                for p, label in zip(xticks.positions, xticks.labels):
-                    tx = sx(p)
-                    facet_decos.append(
-                        SegmentMark(tx, plot.y1, tx, plot.y1 + 5, width=1.0)
-                    )
-                    facet_decos.append(
-                        TextMark(tx, plot.y1 + 18, label, anchor="middle")
-                    )
+    panel_ticks = [(panel, tuple(sx(p) for p in xticks.positions))
+                   for panel, sx in zip(panels, x_scales)]
+    x_axis = AxisInfo(spec.x, panel_ticks[0][1], xticks.labels)
+    facet_labels = [
+        TextMark(panel.x + panel.w / 2, panel.y - 8, level, anchor="middle")
+        for panel, level in zip(panels, order)
+    ] if facet else []
 
     try:
         fit = linear_fit(xs, ys)
@@ -573,7 +570,8 @@ def _layout_points(spec: ChartSpec, data: Dataset) -> Scene:
     return _assemble(
         spec, plot, marks, x_axis, y_axis,
         tuple(styles) if grouped and not facet else (),
-        facet_decos,
+        facet_labels,
+        panel_ticks,
         n_points=len(pairs),
         x_range=(x_lo, x_hi),
         y_range=(y_lo, y_hi),

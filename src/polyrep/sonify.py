@@ -24,8 +24,6 @@ class SonifyConfig:
     sample_rate: int = 44100
     f_min: float = 440.0
     f_max: float = 880.0
-    gap_fraction: float = 0.15
-    amplitude: float = 0.8
     log_pitch: bool = False
 
     def __post_init__(self):
@@ -38,10 +36,6 @@ class SonifyConfig:
                 "need 0 < f_min < f_max < sample_rate/2, got "
                 f"{self.f_min}..{self.f_max} at {self.sample_rate} Hz"
             )
-        if not (0.0 <= self.gap_fraction < 1.0):
-            raise DataError("gap_fraction must be in [0, 1)")
-        if not (0.0 <= self.amplitude <= 1.0):
-            raise DataError("amplitude must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -100,6 +94,8 @@ def _clean_pairs(
 
 
 FADE_S = 0.005  # linear fade per tone edge, suppresses clicks
+GAP_FRACTION = 0.15  # silent share of each discrete tone's time slot
+AMPLITUDE = 0.8  # peak sample magnitude of every tone and sweep
 
 
 def sonify_points(
@@ -120,13 +116,13 @@ def sonify_points(
     for i, (xv, yv) in enumerate(pairs):
         s0 = (i * n_frames) // len(pairs)
         s1 = ((i + 1) * n_frames) // len(pairs)
-        tone_len = round((s1 - s0) * (1.0 - cfg.gap_fraction))
+        tone_len = round((s1 - s0) * (1.0 - GAP_FRACTION))
         if tone_len < 1:
             continue
         f = map_pitch(yv, y_lo, y_hi, cfg)
         left, right = pan_gains(map_pan(xv, x_lo, x_hi))
         t = np.arange(tone_len) / cfg.sample_rate
-        wave = cfg.amplitude * np.sin(2.0 * math.pi * f * t)
+        wave = AMPLITUDE * np.sin(2.0 * math.pi * f * t)
         fade = min(fade_max, tone_len // 2)
         if fade > 0:
             ramp = np.linspace(0.0, 1.0, fade, endpoint=False)
@@ -166,7 +162,7 @@ def sonify_sweep(
     phase = np.empty(n_frames)
     phase[0] = 0.0
     np.cumsum(2.0 * math.pi * f[:-1] / cfg.sample_rate, out=phase[1:])
-    wave = cfg.amplitude * np.sin(phase)
+    wave = AMPLITUDE * np.sin(phase)
     out = np.empty((n_frames, 2))
     out[:, 0] = wave * np.cos(pan * math.pi / 2.0)
     out[:, 1] = wave * np.sin(pan * math.pi / 2.0)

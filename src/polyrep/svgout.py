@@ -67,6 +67,10 @@ def _shape_path(shape: ShapeKind, r: float) -> tuple[str, bool]:
     return d, closed
 
 
+def _dash_attr(dash: tuple[float, ...] | None) -> str:
+    return f' stroke-dasharray="{",".join(_fmt(d) for d in dash)}"' if dash else ""
+
+
 def _mark_element(mark: Mark, recolor: Recolor, mark_id: str | None) -> str:
     ident = f' id="{mark_id}"' if mark_id else ""
     if isinstance(mark, PointMark):
@@ -93,28 +97,18 @@ def _mark_element(mark: Mark, recolor: Recolor, mark_id: str | None) -> str:
             f'width="{_fmt(mark.w)}" height="{_fmt(mark.h)}"{fill}{stroke}/>'
         )
     if isinstance(mark, SegmentMark):
-        dash = (
-            f' stroke-dasharray="{",".join(_fmt(d) for d in mark.dash)}"'
-            if mark.dash
-            else ""
-        )
         return (
             f'<line{ident} x1="{_fmt(mark.x1)}" y1="{_fmt(mark.y1)}" '
             f'x2="{_fmt(mark.x2)}" y2="{_fmt(mark.y2)}" '
             f'stroke="{recolor(mark.color).to_hex()}" '
-            f'stroke-width="{_fmt(mark.width)}"{dash}/>'
+            f'stroke-width="{_fmt(mark.width)}"{_dash_attr(mark.dash)}/>'
         )
     if isinstance(mark, PolylineMark):
         steps = " L ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in mark.points)
-        dash = (
-            f' stroke-dasharray="{",".join(_fmt(d) for d in mark.dash)}"'
-            if mark.dash
-            else ""
-        )
         return (
             f'<path{ident} d="M {steps}" fill="none" '
             f'stroke="{recolor(mark.color).to_hex()}" '
-            f'stroke-width="{_fmt(mark.width)}"{dash}/>'
+            f'stroke-width="{_fmt(mark.width)}"{_dash_attr(mark.dash)}/>'
         )
     if isinstance(mark, TextMark):
         rotate = (

@@ -17,7 +17,7 @@ the grid calls and the brute-force oracle the tests compare it with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .braille import BrailleCell, to_braille
 from .errors import TactileError
@@ -42,26 +42,29 @@ PAPER_SIZES_MM: dict[str, tuple[float, float]] = {
 }
 
 
+# fixed braille sizes (mm), after BANA's Guidelines and Standards for
+# Tactile Graphics (2010); only the page size is chosen per call
+MARGIN = 25.0
+DOT_DIAMETER = 1.5
+DOT_PITCH = 2.5  # between dot centers inside a cell
+CELL_PITCH = 6.2  # between cell origins
+LINE_PITCH = 10.0  # between braille lines
+MIN_STROKE = 1.0
+
+# bare paper (mm) kept between a braille label dot and any stroke's ink
+LABEL_CLEARANCE = 0.5
+
+MAX_TICKS = 5  # per axis
+
+
 @dataclass(frozen=True)
 class TactileLayout:
     page_w: float = 215.9
     page_h: float = 279.4
-    margin: float = 25.0
-    dot_diameter: float = 1.5
-    dot_pitch: float = 2.5  # between dot centers inside a cell
-    cell_pitch: float = 6.2  # between cell origins
-    line_pitch: float = 10.0  # between braille lines
-    min_stroke: float = 1.0
 
     def __post_init__(self):
-        fields = (
-            self.page_w, self.page_h, self.margin, self.dot_diameter,
-            self.dot_pitch, self.cell_pitch, self.line_pitch, self.min_stroke,
-        )
-        if any(v <= 0 for v in fields):
+        if self.page_w <= 0 or self.page_h <= 0:
             raise TactileError("tactile layout dimensions must be positive")
-        if self.cell_pitch <= self.dot_pitch:
-            raise TactileError("cell pitch must exceed the intra-cell dot pitch")
 
     @classmethod
     def for_paper(cls, paper: str) -> "TactileLayout":
@@ -98,15 +101,19 @@ class TactilePage:
     source_alt: AltText
 
 
-# dot offsets within one cell, standard numbering, units of dot_pitch
+# dot offsets within one cell, standard numbering, units of DOT_PITCH
 _DOT_GRID = {1: (0, 0), 2: (0, 1), 3: (0, 2), 4: (1, 0), 5: (1, 1), 6: (1, 2)}
 
 
-def _run_width(cells: tuple[BrailleCell, ...], layout: TactileLayout) -> float:
+def _braille(text: str) -> tuple[BrailleCell, ...]:
+    return tuple(to_braille(text.replace("_", " ")))
+
+
+def _run_width(cells: tuple[BrailleCell, ...]) -> float:
     """Center of dot 1 of the first cell to the right dot column of the last."""
     if not cells:
         return 0.0
-    return (len(cells) - 1) * layout.cell_pitch + layout.dot_pitch
+    return (len(cells) - 1) * CELL_PITCH + DOT_PITCH
 
 
 @dataclass(frozen=True)
@@ -117,30 +124,20 @@ class BrailleRun:
     cells: tuple[BrailleCell, ...]
     x: float
     y: float
-    layout: TactileLayout
-
-    @property
-    def height(self) -> float:
-        return 2 * self.layout.dot_pitch
 
     def bbox(self) -> tuple[float, float, float, float]:
-        r = self.layout.dot_diameter / 2
-        width = _run_width(self.cells, self.layout)
-        return (self.x - r, self.y - r, self.x + width + r, self.y + self.height + r)
+        r = DOT_DIAMETER / 2
+        width = _run_width(self.cells)
+        return (self.x - r, self.y - r, self.x + width + r, self.y + 2 * DOT_PITCH + r)
 
     def dots(self) -> list[Dot]:
         out = []
         for i, cell in enumerate(self.cells):
-            cx = self.x + i * self.layout.cell_pitch
+            cx = self.x + i * CELL_PITCH
             for d in sorted(cell.dots):
                 col, row = _DOT_GRID[d]
-                out.append(
-                    Dot(
-                        cx + col * self.layout.dot_pitch,
-                        self.y + row * self.layout.dot_pitch,
-                        self.layout.dot_diameter,
-                    )
-                )
+                out.append(Dot(cx + col * DOT_PITCH, self.y + row * DOT_PITCH,
+                               DOT_DIAMETER))
         return out
 
 
@@ -155,7 +152,7 @@ def _seg_point_distance(
     return math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
 
 
-def dot_touches_stroke(dot: Dot, stroke: Stroke, clearance: float = 0.25) -> bool:
+def dot_touches_stroke(dot: Dot, stroke: Stroke, clearance: float) -> bool:
     """True when the dot's ink comes within `clearance` of the stroke's ink.
 
     The single collision kernel: `_SegmentGrid` calls it per nearby
@@ -169,9 +166,6 @@ def dot_touches_stroke(dot: Dot, stroke: Stroke, clearance: float = 0.25) -> boo
     return False
 
 
-# bare paper (mm) kept between a braille label dot and any stroke's ink
-LABEL_CLEARANCE = 0.5
-
 # mm added around each segment's bounding box when bucketing, so float
 # rounding at a cell boundary can never drop a segment within reach
 _GRID_PAD = 1e-6
@@ -180,18 +174,17 @@ _GRID_PAD = 1e-6
 class _SegmentGrid:
     """Stroke segments bucketed into square cells of the collision reach.
 
-    The cell is `dot_diameter/2 + max stroke width/2 + clearance` wide, the
-    farthest a touching segment can be from the dot's center, so every
-    segment in reach of a dot lies in the dot's cell or one of its eight
-    neighbours.
+    The cell is `DOT_DIAMETER/2 + max stroke width/2 + LABEL_CLEARANCE`
+    wide, the farthest a touching segment can be from the dot's center, so
+    every segment in reach of a dot lies in the dot's cell or one of its
+    eight neighbours.
     Each segment is kept as a two-point `Stroke` with its stroke's width
     (closing segments included) in every cell its bounding box covers."""
 
-    def __init__(self, strokes: list[Stroke], dot_diameter: float, clearance: float):
-        self.clearance = clearance
+    def __init__(self, strokes: list[Stroke]):
         self.cell = (
-            dot_diameter / 2 + max((s.width for s in strokes), default=0.0) / 2
-            + clearance
+            DOT_DIAMETER / 2 + max((s.width for s in strokes), default=0.0) / 2
+            + LABEL_CLEARANCE
         )
         self.buckets: dict[tuple[int, int], list[Stroke]] = {}
         for stroke in strokes:
@@ -214,7 +207,7 @@ class _SegmentGrid:
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
                 for seg in self.buckets.get((i + di, j + dj), ()):
-                    if dot_touches_stroke(dot, seg, clearance=self.clearance):
+                    if dot_touches_stroke(dot, seg, LABEL_CLEARANCE):
                         return True
         return False
 
@@ -301,12 +294,13 @@ def _hatch_rect(x0: float, y0: float, x1: float, y1: float, pattern: int,
 
 
 def _limit_ticks(
-    ticks: tuple[float, ...], labels: tuple[str, ...], limit: int = 5
+    ticks: tuple[float, ...], labels: tuple[str, ...]
 ) -> list[tuple[float, str]]:
     pairs = list(zip(ticks, labels))
-    if len(pairs) <= limit:
+    if len(pairs) <= MAX_TICKS:
         return pairs
-    idx = sorted({round(i * (len(pairs) - 1) / (limit - 1)) for i in range(limit)})
+    idx = sorted({round(i * (len(pairs) - 1) / (MAX_TICKS - 1))
+                  for i in range(MAX_TICKS)})
     return [pairs[i] for i in idx]
 
 
@@ -315,48 +309,43 @@ class _PageBuilder:
         self.scene = scene
         self.layout = layout
         self.alt = alt
+        self.printable = Rect(MARGIN, MARGIN, layout.page_w - 2 * MARGIN,
+                              layout.page_h - 2 * MARGIN)
         self.strokes: list[Stroke] = []
         self.dots: list[Dot] = []
         self.runs: list[BrailleRun] = []
         self.grid: _SegmentGrid | None = None  # built once every stroke is drawn
 
-    # -- braille helpers ---------------------------------------------------
-
-    def _cells(self, text: str) -> tuple[BrailleCell, ...]:
-        return tuple(to_braille(text.replace("_", " ")))
-
-    def _printable(self) -> Rect:
-        m = self.layout.margin
-        return Rect(m, m, self.layout.page_w - 2 * m, self.layout.page_h - 2 * m)
-
-    def _check_width(self, cells, what: str):
-        ink = _run_width(cells, self.layout) + self.layout.dot_diameter
-        if ink > self._printable().w:
+    def _label(self, text: str, what: str, x: float, y: float, push: str,
+               align: str) -> None:
+        """Set `text` in braille with its first dot row at `y` and its left
+        end, center or right end (`align`) at `x`, then push it a braille
+        line `push` ("down" or "left") at a time until it clears strokes
+        and other labels. A right-aligned run grows toward the left margin,
+        so it alone is checked against it."""
+        cells = _braille(text)
+        w = _run_width(cells)
+        if w + DOT_DIAMETER > self.printable.w:
             raise TactileError(
                 f"{what} is too long for the page at braille size; "
                 "abbreviate it to fewer characters"
             )
-
-    def _place_run(
-        self, cells: tuple[BrailleCell, ...], x: float, y: float, push: str
-    ) -> BrailleRun | None:
-        """Place a run, staggering rows / pushing outward until it clears
-        strokes and other runs."""
+        if align == "center":
+            x -= w / 2
+        elif align == "right":
+            x -= w
+            if x - DOT_DIAMETER / 2 < self.printable.x - 1e-6:
+                raise TactileError(f"{what} does not fit in the margin; abbreviate it")
         if not cells:
-            return None
-        run = BrailleRun(cells, x, y, self.layout)
-        for attempt in range(4):
-            conflict = self._run_conflicts(run)
-            if not conflict:
+            return
+        dx, dy = (-LINE_PITCH, 0.0) if push == "left" else (0.0, LINE_PITCH)
+        run = BrailleRun(cells, x, y)
+        for _ in range(4):
+            if not self._run_conflicts(run):
                 self.runs.append(run)
                 self.dots.extend(run.dots())
-                return run
-            if push == "down":
-                run = replace(run, y=run.y + self.layout.line_pitch)
-            elif push == "left":
-                run = replace(run, x=run.x - self.layout.line_pitch)
-            else:
-                run = replace(run, y=run.y - self.layout.line_pitch)
+                return
+            run = BrailleRun(cells, run.x + dx, run.y + dy)
         raise TactileError(
             "braille labels overlap even after displacement; "
             "abbreviate the labels or enlarge the page"
@@ -365,38 +354,33 @@ class _PageBuilder:
     def _run_conflicts(self, run: BrailleRun) -> bool:
         box = run.bbox()
         for other in self.runs:
-            if _bbox_overlap(box, other.bbox(), self.layout.dot_pitch):
+            if _bbox_overlap(box, other.bbox(), DOT_PITCH):
                 return True
         return any(self.grid.touches(dot) for dot in run.dots())
 
     # -- chart geometry ------------------------------------------------------
 
     def build(self) -> TactilePage:
-        scene, layout = self.scene, self.layout
-        printable = self._printable()
+        scene, printable = self.scene, self.printable
 
         x_pairs = _limit_ticks(scene.x_axis.ticks, scene.x_axis.labels)
         y_pairs = _limit_ticks(scene.y_axis.ticks, scene.y_axis.labels)
 
         # gutters reserve room for braille before the chart is scaled
-        y_label_w = max(
-            [_run_width(self._cells(lbl), layout) + layout.dot_diameter
-             for _, lbl in y_pairs],
-            default=0.0,
-        )
-        x_label_w = max(
-            [_run_width(self._cells(lbl), layout) + layout.dot_diameter
-             for _, lbl in x_pairs],
-            default=0.0,
-        )
+        def ink_width(pairs: list[tuple[float, str]]) -> float:
+            return max((_run_width(_braille(lbl)) + DOT_DIAMETER for _, lbl in pairs),
+                       default=0.0)
+
+        y_label_w = ink_width(y_pairs)
+        x_label_w = ink_width(x_pairs)
         # centered x labels can poke past either plot edge
         left_gutter = max(y_label_w + 9.0, x_label_w / 2 + 2.0)
         right_gutter = max(4.0, x_label_w / 2 + 2.0)
-        bottom_gutter = 7.0 + 2 * layout.line_pitch + (
-            layout.line_pitch if scene.x_axis.title else 0.0
+        bottom_gutter = 7.0 + 2 * LINE_PITCH + (
+            LINE_PITCH if scene.x_axis.title else 0.0
         ) + 2.0
         top_lines = (1 if scene.summary.title else 0) + (1 if scene.y_axis.title else 0)
-        top_gutter = top_lines * layout.line_pitch + 4.0
+        top_gutter = top_lines * LINE_PITCH + 4.0
 
         avail = Rect(
             printable.x + left_gutter,
@@ -417,7 +401,7 @@ class _PageBuilder:
             return avail.y + (px - self.scene.plot.y) * scale
 
         def mw(w_px: float) -> float:
-            return max(layout.min_stroke, w_px * scale)
+            return max(MIN_STROKE, w_px * scale)
 
         plot_mm = Rect(
             mx(scene.plot.x), my(scene.plot.y),
@@ -427,22 +411,20 @@ class _PageBuilder:
         # axes and ticks
         tick_len = 4.0
         self.strokes.append(
-            Stroke(((plot_mm.x, plot_mm.y1), (plot_mm.x1, plot_mm.y1)),
-                   layout.min_stroke)
+            Stroke(((plot_mm.x, plot_mm.y1), (plot_mm.x1, plot_mm.y1)), MIN_STROKE)
         )
         self.strokes.append(
-            Stroke(((plot_mm.x, plot_mm.y), (plot_mm.x, plot_mm.y1)),
-                   layout.min_stroke)
+            Stroke(((plot_mm.x, plot_mm.y), (plot_mm.x, plot_mm.y1)), MIN_STROKE)
         )
         for tx, _ in x_pairs:
             self.strokes.append(
                 Stroke(((mx(tx), plot_mm.y1), (mx(tx), plot_mm.y1 + tick_len)),
-                       layout.min_stroke)
+                       MIN_STROKE)
             )
         for ty, _ in y_pairs:
             self.strokes.append(
                 Stroke(((plot_mm.x - tick_len, my(ty)), (plot_mm.x, my(ty))),
-                       layout.min_stroke)
+                       MIN_STROKE)
             )
 
         # data marks
@@ -452,11 +434,10 @@ class _PageBuilder:
                 x1, y1 = mx(mark.x + mark.w), my(mark.y + mark.h)
                 self.strokes.append(
                     Stroke(((x0, y0), (x1, y0), (x1, y1), (x0, y1)),
-                           layout.min_stroke, close=True)
+                           MIN_STROKE, close=True)
                 )
                 if mark.fill is not None and mark.fill != WHITE:
-                    hs, hd = _hatch_rect(x0, y0, x1, y1, mark.group,
-                                         layout.min_stroke)
+                    hs, hd = _hatch_rect(x0, y0, x1, y1, mark.group, MIN_STROKE)
                     self.strokes.extend(hs)
                     self.dots.extend(hd)
             elif isinstance(mark, SegmentMark):
@@ -475,54 +456,35 @@ class _PageBuilder:
                 rings, closed = glyph_rings(mark.shape, max(2.5, mark.size * scale))
                 self.strokes.extend(
                     Stroke(tuple((cx + x, cy + y) for x, y in ring),
-                           layout.min_stroke, close=closed)
+                           MIN_STROKE, close=closed)
                     for ring in rings
                 )
             # TextMarks inside marks would be re-set in braille; none today
 
-        self.grid = _SegmentGrid(self.strokes, layout.dot_diameter, LABEL_CLEARANCE)
+        self.grid = _SegmentGrid(self.strokes)
 
         # braille labels: x ticks below, y ticks left, titles around
+        x_label_y = plot_mm.y1 + tick_len + 3.0
         for tx, label in x_pairs:
-            cells = self._cells(label)
-            self._check_width(cells, f"x label {label!r}")
-            w = _run_width(cells, layout)
-            self._place_run(
-                cells, mx(tx) - w / 2, plot_mm.y1 + tick_len + 3.0, push="down"
-            )
-        dot_r = layout.dot_diameter / 2
+            self._label(label, f"x label {label!r}", mx(tx), x_label_y, "down", "center")
         for ty, label in y_pairs:
-            cells = self._cells(label)
-            w = _run_width(cells, layout)
-            x0 = plot_mm.x - tick_len - 3.0 - w
-            if x0 - dot_r < printable.x - 1e-6:
-                raise TactileError(
-                    f"y label {label!r} does not fit in the margin; abbreviate it"
-                )
-            self._place_run(cells, x0, my(ty) - layout.dot_pitch, push="left")
+            self._label(label, f"y label {label!r}", plot_mm.x - tick_len - 3.0,
+                        my(ty) - DOT_PITCH, "left", "right")
 
-        y_base = printable.y + dot_r
+        title_x = printable.x + DOT_DIAMETER / 2
+        y_base = printable.y + DOT_DIAMETER / 2
         if scene.summary.title:
-            cells = self._cells(scene.summary.title)
-            self._check_width(cells, "title")
-            self._place_run(cells, printable.x + dot_r, y_base, push="down")
-            y_base += layout.line_pitch
+            self._label(scene.summary.title, "title", title_x, y_base, "down", "left")
+            y_base += LINE_PITCH
         if scene.y_axis.title:
-            cells = self._cells(scene.y_axis.title)
-            self._check_width(cells, f"y-axis title {scene.y_axis.title!r}")
-            self._place_run(cells, printable.x + dot_r, y_base, push="down")
+            t = scene.y_axis.title
+            self._label(t, f"y-axis title {t!r}", title_x, y_base, "down", "left")
         if scene.x_axis.title:
-            cells = self._cells(scene.x_axis.title)
-            self._check_width(cells, f"x-axis title {scene.x_axis.title!r}")
-            w = _run_width(cells, layout)
-            self._place_run(
-                cells,
-                plot_mm.x + plot_mm.w / 2 - w / 2,
-                plot_mm.y1 + tick_len + 3.0 + 2 * layout.line_pitch,
-                push="down",
-            )
+            t = scene.x_axis.title
+            self._label(t, f"x-axis title {t!r}", plot_mm.x + plot_mm.w / 2,
+                        x_label_y + 2 * LINE_PITCH, "down", "center")
 
-        page = TactilePage(layout, tuple(self.strokes), tuple(self.dots), self.alt)
+        page = TactilePage(self.layout, tuple(self.strokes), tuple(self.dots), self.alt)
         _check_bounds(page)
         return page
 
@@ -537,8 +499,8 @@ def tactualize(scene: Scene, layout: TactileLayout | None = None,
 
 def _check_bounds(page: TactilePage) -> None:
     lay = page.layout
-    x0, y0 = lay.margin, lay.margin
-    x1, y1 = lay.page_w - lay.margin, lay.page_h - lay.margin
+    x0, y0 = MARGIN, MARGIN
+    x1, y1 = lay.page_w - MARGIN, lay.page_h - MARGIN
     for dot in page.dots:
         r = dot.diameter / 2
         if not (x0 <= dot.x - r and dot.x + r <= x1 and y0 <= dot.y - r and dot.y + r <= y1):

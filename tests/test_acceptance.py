@@ -39,10 +39,17 @@ from polyrep.color import (
 from polyrep.dataset import Column, Dataset
 from polyrep.pdfwrite import MM_TO_PT
 from polyrep.scene import layout
-from polyrep.sonify import AudioBuffer, SonifyConfig, pan_gains, sonify_points, write_wav
+from polyrep.sonify import (
+    GAP_FRACTION,
+    AudioBuffer,
+    SonifyConfig,
+    pan_gains,
+    sonify_points,
+    write_wav,
+)
 from polyrep.stats import box_stats, histogram, linear_fit, nice_ticks
 from polyrep.svgout import cvd_grid, emit_svg
-from polyrep.tactile import emit_pdf, tactualize
+from polyrep.tactile import DOT_DIAMETER, MARGIN, emit_pdf, tactualize
 from polyrep.verbalize import auto_alt
 
 GOLDEN_BAR_BLOCK = (
@@ -196,7 +203,7 @@ def test_criterion_6_sonification_fixture():
     for i in range(5):
         s0 = (i * buf.frames) // 5
         s1 = ((i + 1) * buf.frames) // 5
-        tone_len = round((s1 - s0) * (1 - cfg.gap_fraction))
+        tone_len = round((s1 - s0) * (1 - GAP_FRACTION))
         mono = buf.samples[s0 : s0 + tone_len].sum(axis=1)
         estimates.append(zero_crossing_freq(mono, buf.rate))
     ok &= all(b > a for a, b in zip(estimates, estimates[1:]))
@@ -267,7 +274,7 @@ def test_criterion_8_tactile_validity(penguins):
     lay = page.layout
     dots_mm = []
     for cx, cy, r in pdf_filled_circles(info["content"]):
-        if abs(2 * r / MM_TO_PT - lay.dot_diameter) < 0.1:
+        if abs(2 * r / MM_TO_PT - DOT_DIAMETER) < 0.1:
             dots_mm.append((cx / MM_TO_PT, lay.page_h - cy / MM_TO_PT))
 
     texts = extract_braille_runs(dots_mm)
@@ -285,10 +292,10 @@ def test_criterion_8_tactile_validity(penguins):
         target = 2.5 if gap < 3.0 else 3.7  # intra-cell pitch / 6.2 cell pitch
         ok &= abs(gap - target) <= 0.05
 
-    margin = lay.margin
+    margin = MARGIN
     eps = 0.01  # pt-quantization slack from the unit round-trip
     for x, y in dots_mm:
-        r = lay.dot_diameter / 2
+        r = DOT_DIAMETER / 2
         ok &= margin - eps <= x - r and x + r <= lay.page_w - margin + eps
         ok &= margin - eps <= y - r and y + r <= lay.page_h - margin + eps
     report(

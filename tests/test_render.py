@@ -161,6 +161,24 @@ def test_facet_decorations_drawn_once(penguins):
     assert sorted(tick_labels) == sorted(scene.x_axis.labels * 3)
 
 
+def test_facet_x_baseline_drawn_once_per_panel(penguins):
+    scene = layout(parse_spec(FACET_SCATTER), penguins)
+    plot = scene.plot
+    baselines = sorted(
+        (m.x1, m.x2) for m in scene.decorations
+        if isinstance(m, SegmentMark) and m.y1 == m.y2 == plot.y1
+    )
+    # one per panel, left to right across the plot, the gaps left bare
+    assert len(baselines) == len(scene.summary.group_levels) == 3
+    assert baselines[0][0] == plot.x and baselines[-1][1] == plot.x1
+    assert all(a[1] < b[0] for a, b in zip(baselines, baselines[1:]))
+    ticks = [m.x1 for m in scene.decorations
+             if isinstance(m, SegmentMark) and m.y1 == plot.y1 and m.y2 == plot.y1 + 5]
+    assert len(ticks) == 3 * len(scene.x_axis.ticks)
+    for x0, x1 in baselines:
+        assert sum(x0 <= t <= x1 for t in ticks) == len(scene.x_axis.ticks)
+
+
 def test_group_levels_come_from_drawn_rows():
     data = inline_dataset(
         {"x": [1, 2, 3, 4], "y": [1, 2, 3, None], "g": ["a", "b", "a", "c"]}
@@ -245,6 +263,11 @@ def test_line_chart_dashes():
     lines = [m for m in scene.marks if hasattr(m, "points")]
     assert len(lines) == 2
     assert lines[0].dash is None and lines[1].dash is not None
+    # level b's series path and its legend line carry the same dash attribute
+    svg = emit_svg(scene, auto_alt(scene.summary)).decode()
+    dashed = [line for line in svg.splitlines() if "stroke-dasharray" in line]
+    assert [line.split()[0] for line in dashed] == ["<line", "<path"]
+    assert all(' stroke-dasharray="6,4"/>' in line for line in dashed)
 
 
 # -- emit_svg ----------------------------------------------------------------

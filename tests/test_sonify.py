@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from oracles import check_wav_header, read_wav_oracle, zero_crossing_freq
 from polyrep.errors import DataError
 from polyrep.sonify import (
+    AMPLITUDE,
+    GAP_FRACTION,
     AudioBuffer,
     SonifyConfig,
     map_pan,
@@ -30,7 +32,7 @@ def slot_bounds(i: int, n: int, frames: int) -> tuple[int, int]:
 
 def tone_slice(buf: AudioBuffer, i: int, n: int) -> np.ndarray:
     s0, s1 = slot_bounds(i, n, buf.frames)
-    tone_len = round((s1 - s0) * (1.0 - CFG.gap_fraction))
+    tone_len = round((s1 - s0) * (1.0 - GAP_FRACTION))
     mono = buf.samples[s0 : s0 + tone_len, 0] + buf.samples[s0 : s0 + tone_len, 1]
     return mono
 
@@ -78,8 +80,6 @@ def test_config_validation():
         SonifyConfig(f_max=30000, sample_rate=44100)
     with pytest.raises(DataError):
         SonifyConfig(duration_s=0)
-    with pytest.raises(DataError):
-        SonifyConfig(gap_fraction=1.0)
 
 
 # -- discrete ----------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_config_validation():
 def test_discrete_frame_count_and_amplitude():
     buf = sonify_points([1, 2, 3, 4, 5], [1, 2, 3, 4, 5])
     assert buf.frames == round(CFG.duration_s * CFG.sample_rate) == 220500
-    assert float(np.abs(buf.samples).max()) <= CFG.amplitude + 1e-12
+    assert float(np.abs(buf.samples).max()) <= AMPLITUDE + 1e-12
 
 
 def test_discrete_rising_line_pitch_and_pan():
@@ -112,8 +112,8 @@ def test_discrete_single_point_centered_midpoint():
     left = buf.samples[:, 0]
     right = buf.samples[:, 1]
     assert np.allclose(left, right)
-    tone = left[: round(buf.frames * (1 - CFG.gap_fraction))] + right[
-        : round(buf.frames * (1 - CFG.gap_fraction))
+    tone = left[: round(buf.frames * (1 - GAP_FRACTION))] + right[
+        : round(buf.frames * (1 - GAP_FRACTION))
     ]
     f = zero_crossing_freq(tone, buf.rate)
     assert abs(f - 660.0) / 660.0 < 0.02
@@ -129,7 +129,7 @@ def test_discrete_constant_y_equal_frequencies():
 def test_discrete_gap_is_silent():
     buf = sonify_points([1, 2], [1, 2])
     s0, s1 = slot_bounds(0, 2, buf.frames)
-    tone_len = round((s1 - s0) * (1.0 - CFG.gap_fraction))
+    tone_len = round((s1 - s0) * (1.0 - GAP_FRACTION))
     gap = buf.samples[s0 + tone_len : s1]
     assert np.abs(gap).max() == 0.0
 
@@ -193,7 +193,7 @@ def test_sweep_phase_continuity():
     buf = sonify_sweep([1, 2, 3, 4, 5], [5, 1, 4, 2, 3])
     for ch in (0, 1):
         jumps = np.abs(np.diff(buf.samples[:, ch]))
-        bound = CFG.amplitude * 2 * math.pi * CFG.f_max / CFG.sample_rate
+        bound = AMPLITUDE * 2 * math.pi * CFG.f_max / CFG.sample_rate
         assert float(jumps.max()) <= bound * 1.01
 
 

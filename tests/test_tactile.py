@@ -20,7 +20,11 @@ from polyrep.errors import TactileError
 from polyrep.pdfwrite import MM_TO_PT
 from polyrep.scene import layout
 from polyrep.tactile import (
+    CELL_PITCH,
+    DOT_DIAMETER,
+    DOT_PITCH,
     LABEL_CLEARANCE,
+    MARGIN,
     Dot,
     Stroke,
     TactileLayout,
@@ -56,7 +60,7 @@ def pdf_dots_mm(raw: bytes, layout: TactileLayout):
     out = []
     for cx, cy, r in circles:
         d_mm = 2 * r / MM_TO_PT
-        if abs(d_mm - layout.dot_diameter) < 0.1:  # skip hatch dots
+        if abs(d_mm - DOT_DIAMETER) < 0.1:  # skip hatch dots
             out.append((cx / MM_TO_PT, page_h - cy / MM_TO_PT))
     return out
 
@@ -67,11 +71,11 @@ def pdf_dots_mm(raw: bytes, layout: TactileLayout):
 def test_layout_defaults_and_validation():
     lay = TactileLayout()
     assert (lay.page_w, lay.page_h) == (215.9, 279.4)
-    assert lay.dot_pitch == 2.5 and lay.cell_pitch == 6.2
+    assert DOT_PITCH == 2.5 and CELL_PITCH == 6.2
     with pytest.raises(TactileError):
-        TactileLayout(dot_pitch=7.0)  # cell pitch must exceed dot pitch
+        TactileLayout(page_w=0)
     with pytest.raises(TactileError):
-        TactileLayout(margin=-1)
+        TactileLayout(page_h=-1)
 
 
 def test_paper_sizes():
@@ -114,7 +118,7 @@ def test_no_dot_stroke_overlaps(box_page):
 
 def test_braille_dot_spacing_at_least_dot_pitch(box_page):
     braille = [(d.x, d.y) for d in box_page.dots if d.kind == "braille"]
-    pitch = box_page.layout.dot_pitch
+    pitch = DOT_PITCH
     for i, (x1, y1) in enumerate(braille):
         for x2, y2 in braille[i + 1 :]:
             if abs(x1 - x2) < pitch and abs(y1 - y2) < pitch:
@@ -125,12 +129,12 @@ def test_all_ink_within_margins(box_page):
     lay = box_page.layout
     for dot in box_page.dots:
         r = dot.diameter / 2
-        assert lay.margin <= dot.x - r and dot.x + r <= lay.page_w - lay.margin
-        assert lay.margin <= dot.y - r and dot.y + r <= lay.page_h - lay.margin
+        assert MARGIN <= dot.x - r and dot.x + r <= lay.page_w - MARGIN
+        assert MARGIN <= dot.y - r and dot.y + r <= lay.page_h - MARGIN
     for stroke in box_page.strokes:
         for x, y in stroke.points:
-            assert lay.margin - 0.51 <= x <= lay.page_w - lay.margin + 0.51
-            assert lay.margin - 0.51 <= y <= lay.page_h - lay.margin + 0.51
+            assert MARGIN - 0.51 <= x <= lay.page_w - MARGIN + 0.51
+            assert MARGIN - 0.51 <= y <= lay.page_h - MARGIN + 0.51
 
 
 def test_ticks_limited_to_five_per_axis(penguins):
@@ -231,7 +235,7 @@ def test_pdf_geometry_matches_page(box_pdf, box_page):
     polylines = pdf_stroked_polylines(info["content"])
     assert len(polylines) == len(box_page.strokes)
     # dot count sanity: every braille dot appears with the right radius
-    r_pt = box_page.layout.dot_diameter / 2 * MM_TO_PT
+    r_pt = DOT_DIAMETER / 2 * MM_TO_PT
     matching = [c for c in circles if abs(c[2] - r_pt) < 0.01]
     assert len(matching) == len(braille)
 
@@ -304,8 +308,8 @@ def test_random_scenes_keep_ink_inside_and_clear_of_braille():
         lay = page.layout
         for dot in page.dots:
             r = dot.diameter / 2
-            assert lay.margin <= dot.x - r and dot.x + r <= lay.page_w - lay.margin
-            assert lay.margin <= dot.y - r and dot.y + r <= lay.page_h - lay.margin
+            assert MARGIN <= dot.x - r and dot.x + r <= lay.page_w - MARGIN
+            assert MARGIN <= dot.y - r and dot.y + r <= lay.page_h - MARGIN
         braille = [d for d in page.dots if d.kind == "braille"]
         for dot in braille:
             for stroke in page.strokes:
@@ -315,8 +319,8 @@ def test_random_scenes_keep_ink_inside_and_clear_of_braille():
         pts = [(d.x, d.y) for d in braille]
         for i, (x1, y1) in enumerate(pts):
             for x2, y2 in pts[i + 1 :]:
-                if abs(x1 - x2) < lay.dot_pitch and abs(y1 - y2) < lay.dot_pitch:
-                    assert math.hypot(x1 - x2, y1 - y2) >= lay.dot_pitch - 0.01
+                if abs(x1 - x2) < DOT_PITCH and abs(y1 - y2) < DOT_PITCH:
+                    assert math.hypot(x1 - x2, y1 - y2) >= DOT_PITCH - 0.01
     assert built >= 20  # most random pages should build
 
 
@@ -380,7 +384,7 @@ def _brute_force_run_conflicts(self, run):
     against every segment of every stroke on the page."""
     box = run.bbox()
     for other in self.runs:
-        if _bbox_overlap(box, other.bbox(), self.layout.dot_pitch):
+        if _bbox_overlap(box, other.bbox(), DOT_PITCH):
             return True
     for dot in run.dots():
         for stroke in self.strokes:
@@ -439,7 +443,6 @@ def test_label_check_work_stays_local(big_scatter_scene, monkeypatch):
     assert calls <= 10 * braille, (calls, braille)
 
 
-_LAYOUT = TactileLayout()
 _PAGE_MM = 300.0
 
 
@@ -449,7 +452,7 @@ def _strokes_and_dots(draw):
     repeated points and vertices on cell boundaries) and dots across the
     page, near stroke segments, or grazing them at the collision reach."""
     widths = draw(st.lists(st.floats(1.0, 4.0), min_size=1, max_size=6))
-    cell = _LAYOUT.dot_diameter / 2 + max(widths) / 2 + LABEL_CLEARANCE
+    cell = DOT_DIAMETER / 2 + max(widths) / 2 + LABEL_CLEARANCE
     coord = st.one_of(
         st.floats(-5.0, _PAGE_MM),
         st.integers(0, int(_PAGE_MM / cell)).map(lambda k: k * cell),
@@ -473,12 +476,12 @@ def _strokes_and_dots(draw):
             else:
                 points.append((x, draw(coord)))
         strokes.append(Stroke(tuple(points), width, close=draw(st.booleans())))
-    dot_r = _LAYOUT.dot_diameter / 2
+    dot_r = DOT_DIAMETER / 2
     dots = []
     for _ in range(draw(st.integers(1, 30))):
         where = draw(st.sampled_from(("near", "graze", "anywhere")))
         if where == "anywhere":
-            dots.append(Dot(draw(coord), draw(coord), _LAYOUT.dot_diameter))
+            dots.append(Dot(draw(coord), draw(coord), DOT_DIAMETER))
             continue
         # a point along one segment of a stroke, closing segments included
         stroke = draw(st.sampled_from(strokes))
@@ -496,7 +499,7 @@ def _strokes_and_dots(draw):
             angle = draw(st.floats(0.0, 2 * math.pi))
             x += reach * math.cos(angle)
             y += reach * math.sin(angle)
-        dots.append(Dot(x, y, _LAYOUT.dot_diameter))
+        dots.append(Dot(x, y, DOT_DIAMETER))
     return strokes, dots
 
 
@@ -504,7 +507,7 @@ def _strokes_and_dots(draw):
 @given(_strokes_and_dots())
 def test_segment_grid_matches_brute_force(case):
     strokes, dots = case
-    grid = _SegmentGrid(strokes, _LAYOUT.dot_diameter, LABEL_CLEARANCE)
+    grid = _SegmentGrid(strokes)
     for dot in dots:
         expected = any(dot_touches_stroke(dot, s, clearance=0.5) for s in strokes)
         assert grid.touches(dot) == expected, dot
