@@ -92,7 +92,6 @@ class PointMark:
     shape: ShapeKind
     color: Rgb
     size: float = POINT_RADIUS
-    group: int = 0
 
 
 @dataclass(frozen=True)
@@ -101,9 +100,8 @@ class RectMark:
     y: float
     w: float
     h: float
-    fill: Rgb | None
+    fill: Rgb
     stroke: Rgb | None = None
-    group: int = 0
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,6 @@ class SegmentMark:
     color: Rgb = BLACK
     width: float = 1.5
     dash: tuple[float, ...] | None = None
-    group: int = 0
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,6 @@ class PolylineMark:
     color: Rgb
     width: float = 2.0
     dash: tuple[float, ...] | None = None
-    group: int = 0
 
 
 @dataclass(frozen=True)
@@ -425,19 +421,16 @@ def _layout_boxplot(spec: ChartSpec, data: Dataset) -> Scene:
         cap = 0.125 * slot
         y_q1, y_q3 = sy(b.q1), sy(b.q3)
         marks.append(
-            RectMark(cx - half, y_q3, 2 * half, y_q1 - y_q3,
-                     fill=WHITE, stroke=BLACK, group=i)
+            RectMark(cx - half, y_q3, 2 * half, y_q1 - y_q3, fill=WHITE, stroke=BLACK)
         )
         marks.append(
-            SegmentMark(cx - half, sy(b.median), cx + half, sy(b.median), width=2.5,
-                        group=i)
+            SegmentMark(cx - half, sy(b.median), cx + half, sy(b.median), width=2.5)
         )
         for v, hinge in ((b.max_whisker, b.q3), (b.min_whisker, b.q1)):
-            marks.append(SegmentMark(cx, sy(hinge), cx, sy(v), group=i))
-            marks.append(SegmentMark(cx - cap, sy(v), cx + cap, sy(v), group=i))
+            marks.append(SegmentMark(cx, sy(hinge), cx, sy(v)))
+            marks.append(SegmentMark(cx - cap, sy(v), cx + cap, sy(v)))
         for v in b.outliers:
-            marks.append(PointMark(cx, sy(v), ShapeKind.CIRCLE, BLACK, size=2.5,
-                                   group=i))
+            marks.append(PointMark(cx, sy(v), ShapeKind.CIRCLE, BLACK, size=2.5))
 
     if grouped:
         x_axis = AxisInfo(spec.x, tuple(centers),
@@ -552,7 +545,7 @@ def _layout_points(spec: ChartSpec, data: Dataset) -> Scene:
     marks: list[Mark] = []
     for i, (level, style) in enumerate(zip(order, styles)):
         sx = x_scales[i if facet else 0]
-        marks.extend(_series_marks(spec, by_level[level], i, style, sx, sy))
+        marks.extend(_series_marks(spec, by_level[level], style, sx, sy))
     panel_ticks = [(panel, tuple(sx(p) for p in xticks.positions))
                    for panel, sx in zip(panels, x_scales)]
     x_axis = AxisInfo(spec.x, panel_ticks[0][1], xticks.labels)
@@ -585,7 +578,6 @@ def _layout_points(spec: ChartSpec, data: Dataset) -> Scene:
 def _series_marks(
     spec: ChartSpec,
     pts: list[tuple[float, float]],
-    level_index: int,
     style: LegendEntry,
     sx: LinearScale,
     sy: LinearScale,
@@ -596,8 +588,6 @@ def _series_marks(
                 tuple((sx(x), sy(y)) for x, y in sorted(pts)),
                 color=style.color,
                 dash=style.dash,
-                group=level_index,
             )
         ]
-    return [PointMark(sx(x), sy(y), style.shape, style.color, group=level_index)
-            for x, y in pts]
+    return [PointMark(sx(x), sy(y), style.shape, style.color) for x, y in pts]

@@ -86,7 +86,6 @@ def _mark_element(mark: Mark, recolor: Recolor, mark_id: str | None) -> str:
             f'd="{d}" {paint}/>'
         )
     if isinstance(mark, RectMark):
-        fill = f' fill="{recolor(mark.fill).to_hex()}"' if mark.fill else ' fill="none"'
         stroke = (
             f' stroke="{recolor(mark.stroke).to_hex()}" stroke-width="1.5"'
             if mark.stroke
@@ -94,7 +93,8 @@ def _mark_element(mark: Mark, recolor: Recolor, mark_id: str | None) -> str:
         )
         return (
             f'<rect{ident} x="{_fmt(mark.x)}" y="{_fmt(mark.y)}" '
-            f'width="{_fmt(mark.w)}" height="{_fmt(mark.h)}"{fill}{stroke}/>'
+            f'width="{_fmt(mark.w)}" height="{_fmt(mark.h)}" '
+            f'fill="{recolor(mark.fill).to_hex()}"{stroke}/>'
         )
     if isinstance(mark, SegmentMark):
         return (

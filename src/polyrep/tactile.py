@@ -1,10 +1,11 @@
 """Emboss-ready tactile pages: chart strokes plus braille-dot labels.
 
 Geometry is millimeter-space. Chart strokes come from the laid-out scene
-(fills become outlines with per-group hatch textures, the tactile analog
-of marker shapes); every text label is re-set in braille. Axis ticks are
-thinned to at most five per axis and label runs are displaced outward
-until no braille dot touches a stroke. Underscores in labels become
+(filled bars and bins become outlines hatched with horizontal lines,
+white box-plot boxes bare outlines); every text label is re-set in
+braille. Axis ticks are thinned to at most five per axis and label runs
+are displaced outward until no braille dot touches a stroke; a label
+whose ink would cross a margin is an error. Underscores in labels become
 spaces so column names stay within the braille alphabet.
 
 Label collision goes through a uniform grid over the page's stroke
@@ -87,10 +88,10 @@ class Stroke:
 
 @dataclass(frozen=True)
 class Dot:
+    """Center of one braille dot, `DOT_DIAMETER` across."""
+
     x: float
     y: float
-    diameter: float
-    kind: str = "braille"  # "braille" | "hatch"
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,7 @@ class BrailleRun:
             cx = self.x + i * CELL_PITCH
             for d in sorted(cell.dots):
                 col, row = _DOT_GRID[d]
-                out.append(Dot(cx + col * DOT_PITCH, self.y + row * DOT_PITCH,
-                               DOT_DIAMETER))
+                out.append(Dot(cx + col * DOT_PITCH, self.y + row * DOT_PITCH))
         return out
 
 
@@ -158,7 +158,7 @@ def dot_touches_stroke(dot: Dot, stroke: Stroke, clearance: float) -> bool:
     The single collision kernel: `_SegmentGrid` calls it per nearby
     segment, and tests call it over whole strokes as the brute-force
     oracle. Dashed strokes are treated as solid."""
-    limit = dot.diameter / 2 + stroke.width / 2 + clearance
+    limit = DOT_DIAMETER / 2 + stroke.width / 2 + clearance
     pts = stroke.points + (stroke.points[0],) if stroke.close else stroke.points
     for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
         if _seg_point_distance(dot.x, dot.y, x1, y1, x2, y2) < limit:
@@ -225,72 +225,21 @@ def _bbox_overlap(
 
 _HATCH_STEP = 6.0
 _HATCH_INSET = 2.5
-_HATCH_DOT = 1.2
 
 
-def _hatch_rect(x0: float, y0: float, x1: float, y1: float, pattern: int,
-                width: float) -> tuple[list[Stroke], list[Dot]]:
-    """Texture inside a rect: horizontal, diagonal, dots, vertical,
-    back-diagonal, crosshatch (cycling by group)."""
+def _hatch_rect(x0: float, y0: float, x1: float, y1: float) -> list[Stroke]:
+    """Horizontal lines `_HATCH_STEP` apart inside a rect, inset by
+    `_HATCH_INSET` from its outline."""
     ix0, iy0 = x0 + _HATCH_INSET, y0 + _HATCH_INSET
     ix1, iy1 = x1 - _HATCH_INSET, y1 - _HATCH_INSET
     strokes: list[Stroke] = []
-    dots: list[Dot] = []
     if ix1 <= ix0 or iy1 <= iy0:
-        return strokes, dots
-    kind = pattern % 6
-
-    def hlines():
-        y = iy0
-        while y <= iy1 + 1e-9:
-            strokes.append(Stroke(((ix0, y), (ix1, y)), width))
-            y += _HATCH_STEP
-
-    def vlines():
-        x = ix0
-        while x <= ix1 + 1e-9:
-            strokes.append(Stroke(((x, iy0), (x, iy1)), width))
-            x += _HATCH_STEP
-
-    def diagonals(slope: int):
-        # clip lines of the form y = slope*(x - c) to the inset rect
-        span = (ix1 - ix0) + (iy1 - iy0)
-        c = -span
-        while c <= span + 1e-9:
-            pts = []
-            for x_edge in (ix0, ix1):
-                y = iy0 + (x_edge - ix0 - c) * slope
-                if iy0 - 1e-9 <= y <= iy1 + 1e-9:
-                    pts.append((x_edge, min(max(y, iy0), iy1)))
-            for y_edge in (iy0, iy1):
-                x = ix0 + c + (y_edge - iy0) / slope
-                if ix0 - 1e-9 <= x <= ix1 + 1e-9:
-                    pts.append((min(max(x, ix0), ix1), y_edge))
-            uniq = sorted(set((round(px, 6), round(py, 6)) for px, py in pts))
-            if len(uniq) >= 2 and math.dist(uniq[0], uniq[-1]) > 1.0:
-                strokes.append(Stroke((uniq[0], uniq[-1]), width))
-            c += _HATCH_STEP * math.sqrt(2.0)
-
-    if kind == 0:
-        hlines()
-    elif kind == 1:
-        diagonals(1)
-    elif kind == 2:
-        y = iy0
-        while y <= iy1 + 1e-9:
-            x = ix0
-            while x <= ix1 + 1e-9:
-                dots.append(Dot(x, y, _HATCH_DOT, kind="hatch"))
-                x += 5.0
-            y += 5.0
-    elif kind == 3:
-        vlines()
-    elif kind == 4:
-        diagonals(-1)
-    else:
-        hlines()
-        vlines()
-    return strokes, dots
+        return strokes
+    y = iy0
+    while y <= iy1 + 1e-9:
+        strokes.append(Stroke(((ix0, y), (ix1, y)), MIN_STROKE))
+        y += _HATCH_STEP
+    return strokes
 
 
 def _limit_ticks(
@@ -321,9 +270,11 @@ class _PageBuilder:
         """Set `text` in braille with its first dot row at `y` and its left
         end, center or right end (`align`) at `x`, then push it a braille
         line `push` ("down" or "left") at a time until it clears strokes
-        and other labels. A right-aligned run grows toward the left margin,
-        so it alone is checked against it."""
+        and other labels. The aligned run's ink must lie between the left
+        and right margins."""
         cells = _braille(text)
+        if not cells:
+            return
         w = _run_width(cells)
         if w + DOT_DIAMETER > self.printable.w:
             raise TactileError(
@@ -334,10 +285,10 @@ class _PageBuilder:
             x -= w / 2
         elif align == "right":
             x -= w
-            if x - DOT_DIAMETER / 2 < self.printable.x - 1e-6:
-                raise TactileError(f"{what} does not fit in the margin; abbreviate it")
-        if not cells:
-            return
+        r = DOT_DIAMETER / 2
+        if (x - r < self.printable.x - 1e-6
+                or x + w + r > self.printable.x1 + 1e-6):
+            raise TactileError(f"{what} does not fit in the margin; abbreviate it")
         dx, dy = (-LINE_PITCH, 0.0) if push == "left" else (0.0, LINE_PITCH)
         run = BrailleRun(cells, x, y)
         for _ in range(4):
@@ -436,10 +387,8 @@ class _PageBuilder:
                     Stroke(((x0, y0), (x1, y0), (x1, y1), (x0, y1)),
                            MIN_STROKE, close=True)
                 )
-                if mark.fill is not None and mark.fill != WHITE:
-                    hs, hd = _hatch_rect(x0, y0, x1, y1, mark.group, MIN_STROKE)
-                    self.strokes.extend(hs)
-                    self.dots.extend(hd)
+                if mark.fill != WHITE:
+                    self.strokes.extend(_hatch_rect(x0, y0, x1, y1))
             elif isinstance(mark, SegmentMark):
                 self.strokes.append(
                     Stroke(((mx(mark.x1), my(mark.y1)), (mx(mark.x2), my(mark.y2))),
@@ -501,8 +450,8 @@ def _check_bounds(page: TactilePage) -> None:
     lay = page.layout
     x0, y0 = MARGIN, MARGIN
     x1, y1 = lay.page_w - MARGIN, lay.page_h - MARGIN
+    r = DOT_DIAMETER / 2
     for dot in page.dots:
-        r = dot.diameter / 2
         if not (x0 <= dot.x - r and dot.x + r <= x1 and y0 <= dot.y - r and dot.y + r <= y1):
             raise TactileError(
                 f"braille dot at ({dot.x:.1f}, {dot.y:.1f}) mm leaves the printable area"
@@ -535,7 +484,7 @@ def emit_pdf(page: TactilePage) -> bytes:
         )
     for dot in page.dots:
         cx, cy = pt(dot.x, dot.y)
-        cs.fill_circle(cx, cy, dot.diameter / 2 * MM_TO_PT)
+        cs.fill_circle(cx, cy, DOT_DIAMETER / 2 * MM_TO_PT)
     return build_pdf(cs.to_bytes(), lay.page_w * MM_TO_PT, h_pt)
 
 
@@ -565,8 +514,8 @@ def emit_preview_svg(page: TactilePage) -> bytes:
             f'stroke-width="{fmt_pt(s.width)}" stroke-linecap="round" '
             f'stroke-linejoin="round"{dash}/>'
         )
+    r = DOT_DIAMETER / 2
     for dot in page.dots:
-        r = dot.diameter / 2
         lines.append(
             f'<path d="M {fmt_pt(dot.x - r)},{fmt_pt(dot.y)} '
             f"A {fmt_pt(r)},{fmt_pt(r)} 0 1 0 {fmt_pt(dot.x + r)},{fmt_pt(dot.y)} "

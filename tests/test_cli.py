@@ -229,6 +229,18 @@ def test_tactile_labels_overlap_error(workdir, capsys):
     )
 
 
+def test_tactile_x_title_margin_error(workdir, capsys):
+    # the wide y labels push the plot, and the title centered on it, right
+    name = "abcdefghijklmnopqrstuvwx"
+    spec = {"data": {"inline": {name: [1, 2, 3], "y": [100000, 200000, 150000]}},
+            "chart": {"type": "scatter", "x": name, "y": "y"}}
+    Path("wide.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert _tactile_error("wide.json", capsys) == (
+        f"polyrep: error[tactile]: x-axis title '{name}' does not fit in the "
+        "margin; abbreviate it\n"
+    )
+
+
 def test_tactile_y_label_margin_error(workdir, capsys, monkeypatch):
     """The left gutter is sized from the y labels' braille, so a y label
     overflows the margin only if it is set wider than it was measured: the

@@ -53,15 +53,15 @@ def box_pdf(box_page):
 
 
 def pdf_dots_mm(raw: bytes, layout: TactileLayout):
-    """Braille dot centers recovered from the PDF, converted back to mm."""
+    """Braille dot centers recovered from the PDF, converted back to mm;
+    every filled circle must be a braille dot."""
     info = validate_pdf(raw)
     circles = pdf_filled_circles(info["content"])
     page_h = layout.page_h
     out = []
     for cx, cy, r in circles:
-        d_mm = 2 * r / MM_TO_PT
-        if abs(d_mm - DOT_DIAMETER) < 0.1:  # skip hatch dots
-            out.append((cx / MM_TO_PT, page_h - cy / MM_TO_PT))
+        assert 2 * r / MM_TO_PT == pytest.approx(DOT_DIAMETER, abs=0.01), r
+        out.append((cx / MM_TO_PT, page_h - cy / MM_TO_PT))
     return out
 
 
@@ -92,12 +92,11 @@ def test_boxplot_page_has_boxes_and_braille(box_page):
     # 3 boxes, each a closed 4-point outline
     closed = [s for s in box_page.strokes if s.close and len(s.points) == 4]
     assert len(closed) >= 3
-    braille = [d for d in box_page.dots if d.kind == "braille"]
-    assert len(braille) > 50
+    assert len(box_page.dots) > 50
 
 
 def test_braille_labels_decode(box_page):
-    dots = [(d.x, d.y) for d in box_page.dots if d.kind == "braille"]
+    dots = [(d.x, d.y) for d in box_page.dots]
     texts = extract_braille_runs(dots)
     assert "Adelie" in texts
     assert "Chinstrap" in texts
@@ -110,14 +109,12 @@ def test_braille_labels_decode(box_page):
 
 def test_no_dot_stroke_overlaps(box_page):
     for dot in box_page.dots:
-        if dot.kind != "braille":
-            continue
         for stroke in box_page.strokes:
             assert not dot_touches_stroke(dot, stroke, clearance=0.0)
 
 
 def test_braille_dot_spacing_at_least_dot_pitch(box_page):
-    braille = [(d.x, d.y) for d in box_page.dots if d.kind == "braille"]
+    braille = [(d.x, d.y) for d in box_page.dots]
     pitch = DOT_PITCH
     for i, (x1, y1) in enumerate(braille):
         for x2, y2 in braille[i + 1 :]:
@@ -127,8 +124,8 @@ def test_braille_dot_spacing_at_least_dot_pitch(box_page):
 
 def test_all_ink_within_margins(box_page):
     lay = box_page.layout
+    r = DOT_DIAMETER / 2
     for dot in box_page.dots:
-        r = dot.diameter / 2
         assert MARGIN <= dot.x - r and dot.x + r <= lay.page_w - MARGIN
         assert MARGIN <= dot.y - r and dot.y + r <= lay.page_h - MARGIN
     for stroke in box_page.strokes:
@@ -154,13 +151,54 @@ def test_ticks_limited_to_five_per_axis(penguins):
     assert 2 <= len(ticks) <= 5
 
 
-def test_hatch_patterns_differ_between_groups():
-    data = inline_dataset({"x": ["a"] * 3 + ["b"] * 4})
-    spec = parse_spec(b'{"chart":{"type":"bar","x":"x"}}')
-    scene = layout(spec, data)
+def _rect_outlines(page):
+    """Each closed, axis-aligned 4-point stroke (a rect mark's outline) as
+    (x0, y0, x1, y1), with the strokes drawn after it up to the next closed
+    stroke."""
+    out = []
+    for i, stroke in enumerate(page.strokes):
+        if not stroke.close or len(stroke.points) != 4:
+            continue
+        (x0, y0), (x1, y1b), (x1b, y1), (x0b, y0b) = stroke.points
+        if not (y1b == y0 and x1b == x1 and x0b == x0 and y0b == y1):
+            continue  # a diamond or rotated glyph, not a rect
+        after = []
+        for s in page.strokes[i + 1:]:
+            if s.close:
+                break
+            after.append(s)
+        out.append(((x0, y0, x1, y1), after))
+    return out
+
+
+@pytest.mark.parametrize("name", ["penguins_bar.json", "penguins_hist.json"])
+def test_filled_rects_get_horizontal_hatch(penguins, name):
+    """Every bar and bin is followed by horizontal lines 6 mm apart, inset
+    2.5 mm from its outline, and by nothing else."""
+    scene = layout(load_fixture_spec(name), penguins)
     page = tactualize(scene, alt=auto_alt(scene.summary))
-    # bars share one series, so both use the same hatch; just confirm hatch ink
-    assert any(s for s in page.strokes if not s.close and len(s.points) == 2)
+    rects = _rect_outlines(page)
+    assert len(rects) == len(scene.marks)
+    for (x0, y0, x1, y1), hatch in rects:
+        assert hatch, (x0, y0, x1, y1)
+        ys = []
+        for s in hatch:
+            (ax, ay), (bx, by) = s.points
+            assert (ax, bx) == (pytest.approx(x0 + 2.5), pytest.approx(x1 - 2.5))
+            assert ay == by and s.width == 1.0 and not s.dash
+            ys.append(ay)
+        assert ys[0] == pytest.approx(y0 + 2.5)
+        assert all(b - a == pytest.approx(6.0) for a, b in zip(ys, ys[1:]))
+        assert ys[-1] <= y1 - 2.5 + 1e-9 < ys[-1] + 6.0
+
+
+def test_boxplot_boxes_are_bare_outlines(box_page):
+    rects = _rect_outlines(box_page)
+    assert len(rects) == 3
+    for (x0, y0, x1, y1), after in rects:
+        for s in after:
+            xs = sorted(x for x, _ in s.points)
+            assert xs != [pytest.approx(x0 + 2.5), pytest.approx(x1 - 2.5)]
 
 
 def test_label_too_long_suggests_abbreviation():
@@ -230,14 +268,13 @@ def test_pdf_braille_metrics_roundtrip(box_pdf, box_page):
 def test_pdf_geometry_matches_page(box_pdf, box_page):
     info = validate_pdf(box_pdf)
     circles = pdf_filled_circles(info["content"])
-    braille = [d for d in box_page.dots if d.kind == "braille"]
     assert len(circles) == len(box_page.dots)
     polylines = pdf_stroked_polylines(info["content"])
     assert len(polylines) == len(box_page.strokes)
     # dot count sanity: every braille dot appears with the right radius
     r_pt = DOT_DIAMETER / 2 * MM_TO_PT
     matching = [c for c in circles if abs(c[2] - r_pt) < 0.01]
-    assert len(matching) == len(braille)
+    assert len(matching) == len(box_page.dots)
 
 
 def test_pdf_deterministic(box_page):
@@ -306,17 +343,16 @@ def test_random_scenes_keep_ink_inside_and_clear_of_braille():
             continue  # labels genuinely did not fit; a legitimate outcome
         built += 1
         lay = page.layout
+        r = DOT_DIAMETER / 2
         for dot in page.dots:
-            r = dot.diameter / 2
             assert MARGIN <= dot.x - r and dot.x + r <= lay.page_w - MARGIN
             assert MARGIN <= dot.y - r and dot.y + r <= lay.page_h - MARGIN
-        braille = [d for d in page.dots if d.kind == "braille"]
-        for dot in braille:
+        for dot in page.dots:
             for stroke in page.strokes:
                 assert not dot_touches_stroke(dot, stroke, clearance=0.0), (
                     trial, kind, dot,
                 )
-        pts = [(d.x, d.y) for d in braille]
+        pts = [(d.x, d.y) for d in page.dots]
         for i, (x1, y1) in enumerate(pts):
             for x2, y2 in pts[i + 1 :]:
                 if abs(x1 - x2) < DOT_PITCH and abs(y1 - y2) < DOT_PITCH:
@@ -334,7 +370,7 @@ def test_markless_scene_page_has_axes_only(penguins):
     vertical_axis = [s for s in page.strokes if len(s.points) == 2 and s.width == 1.0]
     assert len(vertical_axis) >= 2
     assert all(not s.close for s in page.strokes)
-    assert any(d.kind == "braille" for d in page.dots)
+    assert page.dots
 
 
 # -- segment grid vs the brute-force oracle -------------------------------------
@@ -438,7 +474,7 @@ def test_label_check_work_stays_local(big_scatter_scene, monkeypatch):
 
     monkeypatch.setattr(tactile, "dot_touches_stroke", counting)
     page = tactualize(big_scatter_scene, alt=auto_alt(big_scatter_scene.summary))
-    braille = sum(1 for d in page.dots if d.kind == "braille")
+    braille = len(page.dots)
     assert braille > 50
     assert calls <= 10 * braille, (calls, braille)
 
@@ -481,7 +517,7 @@ def _strokes_and_dots(draw):
     for _ in range(draw(st.integers(1, 30))):
         where = draw(st.sampled_from(("near", "graze", "anywhere")))
         if where == "anywhere":
-            dots.append(Dot(draw(coord), draw(coord), DOT_DIAMETER))
+            dots.append(Dot(draw(coord), draw(coord)))
             continue
         # a point along one segment of a stroke, closing segments included
         stroke = draw(st.sampled_from(strokes))
@@ -499,7 +535,7 @@ def _strokes_and_dots(draw):
             angle = draw(st.floats(0.0, 2 * math.pi))
             x += reach * math.cos(angle)
             y += reach * math.sin(angle)
-        dots.append(Dot(x, y, DOT_DIAMETER))
+        dots.append(Dot(x, y))
     return strokes, dots
 
 
