@@ -327,6 +327,43 @@ def test_six_shapes_golden_hash(workdir):
     assert (_sha256("six.svg"), _sha256("six.pdf")) == SIX_SHAPES_SHA256
 
 
+# CVD grids pinned byte for byte over every kind of paint a mark carries:
+# outline glyphs (fill="none" stroke=), facet-label text, dashed grouped
+# lines in a custom palette, and a title and categories that need escaping.
+CVD_GRID_SPECS = {
+    "six_shapes": SIX_SHAPES_SPEC,
+    "six_shapes_facet": {**SIX_SHAPES_SPEC, "encodings": {"facet": True}},
+    "grouped_line": {
+        "data": {"inline": {
+            "x": [1, 2, 3, 4] * 3,
+            "y": [2, 4, 3, 5, 1, 2, 2, 3, 4, 3, 1, 2],
+            "g": ["r"] * 4 + ["s"] * 4 + ["t"] * 4,
+        }},
+        "chart": {"type": "line", "x": "x", "y": "y", "group": "g"},
+        "palette": ["#D62728", "#009502", "#00602A"],
+    },
+    "escaped_bar": {
+        "title": "a<b&c",
+        "data": {"inline": {"c": ["a<b&c", "x>y", "a<b&c", '"q"']}},
+        "chart": {"type": "bar", "x": "c"},
+    },
+}
+CVD_GRID_SHA256 = {
+    "escaped_bar": "8ffa40503b17ce8520a18c995c7962291e2c2f4db7fab3a8032927805f978786",
+    "grouped_line": "a1e0aac807368fc2c69ff0f41064cef17af007097497075d77d134ba7100b014",
+    "six_shapes": "573e1d44d031d93812da5e2982cba97be0adae51d5b3c2d878c20021cfd3e466",
+    "six_shapes_facet":
+        "a6d4abcc1e0647d6e70ddf5e8248ab7210de004f1836ac7dfb464d6881261741",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CVD_GRID_SPECS))
+def test_cvd_grid_golden_hash(workdir, name):
+    Path("g.json").write_text(json.dumps(CVD_GRID_SPECS[name]), encoding="utf-8")
+    assert main(["cvd-grid", "g.json", "-o", "g.svg"]) == 0
+    assert _sha256("g.svg") == CVD_GRID_SHA256[name]
+
+
 # Charts over a seeded 10^4-row table shaped like the benchmark's many-rows
 # workload (grp, cat, value, weight), pinned byte for byte: performance work
 # on the CSV parser must not change a single parsed value.
