@@ -5,6 +5,9 @@ reinforces the pan axis); sweep mode interpolates pitch and pan
 continuously with accumulated phase, which suits line charts and fitted
 regression lines. Output is rendered to 16-bit PCM WAV with exact header
 fields.
+
+numpy is imported inside the functions that make audio, so commands that
+make none start without loading it.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DataError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,8 @@ class AudioBuffer:
     rate: int
 
     def __post_init__(self):
+        import numpy as np
+
         if self.samples.ndim != 2 or self.samples.shape[1] != 2:
             raise DataError("audio buffer must be stereo frames")
         if self.samples.size and float(np.abs(self.samples).max()) > 1.0 + 1e-12:
@@ -102,6 +109,8 @@ def sonify_points(
     x: list[float | None], y: list[float | None], cfg: SonifyConfig | None = None
 ) -> AudioBuffer:
     """One sine tone per point, equal time slots, trailing-gap silence."""
+    import numpy as np
+
     cfg = cfg or SonifyConfig()
     pairs = _clean_pairs(x, y)
     n_frames = round(cfg.duration_s * cfg.sample_rate)
@@ -139,6 +148,8 @@ def sonify_sweep(
     """Continuous sweep: instantaneous frequency interpolates the mapped
     pitches between consecutive sorted points, with accumulated phase so
     the waveform never jumps."""
+    import numpy as np
+
     cfg = cfg or SonifyConfig()
     pairs = _clean_pairs(x, y)
     if len(pairs) < 2:
@@ -174,6 +185,8 @@ def write_wav(buf: AudioBuffer) -> bytes:
 
     Floats are quantized by rounding half away from zero at 16-bit scale.
     """
+    import numpy as np
+
     x = buf.samples * 32767.0
     ints = np.sign(x) * np.floor(np.abs(x) + 0.5)
     ints = np.clip(ints, -32768, 32767).astype("<i2")

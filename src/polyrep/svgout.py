@@ -71,44 +71,53 @@ def _dash_attr(dash: tuple[float, ...] | None) -> str:
     return f' stroke-dasharray="{",".join(_fmt(d) for d in dash)}"' if dash else ""
 
 
-def _mark_element(mark: Mark, recolor: Recolor, mark_id: str | None) -> str:
-    ident = f' id="{mark_id}"' if mark_id else ""
+# Slot filled with the panel's mark id prefix ("m" in the chart, one per
+# deficiency in the grid); every other slot holds an Rgb.
+_MARK_ID = object()
+
+
+def _mark_element(mark: Mark, ident: tuple) -> tuple:
+    """A mark's element as pieces: literal text, and a slot (its Rgb)
+    wherever a colour goes; `ident` is spliced in after the tag name."""
     if isinstance(mark, PointMark):
         d, filled = _shape_path(mark.shape, mark.size)
-        color = recolor(mark.color).to_hex()
         paint = (
-            f'fill="{color}"'
+            ('fill="', mark.color, '"')
             if filled
-            else f'fill="none" stroke="{color}" stroke-width="1.5"'
+            else ('fill="none" stroke="', mark.color, '" stroke-width="1.5"')
         )
         return (
-            f'<path{ident} transform="translate({_fmt(mark.x)} {_fmt(mark.y)})" '
-            f'd="{d}" {paint}/>'
+            "<path", *ident,
+            f' transform="translate({_fmt(mark.x)} {_fmt(mark.y)})" d="{d}" ',
+            *paint, "/>",
         )
     if isinstance(mark, RectMark):
         stroke = (
-            f' stroke="{recolor(mark.stroke).to_hex()}" stroke-width="1.5"'
+            (' stroke="', mark.stroke, '" stroke-width="1.5"')
             if mark.stroke
-            else ""
+            else ()
         )
         return (
-            f'<rect{ident} x="{_fmt(mark.x)}" y="{_fmt(mark.y)}" '
-            f'width="{_fmt(mark.w)}" height="{_fmt(mark.h)}" '
-            f'fill="{recolor(mark.fill).to_hex()}"{stroke}/>'
+            "<rect", *ident,
+            f' x="{_fmt(mark.x)}" y="{_fmt(mark.y)}" '
+            f'width="{_fmt(mark.w)}" height="{_fmt(mark.h)}" fill="',
+            mark.fill, '"', *stroke, "/>",
         )
     if isinstance(mark, SegmentMark):
         return (
-            f'<line{ident} x1="{_fmt(mark.x1)}" y1="{_fmt(mark.y1)}" '
-            f'x2="{_fmt(mark.x2)}" y2="{_fmt(mark.y2)}" '
-            f'stroke="{recolor(mark.color).to_hex()}" '
-            f'stroke-width="{_fmt(mark.width)}"{_dash_attr(mark.dash)}/>'
+            "<line", *ident,
+            f' x1="{_fmt(mark.x1)}" y1="{_fmt(mark.y1)}" '
+            f'x2="{_fmt(mark.x2)}" y2="{_fmt(mark.y2)}" stroke="',
+            mark.color,
+            f'" stroke-width="{_fmt(mark.width)}"{_dash_attr(mark.dash)}/>',
         )
     if isinstance(mark, PolylineMark):
         steps = " L ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in mark.points)
         return (
-            f'<path{ident} d="M {steps}" fill="none" '
-            f'stroke="{recolor(mark.color).to_hex()}" '
-            f'stroke-width="{_fmt(mark.width)}"{_dash_attr(mark.dash)}/>'
+            "<path", *ident,
+            f' d="M {steps}" fill="none" stroke="',
+            mark.color,
+            f'" stroke-width="{_fmt(mark.width)}"{_dash_attr(mark.dash)}/>',
         )
     if isinstance(mark, TextMark):
         rotate = (
@@ -117,25 +126,55 @@ def _mark_element(mark: Mark, recolor: Recolor, mark_id: str | None) -> str:
             else ""
         )
         return (
-            f'<text{ident} x="{_fmt(mark.x)}" y="{_fmt(mark.y)}" '
+            "<text", *ident,
+            f' x="{_fmt(mark.x)}" y="{_fmt(mark.y)}" '
             f'text-anchor="{mark.anchor}" font-family="sans-serif" '
-            f'font-size="{_fmt(mark.size)}" fill="{recolor(mark.color).to_hex()}"'
-            f"{rotate}>{xml_escape(mark.text)}</text>"
+            f'font-size="{_fmt(mark.size)}" fill="',
+            mark.color,
+            f'"{rotate}>{xml_escape(mark.text)}</text>',
         )
     raise TypeError(f"unknown mark {mark!r}")
 
 
-def _scene_body(scene: Scene, recolor: Recolor, id_prefix: str) -> list[str]:
-    lines = [_mark_element(m, recolor, None) for m in scene.decorations]
-    lines.extend(
-        _mark_element(m, recolor, f"{id_prefix}{i}")
-        for i, m in enumerate(scene.marks)
-    )
-    return lines
+class _Body:
+    """A scene's marks formatted once, one line each, as literal text runs
+    with a slot between every two; panels differ only in how slots fill."""
+
+    def __init__(self, scene: Scene):
+        pieces: list = []
+        for m in scene.decorations:
+            pieces += ("\n", *_mark_element(m, ()))
+        for i, m in enumerate(scene.marks):
+            pieces += ("\n", *_mark_element(m, (' id="', _MARK_ID, f'{i}"')))
+        self.texts: list[str] = []
+        slots: list = []
+        run: list[str] = []
+        for p in pieces:
+            if p.__class__ is str:
+                run.append(p)
+            else:
+                self.texts.append("".join(run))
+                run = []
+                slots.append(p)
+        self.texts.append("".join(run))
+        # distinct slot keys, and each slot as an index into them
+        index = {k: i for i, k in enumerate(dict.fromkeys(slots))}
+        self.keys: list = list(index)
+        self.slots = [index[k] for k in slots]
+
+    def paint(self, recolor: Recolor, id_prefix: str) -> str:
+        """The body with each distinct colour recolored and hex-formatted once."""
+        fills = [
+            id_prefix if k is _MARK_ID else recolor(k).to_hex() for k in self.keys
+        ]
+        out: list[str] = [""] * (2 * len(self.slots) + 1)
+        out[::2] = self.texts
+        out[1::2] = map(fills.__getitem__, self.slots)
+        return "".join(out)
 
 
 def _document(
-    width: float, height: float, short_alt: str, long_alt: str, body: list[str]
+    width: float, height: float, short_alt: str, long_alt: str, body: str
 ) -> bytes:
     head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -148,13 +187,13 @@ def _document(
         f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
         f'fill="#FFFFFF"/>',
     ]
-    return ("\n".join(head + body) + "\n</svg>\n").encode("utf-8")
+    return ("\n".join(head) + body + "\n</svg>\n").encode("utf-8")
 
 
 def emit_svg(scene: Scene, alt: AltText, short_alt: str | None = None) -> bytes:
     """Serialize a scene; the <desc> carries the flattened alt text."""
     title = short_alt if short_alt else alt.sentences[0]
-    body = _scene_body(scene, lambda c: c, "m")
+    body = _Body(scene).paint(lambda c: c, "m")
     return _document(scene.width, scene.height, title, alt.flattened, body)
 
 
@@ -173,26 +212,27 @@ def cvd_grid(scene: Scene, alt: AltText) -> bytes:
     """Single SVG with the scene recolored per deficiency in 2x2 panels.
 
     Panel geometry is the base geometry verbatim inside a translated
-    group, so mark coordinates are comparable across panels by id.
+    group, so mark coordinates are comparable across panels by id. Each
+    mark is formatted once for all four panels, and each distinct colour
+    is simulated once per deficiency.
     """
+    marks = _Body(scene)
     body: list[str] = []
     full = grid_alt(alt)
     for i, (name, kind) in enumerate(GRID_PANELS):
         tx = (i % 2) * scene.width
         ty = (i // 2) * scene.height
-        panel = [
-            f'<g id="panel-{kind.value}" transform="translate({_fmt(tx)} {_fmt(ty)})">'
-        ]
-        panel.append(
-            f'<text x="{_fmt(scene.width / 2)}" y="16" text-anchor="middle" '
+        body.append(
+            f'\n<g id="panel-{kind.value}" transform="translate({_fmt(tx)} {_fmt(ty)})">'
+            f'\n<text x="{_fmt(scene.width / 2)}" y="16" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" fill="#000000">'
             f"{xml_escape(name)}</text>"
         )
-        panel.extend(
-            _scene_body(scene, lambda c, k=kind: simulate_cvd(c, k), f"{kind.value}-m")
+        body.append(
+            marks.paint(lambda c, k=kind: simulate_cvd(c, k), f"{kind.value}-m")
         )
-        panel.append("</g>")
-        body.extend(panel)
+        body.append("\n</g>")
     return _document(
-        scene.width * 2, scene.height * 2, full.sentences[0], full.flattened, body
+        scene.width * 2, scene.height * 2, full.sentences[0], full.flattened,
+        "".join(body),
     )

@@ -3,8 +3,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 import wave
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import read_wav_oracle, validate_pdf
+from polyrep import cli
 from polyrep.chartspec import load_dataset, parse_spec
 from polyrep.cli import build_parser, main
 from polyrep.scene import layout
@@ -513,6 +517,30 @@ def test_overlong_csv_field_exits_1(workdir, capsys):
     assert main(["alt", "long.json"]) == 1
     err = capsys.readouterr().err
     assert "error[csv]: row 3: field larger than field limit" in err
+
+
+# Only audio needs numpy: a fresh process that makes no audio never loads it.
+COLD_START = """\
+import sys
+import polyrep.cli
+assert "numpy" not in sys.modules, "import polyrep.cli"
+for argv in (["render", "penguins_bar.json", "-o", "r.svg"],
+             ["cvd-grid", "penguins_bar.json", "-o", "g.svg"],
+             ["alt", "penguins_bar.json"],
+             ["tactile", "penguins_bar.json", "-o", "t.pdf"]):
+    assert polyrep.cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+"""
+
+
+def test_non_audio_commands_never_import_numpy(workdir):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", COLD_START], cwd=workdir,
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert {p.name for p in workdir.iterdir()} >= {"r.svg", "g.svg", "t.pdf"}
 
 
 def test_no_command_prints_help(capsys):

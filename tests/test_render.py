@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import load_fixture_spec
+from polyrep import svgout
 from polyrep.chartspec import inline_dataset, load_dataset, parse_spec
 from polyrep.color import CvdKind, Rgb, simulate_cvd
 from polyrep.errors import DataError, SpecError
@@ -387,6 +388,28 @@ def test_grid_gray_chart_has_identical_panels(penguins):
             assert max(
                 abs(ca.r - cb.r), abs(ca.g - cb.g), abs(ca.b - cb.b)
             ) <= 1 / 255
+
+
+def test_grid_simulates_each_scene_color_once_per_kind(penguins, monkeypatch):
+    scene, alt = scene_and_alt("penguins_scatter.json", penguins)
+    colors = {
+        c
+        for m in (*scene.decorations, *scene.marks)
+        for c in (getattr(m, a, None) for a in ("color", "fill", "stroke"))
+        if c is not None
+    }
+    calls = []
+
+    def counting(c, kind):
+        calls.append((c, kind))
+        return simulate_cvd(c, kind)
+
+    monkeypatch.setattr(svgout, "simulate_cvd", counting)
+    emit_svg(scene, alt)
+    assert calls == []
+    cvd_grid(scene, alt)
+    assert len(calls) == len(set(calls)) == len(colors) * len(CvdKind)
+    assert set(calls) == {(c, kind) for c in colors for kind in CvdKind}
 
 
 def test_grid_deterministic(penguins):
