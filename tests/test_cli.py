@@ -371,16 +371,21 @@ def test_cvd_grid_golden_hash(workdir, name):
 # Charts over a seeded 10^4-row table shaped like the benchmark's many-rows
 # workload (grp, cat, value, weight), pinned byte for byte: performance work
 # on the CSV parser must not change a single parsed value.
-MANY_ROWS_SHA256 = {  # (SVG, alt text sidecar, tactile PDF)
+# (SVG, alt text sidecar, tactile PDF, `sonify --categorical` WAV); a chart
+# that cannot be sonified pins its exact error line instead of a WAV digest
+MANY_ROWS_SHA256 = {
     "bar": ("cefb7a0233658e4f9b0b66aadb493200dea6e2d5ae252ac021dc43e62f65d08a",
             "f9ce37991cbef3c5fac5970b8b5d6daf753b2a17576b62331a24c041eceea07a",
-            "d2dc1be7af0610d343947307cf60aba44b98b7b50e91993ee9391aced451122e"),
+            "d2dc1be7af0610d343947307cf60aba44b98b7b50e91993ee9391aced451122e",
+            "c132b207ae2434861fe763349e5d25e10f301d19da5b7c5f9be0a1ca6f46eede"),
     "box": ("9b61c577df99203260e38844e252d7f29c8d670ce96c40d18a69e6a3a326172a",
             "c52a68685fbef0c4ee8bc2c5406cbcc82ae1a807b868434142353eded3aa2bda",
-            "3f547f0840b678e93e30d521efc91fab91b341a4dded6ee5851262fae7509e41"),
+            "3f547f0840b678e93e30d521efc91fab91b341a4dded6ee5851262fae7509e41",
+            "polyrep: error[data]: cannot sonify a boxplot chart\n"),
     "hist": ("58aac730b661e79bfbbe6029cb73f47bc191526291b4618f815e7852e2192ba2",
              "0c5c8b777a4e0ac0600c09957449ac256aa3f2e6c79d264d039c1d6a168a65b7",
-             "6afccb5bb265d30522558ff0100c04fb63539d6b3630f41895ef59b8b6cb91e1"),
+             "6afccb5bb265d30522558ff0100c04fb63539d6b3630f41895ef59b8b6cb91e1",
+             "273e36eda262657a9a8959fd1dd5c695fe897436d2e05518ebe0b279df251d5a"),
 }
 MANY_ROWS_CHARTS = {
     "hist": {"type": "histogram", "x": "value", "bins": 20},
@@ -411,7 +416,7 @@ def many_rows_dir(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", sorted(MANY_ROWS_CHARTS))
-def test_many_rows_artifacts_golden_hash(many_rows_dir, name, monkeypatch):
+def test_many_rows_artifacts_golden_hash(many_rows_dir, name, monkeypatch, capsys):
     monkeypatch.chdir(many_rows_dir)
     assert main(["render", f"{name}.json", "-o", f"{name}.svg"]) == 0
     assert main(["tactile", f"{name}.json", "-o", f"{name}.pdf"]) == 0
@@ -419,7 +424,12 @@ def test_many_rows_artifacts_golden_hash(many_rows_dir, name, monkeypatch):
         hashlib.sha256(Path(path).read_bytes()).hexdigest()
         for path in (f"{name}.svg", f"{name}.svg.alt.txt", f"{name}.pdf")
     )
-    assert digests == MANY_ROWS_SHA256[name]
+    capsys.readouterr()
+    if main(["sonify", f"{name}.json", "--categorical", "-o", f"{name}.wav"]) == 0:
+        sound = hashlib.sha256(Path(f"{name}.wav").read_bytes()).hexdigest()
+    else:
+        sound = capsys.readouterr().err
+    assert (*digests, sound) == MANY_ROWS_SHA256[name]
 
 
 def test_audit_palette_pass_and_fail_exit_codes(workdir, capsys):
