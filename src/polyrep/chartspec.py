@@ -178,12 +178,15 @@ def _parse_palette(value) -> Palette:
 
 
 def load_dataset(spec: ChartSpec, base_dir: Path | str = ".") -> Dataset:
-    """Materialize the spec's data source (csv paths resolve against base_dir)."""
+    """Materialize the spec's data source (csv paths resolve against base_dir).
+
+    A CSV source keeps only the columns the chart binds (x, y and group).
+    """
     if spec.data is None:
         raise SpecError("spec has no 'data' section")
     if spec.data.csv_path is not None:
         path = Path(base_dir) / spec.data.csv_path
-        return parse_csv(path.read_bytes())
+        return parse_csv(path.read_bytes(), columns=(spec.x, spec.y, spec.group))
     return inline_dataset(spec.data.inline or {})
 
 

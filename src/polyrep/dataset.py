@@ -12,6 +12,7 @@ import csv
 import decimal
 import io
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -103,7 +104,7 @@ class Dataset:
         return col
 
 
-def parse_csv(data: bytes) -> Dataset:
+def parse_csv(data: bytes, columns: Iterable[str | None] | None = None) -> Dataset:
     """Parse RFC-4180-style CSV bytes (UTF-8, header row) into a Dataset.
 
     A leading UTF-8 byte-order mark is dropped. Records end at LF, CRLF or
@@ -111,6 +112,12 @@ def parse_csv(data: bytes) -> Dataset:
     bytes, empty input, duplicate or empty header names, ragged rows and
     fields longer than ``csv.field_size_limit()``; the last two carry the
     offending 1-based record number (the header is record 1).
+
+    With ``columns``, every record is still split and checked as above, but
+    only the named columns are typed and kept, in header order; names not
+    in the header are skipped. Typing never raises (a cell that is not a
+    number makes its column categorical), so an unbound column's content
+    can change neither the result nor the error.
     """
     try:
         text = data.decode("utf-8-sig")
@@ -121,7 +128,10 @@ def parse_csv(data: bytes) -> Dataset:
 
     names, cells = _split_quoted(text) if '"' in text else _split_plain(text)
     n_rows = len(cells[0]) if cells else 0
-    return Dataset({name: _column(raw) for name, raw in zip(names, cells)}, n_rows)
+    keep = set(names if columns is None else columns)
+    return Dataset(
+        {name: _column(raw) for name, raw in zip(names, cells) if name in keep}, n_rows
+    )
 
 
 def _split_plain(text: str) -> tuple[list[str], list[list[str]]]:

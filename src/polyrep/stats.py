@@ -8,9 +8,14 @@ default of statistical software.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_not
 
 from .dataset import Dataset, format_number
 from .errors import DataError
@@ -61,10 +66,8 @@ def bar_counts(
         raise DataError(
             f"column {x!r} is numeric; use a histogram for numeric data"
         )
-    counts: dict[str, int] = {}
-    for v in col.values:
-        if v is not None:
-            counts[v] = counts.get(v, 0) + 1
+    counts = Counter(col.values)  # a dict: keys in first-appearance order
+    counts.pop(None, None)
     labels = sorted(counts) if sort_order == "alpha" else list(counts)
     return [(label, counts[label]) for label in labels]
 
@@ -90,16 +93,34 @@ def histogram(
     if k < 1:
         raise DataError("bin count must be at least 1")
     width = (hi - lo) / k
-    counts = [0] * k
-    for v in values:
-        idx = int((v - lo) / width)
-        if idx >= k:
-            idx = k - 1
-        # bins are (lo, hi]; nudge exact left edges down, except bin 0
-        elif idx > 0 and v <= lo + idx * width:
-            idx -= 1
-        counts[idx] += 1
-    return [(lo + i * width, lo + (i + 1) * width, counts[i]) for i in range(k)]
+    if width == 0:  # the range is a few subnormal floats apart
+        raise DataError(f"column {x!r} spans too narrow a range for {k} bins")
+    # _bin_index never decreases as v grows (see there), so the values of
+    # bin i are a run of the sorted list, found by bisection
+    index = functools.partial(_bin_index, lo=lo, width=width, k=k)
+    starts = [bisect_left(values, i, key=index) for i in range(k)] + [len(values)]
+    return [
+        (lo + i * width, lo + (i + 1) * width, starts[i + 1] - starts[i])
+        for i in range(k)
+    ]
+
+
+def _bin_index(v: float, lo: float, width: float, k: int) -> int:
+    """The histogram bin of v >= lo among k bins of `width` from lo.
+
+    Never decreases as v grows: v - lo, the division by a positive width
+    and int() of a non-negative float each keep order, and so does the
+    clamp to k - 1. The nudge lowers a raw index j to j - 1 only for values
+    at or below lo + j * width, the smallest values with raw index j, and
+    every value with a lower raw index is smaller still.
+    """
+    idx = int((v - lo) / width)
+    if idx >= k:
+        return k - 1
+    # bins are (lo, hi]; nudge exact left edges down, except bin 0
+    if idx > 0 and v <= lo + idx * width:
+        return idx - 1
+    return idx
 
 
 def quantile_type7(sorted_values: list[float], p: float) -> float:
@@ -119,11 +140,11 @@ def _box_of(label: str, values: list[float]) -> BoxStats:
     med = quantile_type7(vs, 0.50)
     q3 = quantile_type7(vs, 0.75)
     iqr = q3 - q1
-    lo_fence = q1 - 1.5 * iqr
-    hi_fence = q3 + 1.5 * iqr
-    inside = [v for v in vs if lo_fence <= v <= hi_fence]
-    outliers = tuple(v for v in vs if v < lo_fence or v > hi_fence)
-    return BoxStats(label, inside[0], q1, med, q3, inside[-1], outliers)
+    # vs[first:end] is every value within [lo_fence, hi_fence]
+    first = bisect_left(vs, q1 - 1.5 * iqr)
+    end = bisect_right(vs, q3 + 1.5 * iqr)
+    outliers = tuple(vs[:first] + vs[end:])
+    return BoxStats(label, vs[first], q1, med, q3, vs[end - 1], outliers)
 
 
 def box_stats(data: Dataset, y: str, group: str | None = None) -> list[BoxStats]:
@@ -141,13 +162,20 @@ def box_stats(data: Dataset, y: str, group: str | None = None) -> list[BoxStats]
         return [_box_of(y, values)]
 
     gcol = data.categorical(group)
-    by_level: dict[str, list[float]] = {}
-    for g, v in zip(gcol.values, ycol.values):
-        if g is None:
-            continue
-        by_level.setdefault(g, [])
-        if v is not None:
-            by_level[g].append(v)
+    # one list per level in order of first appearance (rows with no level
+    # fill a None list, dropped after); every present y value is appended
+    # to its level's list by map, not by a Python loop
+    by_level = {level: [] for level in dict.fromkeys(gcol.values)}
+    present = list(map(is_not, ycol.values, repeat(None)))
+    deque(
+        map(
+            list.append,
+            map(by_level.__getitem__, compress(gcol.values, present)),
+            compress(ycol.values, present),
+        ),
+        maxlen=0,
+    )
+    by_level.pop(None, None)
     out = []
     for label, values in by_level.items():
         if not values:

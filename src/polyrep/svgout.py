@@ -9,6 +9,7 @@ produce identical bytes.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from .color import CvdKind, Rgb, simulate_cvd
@@ -50,8 +51,12 @@ def xml_escape(text: str) -> str:
     )
 
 
+@functools.lru_cache
 def _shape_path(shape: ShapeKind, r: float) -> tuple[str, bool]:
-    """Path data centered on the origin; second member is True when filled."""
+    """Path data centered on the origin; second member is True when filled.
+
+    Cached: a scatter draws one glyph per (shape, size) at every point.
+    """
     if shape is ShapeKind.CIRCLE:
         d = (
             f"M {_fmt(-r)},0 A {_fmt(r)},{_fmt(r)} 0 1 0 {_fmt(r)},0 "

@@ -65,6 +65,54 @@ def histogram_oracle(values: list[float], k: int):
     return [(edges[i], edges[i + 1], counts[i]) for i in range(k)]
 
 
+def histogram_loop_oracle(values: list[float], k: int):
+    """The per-value bin loop `polyrep.stats.histogram` ran before it
+    bisected, kept verbatim: counts must match it wherever a value sits."""
+    values = sorted(values)
+    lo, hi = values[0], values[-1]
+    if lo == hi:
+        return [(lo - 0.5, hi + 0.5, len(values))]
+    width = (hi - lo) / k
+    counts = [0] * k
+    for v in values:
+        idx = int((v - lo) / width)
+        if idx >= k:
+            idx = k - 1
+        # bins are (lo, hi]; nudge exact left edges down, except bin 0
+        elif idx > 0 and v <= lo + idx * width:
+            idx -= 1
+        counts[idx] += 1
+    return [(lo + i * width, lo + (i + 1) * width, counts[i]) for i in range(k)]
+
+
+def box_scan_oracle(groups: list[str | None], ys: list[float | None], quantile):
+    """Per-level boxes by a row loop and fences by a linear scan.
+
+    Returns ([(label, min_whisker, q1, median, q3, max_whisker, outliers)],
+    [level with no values, in order of first appearance]). Quartiles come
+    from `quantile`, so that fences match the implementation bit for bit.
+    """
+    by_level: dict[str, list[float]] = {}
+    for g, v in zip(groups, ys):
+        if g is None:
+            continue
+        by_level.setdefault(g, [])
+        if v is not None:
+            by_level[g].append(v)
+    boxes, empty = [], []
+    for label, values in by_level.items():
+        if not values:
+            empty.append(label)
+            continue
+        vs = sorted(values)
+        q1, med, q3 = (quantile(vs, p) for p in (0.25, 0.5, 0.75))
+        lo_fence, hi_fence = q1 - 1.5 * (q3 - q1), q3 + 1.5 * (q3 - q1)
+        inside = [v for v in vs if lo_fence <= v <= hi_fence]
+        outliers = tuple(v for v in vs if v < lo_fence or v > hi_fence)
+        boxes.append((label, inside[0], q1, med, q3, inside[-1], outliers))
+    return boxes, empty
+
+
 def normal_equations_fit(x: list[float], y: list[float]):
     """(slope, intercept) from the 2x2 normal equations by Cramer's rule."""
     n = len(x)

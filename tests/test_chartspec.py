@@ -132,6 +132,7 @@ def test_load_dataset_csv_path(fixtures_dir):
     )
     data = load_dataset(spec, base_dir=fixtures_dir)
     assert data.n_rows == 344
+    assert list(data.columns) == ["species"]  # only the bound columns are typed
 
 
 def test_load_dataset_without_data_section():

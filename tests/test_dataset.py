@@ -300,3 +300,76 @@ def test_field_at_the_size_limit_parses(quoted):
     edge = _quote("x" * LIMIT, quoted)
     data = parse_csv(f"a,b\n{edge},y\n".encode())
     assert data.columns["a"].values == ("x" * LIMIT,)
+
+
+# -- parsing only the columns a chart binds -----------------------------------
+
+
+def _assert_projection_same_as_oracle(data: bytes, columns) -> None:
+    """parse_csv(data, columns) gives the reference parser's Dataset
+    restricted to `columns`, in header order, or raises CsvParseError with
+    the same message and record number.
+
+    The reference lets an overlong field escape as csv.Error; there the
+    projected parse must fail exactly as the whole parse does.
+    """
+    try:
+        expected = parse_csv_oracle(data)
+    except (CsvParseError, csv.Error) as exc:
+        if isinstance(exc, csv.Error):
+            with pytest.raises(CsvParseError) as whole:
+                parse_csv(data)
+            exc = whole.value
+            assert str(exc).endswith(f"field larger than field limit ({csv.field_size_limit()})")
+        with pytest.raises(CsvParseError) as got:
+            parse_csv(data, columns)
+        assert (str(got.value), got.value.row) == (str(exc), exc.row)
+        return
+    kept = {name: col for name, col in expected.columns.items() if name in columns}
+    got = parse_csv(data, columns)
+    assert got == Dataset(kept, expected.n_rows)
+    assert list(got.columns) == list(kept)
+
+
+@pytest.mark.parametrize(
+    "data, columns",
+    [
+        (b"a,b\n1,2\n3\n", ("a",)),  # ragged in the unbound column: record 3
+        (b'a,b\n1,"2"\n3,4,5\n', ("b",)),
+        (b"a,b,c\n1,x,2\nNA,y,\n", ("c", "nope", None)),
+        (b"a,b,c\n1,x,2\n", ("nope",)),  # no bound name in the header
+        (b'a,b\n"1\n2",x\n3,y\n', ("b", "a")),  # header order, not bound order
+        (b"a,a\n1,2\n", ("b",)),  # a header error whatever is bound
+        (b"", ("a",)),
+    ],
+)
+def test_projection_edge_cases_match_oracle(data, columns):
+    _assert_projection_same_as_oracle(data, columns)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_overlong_field_in_an_unbound_column_reports_its_record(quoted):
+    long = _quote("x" * (LIMIT + 1), quoted)
+    with pytest.raises(CsvParseError) as err:
+        parse_csv(f"a,b\n1,2\n3,{long}\n".encode(), columns=("a",))
+    assert err.value.row == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join), _tables()),
+    columns=st.lists(st.one_of(
+        st.none(),
+        st.sampled_from(("c0", "c1", "c2", "c3", "nope")),
+        st.lists(st.sampled_from(_PIECES), max_size=3).map("".join),
+    ), max_size=4),
+    limit=st.one_of(st.none(), st.integers(2, 5)),
+)
+def test_projection_matches_oracle_on_random_text(text, columns, limit):
+    # a small field size limit makes some records overlong, bound or not
+    old = csv.field_size_limit(limit) if limit is not None else None
+    try:
+        _assert_projection_same_as_oracle(text.encode("utf-8"), columns)
+    finally:
+        if old is not None:
+            csv.field_size_limit(old)

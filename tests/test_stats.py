@@ -2,12 +2,20 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import box_oracle, histogram_oracle, normal_equations_fit, quantile_oracle
+from oracles import (
+    box_oracle,
+    box_scan_oracle,
+    histogram_loop_oracle,
+    histogram_oracle,
+    normal_equations_fit,
+    quantile_oracle,
+)
 from polyrep.dataset import Column, Dataset
 from polyrep.errors import DataError
 from polyrep.stats import (
@@ -17,6 +25,7 @@ from polyrep.stats import (
     histogram,
     linear_fit,
     nice_ticks,
+    quantile_type7,
 )
 
 
@@ -100,6 +109,46 @@ def test_histogram_matches_oracle_and_sums(values, k):
     assert bins == histogram_oracle(values, k if min(values) < max(values) else k)
 
 
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _values_on_bin_edges(draw):
+    """(values, k): a range [lo, hi] in k bins and values on the computed
+    bin edges lo + i*width and one float either side of them."""
+    lo = draw(_finite)
+    hi = draw(st.floats(lo, 2e6, exclude_min=True))
+    k = draw(st.integers(1, 20))
+    width = (hi - lo) / k
+    near = []
+    for i in range(k + 1):
+        edge = lo + i * width
+        near += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    inside = [v for v in near if lo <= v <= hi]
+    picked = draw(st.lists(st.sampled_from(inside), max_size=60))
+    return [lo, hi, *picked], k
+
+
+@given(_values_on_bin_edges(), st.integers(0, 10))
+def test_histogram_matches_the_value_loop_on_bin_edges(case, n_missing):
+    values, k = case
+    ds = numeric_ds([None] * n_missing + values)  # missing values are dropped
+    if (max(values) - min(values)) / k == 0:
+        with pytest.raises(DataError, match="too narrow"):
+            histogram(ds, "x", bins=k)
+        return
+    assert histogram(ds, "x", bins=k) == histogram_loop_oracle(values, k)
+
+
+def test_histogram_range_too_narrow_for_its_bins():
+    # (hi - lo) / k underflows to zero: an error, not a division by zero
+    with pytest.raises(DataError, match="too narrow a range for 2 bins"):
+        histogram(numeric_ds([1e-323, 1.5e-323]), "x", bins=2)
+    assert histogram(numeric_ds([1e-323, 1.5e-323]), "x", bins=1) == [
+        (1e-323, 1.5e-323, 2)
+    ]
+
+
 # -- box_stats ---------------------------------------------------------------
 
 
@@ -162,6 +211,65 @@ def test_box_random_against_oracle():
         assert math.isclose(box.q3, q3, rel_tol=1e-12, abs_tol=1e-12)
         assert (box.min_whisker, box.max_whisker) == (lo, hi)
         assert sorted(box.outliers) == outliers
+
+
+@st.composite
+def _levels_on_fences(draw):
+    """Per-level values with some exactly on both box fences and some one
+    float beyond them.
+
+    A level has 4m+1 values with q1 = vs[m] and q3 = vs[3m] exactly (type-7
+    positions m and 3m are whole), so its fences are known before drawing
+    the m values below q1 and the m above q3.
+    """
+    q1 = draw(st.floats(-1e3, 1e3))
+    q3 = draw(st.floats(q1, 1e3))
+    m = draw(st.integers(1, 4))
+    lo_fence, hi_fence = q1 - 1.5 * (q3 - q1), q3 + 1.5 * (q3 - q1)
+    low = [lo_fence, math.nextafter(lo_fence, -math.inf), q1]
+    high = [hi_fence, math.nextafter(hi_fence, math.inf), q3]
+    if lo_fence < q1:
+        low.append(math.nextafter(lo_fence, math.inf))
+    if hi_fence > q3:
+        high.append(math.nextafter(hi_fence, -math.inf))
+    middle = st.floats(q1, q3) if q1 < q3 else st.just(q1)
+    return (
+        draw(st.lists(st.sampled_from(low), min_size=m, max_size=m))
+        + [q1]
+        + draw(st.lists(middle, min_size=2 * m - 1, max_size=2 * m - 1))
+        + [q3]
+        + draw(st.lists(st.sampled_from(high), min_size=m, max_size=m))
+    )
+
+
+@given(
+    levels=st.lists(_levels_on_fences(), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_box_stats_match_a_linear_scan_on_the_fences(levels, data):
+    # rows of every level, two empty levels, rows with no level and rows
+    # with no value, in a drawn order
+    rows = [(f"g{i}", v) for i, vs in enumerate(levels) for v in vs]
+    rows += [("empty", None), ("void", None), ("void", None), (None, 1.0), (None, None),
+             ("g0", None)]
+    rows = data.draw(st.permutations(rows))
+    groups, ys = [g for g, _ in rows], [v for _, v in rows]
+    ds = Dataset(
+        {"g": Column("categorical", tuple(groups)), "y": Column("numeric", tuple(ys))},
+        len(rows),
+    )
+    boxes, empty = box_scan_oracle(groups, ys, quantile_type7)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = box_stats(ds, "y", "g")
+    assert [
+        (b.group_label, b.min_whisker, b.q1, b.median, b.q3, b.max_whisker, b.outliers)
+        for b in got
+    ] == boxes
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (EmptyGroupWarning, f"group {label!r} has no non-missing 'y' values; omitted")
+        for label in empty
+    ]
 
 
 # -- linear_fit --------------------------------------------------------------
