@@ -182,6 +182,9 @@ TACTILE_PAPER_SHA256 = {
         "c839c37ab9ca3f322ce07760b8021e5c5d017a445c9d89023b31478a582624e2",
     ("penguins_box", "braille11x11"):
         "7c65beca0abcaba919a42e5dbf878d90be7ee957a6185b5ae49f1dcf7db79a89",
+    # the only paper the scatter's title fits, and the densest fixture page
+    ("penguins_scatter", "braille11x11"):
+        "5ebc941d8f5a6b60b6c1389c25805ccdb9df51dfb465944b39364b0ba16789a7",
 }
 LONG_CATEGORY = "abcdefghijklmnopqrst"
 _DIRECTIONS = {"northwards": 4, "southwards": 3, "eastwardly": 1, "westwardly": 8,

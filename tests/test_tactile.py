@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -429,10 +430,12 @@ def _brute_force_run_conflicts(self, run):
     return False
 
 
-def _tactile_outcome(scene):
+def _tactile_outcome(scene, paper="letter"):
     """PDF bytes of the scene's tactile page, or the TactileError message."""
     try:
-        return emit_pdf(tactualize(scene, alt=auto_alt(scene.summary)))
+        page = tactualize(scene, TactileLayout.for_paper(paper),
+                          alt=auto_alt(scene.summary))
+        return emit_pdf(page)
     except TactileError as exc:
         return f"TactileError: {exc}"
 
@@ -457,6 +460,27 @@ def test_grid_matches_brute_force_on_big_scatter(big_scatter_scene, monkeypatch)
 
 def test_grid_matches_brute_force_on_big_line_chart(big_line_scene, monkeypatch):
     _assert_grid_matches_brute_force([big_line_scene], monkeypatch)
+
+
+# Tactile PDFs of the many-marks scenes, pinned byte for byte: work on the
+# label check must not move a single dot or stroke.
+BIG_SCENE_SHA256 = {
+    ("big_line_scene", "braille11x11"):
+        "f5471a1931b16dd6b656c8c37ed89ce428179a5411ad43e5071199cfd4bbac5f",
+    ("big_line_scene", "letter"):
+        "0a2c5f272bcf696ddd8e012a18db8d309090f538d576675a4c75019a558c39b0",
+    ("big_scatter_scene", "braille11x11"):
+        "cc3aff40a44a6ff3b75578cb98da7455e927b0712220b79768fb229f24081f12",
+    ("big_scatter_scene", "letter"):
+        "3ee2e727310324ab0cf7eaa73f665d64dad465ecf287cea25083389385d42b53",
+}
+
+
+@pytest.mark.parametrize("scene_name,paper", sorted(BIG_SCENE_SHA256))
+def test_big_scene_pdf_golden_hash(request, scene_name, paper):
+    scene = request.getfixturevalue(scene_name)
+    pdf = _tactile_outcome(scene, paper)
+    assert hashlib.sha256(pdf).hexdigest() == BIG_SCENE_SHA256[scene_name, paper]
 
 
 def test_label_check_work_stays_local(big_scatter_scene, monkeypatch):
