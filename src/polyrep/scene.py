@@ -9,6 +9,7 @@ pixels, y down; the summary carried on the scene feeds the verbalizer.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -61,12 +62,14 @@ SHAPE_CYCLE = tuple(ShapeKind)
 Ring = tuple[tuple[float, float], ...]
 
 
+@functools.lru_cache
 def glyph_rings(shape: ShapeKind, r: float) -> tuple[tuple[Ring, ...], bool]:
     """Vertices of a marker glyph of radius r centred on the origin (y down).
 
     The second member is True when the rings are closed outlines of a
     filled shape, False when they are open strokes (plus and cross). The
-    circle is a 16-gon, for outputs that draw polylines only.
+    circle is a 16-gon, for outputs that draw polylines only. Cached: the
+    points of a scatter share a few (shape, radius) pairs.
     """
     if shape is ShapeKind.TRIANGLE:
         dx = r * math.sqrt(3.0) / 2.0

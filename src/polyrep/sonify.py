@@ -108,7 +108,13 @@ AMPLITUDE = 0.8  # peak sample magnitude of every tone and sweep
 def sonify_points(
     x: list[float | None], y: list[float | None], cfg: SonifyConfig | None = None
 ) -> AudioBuffer:
-    """One sine tone per point, equal time slots, trailing-gap silence."""
+    """One sine tone per point, equal time slots, trailing-gap silence.
+
+    Point i of n gets frames `i * n_frames // n` up to the next point's,
+    and its tone fills the first `1 - GAP_FRACTION` of them, rounded. When
+    points outnumber frames, some slots get no frame; their tones are
+    skipped and those points make no sound (10 points in 4 frames sound 4
+    tones)."""
     import numpy as np
 
     cfg = cfg or SonifyConfig()

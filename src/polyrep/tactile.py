@@ -8,11 +8,13 @@ are displaced outward until no braille dot touches a stroke; a label
 whose ink would cross a margin is an error. Underscores in labels become
 spaces so column names stay within the braille alphabet.
 
-Label collision goes through a uniform grid over the page's stroke
-segments (`_SegmentGrid`), built once all strokes are drawn: each braille
-dot is tested only against the segments bucketed in its own and the eight
-neighbouring cells. `dot_touches_stroke` is the single collision kernel
-the grid calls and the brute-force oracle the tests compare it with.
+Label collision goes through a flat index of stroke pieces, built once
+all strokes are drawn: each stroke is cut into pieces of at most `_CHUNK`
+segments, each kept with its bounding box grown by the stroke's collision
+reach, and a label run's dots are tested only against the pieces whose
+grown box meets the run's box. `dot_touches_stroke` is the single collision
+kernel the label check calls and the brute-force oracle the tests compare
+it with.
 """
 
 from __future__ import annotations
@@ -155,8 +157,8 @@ def _seg_point_distance(
 def dot_touches_stroke(dot: Dot, stroke: Stroke, clearance: float) -> bool:
     """True when the dot's ink comes within `clearance` of the stroke's ink.
 
-    The single collision kernel: `_SegmentGrid` calls it per nearby
-    segment, and tests call it over whole strokes as the brute-force
+    The single collision kernel: the label check calls it per nearby
+    stroke piece, and tests call it over whole strokes as the brute-force
     oracle. Dashed strokes are treated as solid."""
     limit = DOT_DIAMETER / 2 + stroke.width / 2 + clearance
     pts = stroke.points + (stroke.points[0],) if stroke.close else stroke.points
@@ -166,57 +168,31 @@ def dot_touches_stroke(dot: Dot, stroke: Stroke, clearance: float) -> bool:
     return False
 
 
-# mm added around each segment's bounding box when bucketing, so float
-# rounding at a cell boundary can never drop a segment within reach
-_GRID_PAD = 1e-6
+# segments per indexed stroke piece: a glyph outline stays one piece, and a
+# label run's box meets only the few pieces of a long polyline near it
+_CHUNK = 32
+
+_Box = tuple[float, float, float, float]
 
 
-class _SegmentGrid:
-    """Stroke segments bucketed into square cells of the collision reach.
-
-    The cell is `DOT_DIAMETER/2 + max stroke width/2 + LABEL_CLEARANCE`
-    wide, the farthest a touching segment can be from the dot's center, so
-    every segment in reach of a dot lies in the dot's cell or one of its
-    eight neighbours.
-    Each segment is kept as a two-point `Stroke` with its stroke's width
-    (closing segments included) in every cell its bounding box covers."""
-
-    def __init__(self, strokes: list[Stroke]):
-        self.cell = (
-            DOT_DIAMETER / 2 + max((s.width for s in strokes), default=0.0) / 2
-            + LABEL_CLEARANCE
-        )
-        self.buckets: dict[tuple[int, int], list[Stroke]] = {}
-        for stroke in strokes:
-            pts = stroke.points + (stroke.points[0],) if stroke.close else stroke.points
-            for a, b in zip(pts, pts[1:]):
-                seg = Stroke((a, b), stroke.width)  # shares the stroke's point tuples
-                (x1, y1), (x2, y2) = a, b
-                i0, j0 = self._key(min(x1, x2) - _GRID_PAD, min(y1, y2) - _GRID_PAD)
-                i1, j1 = self._key(max(x1, x2) + _GRID_PAD, max(y1, y2) + _GRID_PAD)
-                for i in range(i0, i1 + 1):
-                    for j in range(j0, j1 + 1):
-                        self.buckets.setdefault((i, j), []).append(seg)
-
-    def _key(self, x: float, y: float) -> tuple[int, int]:
-        return math.floor(x / self.cell), math.floor(y / self.cell)
-
-    def touches(self, dot: Dot) -> bool:
-        """True when `dot_touches_stroke` holds for some segment in reach."""
-        i, j = self._key(dot.x, dot.y)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                for seg in self.buckets.get((i + di, j + dj), ()):
-                    if dot_touches_stroke(dot, seg, LABEL_CLEARANCE):
-                        return True
-        return False
+def _stroke_pieces(strokes: list[Stroke]) -> list[tuple[_Box, Stroke]]:
+    """Each stroke cut into open pieces of at most `_CHUNK` segments
+    (closing segment included) with the stroke's width, each with its
+    bounding box grown by the stroke's collision reach: a dot that touches
+    a piece has its center inside that box."""
+    pieces = []
+    for stroke in strokes:
+        pts = stroke.points + (stroke.points[0],) if stroke.close else stroke.points
+        reach = DOT_DIAMETER / 2 + stroke.width / 2 + LABEL_CLEARANCE
+        for i in range(0, len(pts) - 1, _CHUNK):
+            part = pts[i:i + _CHUNK + 1]
+            xs, ys = zip(*part)
+            box = (min(xs) - reach, min(ys) - reach, max(xs) + reach, max(ys) + reach)
+            pieces.append((box, Stroke(part, stroke.width)))
+    return pieces
 
 
-def _bbox_overlap(
-    a: tuple[float, float, float, float],
-    b: tuple[float, float, float, float],
-    gap: float,
-) -> bool:
+def _bbox_overlap(a: _Box, b: _Box, gap: float) -> bool:
     return not (
         a[2] + gap <= b[0] or b[2] + gap <= a[0]
         or a[3] + gap <= b[1] or b[3] + gap <= a[1]
@@ -263,7 +239,7 @@ class _PageBuilder:
         self.strokes: list[Stroke] = []
         self.dots: list[Dot] = []
         self.runs: list[BrailleRun] = []
-        self.grid: _SegmentGrid | None = None  # built once every stroke is drawn
+        self.pieces: list[tuple[_Box, Stroke]] = []  # once every stroke is drawn
 
     def _label(self, text: str, what: str, x: float, y: float, push: str,
                align: str) -> None:
@@ -307,7 +283,10 @@ class _PageBuilder:
         for other in self.runs:
             if _bbox_overlap(box, other.bbox(), DOT_PITCH):
                 return True
-        return any(self.grid.touches(dot) for dot in run.dots())
+        near = [piece for grown, piece in self.pieces
+                if _bbox_overlap(box, grown, 0.0)]
+        return any(dot_touches_stroke(dot, piece, LABEL_CLEARANCE)
+                   for dot in run.dots() for piece in near)
 
     # -- chart geometry ------------------------------------------------------
 
@@ -410,7 +389,7 @@ class _PageBuilder:
                 )
             # TextMarks inside marks would be re-set in braille; none today
 
-        self.grid = _SegmentGrid(self.strokes)
+        self.pieces = _stroke_pieces(self.strokes)
 
         # braille labels: x ticks below, y ticks left, titles around
         x_label_y = plot_mm.y1 + tick_len + 3.0

@@ -134,6 +134,24 @@ def test_discrete_gap_is_silent():
     assert np.abs(gap).max() == 0.0
 
 
+def test_discrete_points_outnumbering_frames_go_silent(monkeypatch):
+    """10 points in 4 frames: only the slots of points 2, 4, 7 and 9 get a
+    frame, so the other 6 tones are skipped."""
+    import polyrep.sonify as sonify
+
+    pitched = []
+
+    def recording(y, *args):
+        pitched.append(y)
+        return map_pitch(y, *args)
+
+    monkeypatch.setattr(sonify, "map_pitch", recording)
+    cfg = SonifyConfig(duration_s=0.5, sample_rate=8, f_min=1, f_max=2)
+    buf = sonify_points(list(range(10)), list(range(10)), cfg)
+    assert buf.frames == 4
+    assert pitched == [2, 4, 7, 9]
+
+
 def test_discrete_unsorted_input_sorted_by_x():
     a = sonify_points([5, 4, 3, 2, 1], [5, 4, 3, 2, 1])
     b = sonify_points([1, 2, 3, 4, 5], [1, 2, 3, 4, 5])

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from oracles import (
     pdf_stroked_polylines,
     validate_pdf,
 )
+from polyrep.braille import BrailleCell
 from polyrep.chartspec import inline_dataset, parse_spec
 from polyrep.errors import TactileError
 from polyrep.pdfwrite import MM_TO_PT
@@ -26,12 +28,13 @@ from polyrep.tactile import (
     DOT_PITCH,
     LABEL_CLEARANCE,
     MARGIN,
+    BrailleRun,
     Dot,
     Stroke,
     TactileLayout,
     _bbox_overlap,
     _PageBuilder,
-    _SegmentGrid,
+    _stroke_pieces,
     dot_touches_stroke,
     emit_pdf,
     emit_preview_svg,
@@ -374,7 +377,7 @@ def test_markless_scene_page_has_axes_only(penguins):
     assert page.dots
 
 
-# -- segment grid vs the brute-force oracle -------------------------------------
+# -- stroke piece index vs the brute-force oracle -------------------------------------
 
 _GROUPS = ("north", "south", "east")
 
@@ -417,8 +420,8 @@ def big_line_scene():
 
 
 def _brute_force_run_conflicts(self, run):
-    """The label check before the segment grid: every dot of the run
-    against every segment of every stroke on the page."""
+    """The label check without an index: every dot of the run against
+    every segment of every stroke on the page."""
     box = run.bbox()
     for other in self.runs:
         if _bbox_overlap(box, other.bbox(), DOT_PITCH):
@@ -484,8 +487,8 @@ def test_big_scene_pdf_golden_hash(request, scene_name, paper):
 
 
 def test_label_check_work_stays_local(big_scatter_scene, monkeypatch):
-    """Each braille dot is tested against a few nearby segments, not against
-    every stroke on the page (which costs ~950 checks per dot here)."""
+    """Each braille dot is tested against a few nearby stroke pieces, not
+    against every stroke on the page (which costs ~950 checks per dot here)."""
     import polyrep.tactile as tactile
 
     calls = 0
@@ -508,9 +511,11 @@ _PAGE_MM = 300.0
 
 @st.composite
 def _strokes_and_dots(draw):
-    """Random strokes (open and closed, 1-40 points, 1-4 mm wide, with
-    repeated points and vertices on cell boundaries) and dots across the
-    page, near stroke segments, or grazing them at the collision reach."""
+    """Random strokes (open and closed, 1-80 points, so that long ones
+    split into several pieces, 1-4 mm wide, with repeated points and
+    vertices on multiples of the widest collision reach) and dots across
+    the page, near stroke segments, or grazing them at the collision
+    reach."""
     widths = draw(st.lists(st.floats(1.0, 4.0), min_size=1, max_size=6))
     cell = DOT_DIAMETER / 2 + max(widths) / 2 + LABEL_CLEARANCE
     coord = st.one_of(
@@ -520,7 +525,7 @@ def _strokes_and_dots(draw):
     strokes = []
     for width in widths:
         points = []
-        for _ in range(draw(st.integers(1, 40))):
+        for _ in range(draw(st.integers(1, 80))):
             if not points:
                 points.append((draw(coord), draw(coord)))
                 continue
@@ -531,8 +536,8 @@ def _strokes_and_dots(draw):
             elif move == "step":  # like a data polyline's
                 points.append((x + draw(st.floats(-8.0, 8.0)),
                                y + draw(st.floats(-8.0, 8.0))))
-            elif move == "across":  # like an axis; long diagonals would
-                points.append((draw(coord), y))  # bucket into ~10^4 cells
+            elif move == "across":  # like an axis
+                points.append((draw(coord), y))
             else:
                 points.append((x, draw(coord)))
         strokes.append(Stroke(tuple(points), width, close=draw(st.booleans())))
@@ -563,11 +568,22 @@ def _strokes_and_dots(draw):
     return strokes, dots
 
 
+_DOT_1, _DOT_6 = BrailleCell(frozenset({1})), BrailleCell(frozenset({6}))
+
+
 @settings(deadline=None)
 @given(_strokes_and_dots())
-def test_segment_grid_matches_brute_force(case):
+def test_piece_index_matches_brute_force(case):
+    """A one-dot braille run conflicts exactly when its dot touches a whole
+    stroke. As dot 1 of its cell the dot's ink is flush with the run's box
+    on the left and top, as dot 6 on the right and bottom."""
     strokes, dots = case
-    grid = _SegmentGrid(strokes)
+    builder = SimpleNamespace(runs=[], pieces=_stroke_pieces(strokes))
     for dot in dots:
-        expected = any(dot_touches_stroke(dot, s, clearance=0.5) for s in strokes)
-        assert grid.touches(dot) == expected, dot
+        for run in (BrailleRun((_DOT_1,), dot.x, dot.y),
+                    BrailleRun((_DOT_6,), dot.x - DOT_PITCH, dot.y - 2 * DOT_PITCH)):
+            (run_dot,) = run.dots()
+            expected = any(
+                dot_touches_stroke(run_dot, s, clearance=0.5) for s in strokes
+            )
+            assert _PageBuilder._run_conflicts(builder, run) == expected, run_dot
