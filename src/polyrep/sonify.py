@@ -114,7 +114,9 @@ def sonify_points(
     and its tone fills the first `1 - GAP_FRACTION` of them, rounded. When
     points outnumber frames, some slots get no frame; their tones are
     skipped and those points make no sound (10 points in 4 frames sound 4
-    tones)."""
+    tones). Shorter tones are silent too: a tone starts at phase 0, so a
+    one-frame tone is a zero sample, and above 100 Hz the fades zero
+    both frames of a two-frame tone."""
     import numpy as np
 
     cfg = cfg or SonifyConfig()

@@ -136,8 +136,13 @@ def test_discrete_gap_is_silent():
 
 def test_discrete_points_outnumbering_frames_go_silent(monkeypatch):
     """10 points in 4 frames: only the slots of points 2, 4, 7 and 9 get a
-    frame, so the other 6 tones are skipped."""
+    frame, so the other 6 tones are skipped. At 44.1 kHz two-frame tones
+    are all zero and three-frame tones are not."""
     import polyrep.sonify as sonify
+
+    short = SonifyConfig(duration_s=0.001)  # 44 frames
+    assert not sonify_points(list(range(22)), list(range(22)), short).samples.any()
+    assert sonify_points(list(range(14)), list(range(14)), short).samples.any()
 
     pitched = []
 

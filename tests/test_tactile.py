@@ -377,7 +377,7 @@ def test_markless_scene_page_has_axes_only(penguins):
     assert page.dots
 
 
-# -- stroke piece index vs the brute-force oracle -------------------------------------
+# -- stroke piece index vs the brute-force oracle --------------------------
 
 _GROUPS = ("north", "south", "east")
 
@@ -517,10 +517,10 @@ def _strokes_and_dots(draw):
     the page, near stroke segments, or grazing them at the collision
     reach."""
     widths = draw(st.lists(st.floats(1.0, 4.0), min_size=1, max_size=6))
-    cell = DOT_DIAMETER / 2 + max(widths) / 2 + LABEL_CLEARANCE
+    widest_reach = DOT_DIAMETER / 2 + max(widths) / 2 + LABEL_CLEARANCE
     coord = st.one_of(
         st.floats(-5.0, _PAGE_MM),
-        st.integers(0, int(_PAGE_MM / cell)).map(lambda k: k * cell),
+        st.integers(0, int(_PAGE_MM / widest_reach)).map(lambda k: k * widest_reach),
     )
     strokes = []
     for width in widths:
@@ -556,8 +556,8 @@ def _strokes_and_dots(draw):
         t = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0))
         x, y = x1 + t * (x2 - x1), y1 + t * (y2 - y1)
         if where == "near":
-            x += draw(st.floats(-2 * cell, 2 * cell))
-            y += draw(st.floats(-2 * cell, 2 * cell))
+            x += draw(st.floats(-2 * widest_reach, 2 * widest_reach))
+            y += draw(st.floats(-2 * widest_reach, 2 * widest_reach))
         else:  # about the collision reach away: touching or only just clear
             reach = dot_r + stroke.width / 2 + LABEL_CLEARANCE
             reach += draw(st.floats(-1e-3, 1e-3))
