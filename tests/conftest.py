@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -22,3 +23,21 @@ def fixtures_dir():
 
 def load_fixture_spec(name: str):
     return parse_spec((FIXTURES / name).read_bytes())
+
+
+BIG_SCATTER_GROUPS = ("north", "south", "east")
+
+
+def big_scatter_points() -> tuple[list[float], list[float], list[str]]:
+    """Seeded 2,000-point scatter data in three groups, with the points
+    (0, 0) and (100, 100) pinning both axis ranges: (xs, ys, groups)."""
+    rng = random.Random(3001)
+    xs, ys = [0.0, 100.0], [0.0, 100.0]
+    gs = [BIG_SCATTER_GROUPS[0], BIG_SCATTER_GROUPS[1]]
+    for i in range(1998):
+        g = i % 3
+        x = min(100.0, max(0.0, rng.gauss(30 + 20 * g, 12)))
+        xs.append(round(x, 2))
+        ys.append(round(min(100.0, max(0.0, 0.7 * x + 10 + rng.gauss(0, 10))), 2))
+        gs.append(BIG_SCATTER_GROUPS[g])
+    return xs, ys, gs

@@ -16,7 +16,18 @@ import wave
 import numpy as np
 
 from polyrep.dataset import MISSING_TOKENS, Column, Dataset
-from polyrep.errors import CsvParseError
+from polyrep.errors import CsvParseError, DataError
+from polyrep.sonify import (
+    AMPLITUDE,
+    FADE_S,
+    GAP_FRACTION,
+    AudioBuffer,
+    SonifyConfig,
+    _clean_pairs,
+    map_pan,
+    map_pitch,
+    pan_gains,
+)
 
 # -- order statistics --------------------------------------------------------
 
@@ -217,6 +228,63 @@ def read_wav_oracle(data: bytes):
         assert w.getnchannels() == 2
         frames = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
         return frames.reshape(-1, 2).copy(), w.getframerate()
+
+
+# The discrete synthesis and the quantization `polyrep.sonify` ran before
+# they worked in place, kept verbatim: samples and WAV bytes must match
+# them bit for bit.
+
+
+def sonify_points_oracle(
+    x: list[float | None], y: list[float | None], cfg: SonifyConfig | None = None
+) -> AudioBuffer:
+    cfg = cfg or SonifyConfig()
+    pairs = _clean_pairs(x, y)
+    n_frames = round(cfg.duration_s * cfg.sample_rate)
+    if n_frames < 1:
+        raise DataError("duration too short for the sample rate")
+    out = np.zeros((n_frames, 2))
+    x_lo, x_hi = pairs[0][0], pairs[-1][0]
+    ys = [p[1] for p in pairs]
+    y_lo, y_hi = min(ys), max(ys)
+
+    fade_max = round(FADE_S * cfg.sample_rate)
+    for i, (xv, yv) in enumerate(pairs):
+        s0 = (i * n_frames) // len(pairs)
+        s1 = ((i + 1) * n_frames) // len(pairs)
+        tone_len = round((s1 - s0) * (1.0 - GAP_FRACTION))
+        if tone_len < 1:
+            continue
+        f = map_pitch(yv, y_lo, y_hi, cfg)
+        left, right = pan_gains(map_pan(xv, x_lo, x_hi))
+        t = np.arange(tone_len) / cfg.sample_rate
+        wave = AMPLITUDE * np.sin(2.0 * math.pi * f * t)
+        fade = min(fade_max, tone_len // 2)
+        if fade > 0:
+            ramp = np.linspace(0.0, 1.0, fade, endpoint=False)
+            wave[:fade] *= ramp
+            wave[-fade:] *= ramp[::-1]
+        out[s0 : s0 + tone_len, 0] = wave * left
+        out[s0 : s0 + tone_len, 1] = wave * right
+    return AudioBuffer(out, cfg.sample_rate)
+
+
+def write_wav_oracle(buf: AudioBuffer) -> bytes:
+    import struct
+
+    x = buf.samples * 32767.0
+    ints = np.sign(x) * np.floor(np.abs(x) + 0.5)
+    ints = np.clip(ints, -32768, 32767).astype("<i2")
+    payload = ints.tobytes()  # C order interleaves L,R per frame
+
+    header = b"RIFF"
+    header += struct.pack("<I", 36 + len(payload))
+    header += b"WAVE"
+    header += b"fmt "
+    header += struct.pack("<IHHIIHH", 16, 1, 2, buf.rate, buf.rate * 4, 4, 16)
+    header += b"data"
+    header += struct.pack("<I", len(payload))
+    return header + payload
 
 
 def check_wav_header(data: bytes, rate: int, n_frames: int) -> None:

@@ -5,10 +5,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import check_wav_header, read_wav_oracle, zero_crossing_freq
+from conftest import big_scatter_points
+from oracles import (
+    check_wav_header,
+    read_wav_oracle,
+    sonify_points_oracle,
+    write_wav_oracle,
+    zero_crossing_freq,
+)
 from polyrep.errors import DataError
 from polyrep.sonify import (
     AMPLITUDE,
@@ -168,6 +175,123 @@ def test_discrete_missing_dropped_and_empty_errors():
     assert buf.frames == 220500
     with pytest.raises(DataError):
         sonify_points([None], [1])
+
+
+# 8 kHz, 13 ms and log pitch: 300 points in 104 frames leave every slot at
+# most one frame, so 196 tones are skipped and the rest are zero samples;
+# at 0.5 s the same points sound 11- and 12-frame tones with 5- and 6-frame
+# fades.
+SMALL_RATE = {"duration_s": 0.013, "sample_rate": 8000, "f_min": 200.0,
+              "f_max": 3000.0, "log_pitch": True}
+
+POINTS_SHA256 = {
+    "big_scatter": "e76872f8e13a757a5c7bb4655ff88604daf468d9d1cd098efec805ad3a3246fb",
+    "8khz_skipped": "c7e27859c71e0865e22e13b705643b7daf38b082960a9c71410c0f131fb7353f",
+    "8khz_sounding": "f7468eb1cc14da3ba313d0efa0033ac0fdfb6a30f13b1fb5e18bc84114f830ff",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTS_SHA256))
+def test_points_wav_bytes_pinned(name):
+    xs, ys, _ = big_scatter_points()
+    if name == "big_scatter":
+        cfg = CFG
+    else:
+        xs, ys = xs[:300], ys[:300]
+        duration = 0.5 if name == "8khz_sounding" else SMALL_RATE["duration_s"]
+        cfg = SonifyConfig(**{**SMALL_RATE, "duration_s": duration})
+    digest = hashlib.sha256(write_wav(sonify_points(xs, ys, cfg))).hexdigest()
+    assert digest == POINTS_SHA256[name]
+
+
+@st.composite
+def point_sets(draw):
+    """1 to 3,000 points, with x and y each flat, drawn from a few repeated
+    values, or spread out."""
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(2):
+        shape = draw(st.sampled_from(["flat", "few", "spread"]))
+        if shape == "flat":
+            columns.append([float(draw(st.integers(-50, 50)))] * n)
+        elif shape == "few":
+            columns.append(rng.choice([-3.5, 0.0, 2.25, 7.0], size=n).tolist())
+        else:
+            columns.append(np.round(rng.normal(0.0, 40.0, size=n), 2).tolist())
+    return columns
+
+
+@st.composite
+def configs(draw):
+    """A valid config of 1 to 40,000 frames, at a rate from 8 Hz to 48 kHz."""
+    rate = draw(st.sampled_from([8, 1000, 8000, 22050, 44100, 48000]))
+    frames = draw(st.integers(1, 40_000))
+    lo = draw(st.floats(0.01, 0.45))
+    hi = draw(st.floats(0.5, 0.99))
+    return SonifyConfig(
+        duration_s=frames / rate,
+        sample_rate=rate,
+        f_min=lo * rate / 2,
+        f_max=hi * rate / 2,
+        log_pitch=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets(), configs())
+@example(([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]), CFG)
+@example(([0.0] * 500, [1.0, 2.0] * 250), SonifyConfig(duration_s=0.01, sample_rate=8000))
+def test_sonify_points_matches_loop_oracle(points, cfg):
+    x, y = points
+    buf = sonify_points(x, y, cfg)
+    want = sonify_points_oracle(x, y, cfg)
+    assert buf.samples.dtype == np.float64
+    assert np.array_equal(buf.samples, want.samples)
+    assert write_wav(buf) == write_wav_oracle(want)
+
+
+def _near_half_steps(k: int) -> list[float]:
+    """Samples whose 16-bit scale value is k + 0.5 or a few ulps either side."""
+    s = (k + 0.5) / 32767.0
+    out = [s]
+    up = down = s
+    for _ in range(3):
+        up, down = np.nextafter(up, 2.0), np.nextafter(down, -2.0)
+        out += [float(up), float(down)]
+    return [v for v in out if -1.0 <= v <= 1.0]
+
+
+def test_near_half_steps_hit_the_half_and_one_ulp_either_side():
+    # true for every k except 0, -1, 16383 and -16384, where the half sits
+    # beside a power of two and one neighbour is not reached
+    for k in (1, 2, -2, -3, 1000, -20000, 32766, -32767):
+        scaled = {v * 32767.0 for v in _near_half_steps(k)}
+        half = k + 0.5
+        assert {half, math.nextafter(half, -math.inf), math.nextafter(half, math.inf)} <= scaled
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-32767, 32766), max_size=40),
+    st.lists(st.floats(-1.0, 1.0), max_size=40),
+)
+def test_write_wav_matches_quantization_oracle(halves, anywhere):
+    values = [0.0, -0.0, 1.0, -1.0, *anywhere]
+    for k in halves:
+        values += _near_half_steps(k)
+    if len(values) % 2:
+        values.append(0.5 / 32767.0)
+    buf = AudioBuffer(np.array(values).reshape(-1, 2), 44100)
+    assert write_wav(buf) == write_wav_oracle(buf)
+
+
+def test_write_wav_clips_a_buffer_changed_after_construction():
+    buf = AudioBuffer(np.zeros((2, 2)), 44100)
+    buf.samples[:] = [[1.5, -1.5], [1.0 + 1e-9, -1.0 - 1e-9]]
+    frames, _ = read_wav_oracle(write_wav(buf))
+    assert frames.tolist() == [[32767, -32768], [32767, -32767]]
+    assert write_wav(buf) == write_wav_oracle(buf)
 
 
 # -- sweep -------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_fixture_spec
+from conftest import BIG_SCATTER_GROUPS, big_scatter_points, load_fixture_spec
 from oracles import (
     extract_braille_runs,
     pdf_filled_circles,
@@ -379,8 +379,6 @@ def test_markless_scene_page_has_axes_only(penguins):
 
 # -- stroke piece index vs the brute-force oracle --------------------------
 
-_GROUPS = ("north", "south", "east")
-
 
 def _clip(v: float) -> float:
     return min(100.0, max(0.0, v))
@@ -389,14 +387,7 @@ def _clip(v: float) -> float:
 @pytest.fixture(scope="module")
 def big_scatter_scene():
     """Seeded 2,000-point scatter in three groups, axis ranges pinned."""
-    rng = random.Random(3001)
-    xs, ys, gs = [0.0, 100.0], [0.0, 100.0], [_GROUPS[0], _GROUPS[1]]
-    for i in range(1998):
-        g = i % 3
-        x = _clip(rng.gauss(30 + 20 * g, 12))
-        xs.append(round(x, 2))
-        ys.append(round(_clip(0.7 * x + 10 + rng.gauss(0, 10)), 2))
-        gs.append(_GROUPS[g])
+    xs, ys, gs = big_scatter_points()
     spec = parse_spec(b'{"chart":{"type":"scatter","x":"x","y":"y","group":"grp"}}')
     return layout(spec, inline_dataset({"x": xs, "y": ys, "grp": gs}))
 
@@ -406,7 +397,7 @@ def big_line_scene():
     """Seeded line chart of three 3,333-point noisy sine polylines."""
     rng = random.Random(3002)
     ts, levels, gs = [], [], []
-    for name in _GROUPS:
+    for name in BIG_SCATTER_GROUPS:
         period = rng.uniform(200.0, 600.0)
         phase = rng.uniform(0.0, 2 * math.pi)
         for t in range(3333):
