@@ -6,12 +6,17 @@ continuously with accumulated phase, which suits line charts and fitted
 regression lines. Output is rendered to 16-bit PCM WAV with exact header
 fields.
 
+Each full-size buffer is allocated once and worked on in place. WAV
+quantization rounds half away from zero as `trunc(x + copysign(0.5, x))`;
+`np.rint` would round half to even and change bytes.
+
 numpy is imported inside the functions that make audio, so commands that
 make none start without loading it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -49,12 +54,11 @@ class AudioBuffer:
     rate: int
 
     def __post_init__(self):
-        import numpy as np
-
-        if self.samples.ndim != 2 or self.samples.shape[1] != 2:
+        samples = self.samples
+        if samples.ndim != 2 or samples.shape[1] != 2:
             raise DataError("audio buffer must be stereo frames")
-        if self.samples.size and float(np.abs(self.samples).max()) > 1.0 + 1e-12:
-            raise DataError("sample magnitude exceeds 1")
+        if samples.size and not (max(samples.max(), -samples.min()) <= 1.0 + 1e-12):
+            raise DataError("sample magnitude exceeds 1 or is not finite")
 
     @property
     def frames(self) -> int:
@@ -96,6 +100,8 @@ def _clean_pairs(
     pairs = [(a, b) for a, b in zip(x, y) if a is not None and b is not None]
     if not pairs:
         raise DataError("nothing to sonify: no complete points")
+    if not all(map(math.isfinite, itertools.chain.from_iterable(pairs))):
+        raise DataError("x and y must be finite")
     pairs.sort(key=lambda p: p[0])
     return pairs
 
@@ -129,7 +135,13 @@ def sonify_points(
     ys = [p[1] for p in pairs]
     y_lo, y_hi = min(ys), max(ys)
 
+    # the widest slot has ceil(n_frames / n) frames; every tone's times
+    # and samples are prefixes of these two arrays
+    longest = round(-(-n_frames // len(pairs)) * (1.0 - GAP_FRACTION))
+    t = np.arange(longest) / cfg.sample_rate
+    scratch = np.empty(longest)
     fade_max = round(FADE_S * cfg.sample_rate)
+    ramps: dict[int, np.ndarray] = {}
     for i, (xv, yv) in enumerate(pairs):
         s0 = (i * n_frames) // len(pairs)
         s1 = ((i + 1) * n_frames) // len(pairs)
@@ -138,15 +150,18 @@ def sonify_points(
             continue
         f = map_pitch(yv, y_lo, y_hi, cfg)
         left, right = pan_gains(map_pan(xv, x_lo, x_hi))
-        t = np.arange(tone_len) / cfg.sample_rate
-        wave = AMPLITUDE * np.sin(2.0 * math.pi * f * t)
+        wave = np.multiply(2.0 * math.pi * f, t[:tone_len], out=scratch[:tone_len])
+        np.sin(wave, out=wave)
+        wave *= AMPLITUDE
         fade = min(fade_max, tone_len // 2)
         if fade > 0:
-            ramp = np.linspace(0.0, 1.0, fade, endpoint=False)
+            ramp = ramps.get(fade)
+            if ramp is None:
+                ramp = ramps[fade] = np.linspace(0.0, 1.0, fade, endpoint=False)
             wave[:fade] *= ramp
             wave[-fade:] *= ramp[::-1]
-        out[s0 : s0 + tone_len, 0] = wave * left
-        out[s0 : s0 + tone_len, 1] = wave * right
+        np.multiply(wave, left, out=out[s0 : s0 + tone_len, 0])
+        np.multiply(wave, right, out=out[s0 : s0 + tone_len, 1])
     return AudioBuffer(out, cfg.sample_rate)
 
 
@@ -191,14 +206,18 @@ def sonify_sweep(
 def write_wav(buf: AudioBuffer) -> bytes:
     """RIFF/WAVE container: PCM, 2 channels, 16 bits, exact chunk sizes.
 
-    Floats are quantized by rounding half away from zero at 16-bit scale.
+    Floats are rounded half away from zero at 16-bit scale: IEEE addition
+    is sign-symmetric, so `x - 0.5 == -(|x| + 0.5)` and truncating
+    `x + copysign(0.5, x)` rounds both signs alike. The clip stays because
+    `samples` can be changed after the buffer checked it.
     """
     import numpy as np
 
     x = buf.samples * 32767.0
-    ints = np.sign(x) * np.floor(np.abs(x) + 0.5)
-    ints = np.clip(ints, -32768, 32767).astype("<i2")
-    payload = ints.tobytes()  # C order interleaves L,R per frame
+    x += np.copysign(0.5, x)
+    np.trunc(x, out=x)
+    np.clip(x, -32768, 32767, out=x)
+    payload = x.astype("<i2").tobytes()  # C order interleaves L,R per frame
 
     header = b"RIFF"
     header += struct.pack("<I", 36 + len(payload))

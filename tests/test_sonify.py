@@ -438,3 +438,26 @@ def test_buffer_validation():
         AudioBuffer(np.ones((4, 3)), 44100)
     with pytest.raises(DataError):
         AudioBuffer(np.full((4, 2), 1.5), 44100)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_buffer_rejects_non_finite_samples(bad):
+    samples = np.zeros((4, 2))
+    samples[2, 1] = bad
+    with pytest.raises(DataError, match="not finite"):
+        AudioBuffer(samples, 44100)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("synth", [sonify_points, sonify_sweep])
+def test_non_finite_points_rejected(synth, axis, bad):
+    x, y = [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]
+    (x if axis == "x" else y)[1] = bad
+    with pytest.raises(DataError, match="x and y must be finite"):
+        synth(x, y, SonifyConfig(duration_s=0.01))
+
+
+def test_missing_values_are_dropped_before_the_finite_check():
+    buf = sonify_points([0.0, None, 2.0], [1.0, math.nan, None], SonifyConfig(duration_s=0.01))
+    assert buf.frames == 441
