@@ -181,27 +181,29 @@ def test_discrete_missing_dropped_and_empty_errors():
 # most one frame, so 196 tones are skipped and the rest are zero samples;
 # at 0.5 s the same points sound 11- and 12-frame tones with 5- and 6-frame
 # fades.
-SMALL_RATE = {"duration_s": 0.013, "sample_rate": 8000, "f_min": 200.0,
-              "f_max": 3000.0, "log_pitch": True}
+def _low_rate(duration_s: float) -> SonifyConfig:
+    return SonifyConfig(duration_s=duration_s, sample_rate=8000, f_min=200.0,
+                        f_max=3000.0, log_pitch=True)
 
-POINTS_SHA256 = {
-    "big_scatter": "e76872f8e13a757a5c7bb4655ff88604daf468d9d1cd098efec805ad3a3246fb",
-    "8khz_skipped": "c7e27859c71e0865e22e13b705643b7daf38b082960a9c71410c0f131fb7353f",
-    "8khz_sounding": "f7468eb1cc14da3ba313d0efa0033ac0fdfb6a30f13b1fb5e18bc84114f830ff",
+
+POINTS_SHA256 = {  # (points of the big scatter, config, WAV digest)
+    "big_scatter": (
+        2000, CFG, "e76872f8e13a757a5c7bb4655ff88604daf468d9d1cd098efec805ad3a3246fb"),
+    "8khz_skipped": (
+        300, _low_rate(0.013),
+        "c7e27859c71e0865e22e13b705643b7daf38b082960a9c71410c0f131fb7353f"),
+    "8khz_sounding": (
+        300, _low_rate(0.5),
+        "f7468eb1cc14da3ba313d0efa0033ac0fdfb6a30f13b1fb5e18bc84114f830ff"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(POINTS_SHA256))
 def test_points_wav_bytes_pinned(name):
+    n, cfg, want = POINTS_SHA256[name]
     xs, ys, _ = big_scatter_points()
-    if name == "big_scatter":
-        cfg = CFG
-    else:
-        xs, ys = xs[:300], ys[:300]
-        duration = 0.5 if name == "8khz_sounding" else SMALL_RATE["duration_s"]
-        cfg = SonifyConfig(**{**SMALL_RATE, "duration_s": duration})
-    digest = hashlib.sha256(write_wav(sonify_points(xs, ys, cfg))).hexdigest()
-    assert digest == POINTS_SHA256[name]
+    digest = hashlib.sha256(write_wav(sonify_points(xs[:n], ys[:n], cfg))).hexdigest()
+    assert digest == want
 
 
 @st.composite
