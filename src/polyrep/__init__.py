@@ -26,7 +26,7 @@ from .color import (
     okabe_ito,
     simulate_cvd,
 )
-from .dataset import Column, Dataset, parse_csv, serialize_csv
+from .dataset import Column, Dataset, parse_csv
 from .errors import PolyrepError
 from .scene import Scene, layout
 from .sonify import (
@@ -89,7 +89,6 @@ __all__ = [
     "okabe_ito",
     "parse_csv",
     "parse_spec",
-    "serialize_csv",
     "simulate_cvd",
     "sonify_points",
     "sonify_sweep",

@@ -3,7 +3,10 @@
 A column is either numeric (finite floats) or categorical (non-empty
 strings); empty cells and the literal ``NA`` are missing values. Type
 inference is per column: numeric iff every non-missing cell parses as a
-decimal number.
+finite decimal number with no ``_``. A column is typed by one ``float()``
+call per non-missing cell, which stops at the first cell that is not a
+number; only a categorical column then builds a dict of its distinct
+cells, so that equal strings share one object.
 """
 
 from __future__ import annotations
@@ -12,13 +15,14 @@ import csv
 import decimal
 import io
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import filterfalse, repeat
 
 from .errors import CsvParseError, DataError
 
 MISSING_TOKENS = ("", "NA")
+_MISSING = frozenset(MISSING_TOKENS)
 
 
 @dataclass(frozen=True)
@@ -126,22 +130,24 @@ def parse_csv(data: bytes, columns: Iterable[str | None] | None = None) -> Datas
     if not text:
         raise CsvParseError("empty input, expected a header row")
 
-    names, cells = _split_quoted(text) if '"' in text else _split_plain(text)
-    n_rows = len(cells[0]) if cells else 0
+    names, n_rows, raw = _split_quoted(text) if '"' in text else _split_plain(text)
     keep = set(names if columns is None else columns)
     return Dataset(
-        {name: _column(raw) for name, raw in zip(names, cells) if name in keep}, n_rows
+        {name: _column(raw(j)) for j, name in enumerate(names) if name in keep}, n_rows
     )
 
 
-def _split_plain(text: str) -> tuple[list[str], list[list[str]]]:
-    """Header names and raw cells per column of text with no quote character.
+def _split_plain(text: str) -> tuple[list[str], int, Callable[[int], list[str]]]:
+    """Header names, record count and a getter of the raw cells of column j,
+    for text with no quote character.
 
     Without quoting, every line is one record and every comma ends a field,
-    so the whole body is split in bulk and each column is a stride of the
-    cells; no list is built per row.
+    so the whole body is split in bulk and a column is a stride of the
+    cells, taken only when asked for; no list is built per row.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     limit = csv.field_size_limit()
     header = lines[0].split(",") if lines[0] else []
     _check_field_sizes(header, limit, row=1)
@@ -159,14 +165,13 @@ def _split_plain(text: str) -> tuple[list[str], list[list[str]]]:
                 fields = line.split(",")
                 _check_field_sizes(fields, limit, row=i)
                 _check_field_count(fields, n, row=i)
-    if not records:
-        return names, [[] for _ in names]
-    cells = ",".join(records).split(",")
-    return names, [cells[j::n] for j in range(n)]
+    cells = ",".join(records).split(",") if records else []
+    return names, len(records), lambda j: cells[j::n]
 
 
-def _split_quoted(text: str) -> tuple[list[str], list[tuple[str, ...]]]:
-    """Header names and raw cells per column of text that may quote fields."""
+def _split_quoted(text: str) -> tuple[list[str], int, Callable[[int], tuple[str, ...]]]:
+    """Header names, record count and a getter of the raw cells of column j,
+    for text that may quote fields."""
     rows: list[list[str]] = []
     overlong = None
     try:
@@ -184,7 +189,8 @@ def _split_quoted(text: str) -> tuple[list[str], list[tuple[str, ...]]]:
     if overlong is not None:
         raise overlong
     body = [row for row in body if row]
-    return names, list(zip(*body)) if body else [() for _ in names]
+    columns = list(zip(*body)) if body else [()] * len(names)
+    return names, len(body), columns.__getitem__
 
 
 def _header_names(header: list[str]) -> list[str]:
@@ -215,55 +221,37 @@ def _column(cells) -> Column:
     """Type one column from its raw cells.
 
     Cells are stripped; empty cells and ``NA`` are missing. The column is
-    numeric iff every other cell is a decimal number. Each distinct cell is
-    parsed once, and every cell is then mapped through one dict.
+    numeric iff every other cell is a finite decimal number with no ``_``;
+    then each such cell costs one ``float()`` call and no dict is built.
+    Otherwise the column is categorical, and equal cells share the string
+    of their first appearance.
     """
     stripped = list(map(str.strip, cells))
-    # in order of first appearance, so that the parsed values lie in memory
-    # in about row order, which later scans over the column run faster on
+    numbers = _numbers(stripped)
+    if numbers is not None:
+        return Column("numeric", numbers)
     first_seen = dict.fromkeys(stripped)
-    for token in MISSING_TOKENS:
-        first_seen.pop(token, None)
-    distinct = list(first_seen)
-    numbers = _numbers(distinct)
-    if numbers is None:
-        kind, lookup = "categorical", dict(zip(distinct, distinct))
-    else:
-        kind, lookup = "numeric", dict(zip(distinct, numbers))
+    lookup = dict(zip(first_seen, first_seen))
     lookup.update(dict.fromkeys(MISSING_TOKENS))
-    return Column(kind, tuple(map(lookup.__getitem__, stripped)))
+    return Column("categorical", tuple(map(lookup.__getitem__, stripped)))
 
 
-def _numbers(cells: list[str]) -> list[float] | None:
-    """The stripped cells as floats, or None unless all are decimal numbers."""
-    # digit-group underscores and inf / nan spellings are data, not numbers
-    if "_" in "".join(cells):
-        return None
+def _numbers(stripped: list[str]) -> tuple[float | None, ...] | None:
+    """The stripped cells as floats with None for the missing ones, or None
+    unless every other cell is a finite decimal number with no ``_``."""
     try:
-        values = list(map(float, cells))
+        # lazily, so that a categorical column stops at its first non-number
+        values = tuple(map(float, filterfalse(_MISSING.__contains__, stripped)))
     except ValueError:
         return None
-    return values if all(map(math.isfinite, values)) else None
-
-
-def serialize_csv(data: Dataset) -> bytes:
-    """Inverse of parse_csv on well-formed datasets (LF line endings)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(data.columns))
-    cols = list(data.columns.values())
-    for i in range(data.n_rows):
-        row = []
-        for col in cols:
-            v = col.values[i]
-            if v is None:
-                row.append("NA")
-            elif col.kind == "numeric":
-                row.append(format_number(v))
-            else:
-                row.append(v)
-        writer.writerow(row)
-    return buf.getvalue().encode("utf-8")
+    # digit-group underscores and inf / nan spellings are data, not numbers;
+    # the missing tokens hold no "_"
+    if not all(map(math.isfinite, values)) or "_" in "".join(stripped):
+        return None
+    if len(values) < len(stripped):  # put each missing cell back in its row
+        present = iter(values)
+        values = tuple(None if s in _MISSING else next(present) for s in stripped)
+    return values
 
 
 def format_number(v: float) -> str:

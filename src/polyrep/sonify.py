@@ -28,6 +28,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+# a WAV header stores the byte rate (4 bytes per stereo 16-bit frame) and
+# the RIFF chunk size (36 header bytes plus the frames) in 32 bits each
+MAX_RATE = (2**32 - 1) // 4
+MAX_FRAMES = (2**32 - 1 - 36) // 4
+
+
 @dataclass(frozen=True)
 class SonifyConfig:
     duration_s: float = 5.0
@@ -37,15 +43,27 @@ class SonifyConfig:
     log_pitch: bool = False
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise DataError("duration must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise DataError(f"duration must be positive and finite, got {self.duration_s}")
         if self.sample_rate < 8:
             raise DataError("sample rate too low")
+        if self.sample_rate > MAX_RATE:
+            raise DataError(f"sample rate too high for a WAV file (at most {MAX_RATE} Hz)")
+        # the first test keeps round() from meeting an infinite product
+        if self.duration_s * self.sample_rate >= 2**32 or self.n_frames > MAX_FRAMES:
+            raise DataError(
+                f"{self.duration_s} s at {self.sample_rate} Hz is more than "
+                f"{MAX_FRAMES} frames, the most a WAV file holds"
+            )
         if not (0.0 < self.f_min < self.f_max < self.sample_rate / 2):
             raise DataError(
                 "need 0 < f_min < f_max < sample_rate/2, got "
                 f"{self.f_min}..{self.f_max} at {self.sample_rate} Hz"
             )
+
+    @property
+    def n_frames(self) -> int:
+        return round(self.duration_s * self.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -127,7 +145,7 @@ def sonify_points(
 
     cfg = cfg or SonifyConfig()
     pairs = _clean_pairs(x, y)
-    n_frames = round(cfg.duration_s * cfg.sample_rate)
+    n_frames = cfg.n_frames
     if n_frames < 1:
         raise DataError("duration too short for the sample rate")
     out = np.zeros((n_frames, 2))
@@ -177,7 +195,7 @@ def sonify_sweep(
     pairs = _clean_pairs(x, y)
     if len(pairs) < 2:
         raise DataError("sweep needs at least 2 points")
-    n_frames = round(cfg.duration_s * cfg.sample_rate)
+    n_frames = cfg.n_frames
     if n_frames < 2:
         raise DataError("duration too short for the sample rate")
     xs = np.array([p[0] for p in pairs])

@@ -15,7 +15,7 @@ import wave
 
 import numpy as np
 
-from polyrep.dataset import MISSING_TOKENS, Column, Dataset
+from polyrep.dataset import MISSING_TOKENS, Column, Dataset, format_number
 from polyrep.errors import CsvParseError, DataError
 from polyrep.sonify import (
     AMPLITUDE,
@@ -208,6 +208,30 @@ def parse_csv_oracle(data: bytes) -> Dataset:
                 tuple(None if m else c.strip() for c, m in zip(raw, missing)),
             )
     return Dataset(columns, n_rows)
+
+
+def serialize_csv(data: Dataset) -> bytes:
+    """Inverse of parse_csv on well-formed datasets (LF line endings).
+
+    Not an oracle: the round-trip tests use it to write CSV, with the
+    package's own number formatting.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(data.columns))
+    cols = list(data.columns.values())
+    for i in range(data.n_rows):
+        row = []
+        for col in cols:
+            v = col.values[i]
+            if v is None:
+                row.append("NA")
+            elif col.kind == "numeric":
+                row.append(format_number(v))
+            else:
+                row.append(v)
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
 
 
 # -- audio -------------------------------------------------------------------

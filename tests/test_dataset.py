@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import csv
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_csv_oracle
-from polyrep.dataset import Column, Dataset, format_number, parse_csv, serialize_csv
+from oracles import parse_csv_oracle, serialize_csv
+from polyrep.dataset import Column, Dataset, format_number, parse_csv
 from polyrep.errors import CsvParseError, DataError
 
 
@@ -218,6 +219,10 @@ def _assert_same_as_oracle(data: bytes) -> None:
         b"x\n1_0\n",
         b"x,y\nnan,1e3\n-inf,-0\n",
         b'x\n"a\nb"\n"1"\n',  # an embedded newline shifts rows from records
+        b"x,y\nNA,1\n,2\n NA ,3\n",  # an all-missing column is numeric
+        b"x,y\nNA,1\n2,2\n3,NA\n",  # NA as the first and the last cell
+        b'x,y\n"",1\n2,"2"\n"NA",3\n',
+        b"x\n+1\n-0\n1e400\n",  # overflows to inf: categorical
     ],
 )
 def test_parser_edge_cases_match_oracle(data):
@@ -227,7 +232,8 @@ def test_parser_edge_cases_match_oracle(data):
 # fragments chosen to hit quoting, line ends, missing and non-numeric spellings
 _PIECES = (",", '"', "\r", "\n", "\r\n", " ", "NA", "_", "inf", "nan", "-",
            ".", "e", "0", "1", "7", "a", "Q")
-_NUMBERS = ("", " ", "NA", "0", "-1", "2.5", " 3 ", "1e2", ".5", "inf", "1_0")
+_NUMBERS = ("", " ", "NA", " NA ", "0", "-0", "-1", "+1", "2.5", " 3 ", "1e2", ".5",
+            "inf", "1e400", "1_0", "0x1", "\u0661")
 
 
 @st.composite
@@ -263,6 +269,39 @@ def _tables(draw):
 ))
 def test_parser_matches_oracle_on_random_text(text):
     _assert_same_as_oracle(text.encode("utf-8"))
+
+
+def _seeded_cells(rng: random.Random, n: int) -> list[str]:
+    """Mostly numbers, about 70% of them distinct, with missing cells."""
+    cells = []
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.03:
+            cells.append(rng.choice(("NA", " NA", "", " ")))
+        else:
+            cells.append(f"{rng.randrange(6500) / 100}")
+    return cells
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_large_columns_match_oracle(seed, quoted):
+    rng = random.Random(seed)
+    num = _seeded_cells(rng, 5000)
+    cat = list(num)
+    cat[rng.randrange(len(cat))] = "n/a"
+    present = [c.strip() for c in num if c.strip() not in ("", "NA")]
+    assert 0.6 < len(set(present)) / len(num) < 0.8
+    header = '"num",cat' if quoted else "num,cat"
+    data = "\n".join([header, *map(",".join, zip(num, cat))]).encode()
+    _assert_same_as_oracle(data)
+
+    got = parse_csv(data)
+    assert got.columns["num"].kind == "numeric"
+    assert got.columns["cat"].kind == "categorical"
+    first: dict[str, str] = {}  # equal strings share one object
+    for v in got.columns["cat"].non_missing():
+        assert v is first.setdefault(v, v)
 
 
 @pytest.mark.parametrize("quoted", [False, True])

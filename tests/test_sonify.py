@@ -20,6 +20,8 @@ from polyrep.errors import DataError
 from polyrep.sonify import (
     AMPLITUDE,
     GAP_FRACTION,
+    MAX_FRAMES,
+    MAX_RATE,
     AudioBuffer,
     SonifyConfig,
     map_pan,
@@ -87,6 +89,27 @@ def test_config_validation():
         SonifyConfig(f_max=30000, sample_rate=44100)
     with pytest.raises(DataError):
         SonifyConfig(duration_s=0)
+
+
+@pytest.mark.parametrize("duration_s", [math.inf, -math.inf, math.nan, -1.0, 1e308])
+def test_config_rejects_durations_no_wav_can_hold(duration_s):
+    with pytest.raises(DataError, match="duration|frames"):
+        SonifyConfig(duration_s=duration_s)
+
+
+def test_config_frame_and_rate_limits_fit_a_riff_header():
+    # 36 header bytes plus 4 per frame must fit the 32-bit RIFF chunk size,
+    # and 4 bytes per frame at the sample rate the 32-bit byte rate; no
+    # buffer is made here
+    assert 36 + 4 * MAX_FRAMES <= 2**32 - 1 < 36 + 4 * (MAX_FRAMES + 1)
+    assert 4 * MAX_RATE <= 2**32 - 1 < 4 * (MAX_RATE + 1)
+    rate = CFG.sample_rate
+    assert SonifyConfig(duration_s=MAX_FRAMES / rate).n_frames == MAX_FRAMES
+    with pytest.raises(DataError, match=f"more than {MAX_FRAMES} frames"):
+        SonifyConfig(duration_s=(MAX_FRAMES + 1) / rate)
+    assert SonifyConfig(duration_s=1e-6, sample_rate=MAX_RATE).n_frames == 1074
+    with pytest.raises(DataError, match="sample rate too high"):
+        SonifyConfig(duration_s=1e-6, sample_rate=MAX_RATE + 1)
 
 
 # -- discrete ----------------------------------------------------------------
