@@ -371,6 +371,39 @@ def test_cvd_grid_golden_hash(workdir, name):
     assert _sha256("g.svg") == CVD_GRID_SHA256[name]
 
 
+# Sonify WAVs of grouped, faceted and regression charts, pinned byte for
+# byte: name -> (fixture file or inline spec, sonify flags, WAV digest).
+# Both tone modes stable-sort the rows by x, so the rows must reach them in
+# data order; in "interleaved_line" the levels take turns at tied x values,
+# and rows in level order would change its bytes.
+SONIFY_SHA256 = {
+    "grouped_line": (
+        CVD_GRID_SPECS["grouped_line"], (),
+        "7b164380f4772da3864db1d8a4ddd46a24e79fa3d1a543e9126082798f9c516b"),
+    "interleaved_line": (
+        {"data": {"inline": {"x": [1, 1, 2, 2, 3, 3], "y": [1, 4, 2, 5, 3, 1],
+                             "g": ["s", "r", "r", "s", "r", "s"]}},
+         "chart": {"type": "line", "x": "x", "y": "y", "group": "g"}}, (),
+        "4bba4545d9f746e8bf7584794c42696ff2320d9b229b7fcb6f0ff7be64718a7d"),
+    "six_shapes_facet": (
+        CVD_GRID_SPECS["six_shapes_facet"], (),
+        "23d9da53899241122e8ea556f8eabd77a3c390ec206fe944370fb6315f744ec5"),
+    "lin_regression": (
+        "lin.json", ("--mode", "regression"),
+        "fdeedac503addfc740d163fe3e5e88dbf79ff3fe321bc3b7b3119a93ce54281e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SONIFY_SHA256))
+def test_sonify_golden_hash(workdir, name):
+    spec, flags, digest = SONIFY_SHA256[name]
+    if isinstance(spec, dict):
+        Path("s.json").write_text(json.dumps(spec), encoding="utf-8")
+        spec = "s.json"
+    assert main(["sonify", spec, *flags, "-o", "s.wav"]) == 0
+    assert _sha256("s.wav") == digest
+
+
 # Charts over a seeded 10^4-row table shaped like the benchmark's many-rows
 # workload (grp, cat, value, weight), pinned byte for byte: performance work
 # on the CSV parser must not change a single parsed value.
