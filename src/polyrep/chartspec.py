@@ -1,5 +1,10 @@
 """Declarative chart descriptions: JSON parsing, defaults, and data binding.
 
+`bind` is the one step from a spec and its data to what the chart draws
+(`ChartValues`): the complete rows of a scatter or line chart, or the bars,
+bins or boxes. Layout draws those values and sonification plays them, so
+the chart and its audio agree by construction.
+
 Spec document schema::
 
     {
@@ -20,11 +25,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 from .color import Palette, Rgb, okabe_ito
 from .dataset import Column, Dataset, parse_csv
-from .errors import SpecError
+from .errors import DataError, SpecError
+from .stats import BoxStats, bar_counts, box_stats, histogram
 
 CHART_TYPES = ("scatter", "bar", "histogram", "boxplot", "line")
 POINT_CHARTS = ("scatter",)
@@ -219,36 +226,72 @@ def inline_dataset(columns: dict[str, list]) -> Dataset:
     return Dataset(out, n_rows or 0)
 
 
-def bind(spec: ChartSpec, data: Dataset) -> None:
-    """Check that the spec's column roles exist in the data with usable kinds."""
+@dataclass(frozen=True)
+class ChartValues:
+    """What a chart draws, in data space: `rows` for a scatter or line chart,
+    else its `bars`, `bins` or `boxes`; the other members stay empty."""
+
+    dropped_rows: int
+    rows: tuple[tuple[float, float, str | None], ...] = ()
+    bars: tuple[tuple[str, int], ...] = ()
+    bins: tuple[tuple[float, float, int], ...] = ()
+    boxes: tuple[BoxStats, ...] = ()
+
+
+def bind(spec: ChartSpec, data: Dataset) -> ChartValues:
+    """Check the spec's columns against the data and compute what the chart draws.
+
+    Scatter and line rows are (x, y, group level) in data order, kept when x,
+    y and (if grouped) the level are present; bars, bins and boxes come in
+    drawing order. Raises SpecError when a column is missing or of the wrong
+    kind, DataError when nothing remains to draw after dropping missing values.
+    """
     for role, name in (("x", spec.x), ("y", spec.y), ("group", spec.group)):
         if name is not None and name not in data:
             raise SpecError(f"{role} column {name!r} is not in the dataset")
     ctype = spec.chart_type
-    if ctype in ("scatter", "line"):
-        _require(data.column(spec.x).kind == "numeric", f"{ctype} needs numeric x")
-        _require(data.column(spec.y).kind == "numeric", f"{ctype} needs numeric y")
-        if spec.group is not None:
-            _require(
-                data.column(spec.group).kind == "categorical",
-                "group column must be categorical",
-            )
-    elif ctype == "bar":
+    x = data.column(spec.x)
+    if ctype == "bar":
         _require(
-            data.column(spec.x).kind == "categorical",
+            x.kind == "categorical",
             f"bar needs a categorical x; use a histogram for numeric {spec.x!r}",
         )
-    elif ctype == "histogram":
-        _require(data.column(spec.x).kind == "numeric", "histogram needs numeric x")
-    elif ctype == "boxplot":
+        bars = bar_counts(data, spec.x, spec.sort_order)
+        if not bars:
+            raise DataError("nothing to draw: no non-missing values")
+        return ChartValues(x.n_missing(), bars=tuple(bars))
+    if ctype == "histogram":
+        _require(x.kind == "numeric", "histogram needs numeric x")
+        bins = histogram(data, spec.x, spec.bins)
+        return ChartValues(x.n_missing(), bins=tuple(bins))
+    if ctype == "boxplot":
         if spec.y is None:
-            _require(
-                data.column(spec.x).kind == "numeric",
-                "boxplot without y needs a numeric x",
-            )
-        else:
-            _require(
-                data.column(spec.x).kind == "categorical"
-                and data.column(spec.y).kind == "numeric",
-                "boxplot needs numeric y grouped by categorical x (or numeric x alone)",
-            )
+            _require(x.kind == "numeric", "boxplot without y needs a numeric x")
+            return ChartValues(x.n_missing(), boxes=tuple(box_stats(data, spec.x)))
+        y = data.column(spec.y)
+        _require(
+            x.kind == "categorical" and y.kind == "numeric",
+            "boxplot needs numeric y grouped by categorical x (or numeric x alone)",
+        )
+        boxes = box_stats(data, spec.y, spec.x)
+        if spec.sort_order == "alpha":
+            boxes = sorted(boxes, key=lambda b: b.group_label)
+        dropped = sum(1 for g, v in zip(x.values, y.values) if g is None or v is None)
+        return ChartValues(dropped, boxes=tuple(boxes))
+    y = data.column(spec.y)
+    _require(x.kind == "numeric", f"{ctype} needs numeric x")
+    _require(y.kind == "numeric", f"{ctype} needs numeric y")
+    grouped = spec.group is not None
+    levels = repeat(None)
+    if grouped:
+        group = data.column(spec.group)
+        _require(group.kind == "categorical", "group column must be categorical")
+        levels = group.values
+    rows = tuple(
+        (a, b, g)
+        for a, b, g in zip(x.values, y.values, levels)
+        if a is not None and b is not None and (g is not None or not grouped)
+    )
+    if not rows:
+        raise DataError("nothing to draw: no complete rows")
+    return ChartValues(data.n_rows - len(rows), rows=rows)

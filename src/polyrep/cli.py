@@ -20,11 +20,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .chartspec import ChartSpec, load_dataset, parse_spec
+from .chartspec import ChartSpec, bind, load_dataset, parse_spec
 from .color import Palette, Rgb, audit_palette, okabe_ito
 from .dataset import Dataset
-from .errors import PolyrepError, SpecError
-from .scene import Scene, layout, sonify_series
+from .errors import DataError, PolyrepError, SpecError
+from .scene import Scene, layout
 from .sonify import SonifyConfig, sonify_points, sonify_sweep, write_wav
 from .stats import linear_fit
 from .svgout import cvd_grid, emit_svg, grid_alt
@@ -168,7 +168,21 @@ def _cmd_alt(args) -> int:
 
 def _cmd_sonify(args) -> int:
     spec, data = _load(args.spec)
-    xs, ys = sonify_series(spec, data, args.categorical)
+    counted = ("bar", "histogram") if args.categorical else ()
+    if spec.chart_type not in ("scatter", "line", *counted):
+        raise DataError(
+            f"cannot sonify a {spec.chart_type} chart"
+            + ("" if args.categorical else "; pass --categorical for bar/histogram")
+        )
+    values = bind(spec, data)
+    if values.rows:
+        xs, ys = [x for x, _, _ in values.rows], [y for _, y, _ in values.rows]
+    elif values.bars:
+        xs = [float(i) for i in range(len(values.bars))]
+        ys = [float(c) for _, c in values.bars]
+    else:
+        xs = [(lo + hi) / 2 for lo, hi, _ in values.bins]
+        ys = [float(c) for _, _, c in values.bins]
     cfg = SonifyConfig(
         duration_s=args.duration,
         sample_rate=args.rate,

@@ -1,4 +1,8 @@
-"""Chart layout: bind a spec to data and produce device-space geometry.
+"""Chart layout: device-space geometry for what a spec draws from its data.
+
+`chartspec.bind` computes what the chart draws in data space (its complete
+rows, bars, bins or boxes); layout scales and places those values and
+computes none of them again.
 
 The Scene separates data marks (points, rects, lines that encode values;
 these get stable ids and are recolored by the deficiency grid) from
@@ -14,18 +18,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .chartspec import ChartSpec, bind
+from .chartspec import ChartSpec, ChartValues, bind
 from .color import Rgb
 from .dataset import Dataset
 from .errors import DataError, SpecError
-from .stats import (
-    TickSet,
-    bar_counts,
-    box_stats,
-    histogram,
-    linear_fit,
-    nice_ticks,
-)
+from .stats import TickSet, linear_fit, nice_ticks
 from .verbalize import ChartSummary
 
 WIDTH = 640.0
@@ -212,7 +209,6 @@ def layout(spec: ChartSpec, data: Dataset) -> Scene:
     Raises SpecError when the spec does not bind to the data, DataError
     when nothing remains to draw after dropping missing values.
     """
-    bind(spec, data)
     builder = {
         "bar": _layout_bar,
         "histogram": _layout_histogram,
@@ -220,7 +216,7 @@ def layout(spec: ChartSpec, data: Dataset) -> Scene:
         "scatter": _layout_points,
         "line": _layout_points,
     }[spec.chart_type]
-    return builder(spec, data)
+    return builder(spec, bind(spec, data))
 
 
 # -- shared assembly -------------------------------------------------------
@@ -341,10 +337,8 @@ def _count_axis(plot: Rect, max_count: int) -> tuple[LinearScale, AxisInfo]:
     return scale, axis
 
 
-def _layout_bar(spec: ChartSpec, data: Dataset) -> Scene:
-    counts = bar_counts(data, spec.x, spec.sort_order)
-    if not counts:
-        raise DataError("nothing to draw: no non-missing values")
+def _layout_bar(spec: ChartSpec, values: ChartValues) -> Scene:
+    counts = values.bars
     plot = _plot_rect(with_legend=False)
     max_count = max(c for _, c in counts)
     sy, y_axis = _count_axis(plot, max_count)
@@ -360,12 +354,12 @@ def _layout_bar(spec: ChartSpec, data: Dataset) -> Scene:
             RectMark(cx - 0.4 * slot, top, 0.8 * slot, sy(0.0) - top, fill=INK)
         )
     x_axis = AxisInfo(spec.x, tuple(centers), tuple(label for label, _ in counts))
-    return _assemble(spec, plot, marks, x_axis, y_axis, bars=tuple(counts),
-                     dropped_rows=data.column(spec.x).n_missing())
+    return _assemble(spec, plot, marks, x_axis, y_axis, bars=counts,
+                     dropped_rows=values.dropped_rows)
 
 
-def _layout_histogram(spec: ChartSpec, data: Dataset) -> Scene:
-    bins = histogram(data, spec.x, spec.bins)
+def _layout_histogram(spec: ChartSpec, values: ChartValues) -> Scene:
+    bins = values.bins
     plot = _plot_rect(with_legend=False)
     max_count = max(c for _, _, c in bins)
     sy, y_axis = _count_axis(plot, max_count)
@@ -386,25 +380,23 @@ def _layout_histogram(spec: ChartSpec, data: Dataset) -> Scene:
             RectMark(left, top, right - left, sy(0.0) - top, fill=INK, stroke=WHITE)
         )
 
-    return _assemble(spec, plot, marks, x_axis, y_axis, bins=tuple(bins),
-                     dropped_rows=data.column(spec.x).n_missing())
+    return _assemble(spec, plot, marks, x_axis, y_axis, bins=bins,
+                     dropped_rows=values.dropped_rows)
 
 
 # -- boxplot ---------------------------------------------------------------
 
 
-def _layout_boxplot(spec: ChartSpec, data: Dataset) -> Scene:
+def _layout_boxplot(spec: ChartSpec, values: ChartValues) -> Scene:
     grouped = spec.y is not None
     value_col = spec.y if grouped else spec.x
-    boxes = box_stats(data, value_col, spec.x if grouped else None)
-    if spec.sort_order == "alpha" and grouped:
-        boxes = sorted(boxes, key=lambda b: b.group_label)
+    boxes = values.boxes
     plot = _plot_rect(with_legend=False)
 
-    values: list[float] = []
+    extremes: list[float] = []
     for b in boxes:
-        values.extend((b.min_whisker, b.max_whisker, *b.outliers))
-    v_lo, v_hi = min(values), max(values)
+        extremes.extend((b.min_whisker, b.max_whisker, *b.outliers))
+    v_lo, v_hi = min(extremes), max(extremes)
     if v_lo == v_hi:
         v_lo, v_hi = v_lo - 0.5, v_hi + 0.5
     d0, d1 = padded_domain(v_lo, v_hi)
@@ -435,73 +427,18 @@ def _layout_boxplot(spec: ChartSpec, data: Dataset) -> Scene:
         for v in b.outliers:
             marks.append(PointMark(cx, sy(v), ShapeKind.CIRCLE, BLACK, size=2.5))
 
-    if grouped:
-        x_axis = AxisInfo(spec.x, tuple(centers),
-                          tuple(b.group_label for b in boxes))
-        dropped = sum(
-            1
-            for g, v in zip(data.column(spec.x).values, data.column(spec.y).values)
-            if g is None or v is None
-        )
-    else:
-        x_axis = AxisInfo("", (), ())
-        dropped = data.column(spec.x).n_missing()
-
-    return _assemble(spec, plot, marks, x_axis, y_axis, boxes=tuple(boxes),
-                     dropped_rows=dropped)
+    x_axis = (AxisInfo(spec.x, tuple(centers), tuple(b.group_label for b in boxes))
+              if grouped else AxisInfo("", (), ()))
+    return _assemble(spec, plot, marks, x_axis, y_axis, boxes=boxes,
+                     dropped_rows=values.dropped_rows)
 
 
 # -- scatter / line --------------------------------------------------------
 
 
-def _complete_rows(
-    spec: ChartSpec, data: Dataset
-) -> list[tuple[float, float, str | None]]:
-    """(x, y, group level) of each row a scatter or line chart draws, in
-    data order: x and y present, and the level too when the chart is grouped."""
-    xs = data.numeric(spec.x).values
-    ys = data.numeric(spec.y).values
-    grouped = spec.group is not None
-    gs = data.categorical(spec.group).values if grouped else (None,) * len(xs)
-    return [
-        (x, y, g)
-        for x, y, g in zip(xs, ys, gs)
-        if x is not None and y is not None and (g is not None or not grouped)
-    ]
-
-
-def sonify_series(
-    spec: ChartSpec, data: Dataset, categorical: bool
-) -> tuple[list[float], list[float]]:
-    """The (x, y) series a chart's sonification plays.
-
-    A scatter or line chart plays the rows it draws, in data order. With
-    `categorical`, a bar chart plays (bar index, count) and a histogram
-    (bin centre, count). Raises SpecError like `layout` when the spec does
-    not bind to the data, DataError for a chart without a series.
-    """
-    bind(spec, data)
-    if spec.chart_type in ("scatter", "line"):
-        rows = _complete_rows(spec, data)
-        return [x for x, _, _ in rows], [y for _, y, _ in rows]
-    if categorical and spec.chart_type == "bar":
-        counts = bar_counts(data, spec.x, spec.sort_order)
-        return [float(i) for i in range(len(counts))], [float(c) for _, c in counts]
-    if categorical and spec.chart_type == "histogram":
-        bins = histogram(data, spec.x, spec.bins)
-        return [(lo + hi) / 2 for lo, hi, _ in bins], [float(c) for _, _, c in bins]
-    raise DataError(
-        f"cannot sonify a {spec.chart_type} chart"
-        + ("" if categorical else "; pass --categorical for bar/histogram")
-    )
-
-
-def _layout_points(spec: ChartSpec, data: Dataset) -> Scene:
-    rows = _complete_rows(spec, data)
-    if not rows:
-        raise DataError("nothing to draw: no complete rows")
+def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
     by_level: dict[str | None, list[tuple[float, float]]] = {}
-    for x, y, g in rows:
+    for x, y, g in values.rows:
         by_level.setdefault(g, []).append((x, y))
     # the drawn levels in first-appearance order; ungrouped, the one key None
     order = sorted(by_level) if spec.sort_order == "alpha" else list(by_level)
@@ -574,7 +511,7 @@ def _layout_points(spec: ChartSpec, data: Dataset) -> Scene:
         slope_sign=slope_sign,
         group_name=spec.group,
         group_levels=tuple(order) if grouped else (),
-        dropped_rows=data.n_rows - len(rows),
+        dropped_rows=values.dropped_rows,
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import is_not
 
-from .dataset import Dataset, format_number
+from .dataset import Dataset
 from .errors import DataError
 
 
@@ -296,5 +296,4 @@ __all__ = [
     "quantile_type7",
     "sturges_bins",
     "round_sig",
-    "format_number",
 ]

@@ -540,19 +540,49 @@ def _tones(wav: bytes) -> int:
     return int(loud.size > 0) + int(np.count_nonzero(np.diff(loud) > rate // 100))
 
 
-def test_sonify_plays_the_points_the_chart_draws(workdir):
-    # the row with no group level is not drawn, so it must not sound either
-    spec = _scatter_spec(
-        {"x": [1, 2, 3, 4, 5], "y": [2, 4, 1, 5, 3], "g": ["a", "b", None, "a", "b"]},
-        group="g",
+# the row with no group level is not drawn, so it must not sound either
+GAPPED_SCATTER = _scatter_spec(
+    {"x": [1, 2, 3, 4, 5], "y": [2, 4, 1, 5, 3], "g": ["a", "b", None, "a", "b"]},
+    group="g",
+)
+
+
+@pytest.mark.parametrize(
+    "spec,flags,drawn,n_drawn",
+    [
+        (GAPPED_SCATTER, (), lambda summary: summary.n_points, 4),
+        ("penguins_bar.json", ("--categorical",), lambda summary: len(summary.bars), 3),
+        ("penguins_hist.json", ("--categorical",), lambda summary: len(summary.bins),
+         10),
+    ],
+    ids=["grouped_scatter", "bar", "histogram"],
+)
+def test_sonify_plays_the_points_the_chart_draws(workdir, spec, flags, drawn, n_drawn):
+    if isinstance(spec, dict):
+        Path("g.json").write_text(json.dumps(spec), encoding="utf-8")
+        spec = "g.json"
+    parsed = parse_spec(Path(spec).read_bytes())
+    assert drawn(layout(parsed, load_dataset(parsed)).summary) == n_drawn
+    assert main(["sonify", spec, *flags, "-o", "g.wav"]) == 0
+    assert _tones(Path("g.wav").read_bytes()) == n_drawn
+
+
+# sonify refuses a chart type it cannot play before binding the spec, so a
+# box plot is refused even when a column is missing, and no box is computed
+@pytest.mark.parametrize("y", ["body_mass_g", "nope"])
+def test_sonify_refuses_a_box_plot_before_binding(workdir, capsys, monkeypatch, y):
+    def no_boxes(*args):
+        raise AssertionError("box_stats called")
+
+    monkeypatch.setattr("polyrep.chartspec.box_stats", no_boxes)
+    spec = {"data": {"csv": "penguins.csv"},
+            "chart": {"type": "boxplot", "x": "species", "y": y}}
+    Path("box.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["sonify", "box.json", "--categorical", "-o", "box.wav"]) == 1
+    assert capsys.readouterr().err == (
+        "polyrep: error[data]: cannot sonify a boxplot chart\n"
     )
-    raw = json.dumps(spec).encode("utf-8")
-    Path("g.json").write_bytes(raw)
-    parsed = parse_spec(raw)
-    n_points = layout(parsed, load_dataset(parsed)).summary.n_points
-    assert n_points == 4
-    assert main(["sonify", "g.json", "-o", "g.wav"]) == 0
-    assert _tones(Path("g.wav").read_bytes()) == n_points
+    assert not Path("box.wav").exists()
 
 
 def test_overlong_csv_field_exits_1(workdir, capsys):
