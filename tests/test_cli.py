@@ -334,6 +334,47 @@ def test_six_shapes_golden_hash(workdir):
     assert (_sha256("six.svg"), _sha256("six.pdf")) == SIX_SHAPES_SHA256
 
 
+# Charts whose value range is flat on some axis (widened half a unit each
+# way), and an ungrouped box plot, pinned byte for byte as rendered SVG and
+# letter tactile PDF: name -> (inline data, chart, (SVG, PDF) digests).
+FLAT_RANGE_SHA256 = {
+    "box_constant": (
+        {"v": [5, 5, 5]}, {"type": "boxplot", "x": "v"},
+        ("281a274156d38c319c2358c2761bb7b4f10a20e98e054e402c960e8916f4ba27",
+         "6863779bdd8ab67fa0e02e20ece9605825034e298877522828c95a71ea0efa23")),
+    "box_outlier": (
+        {"v": [1, 2, 3, 4, 50]}, {"type": "boxplot", "x": "v"},
+        ("891df29f937e6a497cc1f532a2e66986d60b44da78bcc51d6a5c82124293ae69",
+         "79da8e251f3b49ea121f1c4ebf2c4c60457a0d194f8c076f0c02fb7f417f7e5f")),
+    "scatter_constant_x": (
+        {"x": [2, 2, 2], "y": [1, 2, 3]}, {"type": "scatter", "x": "x", "y": "y"},
+        ("0597b1b43b3d76b7f9bbac334dcca998cc0b986645272e420d05622376389cf7",
+         "48d70ef5885d3f8e550586ca3f7a742fb7ec4c9f9e161d17e548bb36f5afb923")),
+    "scatter_constant_y": (
+        {"x": [1, 2, 3], "y": [4, 4, 4]}, {"type": "scatter", "x": "x", "y": "y"},
+        ("574367bbfaab0b6b2b67bb6ab53ebb1a06d2297bfbd9cb33e4b8f124831fd2fa",
+         "0173b025b6b6f49db32e491a32f475e9daad9cce652e8e237e69a07c23a851e9")),
+    "line_one_point": (
+        {"x": [2, 2], "y": [3, 3]}, {"type": "line", "x": "x", "y": "y"},
+        ("a20bf79e53338a8ff9d2d51571057a17e53535b623c102050722bffe366435fa",
+         "7b01159cd84edc72fc70dfaba5b04d488e6bd53a1a845b79a2444758b1500b39")),
+    "hist_constant": (
+        {"v": [7, 7, 7]}, {"type": "histogram", "x": "v"},
+        ("32d853fe59f15da90f5039b3b27814aa292150eae505c5410679565a2cf167bf",
+         "f8476ddac6157a107d31cbb7fb6ac30b80d42737d56d92444132993dcb1e8368")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_RANGE_SHA256))
+def test_flat_range_golden_hash(workdir, name):
+    inline, chart, digests = FLAT_RANGE_SHA256[name]
+    spec = {"data": {"inline": inline}, "chart": chart}
+    Path("flat.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["render", "flat.json", "-o", "flat.svg"]) == 0
+    assert main(["tactile", "flat.json", "-o", "flat.pdf"]) == 0
+    assert (_sha256("flat.svg"), _sha256("flat.pdf")) == digests
+
+
 # CVD grids pinned byte for byte over every kind of paint a mark carries:
 # outline glyphs (fill="none" stroke=), facet-label text, dashed grouped
 # lines in a custom palette, and a title and categories that need escaping.
