@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--categorical",
         action="store_true",
-        help="allow bar/histogram input (bar index maps to pan, count to pitch)",
+        help="allow bar/histogram input (bar index or bin centre maps to pan, count to pitch)",
     )
 
     p = add("tactile", "write an emboss-ready tactile PDF")
@@ -168,11 +168,11 @@ def _cmd_alt(args) -> int:
 
 def _cmd_sonify(args) -> int:
     spec, data = _load(args.spec)
-    counted = ("bar", "histogram") if args.categorical else ()
-    if spec.chart_type not in ("scatter", "line", *counted):
+    counted = spec.chart_type in ("bar", "histogram")
+    if spec.chart_type not in ("scatter", "line") and not (counted and args.categorical):
         raise DataError(
             f"cannot sonify a {spec.chart_type} chart"
-            + ("" if args.categorical else "; pass --categorical for bar/histogram")
+            + ("; pass --categorical for bar/histogram" if counted else "")
         )
     values = bind(spec, data)
     if values.rows:

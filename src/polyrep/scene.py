@@ -4,6 +4,12 @@
 rows, bars, bins or boxes); layout scales and places those values and
 computes none of them again.
 
+Every axis comes from one of two rules: `_value_axis` scales a numeric
+range (padded 5%, counts from 0, a flat range widened half a unit each
+way) and ticks it with `nice_ticks`; `_band_axis` gives each category an
+equal slot, ticked at its centre. The SVG, the alt text and the tactile
+page all read the AxisInfo these make.
+
 The Scene separates data marks (points, rects, lines that encode values;
 these get stable ids and are recolored by the deficiency grid) from
 decorations (axes, tick labels, titles, legend). Coordinates are SVG
@@ -22,7 +28,7 @@ from .chartspec import ChartSpec, ChartValues, bind
 from .color import Rgb
 from .dataset import Dataset
 from .errors import DataError, SpecError
-from .stats import TickSet, linear_fit, nice_ticks
+from .stats import linear_fit, nice_ticks
 from .verbalize import ChartSummary
 
 WIDTH = 640.0
@@ -194,15 +200,6 @@ class LinearScale:
         return self.r0 + t * (self.r1 - self.r0)
 
 
-def padded_domain(lo: float, hi: float, anchor_zero: bool = False) -> tuple[float, float]:
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    if anchor_zero:
-        return 0.0, hi + 0.05 * (hi - 0.0)
-    pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
-
-
 def layout(spec: ChartSpec, data: Dataset) -> Scene:
     """Lay a chart out on the default canvas.
 
@@ -225,6 +222,29 @@ def layout(spec: ChartSpec, data: Dataset) -> Scene:
 def _plot_rect(with_legend: bool) -> Rect:
     w = WIDTH - 2 * MARGIN - (LEGEND_WIDTH if with_legend else 0.0)
     return Rect(MARGIN, MARGIN, w, HEIGHT - 2 * MARGIN)
+
+
+def _value_axis(
+    title: str, lo: float, hi: float, r0: float, r1: float, from_zero: bool = False
+) -> tuple[LinearScale, AxisInfo]:
+    """The scale of data [lo, hi] onto device [r0, r1] and its axis: a flat
+    range widens half a unit each way, the domain is padded 5% at each end
+    (at the top only, from exactly 0, when `from_zero`), and the ticks are
+    the nice ticks of the unpadded range."""
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    pad = 0.05 * (hi - lo)
+    scale = LinearScale(0.0 if from_zero else lo - pad, hi + pad, r0, r1)
+    ticks = nice_ticks(lo, hi)
+    return scale, AxisInfo(title, tuple(map(scale, ticks.positions)), ticks.labels)
+
+
+def _band_axis(title: str, labels: Sequence[str], plot: Rect) -> tuple[float, AxisInfo]:
+    """One equal slot per category across the plot, ticked at slot centres;
+    returns the slot width and the axis."""
+    slot = plot.w / len(labels)
+    centers = tuple(plot.x + (i + 0.5) * slot for i in range(len(labels)))
+    return slot, AxisInfo(title, centers, tuple(labels))
 
 
 def _axis_decorations(
@@ -329,31 +349,19 @@ def _assemble(
 # -- bar / histogram -------------------------------------------------------
 
 
-def _count_axis(plot: Rect, max_count: int) -> tuple[LinearScale, AxisInfo]:
-    d0, d1 = padded_domain(0.0, float(max_count), anchor_zero=True)
-    scale = LinearScale(d0, d1, plot.y1, plot.y)
-    ticks = nice_ticks(0.0, float(max_count)) if max_count > 0 else TickSet((0.0,), ("0",))
-    axis = AxisInfo("count", tuple(scale(p) for p in ticks.positions), ticks.labels)
-    return scale, axis
-
-
 def _layout_bar(spec: ChartSpec, values: ChartValues) -> Scene:
     counts = values.bars
     plot = _plot_rect(with_legend=False)
-    max_count = max(c for _, c in counts)
-    sy, y_axis = _count_axis(plot, max_count)
+    max_count = float(max(c for _, c in counts))
+    sy, y_axis = _value_axis("count", 0.0, max_count, plot.y1, plot.y, from_zero=True)
+    slot, x_axis = _band_axis(spec.x, [label for label, _ in counts], plot)
 
-    slot = plot.w / len(counts)
     marks: list[Mark] = []
-    centers = []
-    for i, (_, count) in enumerate(counts):
-        cx = plot.x + (i + 0.5) * slot
-        centers.append(cx)
+    for cx, (_, count) in zip(x_axis.ticks, counts):
         top = sy(float(count))
         marks.append(
             RectMark(cx - 0.4 * slot, top, 0.8 * slot, sy(0.0) - top, fill=INK)
         )
-    x_axis = AxisInfo(spec.x, tuple(centers), tuple(label for label, _ in counts))
     return _assemble(spec, plot, marks, x_axis, y_axis, bars=counts,
                      dropped_rows=values.dropped_rows)
 
@@ -361,16 +369,9 @@ def _layout_bar(spec: ChartSpec, values: ChartValues) -> Scene:
 def _layout_histogram(spec: ChartSpec, values: ChartValues) -> Scene:
     bins = values.bins
     plot = _plot_rect(with_legend=False)
-    max_count = max(c for _, _, c in bins)
-    sy, y_axis = _count_axis(plot, max_count)
-
-    lo, hi = bins[0][0], bins[-1][1]
-    dx0, dx1 = padded_domain(lo, hi)
-    sx = LinearScale(dx0, dx1, plot.x, plot.x1)
-    xticks = nice_ticks(lo, hi)
-    x_axis = AxisInfo(
-        spec.x, tuple(sx(p) for p in xticks.positions), xticks.labels
-    )
+    max_count = float(max(c for _, _, c in bins))
+    sy, y_axis = _value_axis("count", 0.0, max_count, plot.y1, plot.y, from_zero=True)
+    sx, x_axis = _value_axis(spec.x, bins[0][0], bins[-1][1], plot.x, plot.x1)
 
     marks: list[Mark] = []
     for blo, bhi, count in bins:
@@ -396,22 +397,11 @@ def _layout_boxplot(spec: ChartSpec, values: ChartValues) -> Scene:
     extremes: list[float] = []
     for b in boxes:
         extremes.extend((b.min_whisker, b.max_whisker, *b.outliers))
-    v_lo, v_hi = min(extremes), max(extremes)
-    if v_lo == v_hi:
-        v_lo, v_hi = v_lo - 0.5, v_hi + 0.5
-    d0, d1 = padded_domain(v_lo, v_hi)
-    sy = LinearScale(d0, d1, plot.y1, plot.y)
-    yticks = nice_ticks(v_lo, v_hi)
-    y_axis = AxisInfo(
-        value_col, tuple(sy(p) for p in yticks.positions), yticks.labels
-    )
+    sy, y_axis = _value_axis(value_col, min(extremes), max(extremes), plot.y1, plot.y)
+    slot, band = _band_axis(spec.x, [b.group_label for b in boxes], plot)
 
-    slot = plot.w / len(boxes)
     marks: list[Mark] = []
-    centers = []
-    for i, b in enumerate(boxes):
-        cx = plot.x + (i + 0.5) * slot
-        centers.append(cx)
+    for cx, b in zip(band.ticks, boxes):
         half = 0.25 * slot
         cap = 0.125 * slot
         y_q1, y_q3 = sy(b.q1), sy(b.q3)
@@ -427,8 +417,7 @@ def _layout_boxplot(spec: ChartSpec, values: ChartValues) -> Scene:
         for v in b.outliers:
             marks.append(PointMark(cx, sy(v), ShapeKind.CIRCLE, BLACK, size=2.5))
 
-    x_axis = (AxisInfo(spec.x, tuple(centers), tuple(b.group_label for b in boxes))
-              if grouped else AxisInfo("", (), ()))
+    x_axis = band if grouped else AxisInfo("", (), ())
     return _assemble(spec, plot, marks, x_axis, y_axis, boxes=boxes,
                      dropped_rows=values.dropped_rows)
 
@@ -468,12 +457,7 @@ def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
     ys = [y for _, y in pairs]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    dy0, dy1 = padded_domain(y_lo, y_hi)
-    sy = LinearScale(dy0, dy1, plot.y1, plot.y)
-    yticks = nice_ticks(y_lo, y_hi) if y_lo < y_hi else nice_ticks(y_lo - 0.5, y_hi + 0.5)
-    y_axis = AxisInfo(spec.y or "", tuple(sy(p) for p in yticks.positions), yticks.labels)
-    xticks = nice_ticks(x_lo, x_hi) if x_lo < x_hi else nice_ticks(x_lo - 0.5, x_hi + 0.5)
-    dx0, dx1 = padded_domain(x_lo, x_hi)
+    sy, y_axis = _value_axis(spec.y or "", y_lo, y_hi, plot.y1, plot.y)
 
     panels = [plot]
     if facet:
@@ -481,14 +465,13 @@ def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
         panel_w = (plot.w - gap * (len(order) - 1)) / len(order)
         panels = [Rect(plot.x + i * (panel_w + gap), plot.y, panel_w, plot.h)
                   for i in range(len(order))]
-    x_scales = [LinearScale(dx0, dx1, panel.x, panel.x1) for panel in panels]
+    x_axes = [_value_axis(spec.x, x_lo, x_hi, panel.x, panel.x1) for panel in panels]
     marks: list[Mark] = []
     for i, (level, style) in enumerate(zip(order, styles)):
-        sx = x_scales[i if facet else 0]
+        sx = x_axes[i if facet else 0][0]
         marks.extend(_series_marks(spec, by_level[level], style, sx, sy))
-    panel_ticks = [(panel, tuple(sx(p) for p in xticks.positions))
-                   for panel, sx in zip(panels, x_scales)]
-    x_axis = AxisInfo(spec.x, panel_ticks[0][1], xticks.labels)
+    panel_ticks = [(panel, axis.ticks) for panel, (_, axis) in zip(panels, x_axes)]
+    x_axis = x_axes[0][1]
     facet_labels = [
         TextMark(panel.x + panel.w / 2, panel.y - 8, level, anchor="middle")
         for panel, level in zip(panels, order)

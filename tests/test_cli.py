@@ -135,6 +135,13 @@ def test_sonify_bar_needs_categorical(workdir, capsys):
     assert main(["sonify", "penguins_bar.json", "-o", "b.wav", "--categorical"]) == 0
 
 
+def test_sonify_box_gets_no_categorical_hint(workdir, capsys):
+    # --categorical admits bar charts and histograms only, so a box plot
+    # is refused without a hint to pass it
+    assert main(["sonify", "penguins_box.json", "-o", "box.wav"]) == 1
+    assert capsys.readouterr().err == "polyrep: error[data]: cannot sonify a boxplot chart\n"
+
+
 def test_tactile_with_preview(workdir, capsys):
     assert main(["tactile", "penguins_box.json", "-o", "box.pdf", "--preview"]) == 0
     validate_pdf(Path("box.pdf").read_bytes())

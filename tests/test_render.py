@@ -213,23 +213,110 @@ def test_alt_axes_are_the_drawn_axes(name, fixtures_dir):
     assert {t for t in (x.title, y.title) if t} <= drawn
 
 
-def test_axis_ticks_are_scaled_nice_ticks(penguins):
+def _complete(penguins, *cols):
+    columns = [penguins.columns[c].values for c in cols]
+    return [row for row in zip(*columns) if None not in row]
+
+
+def _span(values):
+    return min(values), max(values)
+
+
+# Each case lays a chart out and gives, per axis it draws: (drawn tick
+# positions, drawn labels, data lo, data hi, device r0, device r1, counts
+# from zero). The facet case reads each panel's ticks from its tick marks.
+def _scatter_axes(penguins):
+    scene, _ = scene_and_alt("penguins_scatter.json", penguins)
+    rows = _complete(penguins, "flipper_length_mm", "bill_length_mm")
+    x, y, plot = scene.x_axis, scene.y_axis, scene.plot
+    return [(x.ticks, x.labels, *_span([r[0] for r in rows]), plot.x, plot.x1, False),
+            (y.ticks, y.labels, *_span([r[1] for r in rows]), plot.y1, plot.y, False)]
+
+
+def _bar_axes(penguins):
+    scene, _ = scene_and_alt("penguins_bar.json", penguins)
+    species = [s for (s,) in _complete(penguins, "species")]
+    top = float(max(species.count(s) for s in set(species)))
+    y, plot = scene.y_axis, scene.plot
+    return [(y.ticks, y.labels, 0.0, top, plot.y1, plot.y, True)]
+
+
+def _hist_axes(penguins):
+    scene, _ = scene_and_alt("penguins_hist.json", penguins)
+    bins = scene.summary.bins
+    top = float(max(c for _, _, c in bins))
+    x, y, plot = scene.x_axis, scene.y_axis, scene.plot
+    return [(x.ticks, x.labels, bins[0][0], bins[-1][1], plot.x, plot.x1, False),
+            (y.ticks, y.labels, 0.0, top, plot.y1, plot.y, True)]
+
+
+def _box_axes(penguins):
+    scene, _ = scene_and_alt("penguins_box.json", penguins)
+    rows = _complete(penguins, "species", "body_mass_g")
+    y, plot = scene.y_axis, scene.plot
+    return [(y.ticks, y.labels, *_span([r[1] for r in rows]), plot.y1, plot.y, False)]
+
+
+def _ungrouped_box_axes(penguins):
+    values = [1, 2, 3, 4, 50]
+    spec = parse_spec(b'{"chart":{"type":"boxplot","x":"v"}}')
+    scene = layout(spec, inline_dataset({"v": values}))
+    y, plot = scene.y_axis, scene.plot
+    return [(y.ticks, y.labels, *_span(values), plot.y1, plot.y, False)]
+
+
+def _line_axes(penguins):
+    spec = load_fixture_spec("lin.json")
+    scene = layout(spec, load_dataset(spec))
+    x, y, plot = scene.x_axis, scene.y_axis, scene.plot
+    return [(x.ticks, x.labels, 1.0, 5.0, plot.x, plot.x1, False),
+            (y.ticks, y.labels, 1.0, 5.0, plot.y1, plot.y, False)]
+
+
+def _facet_axes(penguins):
+    scene = layout(parse_spec(FACET_SCATTER), penguins)
+    plot = scene.plot
+    x_lo, x_hi = _span([r[0] for r in _complete(
+        penguins, "flipper_length_mm", "bill_length_mm", "species")])
+    segments = [m for m in scene.decorations if isinstance(m, SegmentMark)]
+    baselines = sorted((m.x1, m.x2) for m in segments if m.y1 == m.y2 == plot.y1)
+    ticks = [m.x1 for m in segments if m.y1 == plot.y1 and m.y2 == plot.y1 + 5]
+    labels = [m for m in scene.decorations
+              if isinstance(m, TextMark) and m.y == plot.y1 + 18]
+    assert len(baselines) == 3
+    return [
+        (tuple(sorted(t for t in ticks if x0 <= t <= x1)),
+         tuple(m.text for m in sorted(labels, key=lambda m: m.x) if x0 <= m.x <= x1),
+         x_lo, x_hi, x0, x1, False)
+        for x0, x1 in baselines
+    ]
+
+
+AXIS_CASES = {
+    "scatter": _scatter_axes,
+    "bar": _bar_axes,
+    "histogram": _hist_axes,
+    "boxplot": _box_axes,
+    "boxplot_ungrouped": _ungrouped_box_axes,
+    "line": _line_axes,
+    "facet": _facet_axes,
+}
+
+
+@pytest.mark.parametrize("name", AXIS_CASES)
+def test_axis_ticks_are_scaled_nice_ticks(penguins, name):
     from polyrep.stats import nice_ticks
 
-    scene, _ = scene_and_alt("penguins_scatter.json", penguins)
-    xs = penguins.columns["flipper_length_mm"].values
-    ys = penguins.columns["bill_length_mm"].values
-    pairs = [(x, y) for x, y in zip(xs, ys) if x is not None and y is not None]
-    x_lo, x_hi = min(p[0] for p in pairs), max(p[0] for p in pairs)
-    y_lo, y_hi = min(p[1] for p in pairs), max(p[1] for p in pairs)
-    assert scene.x_axis.labels == nice_ticks(x_lo, x_hi).labels
-    assert scene.y_axis.labels == nice_ticks(y_lo, y_hi).labels
-    # positions are the data ticks pushed through the 5%-padded linear scale
-    pad = 0.05 * (x_hi - x_lo)
-    plot = scene.plot
-    for px, pos in zip(scene.x_axis.ticks, nice_ticks(x_lo, x_hi).positions):
-        expected = plot.x + (pos - (x_lo - pad)) / (x_hi + pad - (x_lo - pad)) * plot.w
-        assert abs(px - expected) < 1e-9
+    for ticks, labels, lo, hi, r0, r1, from_zero in AXIS_CASES[name](penguins):
+        data = nice_ticks(lo, hi)
+        assert labels == data.labels
+        # positions are the data ticks pushed through the padded linear
+        # scale: 5% each way, or from 0 to 1.05 x max for a count
+        pad = 0.05 * (hi - lo)
+        d0, d1 = (0.0, 1.05 * hi) if from_zero else (lo - pad, hi + pad)
+        assert len(ticks) == len(data.positions)
+        for got, pos in zip(ticks, data.positions):
+            assert abs(got - (r0 + (pos - d0) / (d1 - d0) * (r1 - r0))) < 1e-9
 
 
 def test_degenerate_constant_data_charts():
