@@ -266,8 +266,9 @@ def _ungrouped_box_axes(penguins):
 
 
 def _line_axes(penguins):
-    spec = load_fixture_spec("lin.json")
-    scene = layout(spec, load_dataset(spec))
+    # lin.json's data drawn as a line chart
+    spec = parse_spec(b'{"chart":{"type":"line","x":"x","y":"y"}}')
+    scene = layout(spec, load_dataset(load_fixture_spec("lin.json")))
     x, y, plot = scene.x_axis, scene.y_axis, scene.plot
     return [(x.ticks, x.labels, 1.0, 5.0, plot.x, plot.x1, False),
             (y.ticks, y.labels, 1.0, 5.0, plot.y1, plot.y, False)]
