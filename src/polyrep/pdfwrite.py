@@ -17,6 +17,16 @@ def fmt_pt(v: float) -> str:
     return "0" if s == "-0" else s
 
 
+def path_ops(points: list[tuple[float, float]], close: bool = False) -> list[str]:
+    """Operators that build one polyline of at least two points and stroke
+    it with the current line width and colour."""
+    (x0, y0), rest = points[0], points[1:]
+    ops = [f"{fmt_pt(x0)} {fmt_pt(y0)} m"]
+    ops += [f"{fmt_pt(x)} {fmt_pt(y)} l" for x, y in rest]
+    ops.append("s" if close else "S")
+    return ops
+
+
 class ContentStream:
     """PDF path operators in point coordinates (origin bottom-left)."""
 
@@ -32,17 +42,22 @@ class ContentStream:
     ) -> None:
         if len(points) < 2:
             return
-        self._ops.append(f"{fmt_pt(width_pt)} w")
-        self._ops.append("0 G")
+        self.set_stroke(width_pt)
         if dash_pt:
             self._ops.append(f"[{' '.join(fmt_pt(d) for d in dash_pt)}] 0 d")
-        (x0, y0), rest = points[0], points[1:]
-        self._ops.append(f"{fmt_pt(x0)} {fmt_pt(y0)} m")
-        for x, y in rest:
-            self._ops.append(f"{fmt_pt(x)} {fmt_pt(y)} l")
-        self._ops.append("s" if close else "S")
+        self._ops += path_ops(points, close)
         if dash_pt:
             self._ops.append("[] 0 d")
+
+    def set_stroke(self, width_pt: float) -> None:
+        """Stroke in black, `width_pt` wide, from here on."""
+        self._ops.append(f"{fmt_pt(width_pt)} w")
+        self._ops.append("0 G")
+
+    def place(self, tx: float, ty: float, ops: str) -> None:
+        """Draw `ops`, operators formatted about the origin, translated by
+        (tx, ty) pt; the graphics state is saved and restored around them."""
+        self._ops.append(f"q\n1 0 0 1 {fmt_pt(tx)} {fmt_pt(ty)} cm\n{ops}\nQ")
 
     def fill_circle(self, cx: float, cy: float, r: float) -> None:
         k = KAPPA * r

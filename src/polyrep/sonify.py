@@ -221,27 +221,40 @@ def sonify_sweep(
     return AudioBuffer(out, cfg.sample_rate)
 
 
+# samples quantized per block in write_wav: the float scratch stays small
+# and is reused, instead of two fresh arrays the size of the buffer
+_WAV_BLOCK = 16384
+
+
 def write_wav(buf: AudioBuffer) -> bytes:
     """RIFF/WAVE container: PCM, 2 channels, 16 bits, exact chunk sizes.
 
     Floats are rounded half away from zero at 16-bit scale: IEEE addition
     is sign-symmetric, so `x - 0.5 == -(|x| + 0.5)` and truncating
     `x + copysign(0.5, x)` rounds both signs alike. The clip stays because
-    `samples` can be changed after the buffer checked it.
+    `samples` can be changed after the buffer checked it. The PCM is written
+    straight into the output behind its header, a block at a time.
     """
     import numpy as np
 
-    x = buf.samples * 32767.0
-    x += np.copysign(0.5, x)
-    np.trunc(x, out=x)
-    np.clip(x, -32768, 32767, out=x)
-    payload = x.astype("<i2").tobytes()  # C order interleaves L,R per frame
-
-    header = b"RIFF"
-    header += struct.pack("<I", 36 + len(payload))
-    header += b"WAVE"
-    header += b"fmt "
-    header += struct.pack("<IHHIIHH", 16, 1, 2, buf.rate, buf.rate * 4, 4, 16)
-    header += b"data"
-    header += struct.pack("<I", len(payload))
-    return header + payload
+    flat = buf.samples.reshape(-1)  # C order interleaves L,R per frame
+    n_bytes = 2 * flat.size
+    wav = bytearray(44 + n_bytes)
+    wav[:44] = b"".join((
+        b"RIFF", struct.pack("<I", 36 + n_bytes), b"WAVE",
+        b"fmt ", struct.pack("<IHHIIHH", 16, 1, 2, buf.rate, buf.rate * 4, 4, 16),
+        b"data", struct.pack("<I", n_bytes),
+    ))
+    pcm = np.frombuffer(wav, dtype="<i2", offset=44)
+    x = np.empty(min(_WAV_BLOCK, flat.size))
+    half = np.empty_like(x)
+    for i in range(0, flat.size, _WAV_BLOCK):
+        block = flat[i:i + _WAV_BLOCK]
+        t, h = x[:block.size], half[:block.size]
+        np.multiply(block, 32767.0, out=t)
+        np.copysign(0.5, t, out=h)
+        t += h
+        np.trunc(t, out=t)
+        np.clip(t, -32768, 32767, out=t)
+        pcm[i:i + block.size] = t
+    return bytes(wav)

@@ -8,23 +8,36 @@ are displaced outward until no braille dot touches a stroke; a label
 whose ink would cross a margin is an error. Underscores in labels become
 spaces so column names stay within the braille alphabet.
 
-Label collision goes through a flat index of stroke pieces, built once
-all strokes are drawn: each stroke is cut into pieces of at most `_CHUNK`
-segments, each kept with its bounding box grown by the stroke's collision
-reach, and a label run's dots are tested only against the pieces whose
-grown box meets the run's box. `dot_touches_stroke` is the single collision
-kernel the label check calls and the brute-force oracle the tests compare
-it with.
+Marker glyphs (scatter points and box-plot outliers) are items of their
+own: a centre, a shape and a radius. Every glyph of one shape and radius
+is the same outline, so the PDF sets the glyph line width once, formats
+each outline once, about its centre, and places each glyph with a
+translation (`q 1 0 0 1 x y cm ... Q`), which leaves the width as it is.
+A glyph's outline at its absolute position is built only where it is
+needed: near a label, in the preview SVG and in tests.
+
+Label collision goes through flat indexes built once all ink is drawn.
+Each stroke is cut into pieces of at most `_CHUNK` segments, each kept
+with its bounding box grown by the stroke's collision reach; each glyph is
+kept with its outline's extent about its centre, grown the same way. A
+label run's dots are tested only against the pieces and glyph outlines
+whose grown box meets the run's box; the glyph boxes are scanned only when
+the run's box meets their join. `dot_touches_stroke` is the single
+collision kernel the label check calls and the brute-force oracle the
+tests compare it with.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from collections.abc import Iterator
+from typing import NamedTuple
 
 from .braille import BrailleCell, to_braille
 from .errors import TactileError
-from .pdfwrite import MM_TO_PT, ContentStream, build_pdf, fmt_pt
+from .pdfwrite import MM_TO_PT, ContentStream, build_pdf, fmt_pt, path_ops
 from .scene import (
     PointMark,
     PolylineMark,
@@ -32,6 +45,7 @@ from .scene import (
     RectMark,
     Scene,
     SegmentMark,
+    ShapeKind,
     WHITE,
     glyph_rings,
 )
@@ -88,6 +102,35 @@ class Stroke:
     close: bool = False
 
 
+class Glyph(NamedTuple):
+    """A marker glyph: the outline `glyph_rings(shape, r)` about its centre
+    (x, y), stroked `MIN_STROKE` wide."""
+
+    x: float
+    y: float
+    shape: ShapeKind
+    r: float
+
+    def strokes(self) -> tuple[Stroke, ...]:
+        """The glyph's outline at its absolute position."""
+        rings, closed = glyph_rings(self.shape, self.r)
+        cx, cy = self.x, self.y
+        return tuple(
+            Stroke(tuple((cx + x, cy + y) for x, y in ring), MIN_STROKE, close=closed)
+            for ring in rings
+        )
+
+
+@functools.lru_cache
+def _glyph_extent(shape: ShapeKind, r: float) -> tuple[float, float, float, float]:
+    """Bounding box of a glyph's outline about its centre. Float addition is
+    monotone, so `cx + min(x)` is the least of the placed points `cx + x`."""
+    rings, _ = glyph_rings(shape, r)
+    xs = [x for ring in rings for x, _ in ring]
+    ys = [y for ring in rings for _, y in ring]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
 @dataclass(frozen=True)
 class Dot:
     """Center of one braille dot, `DOT_DIAMETER` across."""
@@ -99,9 +142,16 @@ class Dot:
 @dataclass(frozen=True)
 class TactilePage:
     layout: TactileLayout
-    strokes: tuple[Stroke, ...]
+    strokes: tuple[Stroke, ...]  # every stroke but the marker glyphs
+    glyphs: tuple[Glyph, ...]
     dots: tuple[Dot, ...]
     source_alt: AltText
+
+    def ink(self) -> Iterator[Stroke]:
+        """Every stroke on the page: `strokes`, then each glyph's outline."""
+        yield from self.strokes
+        for glyph in self.glyphs:
+            yield from glyph.strokes()
 
 
 # dot offsets within one cell, standard numbering, units of DOT_PITCH
@@ -192,6 +242,27 @@ def _stroke_pieces(strokes: list[Stroke]) -> list[tuple[_Box, Stroke]]:
     return pieces
 
 
+# collision reach of a glyph outline, as `_stroke_pieces` computes it
+_GLYPH_REACH = DOT_DIAMETER / 2 + MIN_STROKE / 2 + LABEL_CLEARANCE
+_NO_BOX: _Box = (math.inf, math.inf, -math.inf, -math.inf)  # meets no box
+
+
+def _glyph_boxes(glyphs: list[Glyph]) -> tuple[_Box, list[tuple[_Box, Glyph]]]:
+    """Each glyph with its outline's bounding box grown by the collision
+    reach (the join of the boxes `_stroke_pieces` gives its rings), and the
+    join of all those boxes."""
+    out = []
+    for glyph in glyphs:
+        x0, y0, x1, y1 = _glyph_extent(glyph.shape, glyph.r)
+        cx, cy, reach = glyph.x, glyph.y, _GLYPH_REACH
+        out.append(((cx + x0 - reach, cy + y0 - reach, cx + x1 + reach, cy + y1 + reach),
+                    glyph))
+    if not out:
+        return _NO_BOX, out
+    x0s, y0s, x1s, y1s = zip(*(box for box, _ in out))
+    return (min(x0s), min(y0s), max(x1s), max(y1s)), out
+
+
 def _bbox_overlap(a: _Box, b: _Box, gap: float) -> bool:
     return not (
         a[2] + gap <= b[0] or b[2] + gap <= a[0]
@@ -237,9 +308,13 @@ class _PageBuilder:
         self.printable = Rect(MARGIN, MARGIN, layout.page_w - 2 * MARGIN,
                               layout.page_h - 2 * MARGIN)
         self.strokes: list[Stroke] = []
+        self.glyphs: list[Glyph] = []
         self.dots: list[Dot] = []
         self.runs: list[BrailleRun] = []
-        self.pieces: list[tuple[_Box, Stroke]] = []  # once every stroke is drawn
+        # indexes for the label check, once all ink is drawn
+        self.pieces: list[tuple[_Box, Stroke]] = []
+        self.glyph_hull = _NO_BOX
+        self.glyph_boxes: list[tuple[_Box, Glyph]] = []
 
     def _label(self, text: str, what: str, x: float, y: float, push: str,
                align: str) -> None:
@@ -285,6 +360,10 @@ class _PageBuilder:
                 return True
         near = [piece for grown, piece in self.pieces
                 if _bbox_overlap(box, grown, 0.0)]
+        if _bbox_overlap(box, self.glyph_hull, 0.0):
+            for grown, glyph in self.glyph_boxes:
+                if _bbox_overlap(box, grown, 0.0):
+                    near += glyph.strokes()
         return any(dot_touches_stroke(dot, piece, LABEL_CLEARANCE)
                    for dot in run.dots() for piece in near)
 
@@ -380,16 +459,13 @@ class _PageBuilder:
                            dash=tuple(d * 1.5 for d in mark.dash) if mark.dash else None)
                 )
             elif isinstance(mark, PointMark):
-                cx, cy = mx(mark.x), my(mark.y)
-                rings, closed = glyph_rings(mark.shape, max(2.5, mark.size * scale))
-                self.strokes.extend(
-                    Stroke(tuple((cx + x, cy + y) for x, y in ring),
-                           MIN_STROKE, close=closed)
-                    for ring in rings
+                self.glyphs.append(
+                    Glyph(mx(mark.x), my(mark.y), mark.shape, max(2.5, mark.size * scale))
                 )
             # TextMarks inside marks would be re-set in braille; none today
 
         self.pieces = _stroke_pieces(self.strokes)
+        self.glyph_hull, self.glyph_boxes = _glyph_boxes(self.glyphs)
 
         # braille labels: x ticks below, y ticks left, titles around
         x_label_y = plot_mm.y1 + tick_len + 3.0
@@ -412,7 +488,8 @@ class _PageBuilder:
             self._label(t, f"x-axis title {t!r}", plot_mm.x + plot_mm.w / 2,
                         x_label_y + 2 * LINE_PITCH, "down", "center")
 
-        page = TactilePage(self.layout, tuple(self.strokes), tuple(self.dots), self.alt)
+        page = TactilePage(self.layout, tuple(self.strokes), tuple(self.glyphs),
+                           tuple(self.dots), self.alt)
         _check_bounds(page)
         return page
 
@@ -435,18 +512,41 @@ def _check_bounds(page: TactilePage) -> None:
             raise TactileError(
                 f"braille dot at ({dot.x:.1f}, {dot.y:.1f}) mm leaves the printable area"
             )
-    for stroke in page.strokes:
-        hw = stroke.width / 2
-        for px, py in stroke.points:
-            if not (x0 <= px - hw and px + hw <= x1 and y0 <= py - hw and py + hw <= y1):
-                raise TactileError(
-                    f"stroke point at ({px:.1f}, {py:.1f}) mm leaves the printable area"
-                )
+
+    def check(strokes) -> None:
+        for stroke in strokes:
+            hw = stroke.width / 2
+            for px, py in stroke.points:
+                if not (x0 <= px - hw and px + hw <= x1 and y0 <= py - hw and py + hw <= y1):
+                    raise TactileError(
+                        f"stroke point at ({px:.1f}, {py:.1f}) mm leaves the printable area"
+                    )
+
+    check(page.strokes)
+    hw = MIN_STROKE / 2
+    for g in page.glyphs:
+        gx0, gy0, gx1, gy1 = _glyph_extent(g.shape, g.r)
+        if not (x0 <= g.x + gx0 - hw and g.x + gx1 + hw <= x1
+                and y0 <= g.y + gy0 - hw and g.y + gy1 + hw <= y1):
+            check(g.strokes())  # names the first point out
+
+
+@functools.lru_cache
+def _outline_ops(shape: ShapeKind, r: float) -> str:
+    """PDF operators that stroke a glyph outline about the origin, in pt
+    with y up, with the current line width."""
+    rings, closed = glyph_rings(shape, r)
+    return "\n".join(
+        op
+        for ring in rings
+        for op in path_ops([(x * MM_TO_PT, -y * MM_TO_PT) for x, y in ring], closed)
+    )
 
 
 def emit_pdf(page: TactilePage) -> bytes:
-    """Single-page PDF 1.4, black-only: strokes as paths, braille dots as
-    filled circles built from four Bezier arcs."""
+    """Single-page PDF 1.4, black-only: strokes as paths, each glyph as its
+    outline's operators placed by a translation, braille dots as filled
+    circles built from four Bezier arcs."""
     lay = page.layout
     h_pt = lay.page_h * MM_TO_PT
 
@@ -461,6 +561,10 @@ def emit_pdf(page: TactilePage) -> bytes:
             dash_pt=tuple(d * MM_TO_PT for d in stroke.dash) if stroke.dash else None,
             close=stroke.close,
         )
+    if page.glyphs:
+        cs.set_stroke(MIN_STROKE * MM_TO_PT)  # a translation keeps the width
+    for g in page.glyphs:
+        cs.place(*pt(g.x, g.y), _outline_ops(g.shape, g.r))
     for dot in page.dots:
         cx, cy = pt(dot.x, dot.y)
         cs.fill_circle(cx, cy, DOT_DIAMETER / 2 * MM_TO_PT)
@@ -481,7 +585,7 @@ def emit_preview_svg(page: TactilePage) -> bytes:
         f'<rect x="0" y="0" width="{fmt_pt(lay.page_w)}" '
         f'height="{fmt_pt(lay.page_h)}" fill="#FFFFFF"/>',
     ]
-    for s in page.strokes:
+    for s in page.ink():
         d = "M " + " L ".join(f"{fmt_pt(x)},{fmt_pt(y)}" for x, y in s.points)
         if s.close:
             d += " Z"

@@ -25,6 +25,18 @@ def load_fixture_spec(name: str):
     return parse_spec((FIXTURES / name).read_bytes())
 
 
+# A scatter with six groups draws every marker shape (circle, triangle,
+# square, diamond, plus, cross) in the SVG and as tactile outlines.
+SIX_SHAPES_SPEC = {
+    "data": {"inline": {
+        "x": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+        "y": [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8],
+        "g": ["a", "b", "c", "d", "e", "f"] * 2,
+    }},
+    "chart": {"type": "scatter", "x": "x", "y": "y", "group": "g"},
+}
+
+
 BIG_SCATTER_GROUPS = ("north", "south", "east")
 
 

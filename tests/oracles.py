@@ -491,20 +491,33 @@ def pdf_filled_circles(content: bytes) -> list[tuple[float, float, float]]:
 
 
 def pdf_stroked_polylines(content: bytes) -> list[tuple[list[tuple[float, float]], float]]:
-    """(points, width) of every stroked path in a content stream, pt."""
+    """(points, width) of every stroked path in a content stream, pt, with
+    each point moved by the translation in effect: `1 0 0 1 tx ty cm`
+    translates, `q` saves the translation and line width, `Q` restores
+    them. Any other `cm` matrix is an error."""
     lines = content.decode("ascii").split("\n")
     out = []
     width = 1.0
+    tx = ty = 0.0
+    saved: list[tuple[float, float, float]] = []
     pts: list[tuple[float, float]] = []
     for line in lines:
-        if line.endswith(" w"):
+        if line == "q":
+            saved.append((tx, ty, width))
+        elif line == "Q":
+            tx, ty, width = saved.pop()
+        elif line.endswith(" cm"):
+            a, b, c, d, e, f = (float(t) for t in line.split()[:-1])
+            assert (a, b, c, d) == (1, 0, 0, 1), f"not a translation: {line}"
+            tx, ty = tx + e, ty + f
+        elif line.endswith(" w"):
             width = float(line.split()[0])
         elif line.endswith(" m"):
             nums = [float(t) for t in line.split()[:-1]]
-            pts = [(nums[0], nums[1])]
+            pts = [(tx + nums[0], ty + nums[1])]
         elif line.endswith(" l"):
             nums = [float(t) for t in line.split()[:-1]]
-            pts.append((nums[0], nums[1]))
+            pts.append((tx + nums[0], ty + nums[1]))
         elif line in ("S", "s"):
             if line == "s" and pts:
                 pts.append(pts[0])

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import SIX_SHAPES_SPEC
 from oracles import read_wav_oracle, validate_pdf
 from polyrep import cli
 from polyrep.chartspec import load_dataset, parse_spec
@@ -160,8 +161,8 @@ def test_tactile_paper_a4(workdir):
 TACTILE_SHA256 = {
     "penguins_bar": "0640a450ac064224e65a5301ebc21ad15c74690d5d2106ae28e6fd65afb9baad",
     "penguins_hist": "ea8ed9be792f3c93b047cd5d8de69f4372f996523a0c194d9f586a5cfb41fe33",
-    "penguins_box": "eb77bd517195dadf0a5ba8d5a7d0dde27585e5a425a616e4931dd63bd7318403",
-    "lin": "157ad24083567191b89c45b6d22368727c6a64dc67f6205159549151f082fa52",
+    "penguins_box": "970fe156764f671df552c9571125fa1c9b95abb571b8ce078bd265592e4760ea",
+    "lin": "6b4383e98c4c529bbbf575bb04634024e5057e4561ac73d432cea2b38b831bfd",
 }
 
 
@@ -186,12 +187,12 @@ TACTILE_PAPER_SHA256 = {
     ("penguins_bar", "braille11x11"):
         "320feb76b39c66ff6708eb93b664c966b839e71cbb00ed2cbb4bf98ff2e5a516",
     ("penguins_box", "a4"):
-        "c839c37ab9ca3f322ce07760b8021e5c5d017a445c9d89023b31478a582624e2",
+        "3c72065b753d33743a3dde88600cefaaa2ee808c9680533bc850b1850a4fb511",
     ("penguins_box", "braille11x11"):
-        "7c65beca0abcaba919a42e5dbf878d90be7ee957a6185b5ae49f1dcf7db79a89",
+        "0cc0bb9989fea75f7dbb504e02a6757b9b796a96055702747426622218fdb8e7",
     # the only paper the scatter's title fits, and the densest fixture page
     ("penguins_scatter", "braille11x11"):
-        "5ebc941d8f5a6b60b6c1389c25805ccdb9df51dfb465944b39364b0ba16789a7",
+        "81c60229f94a70c9826182f4944f1a5047da594255eb3dc448f7051f640d4bcd",
 }
 LONG_CATEGORY = "abcdefghijklmnopqrst"
 _DIRECTIONS = {"northwards": 4, "southwards": 3, "eastwardly": 1, "westwardly": 8,
@@ -318,19 +319,9 @@ def test_fixture_artifacts_golden_hash(workdir, name, capsys):
         assert rc == 0 and _sha256("s.wav") == wav
 
 
-# A scatter with six groups draws every marker shape (circle, triangle,
-# square, diamond, plus, cross) in the SVG and as tactile outlines.
-SIX_SHAPES_SPEC = {
-    "data": {"inline": {
-        "x": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
-        "y": [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8],
-        "g": ["a", "b", "c", "d", "e", "f"] * 2,
-    }},
-    "chart": {"type": "scatter", "x": "x", "y": "y", "group": "g"},
-}
 SIX_SHAPES_SHA256 = (  # (render SVG, tactile PDF)
     "47a3bad01ec36d705c32c08da76f5fd2a648f7149a9e6947e7700d0c5ab74300",
-    "d5251ad6f528938149e963d8273ac369ba4a216e451b323f244eefe246751552",
+    "fedeca88d3023ed9af9e1d99bbba004c5953230458302bcd1cd4a4a70bd54de9",
 )
 
 
@@ -352,15 +343,15 @@ FLAT_RANGE_SHA256 = {
     "box_outlier": (
         {"v": [1, 2, 3, 4, 50]}, {"type": "boxplot", "x": "v"},
         ("891df29f937e6a497cc1f532a2e66986d60b44da78bcc51d6a5c82124293ae69",
-         "79da8e251f3b49ea121f1c4ebf2c4c60457a0d194f8c076f0c02fb7f417f7e5f")),
+         "f2ad2705fdad1e441f7d4cef000cbe27291df71ab0a4407cb30bc5f384ab830b")),
     "scatter_constant_x": (
         {"x": [2, 2, 2], "y": [1, 2, 3]}, {"type": "scatter", "x": "x", "y": "y"},
         ("0597b1b43b3d76b7f9bbac334dcca998cc0b986645272e420d05622376389cf7",
-         "48d70ef5885d3f8e550586ca3f7a742fb7ec4c9f9e161d17e548bb36f5afb923")),
+         "b18f8adeee0837ae265862a9d3caf83b88edc21dccf6fdcaefe57692a56a889d")),
     "scatter_constant_y": (
         {"x": [1, 2, 3], "y": [4, 4, 4]}, {"type": "scatter", "x": "x", "y": "y"},
         ("574367bbfaab0b6b2b67bb6ab53ebb1a06d2297bfbd9cb33e4b8f124831fd2fa",
-         "0173b025b6b6f49db32e491a32f475e9daad9cce652e8e237e69a07c23a851e9")),
+         "8362a6e060f7114524541ab80fa17fee0f2e66838191fa58982c196f3caa4810")),
     "line_one_point": (
         {"x": [2, 2], "y": [3, 3]}, {"type": "line", "x": "x", "y": "y"},
         ("a20bf79e53338a8ff9d2d51571057a17e53535b623c102050722bffe366435fa",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -10,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BIG_SCATTER_GROUPS, big_scatter_points, load_fixture_spec
+from conftest import (
+    BIG_SCATTER_GROUPS,
+    SIX_SHAPES_SPEC,
+    big_scatter_points,
+    load_fixture_spec,
+)
 from oracles import (
     extract_braille_runs,
     pdf_filled_circles,
@@ -18,10 +24,10 @@ from oracles import (
     validate_pdf,
 )
 from polyrep.braille import BrailleCell
-from polyrep.chartspec import inline_dataset, parse_spec
+from polyrep.chartspec import inline_dataset, load_dataset, parse_spec
 from polyrep.errors import TactileError
 from polyrep.pdfwrite import MM_TO_PT
-from polyrep.scene import layout
+from polyrep.scene import ShapeKind, layout
 from polyrep.tactile import (
     CELL_PITCH,
     DOT_DIAMETER,
@@ -30,9 +36,13 @@ from polyrep.tactile import (
     MARGIN,
     BrailleRun,
     Dot,
+    Glyph,
     Stroke,
     TactileLayout,
+    TactilePage,
     _bbox_overlap,
+    _check_bounds,
+    _glyph_boxes,
     _PageBuilder,
     _stroke_pieces,
     dot_touches_stroke,
@@ -54,6 +64,14 @@ def box_page(penguins):
 @pytest.fixture(scope="module")
 def box_pdf(box_page):
     return emit_pdf(box_page)
+
+
+@pytest.fixture(scope="module")
+def six_shapes_page():
+    """The six-group scatter: one glyph of every marker shape per group."""
+    spec = parse_spec(json.dumps(SIX_SHAPES_SPEC).encode())
+    scene = layout(spec, load_dataset(spec))
+    return tactualize(scene, alt=auto_alt(scene.summary))
 
 
 def pdf_dots_mm(raw: bytes, layout: TactileLayout):
@@ -112,8 +130,9 @@ def test_braille_labels_decode(box_page):
 
 
 def test_no_dot_stroke_overlaps(box_page):
+    assert box_page.glyphs  # the outliers
     for dot in box_page.dots:
-        for stroke in box_page.strokes:
+        for stroke in box_page.ink():
             assert not dot_touches_stroke(dot, stroke, clearance=0.0)
 
 
@@ -132,7 +151,7 @@ def test_all_ink_within_margins(box_page):
     for dot in box_page.dots:
         assert MARGIN <= dot.x - r and dot.x + r <= lay.page_w - MARGIN
         assert MARGIN <= dot.y - r and dot.y + r <= lay.page_h - MARGIN
-    for stroke in box_page.strokes:
+    for stroke in box_page.ink():
         for x, y in stroke.points:
             assert MARGIN - 0.51 <= x <= lay.page_w - MARGIN + 0.51
             assert MARGIN - 0.51 <= y <= lay.page_h - MARGIN + 0.51
@@ -158,16 +177,17 @@ def test_ticks_limited_to_five_per_axis(penguins):
 def _rect_outlines(page):
     """Each closed, axis-aligned 4-point stroke (a rect mark's outline) as
     (x0, y0, x1, y1), with the strokes drawn after it up to the next closed
-    stroke."""
+    stroke; glyph outlines count as drawn after every other stroke."""
+    ink = list(page.ink())
     out = []
-    for i, stroke in enumerate(page.strokes):
+    for i, stroke in enumerate(ink):
         if not stroke.close or len(stroke.points) != 4:
             continue
         (x0, y0), (x1, y1b), (x1b, y1), (x0b, y0b) = stroke.points
         if not (y1b == y0 and x1b == x1 and x0b == x0 and y0b == y1):
             continue  # a diamond or rotated glyph, not a rect
         after = []
-        for s in page.strokes[i + 1:]:
+        for s in ink[i + 1:]:
             if s.close:
                 break
             after.append(s)
@@ -216,6 +236,26 @@ def test_label_too_long_suggests_abbreviation():
     scene = layout(spec, data)
     with pytest.raises(TactileError, match="abbreviate"):
         tactualize(scene, alt=auto_alt(scene.summary))
+
+
+def test_glyph_bounds_checked_through_its_extent():
+    """A glyph flush with the margin passes; one past it fails naming the
+    first outline point out, as the point-by-point check of a stroke does."""
+    lay, alt = TactileLayout(), AltText(("Glyph.",))
+    flush = Glyph(MARGIN + 2.5 + 0.5, 100.0, ShapeKind.CIRCLE, 2.5)
+    _check_bounds(TactilePage(lay, (), (flush,), (), alt))
+    for glyph in (Glyph(MARGIN + 2.0, 100.0, ShapeKind.CIRCLE, 2.5),
+                  Glyph(120.0, lay.page_h - MARGIN - 1.0, ShapeKind.PLUS, 3.0)):
+        px, py = next(
+            (x, y) for s in glyph.strokes() for x, y in s.points
+            if not (MARGIN <= x - 0.5 and x + 0.5 <= lay.page_w - MARGIN
+                    and MARGIN <= y - 0.5 and y + 0.5 <= lay.page_h - MARGIN)
+        )
+        with pytest.raises(TactileError) as info:
+            _check_bounds(TactilePage(lay, (), (glyph,), (), alt))
+        assert str(info.value) == (
+            f"stroke point at ({px:.1f}, {py:.1f}) mm leaves the printable area"
+        )
 
 
 # -- pdf ----------------------------------------------------------------------
@@ -269,16 +309,58 @@ def test_pdf_braille_metrics_roundtrip(box_pdf, box_page):
     assert "Adelie" in texts and "Gentoo" in texts
 
 
-def test_pdf_geometry_matches_page(box_pdf, box_page):
-    info = validate_pdf(box_pdf)
-    circles = pdf_filled_circles(info["content"])
-    assert len(circles) == len(box_page.dots)
-    polylines = pdf_stroked_polylines(info["content"])
-    assert len(polylines) == len(box_page.strokes)
-    # dot count sanity: every braille dot appears with the right radius
+def test_pdf_stroked_polylines_applies_translation():
+    """The oracle moves points by `1 0 0 1 tx ty cm` inside `q` ... `Q` and
+    restores the translation and the line width at `Q`."""
+    content = b"\n".join([
+        b"1 J", b"1 j",
+        b"2 w", b"0 G", b"1 2 m", b"3 4 l", b"S",
+        b"q", b"1 0 0 1 10 20 cm", b"0.5 w", b"0 G", b"0 0 m", b"1 0 l", b"0 1 l", b"s",
+        b"q", b"1 0 0 1 100 0 cm", b"5 5 m", b"6 6 l", b"S", b"Q",
+        b"Q",
+        b"7 8 m", b"9 9 l", b"S",
+    ]) + b"\n"
+    assert pdf_stroked_polylines(content) == [
+        ([(1, 2), (3, 4)], 2),
+        ([(10, 20), (11, 20), (10, 21), (10, 20)], 0.5),
+        ([(115, 25), (116, 26)], 0.5),
+        ([(7, 8), (9, 9)], 2),
+    ]
+    with pytest.raises(AssertionError, match="not a translation"):
+        pdf_stroked_polylines(b"q\n2 0 0 2 0 0 cm\n0 0 m\n1 1 l\nS\nQ\n")
+
+
+def test_pdf_geometry_matches_page(box_page, six_shapes_page):
+    """On the box plot (outlier glyphs) and the six-shape scatter, the PDF
+    strokes `strokes`, then every glyph outline at its place, within
+    0.002 pt, and fills exactly the page's braille dots."""
+    for page in (box_page, six_shapes_page):
+        _assert_pdf_geometry_matches(page)
+
+
+def _assert_pdf_geometry_matches(page):
+    assert page.glyphs
+    content = validate_pdf(emit_pdf(page))["content"]
+    h_pt = page.layout.page_h * MM_TO_PT
+    expected = []
+    for stroke in page.ink():
+        pts = stroke.points + stroke.points[:1] if stroke.close else stroke.points
+        expected.append(([(x * MM_TO_PT, h_pt - y * MM_TO_PT) for x, y in pts],
+                         stroke.width * MM_TO_PT))
+    polylines = pdf_stroked_polylines(content)
+    assert len(polylines) == len(expected)
+    for (got, width), (want, want_width) in zip(polylines, expected):
+        assert width == pytest.approx(want_width, abs=0.002)
+        assert len(got) == len(want)
+        for (gx, gy), (wx, wy) in zip(got, want):
+            assert abs(gx - wx) <= 0.002 and abs(gy - wy) <= 0.002, (got, want)
     r_pt = DOT_DIAMETER / 2 * MM_TO_PT
-    matching = [c for c in circles if abs(c[2] - r_pt) < 0.01]
-    assert len(matching) == len(box_page.dots)
+    circles = pdf_filled_circles(content)
+    assert len(circles) == len(page.dots)
+    for (cx, cy, r), dot in zip(circles, page.dots):
+        assert abs(cx - dot.x * MM_TO_PT) <= 0.002
+        assert abs(cy - (h_pt - dot.y * MM_TO_PT)) <= 0.002
+        assert abs(r - r_pt) <= 0.002
 
 
 def test_pdf_deterministic(box_page):
@@ -351,8 +433,9 @@ def test_random_scenes_keep_ink_inside_and_clear_of_braille():
         for dot in page.dots:
             assert MARGIN <= dot.x - r and dot.x + r <= lay.page_w - MARGIN
             assert MARGIN <= dot.y - r and dot.y + r <= lay.page_h - MARGIN
+        ink = list(page.ink())
         for dot in page.dots:
-            for stroke in page.strokes:
+            for stroke in ink:
                 assert not dot_touches_stroke(dot, stroke, clearance=0.0), (
                     trial, kind, dot,
                 )
@@ -370,10 +453,11 @@ def test_markless_scene_page_has_axes_only(penguins):
     spec = load_fixture_spec("penguins_box.json")
     scene = replace(layout(spec, penguins), marks=())
     page = tactualize(scene)
-    # axes plus ticks, no data strokes, labels still present
-    vertical_axis = [s for s in page.strokes if len(s.points) == 2 and s.width == 1.0]
+    # axes plus ticks, no data strokes or glyphs, labels still present
+    assert not page.glyphs
+    vertical_axis = [s for s in page.ink() if len(s.points) == 2 and s.width == 1.0]
     assert len(vertical_axis) >= 2
-    assert all(not s.close for s in page.strokes)
+    assert all(not s.close for s in page.ink())
     assert page.dots
 
 
@@ -412,13 +496,14 @@ def big_line_scene():
 
 def _brute_force_run_conflicts(self, run):
     """The label check without an index: every dot of the run against
-    every segment of every stroke on the page."""
+    every segment of every stroke and glyph outline on the page."""
     box = run.bbox()
     for other in self.runs:
         if _bbox_overlap(box, other.bbox(), DOT_PITCH):
             return True
+    ink = [*self.strokes, *(s for g in self.glyphs for s in g.strokes())]
     for dot in run.dots():
-        for stroke in self.strokes:
+        for stroke in ink:
             if dot_touches_stroke(dot, stroke, clearance=0.5):
                 return True
     return False
@@ -464,9 +549,9 @@ BIG_SCENE_SHA256 = {
     ("big_line_scene", "letter"):
         "0a2c5f272bcf696ddd8e012a18db8d309090f538d576675a4c75019a558c39b0",
     ("big_scatter_scene", "braille11x11"):
-        "cc3aff40a44a6ff3b75578cb98da7455e927b0712220b79768fb229f24081f12",
+        "23de0dbbf4d30bf16ae3ac1239cabbaaf6f80d7a184843f814452ca2c847957f",
     ("big_scatter_scene", "letter"):
-        "3ee2e727310324ab0cf7eaa73f665d64dad465ecf287cea25083389385d42b53",
+        "769302c298a6cf90df9c512ab5ba8fd7dc2092045c9a8ac00a6faa96a606a8bf",
 }
 
 
@@ -478,8 +563,9 @@ def test_big_scene_pdf_golden_hash(request, scene_name, paper):
 
 
 def test_label_check_work_stays_local(big_scatter_scene, monkeypatch):
-    """Each braille dot is tested against a few nearby stroke pieces, not
-    against every stroke on the page (which costs ~950 checks per dot here)."""
+    """Each braille dot is tested against a few nearby stroke pieces and
+    glyph outlines, not against every stroke on the page (which costs ~950
+    checks per dot here)."""
     import polyrep.tactile as tactile
 
     calls = 0
@@ -504,9 +590,9 @@ _PAGE_MM = 300.0
 def _strokes_and_dots(draw):
     """Random strokes (open and closed, 1-80 points, so that long ones
     split into several pieces, 1-4 mm wide, with repeated points and
-    vertices on multiples of the widest collision reach) and dots across
-    the page, near stroke segments, or grazing them at the collision
-    reach."""
+    vertices on multiples of the widest collision reach), up to four glyphs
+    of any shape, and dots across the page, near stroke or glyph outline
+    segments, or grazing them at the collision reach."""
     widths = draw(st.lists(st.floats(1.0, 4.0), min_size=1, max_size=6))
     widest_reach = DOT_DIAMETER / 2 + max(widths) / 2 + LABEL_CLEARANCE
     coord = st.one_of(
@@ -532,6 +618,12 @@ def _strokes_and_dots(draw):
             else:
                 points.append((x, draw(coord)))
         strokes.append(Stroke(tuple(points), width, close=draw(st.booleans())))
+    glyphs = [
+        Glyph(draw(coord), draw(coord), draw(st.sampled_from(tuple(ShapeKind))),
+              draw(st.sampled_from((2.5, 3.75)) | st.floats(2.5, 8.0)))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    outlines = strokes + [s for g in glyphs for s in g.strokes()]
     dot_r = DOT_DIAMETER / 2
     dots = []
     for _ in range(draw(st.integers(1, 30))):
@@ -539,8 +631,9 @@ def _strokes_and_dots(draw):
         if where == "anywhere":
             dots.append(Dot(draw(coord), draw(coord)))
             continue
-        # a point along one segment of a stroke, closing segments included
-        stroke = draw(st.sampled_from(strokes))
+        # a point along one segment of a stroke or glyph outline, closing
+        # segments included
+        stroke = draw(st.sampled_from(outlines))
         pts = stroke.points + stroke.points[:1] if stroke.close else stroke.points
         k = draw(st.integers(0, max(0, len(pts) - 2)))
         (x1, y1), (x2, y2) = pts[k], pts[min(k + 1, len(pts) - 1)]
@@ -556,7 +649,7 @@ def _strokes_and_dots(draw):
             x += reach * math.cos(angle)
             y += reach * math.sin(angle)
         dots.append(Dot(x, y))
-    return strokes, dots
+    return strokes, glyphs, dots
 
 
 _DOT_1, _DOT_6 = BrailleCell(frozenset({1})), BrailleCell(frozenset({6}))
@@ -566,15 +659,23 @@ _DOT_1, _DOT_6 = BrailleCell(frozenset({1})), BrailleCell(frozenset({6}))
 @given(_strokes_and_dots())
 def test_piece_index_matches_brute_force(case):
     """A one-dot braille run conflicts exactly when its dot touches a whole
-    stroke. As dot 1 of its cell the dot's ink is flush with the run's box
-    on the left and top, as dot 6 on the right and bottom."""
-    strokes, dots = case
-    builder = SimpleNamespace(runs=[], pieces=_stroke_pieces(strokes))
+    stroke or glyph outline. As dot 1 of its cell the dot's ink is flush
+    with the run's box on the left and top, as dot 6 on the right and
+    bottom. A glyph's box is exactly the join of its outline's piece boxes."""
+    strokes, glyphs, dots = case
+    glyph_hull, glyph_boxes = _glyph_boxes(glyphs)
+    for grown, glyph in glyph_boxes:
+        boxes = [box for box, _ in _stroke_pieces(list(glyph.strokes()))]
+        assert grown == (min(b[0] for b in boxes), min(b[1] for b in boxes),
+                         max(b[2] for b in boxes), max(b[3] for b in boxes)), glyph
+    builder = SimpleNamespace(runs=[], pieces=_stroke_pieces(strokes),
+                              glyph_hull=glyph_hull, glyph_boxes=glyph_boxes)
+    ink = strokes + [s for g in glyphs for s in g.strokes()]
     for dot in dots:
         for run in (BrailleRun((_DOT_1,), dot.x, dot.y),
                     BrailleRun((_DOT_6,), dot.x - DOT_PITCH, dot.y - 2 * DOT_PITCH)):
             (run_dot,) = run.dots()
             expected = any(
-                dot_touches_stroke(run_dot, s, clearance=0.5) for s in strokes
+                dot_touches_stroke(run_dot, s, clearance=0.5) for s in ink
             )
             assert _PageBuilder._run_conflicts(builder, run) == expected, run_dot
