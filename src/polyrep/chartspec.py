@@ -3,7 +3,9 @@
 `bind` is the one step from a spec and its data to what the chart draws
 (`ChartValues`): the complete rows of a scatter or line chart, or the bars,
 bins or boxes. Layout draws those values and sonification plays them, so
-the chart and its audio agree by construction.
+the chart and its audio agree by construction. The audio plays `points`:
+rows in data order, bars as (index, count), bins as (centre, count). Their
+one least-squares `fit()` gives the alt text's trend and regression audio.
 
 Spec document schema::
 
@@ -22,6 +24,7 @@ Spec document schema::
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -31,7 +34,7 @@ from pathlib import Path
 from .color import Palette, Rgb, okabe_ito
 from .dataset import Column, Dataset, parse_csv
 from .errors import DataError, SpecError
-from .stats import BoxStats, bar_counts, box_stats, histogram
+from .stats import BoxStats, LinearFit, bar_counts, box_stats, histogram, linear_fit
 
 CHART_TYPES = ("scatter", "bar", "histogram", "boxplot", "line")
 POINT_CHARTS = ("scatter",)
@@ -236,6 +239,22 @@ class ChartValues:
     bars: tuple[tuple[str, int], ...] = ()
     bins: tuple[tuple[float, float, int], ...] = ()
     boxes: tuple[BoxStats, ...] = ()
+
+    @functools.cached_property
+    def points(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(xs, ys) as played and ranged over; a box plot has none."""
+        if self.rows:
+            xs, ys, _ = zip(*self.rows)
+        elif self.bars:
+            xs, ys = range(len(self.bars)), [c for _, c in self.bars]
+        else:
+            xs = [(lo + hi) / 2 for lo, hi, _ in self.bins]
+            ys = [c for _, _, c in self.bins]
+        return tuple(map(float, xs)), tuple(map(float, ys))
+
+    def fit(self) -> LinearFit:
+        """The least-squares line through `points`; DataError when degenerate."""
+        return linear_fit(*self.points)
 
 
 def bind(spec: ChartSpec, data: Dataset) -> ChartValues:

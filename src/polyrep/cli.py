@@ -26,7 +26,6 @@ from .dataset import Dataset
 from .errors import DataError, PolyrepError, SpecError
 from .scene import Scene, layout
 from .sonify import SonifyConfig, sonify_points, sonify_sweep, write_wav
-from .stats import linear_fit
 from .svgout import cvd_grid, emit_svg, grid_alt
 from .tactile import (
     PAPER_SIZES_MM,
@@ -89,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--categorical",
         action="store_true",
-        help="allow bar/histogram input (bar index or bin centre maps to pan, count to pitch)",
+        help="ignored: bar charts and histograms play without it",
     )
 
     p = add("tactile", "write an emboss-ready tactile PDF")
@@ -168,21 +167,10 @@ def _cmd_alt(args) -> int:
 
 def _cmd_sonify(args) -> int:
     spec, data = _load(args.spec)
-    counted = spec.chart_type in ("bar", "histogram")
-    if spec.chart_type not in ("scatter", "line") and not (counted and args.categorical):
-        raise DataError(
-            f"cannot sonify a {spec.chart_type} chart"
-            + ("; pass --categorical for bar/histogram" if counted else "")
-        )
+    if spec.chart_type == "boxplot":
+        raise DataError("cannot sonify a boxplot chart")
     values = bind(spec, data)
-    if values.rows:
-        xs, ys = [x for x, _, _ in values.rows], [y for _, y, _ in values.rows]
-    elif values.bars:
-        xs = [float(i) for i in range(len(values.bars))]
-        ys = [float(c) for _, c in values.bars]
-    else:
-        xs = [(lo + hi) / 2 for lo, hi, _ in values.bins]
-        ys = [float(c) for _, _, c in values.bins]
+    xs, ys = values.points
     cfg = SonifyConfig(
         duration_s=args.duration,
         sample_rate=args.rate,
@@ -192,8 +180,7 @@ def _cmd_sonify(args) -> int:
     )
     mode = args.mode or ("sweep" if spec.chart_type == "line" else "discrete")
     if mode == "regression":
-        fit = linear_fit(xs, ys)
-        ys = [fit.predict(x) for x in xs]
+        ys = list(map(values.fit().predict, xs))
     play = sonify_points if mode == "discrete" else sonify_sweep
     _write(_output(args, ".wav"), write_wav(play(xs, ys, cfg)))
     return 0
@@ -201,11 +188,11 @@ def _cmd_sonify(args) -> int:
 
 def _cmd_tactile(args) -> int:
     _, scene, alt = _chart(args)
-    page = tactualize(scene, TactileLayout.for_paper(args.paper), alt)
+    page = tactualize(scene, TactileLayout.for_paper(args.paper))
     out = _output(args, ".pdf")
     _write(out, emit_pdf(page))
     if args.preview:
-        _write(out.with_suffix(".preview.svg"), emit_preview_svg(page))
+        _write(out.with_suffix(".preview.svg"), emit_preview_svg(page, alt))
     return 0
 
 

@@ -28,7 +28,7 @@ from .chartspec import ChartSpec, ChartValues, bind
 from .color import Rgb
 from .dataset import Dataset
 from .errors import DataError, SpecError
-from .stats import linear_fit, nice_ticks
+from .stats import nice_ticks
 from .verbalize import ChartSummary
 
 WIDTH = 640.0
@@ -452,9 +452,7 @@ def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
                      else ShapeKind.CIRCLE)
             styles.append(LegendEntry(level or "", color, shape=shape))
 
-    pairs = [p for level in order for p in by_level[level]]
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
+    xs, ys = values.points
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     sy, y_axis = _value_axis(spec.y or "", y_lo, y_hi, plot.y1, plot.y)
@@ -478,8 +476,8 @@ def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
     ] if facet else []
 
     try:
-        fit = linear_fit(xs, ys)
-        slope_sign = 0 if fit.slope == 0 else (1 if fit.slope > 0 else -1)
+        slope = values.fit().slope
+        slope_sign = 0 if slope == 0 else (1 if slope > 0 else -1)
     except DataError:
         slope_sign = None
 
@@ -488,7 +486,7 @@ def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
         tuple(styles) if grouped and not facet else (),
         facet_labels,
         panel_ticks,
-        n_points=len(pairs),
+        n_points=len(xs),
         x_range=(x_lo, x_hi),
         y_range=(y_lo, y_hi),
         slope_sign=slope_sign,

@@ -145,7 +145,6 @@ class TactilePage:
     strokes: tuple[Stroke, ...]  # every stroke but the marker glyphs
     glyphs: tuple[Glyph, ...]
     dots: tuple[Dot, ...]
-    source_alt: AltText
 
     def ink(self) -> Iterator[Stroke]:
         """Every stroke on the page: `strokes`, then each glyph's outline."""
@@ -301,10 +300,9 @@ def _limit_ticks(
 
 
 class _PageBuilder:
-    def __init__(self, scene: Scene, layout: TactileLayout, alt: AltText):
+    def __init__(self, scene: Scene, layout: TactileLayout):
         self.scene = scene
         self.layout = layout
-        self.alt = alt
         self.printable = Rect(MARGIN, MARGIN, layout.page_w - 2 * MARGIN,
                               layout.page_h - 2 * MARGIN)
         self.strokes: list[Stroke] = []
@@ -489,17 +487,14 @@ class _PageBuilder:
                         x_label_y + 2 * LINE_PITCH, "down", "center")
 
         page = TactilePage(self.layout, tuple(self.strokes), tuple(self.glyphs),
-                           tuple(self.dots), self.alt)
+                           tuple(self.dots))
         _check_bounds(page)
         return page
 
 
-def tactualize(scene: Scene, layout: TactileLayout | None = None,
-               alt: AltText | None = None) -> TactilePage:
+def tactualize(scene: Scene, layout: TactileLayout | None = None) -> TactilePage:
     """Rescale a scene into emboss-ready millimeter geometry."""
-    if alt is None:
-        alt = AltText(("Tactile chart.",))
-    return _PageBuilder(scene, layout or TactileLayout(), alt).build()
+    return _PageBuilder(scene, layout or TactileLayout()).build()
 
 
 def _check_bounds(page: TactilePage) -> None:
@@ -571,7 +566,7 @@ def emit_pdf(page: TactilePage) -> bytes:
     return build_pdf(cs.to_bytes(), lay.page_w * MM_TO_PT, h_pt)
 
 
-def emit_preview_svg(page: TactilePage) -> bytes:
+def emit_preview_svg(page: TactilePage, alt: AltText) -> bytes:
     """Sighted-verification twin of the PDF (mm coordinate space)."""
     lay = page.layout
     lines = [
@@ -581,7 +576,7 @@ def emit_preview_svg(page: TactilePage) -> bytes:
         f'viewBox="0 0 {fmt_pt(lay.page_w)} {fmt_pt(lay.page_h)}" role="img" '
         f'aria-labelledby="title desc">',
         "<title id=\"title\">Tactile page preview</title>",
-        f"<desc id=\"desc\">{xml_escape(page.source_alt.flattened)}</desc>",
+        f"<desc id=\"desc\">{xml_escape(alt.flattened)}</desc>",
         f'<rect x="0" y="0" width="{fmt_pt(lay.page_w)}" '
         f'height="{fmt_pt(lay.page_h)}" fill="#FFFFFF"/>',
     ]

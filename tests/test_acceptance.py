@@ -265,7 +265,7 @@ def test_criterion_7_statistics_oracles(penguins):
 def test_criterion_8_tactile_validity(penguins):
     spec = load_fixture_spec("penguins_box.json")
     scene = layout(spec, penguins)
-    page = tactualize(scene, alt=auto_alt(scene.summary))
+    page = tactualize(scene)
     raw = emit_pdf(page)
 
     info = validate_pdf(raw)  # structure: header, xref offsets, trailer

@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from polyrep.chartspec import bind, inline_dataset, load_dataset, parse_spec
-from polyrep.errors import SpecError
+from polyrep.chartspec import ChartValues, bind, inline_dataset, load_dataset, parse_spec
+from polyrep.dataset import Column, Dataset
+from polyrep.errors import DataError, SpecError
 
 
 def test_minimal_bar_spec_defaults():
@@ -106,6 +107,39 @@ def test_bind_boxplot_shapes(penguins):
     bind(single, penguins)
     with pytest.raises(SpecError):
         bind(parse_spec(b'{"chart":{"type":"boxplot","x":"species"}}'), penguins)
+
+
+def test_bar_with_no_category_has_nothing_to_draw():
+    # only reachable from Python: the CLI never types an all-missing column
+    # as categorical
+    spec = parse_spec(b'{"chart":{"type":"bar","x":"s"}}')
+    data = Dataset({"s": Column("categorical", (None, None))}, 2)
+    with pytest.raises(DataError, match="^nothing to draw: no non-missing values$"):
+        bind(spec, data)
+
+
+@pytest.mark.parametrize(
+    "values,points",
+    [
+        (ChartValues(0, rows=((2.0, 5.0, "b"), (1.0, 3.0, "a"), (4.0, 1.0, "b"))),
+         ((2.0, 1.0, 4.0), (5.0, 3.0, 1.0))),
+        (ChartValues(0, bars=(("x", 3), ("y", 1))), ((0.0, 1.0), (3.0, 1.0))),
+        (ChartValues(0, bins=((0.0, 2.0, 4), (2.0, 4.0, 1))), ((1.0, 3.0), (4.0, 1.0))),
+    ],
+    ids=["rows-in-data-order", "bars", "bins"],
+)
+def test_points_are_what_the_chart_plays(values, points):
+    assert values.points == points
+    assert values.points is values.points  # built once
+
+
+def test_fit_reads_the_points():
+    fit = ChartValues(0, bars=(("a", 1), ("b", 3), ("c", 5))).fit()
+    assert (fit.slope, fit.intercept, fit.n) == (2.0, 1.0, 3)
+    with pytest.raises(DataError, match="need at least 2 complete pairs"):
+        ChartValues(0, bars=(("only", 3),)).fit()
+    with pytest.raises(DataError, match="degenerate"):
+        ChartValues(0, rows=((1.0, 2.0, None), (1.0, 3.0, None))).fit()
 
 
 def test_inline_dataset_typing():

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import wave
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -129,16 +130,16 @@ def test_sonify_flags(workdir):
         assert w.getframerate() == 22050
 
 
-def test_sonify_bar_needs_categorical(workdir, capsys):
-    assert main(["sonify", "penguins_bar.json", "-o", "b.wav"]) == 1
-    err = capsys.readouterr().err
-    assert "error[data]" in err and "--categorical" in err
-    assert main(["sonify", "penguins_bar.json", "-o", "b.wav", "--categorical"]) == 0
+@pytest.mark.parametrize("name", ["penguins_bar", "penguins_hist"])
+def test_sonify_plays_bars_and_bins_without_categorical(workdir, name):
+    # the flag is still accepted, and changes nothing
+    assert main(["sonify", f"{name}.json", "-o", "plain.wav"]) == 0
+    assert main(["sonify", f"{name}.json", "--categorical", "-o", "flag.wav"]) == 0
+    assert Path("plain.wav").read_bytes() == Path("flag.wav").read_bytes()
 
 
 def test_sonify_box_gets_no_categorical_hint(workdir, capsys):
-    # --categorical admits bar charts and histograms only, so a box plot
-    # is refused without a hint to pass it
+    # a box plot is the one chart sonify refuses, and no flag admits it
     assert main(["sonify", "penguins_box.json", "-o", "box.wav"]) == 1
     assert capsys.readouterr().err == "polyrep: error[data]: cannot sonify a boxplot chart\n"
 
@@ -146,7 +147,10 @@ def test_sonify_box_gets_no_categorical_hint(workdir, capsys):
 def test_tactile_with_preview(workdir, capsys):
     assert main(["tactile", "penguins_box.json", "-o", "box.pdf", "--preview"]) == 0
     validate_pdf(Path("box.pdf").read_bytes())
-    assert Path("box.preview.svg").exists()
+    capsys.readouterr()
+    assert main(["alt", "penguins_box.json"]) == 0
+    desc = ET.parse("box.preview.svg").find("{http://www.w3.org/2000/svg}desc")
+    assert desc.text + "\n" == capsys.readouterr().out  # the chart's alt text
 
 
 def test_tactile_paper_a4(workdir):
@@ -561,8 +565,13 @@ def _scatter_spec(inline: dict, **chart) -> dict:
          "x column 'nope' is not in the dataset"),
         (_scatter_spec({"x": [1, 2], "y": [3, 4], "g": [5, 6]}, group="g"),
          "group column must be categorical"),
+        ({"data": {"inline": {"s": ["a", "b"]}}, "chart": {"type": "bar", "x": "nope"}},
+         "x column 'nope' is not in the dataset"),
+        ({"data": {"inline": {"v": [1, 2]}}, "chart": {"type": "histogram", "x": "nope"}},
+         "x column 'nope' is not in the dataset"),
     ],
-    ids=["missing-column", "numeric-group"],
+    ids=["missing-column", "numeric-group", "bar-missing-column",
+         "histogram-missing-column"],
 )
 @pytest.mark.parametrize("command", CHART_COMMANDS)
 def test_chart_commands_reject_unbound_spec_alike(workdir, capsys, command, spec,
@@ -587,22 +596,21 @@ GAPPED_SCATTER = _scatter_spec(
 
 
 @pytest.mark.parametrize(
-    "spec,flags,drawn,n_drawn",
+    "spec,drawn,n_drawn",
     [
-        (GAPPED_SCATTER, (), lambda summary: summary.n_points, 4),
-        ("penguins_bar.json", ("--categorical",), lambda summary: len(summary.bars), 3),
-        ("penguins_hist.json", ("--categorical",), lambda summary: len(summary.bins),
-         10),
+        (GAPPED_SCATTER, lambda summary: summary.n_points, 4),
+        ("penguins_bar.json", lambda summary: len(summary.bars), 3),
+        ("penguins_hist.json", lambda summary: len(summary.bins), 10),
     ],
     ids=["grouped_scatter", "bar", "histogram"],
 )
-def test_sonify_plays_the_points_the_chart_draws(workdir, spec, flags, drawn, n_drawn):
+def test_sonify_plays_the_points_the_chart_draws(workdir, spec, drawn, n_drawn):
     if isinstance(spec, dict):
         Path("g.json").write_text(json.dumps(spec), encoding="utf-8")
         spec = "g.json"
     parsed = parse_spec(Path(spec).read_bytes())
     assert drawn(layout(parsed, load_dataset(parsed)).summary) == n_drawn
-    assert main(["sonify", spec, *flags, "-o", "g.wav"]) == 0
+    assert main(["sonify", spec, "-o", "g.wav"]) == 0
     assert _tones(Path("g.wav").read_bytes()) == n_drawn
 
 

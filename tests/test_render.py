@@ -6,7 +6,7 @@ import pytest
 
 from conftest import load_fixture_spec
 from polyrep import svgout
-from polyrep.chartspec import inline_dataset, load_dataset, parse_spec
+from polyrep.chartspec import bind, inline_dataset, load_dataset, parse_spec
 from polyrep.color import CvdKind, Rgb, simulate_cvd
 from polyrep.errors import DataError, SpecError
 from polyrep.scene import (
@@ -128,6 +128,33 @@ def test_empty_after_missing_errors():
     spec = parse_spec(b'{"chart":{"type":"scatter","x":"x","y":"y"}}')
     with pytest.raises(DataError, match="no complete rows"):
         layout(spec, data)
+
+
+@pytest.mark.parametrize("name", ["lin.json", "penguins_scatter.json"])
+def test_trend_sign_is_the_sign_of_the_fit(name, fixtures_dir):
+    spec = load_fixture_spec(name)
+    data = load_dataset(spec, base_dir=fixtures_dir)
+    slope = bind(spec, data).fit().slope
+    assert slope != 0
+    assert layout(spec, data).summary.slope_sign == (1 if slope > 0 else -1)
+
+
+def test_grouped_box_plot_alpha_order():
+    data = inline_dataset({"fruit": ["pear", "apple", "fig", "apple", "pear", "fig"],
+                           "kg": [5, 1, 3, 2, 6, 4]})
+    spec = parse_spec(b'{"chart":{"type":"boxplot","x":"fruit","y":"kg",'
+                      b'"sort_order":"alpha"}}')
+    scene = layout(spec, data)
+    assert scene.x_axis.labels == ("apple", "fig", "pear")
+    band_labels = sorted((m.x, m.text) for m in scene.decorations
+                         if isinstance(m, TextMark) and m.text in scene.x_axis.labels)
+    assert band_labels == list(zip(scene.x_axis.ticks, ("apple", "fig", "pear")))
+    boxes = [s for s in auto_alt(scene.summary).sentences if s.startswith("Box ")]
+    assert [s.split(", quartiles")[0] for s in boxes] == [
+        "Box 1 summarizes apple with median 1.5",
+        "Box 2 summarizes fig with median 3.5",
+        "Box 3 summarizes pear with median 5.5",
+    ]
 
 
 def test_facet_panels(penguins):
@@ -382,6 +409,24 @@ def test_svg_accessibility_wiring(penguins):
     assert desc.get("id") == "desc"
     assert desc.text == alt.flattened
     assert title.text == alt.sentences[0]
+
+
+def test_svg_draws_subtitle_and_caption():
+    spec = parse_spec(b'{"title":"T","subtitle":"Sub","caption":"Cap",'
+                      b'"chart":{"type":"bar","x":"s"}}')
+    scene = layout(spec, inline_dataset({"s": ["a", "b", "a"]}))
+    alt = auto_alt(scene.summary)
+    assert alt.sentences[0] == (
+        "This is a chart titled 'T' with subtitle 'Sub' and caption 'Cap'."
+    )
+    root = ET.fromstring(emit_svg(scene, alt))
+    texts = {e.text: e for e in root.iter(f"{SVG_NS}text")}
+    assert {"T", "Sub", "Cap"} <= set(texts)
+    assert float(texts["T"].get("y")) < float(texts["Sub"].get("y"))
+    assert texts["Cap"].get("text-anchor") == "end"
+    assert float(texts["Cap"].get("y")) > max(
+        float(e.get("y")) for e in root.iter(f"{SVG_NS}text") if e.text != "Cap"
+    )
 
 
 def test_svg_manual_alt_becomes_title(penguins):

@@ -51,14 +51,14 @@ from polyrep.tactile import (
     tactualize,
 )
 from polyrep.svgout import emit_svg
-from polyrep.verbalize import AltText, auto_alt
+from polyrep.verbalize import AltText
 
 
 @pytest.fixture(scope="module")
 def box_page(penguins):
     spec = load_fixture_spec("penguins_box.json")
     scene = layout(spec, penguins)
-    return tactualize(scene, alt=auto_alt(scene.summary))
+    return tactualize(scene)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def six_shapes_page():
     """The six-group scatter: one glyph of every marker shape per group."""
     spec = parse_spec(json.dumps(SIX_SHAPES_SPEC).encode())
     scene = layout(spec, load_dataset(spec))
-    return tactualize(scene, alt=auto_alt(scene.summary))
+    return tactualize(scene)
 
 
 def pdf_dots_mm(raw: bytes, layout: TactileLayout):
@@ -161,7 +161,7 @@ def test_ticks_limited_to_five_per_axis(penguins):
     spec = load_fixture_spec("penguins_hist.json")
     scene = layout(spec, penguins)
     assert len(scene.x_axis.ticks) > 5  # the scene itself has more
-    page = tactualize(scene, alt=auto_alt(scene.summary))
+    page = tactualize(scene)
     # tactile x ticks: strokes that drop below the x baseline
     base_y = max(y for s in page.strokes[:1] for _, y in s.points)
     ticks = [
@@ -200,7 +200,7 @@ def test_filled_rects_get_horizontal_hatch(penguins, name):
     """Every bar and bin is followed by horizontal lines 6 mm apart, inset
     2.5 mm from its outline, and by nothing else."""
     scene = layout(load_fixture_spec(name), penguins)
-    page = tactualize(scene, alt=auto_alt(scene.summary))
+    page = tactualize(scene)
     rects = _rect_outlines(page)
     assert len(rects) == len(scene.marks)
     for (x0, y0, x1, y1), hatch in rects:
@@ -235,15 +235,15 @@ def test_label_too_long_suggests_abbreviation():
     )
     scene = layout(spec, data)
     with pytest.raises(TactileError, match="abbreviate"):
-        tactualize(scene, alt=auto_alt(scene.summary))
+        tactualize(scene)
 
 
 def test_glyph_bounds_checked_through_its_extent():
     """A glyph flush with the margin passes; one past it fails naming the
     first outline point out, as the point-by-point check of a stroke does."""
-    lay, alt = TactileLayout(), AltText(("Glyph.",))
+    lay = TactileLayout()
     flush = Glyph(MARGIN + 2.5 + 0.5, 100.0, ShapeKind.CIRCLE, 2.5)
-    _check_bounds(TactilePage(lay, (), (flush,), (), alt))
+    _check_bounds(TactilePage(lay, (), (flush,), ()))
     for glyph in (Glyph(MARGIN + 2.0, 100.0, ShapeKind.CIRCLE, 2.5),
                   Glyph(120.0, lay.page_h - MARGIN - 1.0, ShapeKind.PLUS, 3.0)):
         px, py = next(
@@ -252,7 +252,7 @@ def test_glyph_bounds_checked_through_its_extent():
                     and MARGIN <= y - 0.5 and y + 0.5 <= lay.page_h - MARGIN)
         )
         with pytest.raises(TactileError) as info:
-            _check_bounds(TactilePage(lay, (), (glyph,), (), alt))
+            _check_bounds(TactilePage(lay, (), (glyph,), ()))
         assert str(info.value) == (
             f"stroke point at ({px:.1f}, {py:.1f}) mm leaves the printable area"
         )
@@ -368,7 +368,7 @@ def test_pdf_deterministic(box_page):
 
 
 def test_preview_svg_well_formed(box_page):
-    raw = emit_preview_svg(box_page)
+    raw = emit_preview_svg(box_page, AltText(("Box plot.",)))
     root = ET.fromstring(raw)
     assert root.get("width").endswith("mm")
     tags = {e.tag.split("}")[1] for e in root.iter()}
@@ -380,7 +380,7 @@ def test_preview_and_chart_svg_escape_text_alike(penguins):
     alt = AltText(('Boxes of "body mass" & <species>.',))
     desc = b'<desc id="desc">Boxes of &quot;body mass&quot; &amp; &lt;species&gt;.</desc>'
     assert desc in emit_svg(scene, alt)
-    assert desc in emit_preview_svg(tactualize(scene, alt=alt))
+    assert desc in emit_preview_svg(tactualize(scene), alt)
 
 
 def test_single_box_page(penguins):
@@ -390,7 +390,7 @@ def test_single_box_page(penguins):
         b'"chart":{"type":"boxplot","x":"body_mass_g"}}'
     )
     scene = layout(spec, penguins)
-    page = tactualize(scene, alt=auto_alt(scene.summary))
+    page = tactualize(scene)
     assert len(page.strokes) >= 2  # the two axis lines at minimum
 
 
@@ -424,7 +424,7 @@ def test_random_scenes_keep_ink_inside_and_clear_of_braille():
     built = 0
     for trial, kind, scene in _random_scenes():
         try:
-            page = tactualize(scene, alt=auto_alt(scene.summary))
+            page = tactualize(scene)
         except TactileError:
             continue  # labels genuinely did not fit; a legitimate outcome
         built += 1
@@ -512,8 +512,7 @@ def _brute_force_run_conflicts(self, run):
 def _tactile_outcome(scene, paper="letter"):
     """PDF bytes of the scene's tactile page, or the TactileError message."""
     try:
-        page = tactualize(scene, TactileLayout.for_paper(paper),
-                          alt=auto_alt(scene.summary))
+        page = tactualize(scene, TactileLayout.for_paper(paper))
         return emit_pdf(page)
     except TactileError as exc:
         return f"TactileError: {exc}"
@@ -577,7 +576,7 @@ def test_label_check_work_stays_local(big_scatter_scene, monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(tactile, "dot_touches_stroke", counting)
-    page = tactualize(big_scatter_scene, alt=auto_alt(big_scatter_scene.summary))
+    page = tactualize(big_scatter_scene)
     braille = len(page.dots)
     assert braille > 50
     assert calls <= 10 * braille, (calls, braille)
