@@ -5,7 +5,8 @@
 bins or boxes. Layout draws those values and sonification plays them, so
 the chart and its audio agree by construction. The audio plays `points`:
 rows in data order, bars as (index, count), bins as (centre, count). Their
-one least-squares `fit()` gives the alt text's trend and regression audio.
+one least-squares `fit()` gives the alt text's trend and regression audio,
+and their `ranges` give the axes and the alt text's "vary from" sentence.
 
 Spec document schema::
 
@@ -251,6 +252,12 @@ class ChartValues:
             xs = [(lo + hi) / 2 for lo, hi, _ in self.bins]
             ys = [c for _, _, c in self.bins]
         return tuple(map(float, xs)), tuple(map(float, ys))
+
+    @functools.cached_property
+    def ranges(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """((x_lo, x_hi), (y_lo, y_hi)) of `points`: the axes' data ranges."""
+        xs, ys = self.points
+        return (min(xs), max(xs)), (min(ys), max(ys))
 
     def fit(self) -> LinearFit:
         """The least-squares line through `points`; DataError when degenerate."""

@@ -125,11 +125,10 @@ def _load(spec_path: str) -> tuple[ChartSpec, Dataset]:
     return spec, data
 
 
-def _chart(args) -> tuple[ChartSpec, Scene, AltText]:
-    """The spec, its laid-out scene and the scene's alt text."""
+def _chart(args) -> tuple[ChartSpec, Scene]:
+    """The spec and its laid-out scene."""
     spec, data = _load(args.spec)
-    scene = layout(spec, data)
-    return spec, scene, auto_alt(scene.summary)
+    return spec, layout(spec, data)
 
 
 def _output(args, suffix: str) -> Path:
@@ -148,19 +147,22 @@ def _write(path: Path, payload: bytes, alt: AltText | None = None) -> None:
 
 
 def _cmd_render(args) -> int:
-    spec, scene, alt = _chart(args)
+    spec, scene = _chart(args)
+    alt = auto_alt(scene.summary)
     _write(_output(args, ".svg"), emit_svg(scene, alt, short_alt=spec.manual_alt), alt)
     return 0
 
 
 def _cmd_cvd_grid(args) -> int:
-    _, scene, alt = _chart(args)
+    _, scene = _chart(args)
+    alt = auto_alt(scene.summary)
     _write(_output(args, ".cvd.svg"), cvd_grid(scene, alt), grid_alt(alt))
     return 0
 
 
 def _cmd_alt(args) -> int:
-    _, _, alt = _chart(args)
+    _, scene = _chart(args)
+    alt = auto_alt(scene.summary)
     print(json.dumps(list(alt.sentences), indent=2) if args.json else alt.flattened)
     return 0
 
@@ -187,11 +189,12 @@ def _cmd_sonify(args) -> int:
 
 
 def _cmd_tactile(args) -> int:
-    _, scene, alt = _chart(args)
+    _, scene = _chart(args)
     page = tactualize(scene, TactileLayout.for_paper(args.paper))
     out = _output(args, ".pdf")
     _write(out, emit_pdf(page))
     if args.preview:
+        alt = auto_alt(scene.summary)
         _write(out.with_suffix(".preview.svg"), emit_preview_svg(page, alt))
     return 0
 

@@ -13,7 +13,8 @@ page all read the AxisInfo these make.
 The Scene separates data marks (points, rects, lines that encode values;
 these get stable ids and are recolored by the deficiency grid) from
 decorations (axes, tick labels, titles, legend). Coordinates are SVG
-pixels, y down; the summary carried on the scene feeds the verbalizer.
+pixels, y down. The summary carried on the scene feeds the verbalizer:
+the spec, the ChartValues the scene was laid out from, and the drawn axes.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ class ShapeKind(enum.Enum):
     DIAMOND = "diamond"
     PLUS = "plus"
     CROSS = "cross"
+
+    # members are singletons, so identity hashing is exact and skips
+    # Enum.__hash__, a Python-level call per glyph lookup
+    __hash__ = object.__hash__
 
 
 SHAPE_CYCLE = tuple(ShapeKind)
@@ -314,6 +319,7 @@ def _legend_decorations(
 
 def _assemble(
     spec: ChartSpec,
+    values: ChartValues,
     plot: Rect,
     marks: list[Mark],
     x_axis: AxisInfo,
@@ -321,27 +327,17 @@ def _assemble(
     legend: tuple[LegendEntry, ...] = (),
     extra_decorations: Sequence[Mark] = (),
     panels: Sequence[tuple[Rect, tuple[float, ...]]] = (),
-    **summary_fields,
+    group_levels: tuple[str, ...] = (),
 ) -> Scene:
-    """The scene, with a summary whose axes and metadata are the drawn ones;
-    `panels` splits the plot for facets, and `summary_fields` holds the
-    chart type's own ChartSummary fields."""
+    """The scene, with a summary of its spec, its values and its drawn axes;
+    `panels` splits the plot for facets."""
     decos = _axis_decorations(plot, x_axis, y_axis, panels or ((plot, x_axis.ticks),))
     decos.extend(_chrome_decorations(spec))
     if legend:
         decos.extend(_legend_decorations(plot, spec.group, legend))
     decos.extend(extra_decorations)
-    summary = ChartSummary(
-        chart_type=spec.chart_type,
-        x_name=x_axis.title,
-        y_name=y_axis.title,
-        x_labels=x_axis.labels,
-        y_labels=y_axis.labels,
-        title=spec.title,
-        subtitle=spec.subtitle,
-        caption=spec.caption,
-        **summary_fields,
-    )
+    summary = ChartSummary(spec, values, x_axis.title, y_axis.title,
+                           x_axis.labels, y_axis.labels, group_levels)
     return Scene(WIDTH, HEIGHT, plot, tuple(marks), tuple(decos), x_axis, y_axis,
                  legend, summary)
 
@@ -362,8 +358,7 @@ def _layout_bar(spec: ChartSpec, values: ChartValues) -> Scene:
         marks.append(
             RectMark(cx - 0.4 * slot, top, 0.8 * slot, sy(0.0) - top, fill=INK)
         )
-    return _assemble(spec, plot, marks, x_axis, y_axis, bars=counts,
-                     dropped_rows=values.dropped_rows)
+    return _assemble(spec, values, plot, marks, x_axis, y_axis)
 
 
 def _layout_histogram(spec: ChartSpec, values: ChartValues) -> Scene:
@@ -380,9 +375,7 @@ def _layout_histogram(spec: ChartSpec, values: ChartValues) -> Scene:
         marks.append(
             RectMark(left, top, right - left, sy(0.0) - top, fill=INK, stroke=WHITE)
         )
-
-    return _assemble(spec, plot, marks, x_axis, y_axis, bins=bins,
-                     dropped_rows=values.dropped_rows)
+    return _assemble(spec, values, plot, marks, x_axis, y_axis)
 
 
 # -- boxplot ---------------------------------------------------------------
@@ -418,8 +411,7 @@ def _layout_boxplot(spec: ChartSpec, values: ChartValues) -> Scene:
             marks.append(PointMark(cx, sy(v), ShapeKind.CIRCLE, BLACK, size=2.5))
 
     x_axis = band if grouped else AxisInfo("", (), ())
-    return _assemble(spec, plot, marks, x_axis, y_axis, boxes=boxes,
-                     dropped_rows=values.dropped_rows)
+    return _assemble(spec, values, plot, marks, x_axis, y_axis)
 
 
 # -- scatter / line --------------------------------------------------------
@@ -452,9 +444,7 @@ def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
                      else ShapeKind.CIRCLE)
             styles.append(LegendEntry(level or "", color, shape=shape))
 
-    xs, ys = values.points
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    (x_lo, x_hi), (y_lo, y_hi) = values.ranges
     sy, y_axis = _value_axis(spec.y or "", y_lo, y_hi, plot.y1, plot.y)
 
     panels = [plot]
@@ -474,25 +464,12 @@ def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
         TextMark(panel.x + panel.w / 2, panel.y - 8, level, anchor="middle")
         for panel, level in zip(panels, order)
     ] if facet else []
-
-    try:
-        slope = values.fit().slope
-        slope_sign = 0 if slope == 0 else (1 if slope > 0 else -1)
-    except DataError:
-        slope_sign = None
-
     return _assemble(
-        spec, plot, marks, x_axis, y_axis,
+        spec, values, plot, marks, x_axis, y_axis,
         tuple(styles) if grouped and not facet else (),
         facet_labels,
         panel_ticks,
-        n_points=len(xs),
-        x_range=(x_lo, x_hi),
-        y_range=(y_lo, y_hi),
-        slope_sign=slope_sign,
-        group_name=spec.group,
-        group_levels=tuple(order) if grouped else (),
-        dropped_rows=values.dropped_rows,
+        tuple(order) if grouped else (),
     )
 
 
@@ -503,7 +480,7 @@ def _series_marks(
     sx: LinearScale,
     sy: LinearScale,
 ) -> list[Mark]:
-    if spec.chart_type == "line":
+    if spec.chart_type == "line" and len(pts) > 1:
         return [
             PolylineMark(
                 tuple((sx(x), sy(y)) for x, y in sorted(pts)),
@@ -511,4 +488,6 @@ def _series_marks(
                 dash=style.dash,
             )
         ]
-    return [PointMark(sx(x), sy(y), style.shape, style.color) for x, y in pts]
+    # a line level of one row has no segment to stroke: its point is a circle
+    shape = style.shape or ShapeKind.CIRCLE
+    return [PointMark(sx(x), sy(y), shape, style.color) for x, y in pts]

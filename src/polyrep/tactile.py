@@ -369,6 +369,7 @@ class _PageBuilder:
 
     def build(self) -> TactilePage:
         scene, printable = self.scene, self.printable
+        title = scene.summary.spec.title
 
         x_pairs = _limit_ticks(scene.x_axis.ticks, scene.x_axis.labels)
         y_pairs = _limit_ticks(scene.y_axis.ticks, scene.y_axis.labels)
@@ -386,7 +387,7 @@ class _PageBuilder:
         bottom_gutter = 7.0 + 2 * LINE_PITCH + (
             LINE_PITCH if scene.x_axis.title else 0.0
         ) + 2.0
-        top_lines = (1 if scene.summary.title else 0) + (1 if scene.y_axis.title else 0)
+        top_lines = (1 if title else 0) + (1 if scene.y_axis.title else 0)
         top_gutter = top_lines * LINE_PITCH + 4.0
 
         avail = Rect(
@@ -475,8 +476,8 @@ class _PageBuilder:
 
         title_x = printable.x + DOT_DIAMETER / 2
         y_base = printable.y + DOT_DIAMETER / 2
-        if scene.summary.title:
-            self._label(scene.summary.title, "title", title_x, y_base, "down", "left")
+        if title:
+            self._label(title, "title", title_x, y_base, "down", "left")
             y_base += LINE_PITCH
         if scene.y_axis.title:
             t = scene.y_axis.title

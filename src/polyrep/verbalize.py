@@ -2,7 +2,10 @@
 
 The automatic grammar describes a laid-out chart sentence by sentence:
 metadata, the two axes with their tick labels, the chart type, then one
-sentence per mark group. Bar charts follow the canonical wording
+sentence per mark group. It reads the spec, the `ChartValues` the chart
+was laid out from and the drawn axes, so it restates no fact of its own;
+the trend is the sign of `ChartValues.fit()`. Bar charts follow the
+canonical wording
 
     This is an untitled chart with no subtitle or caption.
     It has x-axis 'species' with labels Adelie, Chinstrap and Gentoo.
@@ -20,10 +23,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .chartspec import ChartSpec
+from .chartspec import ChartSpec, ChartValues
 from .dataset import format_number
 from .errors import DataError, SpecError
-from .stats import BoxStats, round_sig
+from .stats import round_sig
 
 
 @dataclass(frozen=True)
@@ -50,26 +53,17 @@ class ManualAltInput:
 
 @dataclass(frozen=True)
 class ChartSummary:
-    """Everything the verbalizer needs from a laid-out chart."""
+    """A laid-out chart as the verbalizer reads it: the spec, the values it
+    was laid out from, the drawn axes' titles and tick labels, and the
+    grouped levels in legend order."""
 
-    chart_type: str
+    spec: ChartSpec
+    values: ChartValues
     x_name: str
     y_name: str
     x_labels: tuple[str, ...]
     y_labels: tuple[str, ...]
-    title: str | None = None
-    subtitle: str | None = None
-    caption: str | None = None
-    bars: tuple[tuple[str, int], ...] | None = None
-    bins: tuple[tuple[float, float, int], ...] | None = None
-    boxes: tuple[BoxStats, ...] | None = None
-    n_points: int | None = None
-    x_range: tuple[float, float] | None = None
-    y_range: tuple[float, float] | None = None
-    slope_sign: int | None = None
-    group_name: str | None = None
     group_levels: tuple[str, ...] = ()
-    dropped_rows: int = 0
 
 
 def join_labels(labels: list[str] | tuple[str, ...]) -> str:
@@ -106,10 +100,15 @@ def _about(v: float) -> str:
 
 
 def auto_alt(summary: ChartSummary) -> AltText:
-    """Generate structured alt text from a chart summary."""
-    s: list[str] = [
-        _metadata_sentence(summary.title, summary.subtitle, summary.caption)
-    ]
+    """Generate structured alt text from a chart summary.
+
+    Titles and the chart type come from the spec; bars, bins, boxes, point
+    and dropped-row counts, ranges and the trend from the values; the axes
+    from the summary's drawn ones. A scatter or line chart whose fit is
+    degenerate (constant x) gets no trend sentence.
+    """
+    spec, values = summary.spec, summary.values
+    s: list[str] = [_metadata_sentence(spec.title, spec.subtitle, spec.caption)]
     if summary.x_labels:
         s.append(
             f"It has x-axis '{summary.x_name}' with labels "
@@ -120,9 +119,9 @@ def auto_alt(summary: ChartSummary) -> AltText:
         f"{join_labels(summary.y_labels)}."
     )
 
-    kind = summary.chart_type
+    kind = spec.chart_type
     if kind == "bar":
-        bars = summary.bars or ()
+        bars = values.bars
         s.append(f"The chart is a bar chart with {_plural(len(bars), 'vertical bar')}.")
         for i, (label, count) in enumerate(bars, start=1):
             s.append(
@@ -130,7 +129,7 @@ def auto_alt(summary: ChartSummary) -> AltText:
                 f"and spans vertically from 0 to {format_number(count)}."
             )
     elif kind == "histogram":
-        bins = summary.bins or ()
+        bins = values.bins
         s.append(f"The chart is a histogram with {_plural(len(bins), 'bin')}.")
         for i, (lo, hi, count) in enumerate(bins, start=1):
             s.append(
@@ -138,7 +137,7 @@ def auto_alt(summary: ChartSummary) -> AltText:
                 f"{format_number(hi)}, and vertically from 0 to {format_number(count)}."
             )
     elif kind == "boxplot":
-        boxes = summary.boxes or ()
+        boxes = values.boxes
         s.append(f"The chart is a box plot with {_plural(len(boxes), 'box', 'boxes')}.")
         for i, box in enumerate(boxes, start=1):
             base = (
@@ -152,20 +151,21 @@ def auto_alt(summary: ChartSummary) -> AltText:
             s.append(base + ".")
     elif kind in ("scatter", "line"):
         noun = "scatter plot" if kind == "scatter" else "line chart"
+        s.append(f"The chart is a {noun} with {_plural(len(values.rows), 'point')}.")
+        (x_lo, x_hi), (y_lo, y_hi) = values.ranges
         s.append(
-            f"The chart is a {noun} with {_plural(summary.n_points or 0, 'point')}."
+            f"Values of '{summary.x_name}' vary from about {_about(x_lo)} to "
+            f"{_about(x_hi)}, and values of '{summary.y_name}' vary from about "
+            f"{_about(y_lo)} to {_about(y_hi)}."
         )
-        if summary.x_range and summary.y_range:
-            s.append(
-                f"Values of '{summary.x_name}' vary from about "
-                f"{_about(summary.x_range[0])} to {_about(summary.x_range[1])}, "
-                f"and values of '{summary.y_name}' vary from about "
-                f"{_about(summary.y_range[0])} to {_about(summary.y_range[1])}."
-            )
-        if summary.slope_sign is not None:
-            if summary.slope_sign > 0:
+        try:
+            slope = values.fit().slope
+        except DataError:  # constant x: no trend to state
+            pass
+        else:
+            if slope > 0:
                 kind_phrase = "a positive relationship"
-            elif summary.slope_sign < 0:
+            elif slope < 0:
                 kind_phrase = "a negative relationship"
             else:
                 kind_phrase = "no clear relationship"
@@ -173,18 +173,18 @@ def auto_alt(summary: ChartSummary) -> AltText:
                 f"Overall there is {kind_phrase} between "
                 f"'{summary.x_name}' and '{summary.y_name}'."
             )
-        if summary.group_name:
+        if spec.group:
             s.append(
-                f"Points are grouped by '{summary.group_name}' as "
+                f"Points are grouped by '{spec.group}' as "
                 f"{join_labels(summary.group_levels)}."
             )
     else:
         raise SpecError(f"no alt-text grammar for chart type {kind!r}")
 
-    if summary.dropped_rows == 1:
+    if values.dropped_rows == 1:
         s.append("1 row with missing values was dropped.")
-    elif summary.dropped_rows > 1:
-        s.append(f"{summary.dropped_rows} rows with missing values were dropped.")
+    elif values.dropped_rows > 1:
+        s.append(f"{values.dropped_rows} rows with missing values were dropped.")
     return AltText(tuple(s))
 
 

@@ -598,9 +598,9 @@ GAPPED_SCATTER = _scatter_spec(
 @pytest.mark.parametrize(
     "spec,drawn,n_drawn",
     [
-        (GAPPED_SCATTER, lambda summary: summary.n_points, 4),
-        ("penguins_bar.json", lambda summary: len(summary.bars), 3),
-        ("penguins_hist.json", lambda summary: len(summary.bins), 10),
+        (GAPPED_SCATTER, lambda values: len(values.rows), 4),
+        ("penguins_bar.json", lambda values: len(values.bars), 3),
+        ("penguins_hist.json", lambda values: len(values.bins), 10),
     ],
     ids=["grouped_scatter", "bar", "histogram"],
 )
@@ -609,7 +609,7 @@ def test_sonify_plays_the_points_the_chart_draws(workdir, spec, drawn, n_drawn):
         Path("g.json").write_text(json.dumps(spec), encoding="utf-8")
         spec = "g.json"
     parsed = parse_spec(Path(spec).read_bytes())
-    assert drawn(layout(parsed, load_dataset(parsed)).summary) == n_drawn
+    assert drawn(layout(parsed, load_dataset(parsed)).summary.values) == n_drawn
     assert main(["sonify", spec, "-o", "g.wav"]) == 0
     assert _tones(Path("g.wav").read_bytes()) == n_drawn
 

@@ -18,6 +18,7 @@ from polyrep.scene import (
     layout,
 )
 from polyrep.svgout import cvd_grid, emit_svg
+from polyrep.tactile import tactualize
 from polyrep.verbalize import auto_alt, join_labels
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -136,7 +137,11 @@ def test_trend_sign_is_the_sign_of_the_fit(name, fixtures_dir):
     data = load_dataset(spec, base_dir=fixtures_dir)
     slope = bind(spec, data).fit().slope
     assert slope != 0
-    assert layout(spec, data).summary.slope_sign == (1 if slope > 0 else -1)
+    scene = layout(spec, data)
+    sign = "positive" if slope > 0 else "negative"
+    assert (f"Overall there is a {sign} relationship between "
+            f"'{scene.x_axis.title}' and '{scene.y_axis.title}'."
+            in auto_alt(scene.summary).sentences)
 
 
 def test_grouped_box_plot_alpha_order():
@@ -218,6 +223,21 @@ def test_group_levels_come_from_drawn_rows():
     assert "Points are grouped by 'g' as a and b." in auto_alt(scene.summary).sentences
 
 
+def test_line_level_with_one_row_is_drawn_as_a_point():
+    data = inline_dataset({"x": [1, 2, 3, 4], "y": [1, 2, 3, 4], "g": ["a", "a", "a", "b"]})
+    spec = parse_spec(b'{"chart":{"type":"line","x":"x","y":"y","group":"g"}}')
+    scene = layout(spec, data)
+    b = scene.legend[1]
+    # level b has one row: no segment to stroke, so it is drawn as a circle
+    mark = scene.marks[1]
+    assert isinstance(mark, PointMark)
+    assert (mark.shape, mark.color) == (ShapeKind.CIRCLE, b.color)
+    root = ET.fromstring(emit_svg(scene, auto_alt(scene.summary)))
+    drawn = [e for e in root.iter() if e.get("id") == "m1"]
+    assert [e.get("fill") for e in drawn] == [b.color.to_hex()]
+    assert [g.shape for g in tactualize(scene).glyphs] == [ShapeKind.CIRCLE]
+
+
 AGREEMENT_CASES = [
     "lin.json", "penguins_bar.json", "penguins_box.json",
     "penguins_hist.json", "penguins_scatter.json", "facet",
@@ -270,7 +290,7 @@ def _bar_axes(penguins):
 
 def _hist_axes(penguins):
     scene, _ = scene_and_alt("penguins_hist.json", penguins)
-    bins = scene.summary.bins
+    bins = scene.summary.values.bins
     top = float(max(c for _, _, c in bins))
     x, y, plot = scene.x_axis, scene.y_axis, scene.plot
     return [(x.ticks, x.labels, bins[0][0], bins[-1][1], plot.x, plot.x1, False),

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import load_fixture_spec
-from polyrep.chartspec import parse_spec
+from polyrep.chartspec import ChartSpec, ChartValues, inline_dataset, parse_spec
 from polyrep.errors import SpecError
 from polyrep.scene import layout
 from polyrep.verbalize import (
@@ -37,17 +37,15 @@ SCATTER_MANUAL_TEXT = (
 )
 
 
-def bar_summary(**overrides):
-    base = dict(
-        chart_type="bar",
-        x_name="species",
-        y_name="count",
-        x_labels=("Adelie", "Chinstrap", "Gentoo"),
-        y_labels=("0", "50", "100", "150"),
-        bars=(("Adelie", 152), ("Chinstrap", 68), ("Gentoo", 124)),
-    )
-    base.update(overrides)
-    return ChartSummary(**base)
+def bar_summary(
+    x_labels=("Adelie", "Chinstrap", "Gentoo"),
+    y_labels=("0", "50", "100", "150"),
+    bars=(("Adelie", 152), ("Chinstrap", 68), ("Gentoo", 124)),
+    **spec_fields,
+):
+    spec = ChartSpec(**{"chart_type": "bar", "x": "species", **spec_fields})
+    return ChartSummary(spec, ChartValues(0, bars=bars), "species", "count",
+                        x_labels, y_labels)
 
 
 def test_penguins_bar_block_exact(penguins):
@@ -93,12 +91,12 @@ def test_titled_variants():
 def test_histogram_grammar():
     alt = auto_alt(
         ChartSummary(
-            chart_type="histogram",
+            ChartSpec("histogram", "v"),
+            ChartValues(0, bins=((0.0, 1.5, 2), (1.5, 3.0, 2))),
             x_name="v",
             y_name="count",
             x_labels=("0", "2"),
             y_labels=("0", "2"),
-            bins=((0.0, 1.5, 2), (1.5, 3.0, 2)),
         )
     )
     assert "The chart is a histogram with 2 bins." in alt.sentences
@@ -119,6 +117,26 @@ def test_scatter_grammar_rounding_and_sign(penguins):
     assert "grouped by 'species' as Adelie, Chinstrap and Gentoo." in joined
     # two significant figures on continuous ranges
     assert "about 170" in joined or "about 180" in joined
+
+
+@pytest.mark.parametrize(
+    "chart,xs,ys,trend",
+    [
+        # a flat line fits slope 0 exactly
+        ("line", [1, 2, 3], [5, 5, 5], ["Overall there is no clear relationship "
+                                        "between 'x' and 'y'."]),
+        # constant x has no least-squares line, so no trend is stated
+        ("scatter", [2, 2, 2], [1, 3, 2], []),
+    ],
+    ids=["flat_line", "constant_x_scatter"],
+)
+def test_trend_of_a_degenerate_fit(chart, xs, ys, trend):
+    spec = parse_spec(
+        b'{"chart":{"type":"%s","x":"x","y":"y"}}' % chart.encode()
+    )
+    alt = auto_alt(layout(spec, inline_dataset({"x": xs, "y": ys})).summary)
+    assert [s for s in alt.sentences if s.startswith("Overall")] == trend
+    assert any("vary from about" in s for s in alt.sentences)
 
 
 def test_boxplot_grammar(penguins):
