@@ -125,10 +125,9 @@ def _load(spec_path: str) -> tuple[ChartSpec, Dataset]:
     return spec, data
 
 
-def _chart(args) -> tuple[ChartSpec, Scene]:
-    """The spec and its laid-out scene."""
-    spec, data = _load(args.spec)
-    return spec, layout(spec, data)
+def _chart(args) -> Scene:
+    """The spec's laid-out scene."""
+    return layout(*_load(args.spec))
 
 
 def _output(args, suffix: str) -> Path:
@@ -147,21 +146,22 @@ def _write(path: Path, payload: bytes, alt: AltText | None = None) -> None:
 
 
 def _cmd_render(args) -> int:
-    spec, scene = _chart(args)
+    scene = _chart(args)
     alt = auto_alt(scene.summary)
-    _write(_output(args, ".svg"), emit_svg(scene, alt, short_alt=spec.manual_alt), alt)
+    _write(_output(args, ".svg"),
+           emit_svg(scene, alt, short_alt=scene.summary.spec.manual_alt), alt)
     return 0
 
 
 def _cmd_cvd_grid(args) -> int:
-    _, scene = _chart(args)
+    scene = _chart(args)
     alt = auto_alt(scene.summary)
     _write(_output(args, ".cvd.svg"), cvd_grid(scene, alt), grid_alt(alt))
     return 0
 
 
 def _cmd_alt(args) -> int:
-    _, scene = _chart(args)
+    scene = _chart(args)
     alt = auto_alt(scene.summary)
     print(json.dumps(list(alt.sentences), indent=2) if args.json else alt.flattened)
     return 0
@@ -189,7 +189,7 @@ def _cmd_sonify(args) -> int:
 
 
 def _cmd_tactile(args) -> int:
-    _, scene = _chart(args)
+    scene = _chart(args)
     page = tactualize(scene, TactileLayout.for_paper(args.paper))
     out = _output(args, ".pdf")
     _write(out, emit_pdf(page))

@@ -438,7 +438,9 @@ def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
         color = spec.palette[i] if grouped and enc.color else INK
         if spec.chart_type == "line":
             dash = DASH_CYCLE[i % len(DASH_CYCLE)] if grouped and enc.linetype else None
-            styles.append(LegendEntry(level or "", color, dash=dash))
+            # a level of one row has no segment to stroke: drawn and keyed as a circle
+            shape = ShapeKind.CIRCLE if len(by_level[level]) == 1 else None
+            styles.append(LegendEntry(level or "", color, shape=shape, dash=dash))
         else:
             shape = (SHAPE_CYCLE[i % len(SHAPE_CYCLE)] if grouped and enc.shape
                      else ShapeKind.CIRCLE)
@@ -457,7 +459,7 @@ def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
     marks: list[Mark] = []
     for i, (level, style) in enumerate(zip(order, styles)):
         sx = x_axes[i if facet else 0][0]
-        marks.extend(_series_marks(spec, by_level[level], style, sx, sy))
+        marks.extend(_series_marks(by_level[level], style, sx, sy))
     panel_ticks = [(panel, axis.ticks) for panel, (_, axis) in zip(panels, x_axes)]
     x_axis = x_axes[0][1]
     facet_labels = [
@@ -474,13 +476,12 @@ def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
 
 
 def _series_marks(
-    spec: ChartSpec,
     pts: list[tuple[float, float]],
     style: LegendEntry,
     sx: LinearScale,
     sy: LinearScale,
 ) -> list[Mark]:
-    if spec.chart_type == "line" and len(pts) > 1:
+    if style.shape is None:  # a line level of two or more rows
         return [
             PolylineMark(
                 tuple((sx(x), sy(y)) for x, y in sorted(pts)),
@@ -488,6 +489,4 @@ def _series_marks(
                 dash=style.dash,
             )
         ]
-    # a line level of one row has no segment to stroke: its point is a circle
-    shape = style.shape or ShapeKind.CIRCLE
-    return [PointMark(sx(x), sy(y), shape, style.color) for x, y in pts]
+    return [PointMark(sx(x), sy(y), style.shape, style.color) for x, y in pts]

@@ -227,11 +227,19 @@ def test_line_level_with_one_row_is_drawn_as_a_point():
     data = inline_dataset({"x": [1, 2, 3, 4], "y": [1, 2, 3, 4], "g": ["a", "a", "a", "b"]})
     spec = parse_spec(b'{"chart":{"type":"line","x":"x","y":"y","group":"g"}}')
     scene = layout(spec, data)
-    b = scene.legend[1]
+    a, b = scene.legend
     # level b has one row: no segment to stroke, so it is drawn as a circle
     mark = scene.marks[1]
     assert isinstance(mark, PointMark)
     assert (mark.shape, mark.color) == (ShapeKind.CIRCLE, b.color)
+    # and its legend key is that circle, while level a keeps its line swatch
+    assert (a.shape, b.shape) == (None, ShapeKind.CIRCLE)
+    keys = [m for m in scene.decorations if isinstance(m, (PointMark, SegmentMark))
+            and m.color in (a.color, b.color)]
+    assert [(type(m), m.color) for m in keys] == [
+        (SegmentMark, a.color), (PointMark, b.color)
+    ]
+    assert keys[1].shape == ShapeKind.CIRCLE
     root = ET.fromstring(emit_svg(scene, auto_alt(scene.summary)))
     drawn = [e for e in root.iter() if e.get("id") == "m1"]
     assert [e.get("fill") for e in drawn] == [b.color.to_hex()]
