@@ -254,9 +254,9 @@ def read_wav_oracle(data: bytes):
         return frames.reshape(-1, 2).copy(), w.getframerate()
 
 
-# The discrete synthesis and the quantization `polyrep.sonify` ran before
-# they worked in place, kept verbatim: samples and WAV bytes must match
-# them bit for bit.
+# The discrete synthesis, the sweep and the quantization `polyrep.sonify`
+# ran before they worked in place, kept verbatim: samples and WAV bytes
+# must match them bit for bit.
 
 
 def sonify_points_oracle(
@@ -290,6 +290,39 @@ def sonify_points_oracle(
             wave[-fade:] *= ramp[::-1]
         out[s0 : s0 + tone_len, 0] = wave * left
         out[s0 : s0 + tone_len, 1] = wave * right
+    return AudioBuffer(out, cfg.sample_rate)
+
+
+def sonify_sweep_oracle(
+    x: list[float | None], y: list[float | None], cfg: SonifyConfig | None = None
+) -> AudioBuffer:
+    cfg = cfg or SonifyConfig()
+    pairs = _clean_pairs(x, y)
+    if len(pairs) < 2:
+        raise DataError("sweep needs at least 2 points")
+    n_frames = cfg.n_frames
+    if n_frames < 2:
+        raise DataError("duration too short for the sample rate")
+    xs = np.array([p[0] for p in pairs])
+    ys = np.array([p[1] for p in pairs])
+    y_lo, y_hi = float(ys.min()), float(ys.max())
+    x_lo, x_hi = float(xs[0]), float(xs[-1])
+
+    pan = (
+        np.full(n_frames, 0.5)
+        if x_lo == x_hi
+        else np.linspace(0.0, 1.0, n_frames)
+    )
+    yq = np.interp(x_lo + pan * (x_hi - x_lo), xs, ys)
+    f = np.broadcast_to(map_pitch(yq, y_lo, y_hi, cfg), n_frames)
+
+    phase = np.empty(n_frames)
+    phase[0] = 0.0
+    np.cumsum(2.0 * math.pi * f[:-1] / cfg.sample_rate, out=phase[1:])
+    wave = AMPLITUDE * np.sin(phase)
+    out = np.empty((n_frames, 2))
+    out[:, 0] = wave * np.cos(pan * math.pi / 2.0)
+    out[:, 1] = wave * np.sin(pan * math.pi / 2.0)
     return AudioBuffer(out, cfg.sample_rate)
 
 

@@ -13,6 +13,7 @@ from oracles import (
     check_wav_header,
     read_wav_oracle,
     sonify_points_oracle,
+    sonify_sweep_oracle,
     write_wav_oracle,
     zero_crossing_freq,
 )
@@ -212,6 +213,9 @@ def _low_rate(duration_s: float) -> SonifyConfig:
 POINTS_SHA256 = {  # (points of the big scatter, config, WAV digest)
     "big_scatter": (
         2000, CFG, "e76872f8e13a757a5c7bb4655ff88604daf468d9d1cd098efec805ad3a3246fb"),
+    "big_scatter_log_pitch": (
+        2000, SonifyConfig(log_pitch=True),
+        "f1007661c1ff5ee0db8f9ce912fe2eee92c5054a40d1f04fc8aa3d7499af99a8"),
     "8khz_skipped": (
         300, _low_rate(0.013),
         "c7e27859c71e0865e22e13b705643b7daf38b082960a9c71410c0f131fb7353f"),
@@ -230,10 +234,10 @@ def test_points_wav_bytes_pinned(name):
 
 
 @st.composite
-def point_sets(draw):
-    """1 to 3,000 points, with x and y each flat, drawn from a few repeated
-    values, or spread out."""
-    n = draw(st.integers(1, 3000))
+def point_sets(draw, min_n=1):
+    """min_n to 3,000 points, with x and y each flat, drawn from a few
+    repeated values, or spread out (so x is unsorted)."""
+    n = draw(st.integers(min_n, 3000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
     for _ in range(2):
@@ -423,6 +427,18 @@ def test_sweep_wav_bytes_pinned(name, log_pitch):
     cfg = SonifyConfig(duration_s=0.25, log_pitch=log_pitch)
     digest = hashlib.sha256(write_wav(sonify_sweep(x, y, cfg))).hexdigest()
     assert digest == SWEEP_SHA256[name][log_pitch]
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets(min_n=2), configs().filter(lambda cfg: cfg.n_frames >= 2))
+@example(SWEEP_CASES["unsorted_x"], SonifyConfig(duration_s=0.25, log_pitch=True))
+@example(SWEEP_CASES["repeated_x"], SonifyConfig(duration_s=0.25))
+def test_sonify_sweep_matches_oracle(points, cfg):
+    x, y = points
+    buf = sonify_sweep(x, y, cfg)
+    want = sonify_sweep_oracle(x, y, cfg)
+    assert np.array_equal(buf.samples, want.samples)
+    assert write_wav(buf) == write_wav_oracle(want)
 
 
 # -- wav ---------------------------------------------------------------------
