@@ -168,10 +168,11 @@ def _cmd_alt(args) -> int:
 
 
 def _cmd_sonify(args) -> int:
-    spec, data = _load(args.spec)
-    if spec.chart_type == "boxplot":
+    path = Path(args.spec)
+    spec = parse_spec(path.read_bytes())
+    if spec.chart_type == "boxplot":  # refused before its data is read
         raise DataError("cannot sonify a boxplot chart")
-    values = bind(spec, data)
+    values = bind(spec, load_dataset(spec, base_dir=path.parent))
     xs, ys = values.points
     cfg = SonifyConfig(
         duration_s=args.duration,

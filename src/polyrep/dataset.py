@@ -69,7 +69,7 @@ class Column:
         return [v for v in self.values if v is not None]
 
     def n_missing(self) -> int:
-        return sum(1 for v in self.values if v is None)
+        return self.values.count(None)
 
 
 @dataclass(frozen=True)
@@ -229,11 +229,21 @@ def _column(cells) -> Column:
     stripped = list(map(str.strip, cells))
     numbers = _numbers(stripped)
     if numbers is not None:
-        return Column("numeric", numbers)
+        return _typed_column("numeric", numbers)
     first_seen = dict.fromkeys(stripped)
     lookup = dict(zip(first_seen, first_seen))
     lookup.update(dict.fromkeys(MISSING_TOKENS))
-    return Column("categorical", tuple(map(lookup.__getitem__, stripped)))
+    return _typed_column("categorical", tuple(map(lookup.__getitem__, stripped)))
+
+
+def _typed_column(kind: str, values: tuple) -> Column:
+    """A Column of values `_column` has typed, so that `Column.__post_init__`
+    does not check them again: finite floats, or strings that are not a
+    missing token, and None."""
+    col = object.__new__(Column)
+    object.__setattr__(col, "kind", kind)
+    object.__setattr__(col, "values", values)
+    return col
 
 
 def _numbers(stripped: list[str]) -> tuple[float | None, ...] | None:

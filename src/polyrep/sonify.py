@@ -6,9 +6,15 @@ continuously with accumulated phase, which suits line charts and fitted
 regression lines. Output is rendered to 16-bit PCM WAV with exact header
 fields.
 
-Each full-size buffer is allocated once and worked on in place. WAV
-quantization rounds half away from zero as `trunc(x + copysign(0.5, x))`;
-`np.rint` would round half to even and change bytes.
+Discrete tones are built one block per tone length: slots differ by at
+most one frame, so the tones come in at most two lengths, and each length
+is synthesized as one (tones, length) array whose rows are then scaled by
+their pan gains into their slots. Pitch and pan stay scalar `map_pitch`
+and `pan_gains` calls per sounding tone, because `np.power` and Python's
+`**` can differ in the last bit. The sweep and the WAV quantization work
+in place in preallocated buffers. Quantization rounds half away from zero
+as `trunc(x + copysign(0.5, x))`; `np.rint` would round half to even and
+change bytes.
 
 numpy is imported inside the functions that make audio, so commands that
 make none start without loading it.
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -120,7 +127,7 @@ def _clean_pairs(
         raise DataError("nothing to sonify: no complete points")
     if not all(map(math.isfinite, itertools.chain.from_iterable(pairs))):
         raise DataError("x and y must be finite")
-    pairs.sort(key=lambda p: p[0])
+    pairs.sort(key=operator.itemgetter(0))
     return pairs
 
 
@@ -153,33 +160,34 @@ def sonify_points(
     ys = [p[1] for p in pairs]
     y_lo, y_hi = min(ys), max(ys)
 
-    # the widest slot has ceil(n_frames / n) frames; every tone's times
-    # and samples are prefixes of these two arrays
-    longest = round(-(-n_frames // len(pairs)) * (1.0 - GAP_FRACTION))
-    t = np.arange(longest) / cfg.sample_rate
-    scratch = np.empty(longest)
-    fade_max = round(FADE_S * cfg.sample_rate)
-    ramps: dict[int, np.ndarray] = {}
+    # slots are floor or ceil(n_frames / n) frames long, so the sounding
+    # tones come in at most two lengths; each length is synthesized as one
+    # (tones, length) block whose rows are then scaled into their slots
+    n = len(pairs)
+    by_length: dict[int, list[tuple[int, float, float, float]]] = {}
     for i, (xv, yv) in enumerate(pairs):
-        s0 = (i * n_frames) // len(pairs)
-        s1 = ((i + 1) * n_frames) // len(pairs)
+        s0 = (i * n_frames) // n
+        s1 = ((i + 1) * n_frames) // n
         tone_len = round((s1 - s0) * (1.0 - GAP_FRACTION))
         if tone_len < 1:
             continue
         f = map_pitch(yv, y_lo, y_hi, cfg)
         left, right = pan_gains(map_pan(xv, x_lo, x_hi))
-        wave = np.multiply(2.0 * math.pi * f, t[:tone_len], out=scratch[:tone_len])
-        np.sin(wave, out=wave)
-        wave *= AMPLITUDE
+        by_length.setdefault(tone_len, []).append((s0, 2.0 * math.pi * f, left, right))
+    fade_max = round(FADE_S * cfg.sample_rate)
+    for tone_len, tones in by_length.items():
+        t = np.arange(tone_len) / cfg.sample_rate
+        block = np.multiply.outer([tone[1] for tone in tones], t)
+        np.sin(block, out=block)
+        block *= AMPLITUDE
         fade = min(fade_max, tone_len // 2)
         if fade > 0:
-            ramp = ramps.get(fade)
-            if ramp is None:
-                ramp = ramps[fade] = np.linspace(0.0, 1.0, fade, endpoint=False)
-            wave[:fade] *= ramp
-            wave[-fade:] *= ramp[::-1]
-        np.multiply(wave, left, out=out[s0 : s0 + tone_len, 0])
-        np.multiply(wave, right, out=out[s0 : s0 + tone_len, 1])
+            ramp = np.linspace(0.0, 1.0, fade, endpoint=False)
+            block[:, :fade] *= ramp
+            block[:, -fade:] *= ramp[::-1]
+        for (s0, _, left, right), wave in zip(tones, block):
+            np.multiply(wave, left, out=out[s0 : s0 + tone_len, 0])
+            np.multiply(wave, right, out=out[s0 : s0 + tone_len, 1])
     return AudioBuffer(out, cfg.sample_rate)
 
 
@@ -203,21 +211,31 @@ def sonify_sweep(
     y_lo, y_hi = float(ys.min()), float(ys.max())
     x_lo, x_hi = float(xs[0]), float(xs[-1])
 
+    # `scratch` holds the query x, then the phase steps, then the pan angle
+    scratch = np.empty(n_frames)
     pan = (
         np.full(n_frames, 0.5)
         if x_lo == x_hi
         else np.linspace(0.0, 1.0, n_frames)
     )
-    yq = np.interp(x_lo + pan * (x_hi - x_lo), xs, ys)
+    xq = np.multiply(pan, x_hi - x_lo, out=scratch)
+    xq += x_lo
+    yq = np.interp(xq, xs, ys)
     f = np.broadcast_to(map_pitch(yq, y_lo, y_hi, cfg), n_frames)
 
-    phase = np.empty(n_frames)
-    phase[0] = 0.0
-    np.cumsum(2.0 * math.pi * f[:-1] / cfg.sample_rate, out=phase[1:])
-    wave = AMPLITUDE * np.sin(phase)
+    step = np.multiply(2.0 * math.pi, f[:-1], out=scratch[:-1])
+    step /= cfg.sample_rate
+    wave = yq  # the steps are taken, so yq's buffer takes the phase, then the wave
+    wave[0] = 0.0
+    np.cumsum(step, out=wave[1:])
+    np.sin(wave, out=wave)
+    wave *= AMPLITUDE
+    angle = np.multiply(pan, math.pi, out=scratch)
+    angle /= 2.0
     out = np.empty((n_frames, 2))
-    out[:, 0] = wave * np.cos(pan * math.pi / 2.0)
-    out[:, 1] = wave * np.sin(pan * math.pi / 2.0)
+    for ch, gain in enumerate((np.cos, np.sin)):
+        gain(angle, out=out[:, ch])
+        out[:, ch] *= wave
     return AudioBuffer(out, cfg.sample_rate)
 
 

@@ -614,14 +614,14 @@ def test_sonify_plays_the_points_the_chart_draws(workdir, spec, drawn, n_drawn):
     assert _tones(Path("g.wav").read_bytes()) == n_drawn
 
 
-# sonify refuses a chart type it cannot play before binding the spec, so a
-# box plot is refused even when a column is missing, and no box is computed
+# sonify refuses a chart type it cannot play before reading its data, so a
+# box plot is refused even when a column is missing, and no CSV is parsed
 @pytest.mark.parametrize("y", ["body_mass_g", "nope"])
 def test_sonify_refuses_a_box_plot_before_binding(workdir, capsys, monkeypatch, y):
-    def no_boxes(*args):
-        raise AssertionError("box_stats called")
+    def no_data(*args, **kwargs):
+        raise AssertionError("load_dataset called")
 
-    monkeypatch.setattr("polyrep.chartspec.box_stats", no_boxes)
+    monkeypatch.setattr("polyrep.cli.load_dataset", no_data)
     spec = {"data": {"csv": "penguins.csv"},
             "chart": {"type": "boxplot", "x": "species", "y": y}}
     Path("box.json").write_text(json.dumps(spec), encoding="utf-8")

@@ -128,6 +128,17 @@ def test_column_rejects_invalid_value_by_name(kind, values, bad):
         )
 
 
+def test_parse_csv_types_columns_without_checking_them_again(monkeypatch):
+    def no_recheck(self):
+        raise AssertionError("Column._all_valid called")
+
+    monkeypatch.setattr(Column, "_all_valid", no_recheck)
+    data = parse_csv(b"a,b\n1.5,x\nNA,NA\n2,x\n")
+    a, b = data.column("a"), data.column("b")
+    assert (a.kind, a.values, a.n_missing()) == ("numeric", (1.5, None, 2.0), 1)
+    assert (b.kind, b.values, b.n_missing()) == ("categorical", ("x", None, "x"), 1)
+
+
 def test_column_accepts_zeros_and_float_subclasses():
     assert Column("numeric", (0.0, -0.0, None, 1.5)).values[:2] == (0.0, 0.0)
     Column("numeric", (np.float64(2.5), None))  # isinstance(float) holds
