@@ -137,6 +137,25 @@ def normal_equations_fit(x: list[float], y: list[float]):
     return slope, intercept
 
 
+def linear_fit_oracle(x: list[float | None], y: list[float | None]):
+    """(slope, intercept, n) by the pair-at-a-time OLS `polyrep.stats.linear_fit`
+    used before it summed whole columns, kept verbatim with the same errors."""
+    if len(x) != len(y):
+        raise DataError(f"series lengths differ: {len(x)} vs {len(y)}")
+    pairs = [(a, b) for a, b in zip(x, y) if a is not None and b is not None]
+    n = len(pairs)
+    if n < 2:
+        raise DataError(f"need at least 2 complete pairs, found {n}")
+    mx = sum(a for a, _ in pairs) / n
+    my = sum(b for _, b in pairs) / n
+    sxx = sum((a - mx) ** 2 for a, _ in pairs)
+    if sxx == 0:
+        raise DataError("x is constant; the fit is degenerate")
+    sxy = sum((a - mx) * (b - my) for a, b in pairs)
+    slope = sxy / sxx
+    return slope, my - slope * mx, n
+
+
 # -- CSV ---------------------------------------------------------------------
 # The original row-by-row parser, kept verbatim as the reference for the
 # column-at-a-time `polyrep.dataset.parse_csv`. Two documented differences:

@@ -581,6 +581,27 @@ def test_chart_commands_reject_unbound_spec_alike(workdir, capsys, command, spec
     assert capsys.readouterr().err == f"polyrep: error[spec]: {message}\n"
 
 
+# a chart that binds but cannot be drawn is refused by every mode that draws
+# or describes it, so the alt text never describes a chart nothing draws
+@pytest.mark.parametrize(
+    "spec,line",
+    [
+        (_scatter_spec({"x": list(range(12)), "y": list(range(12)),
+                        "g": [f"level{i}" for i in range(12)]}, group="g"),
+         "error[spec]: 12 group levels exceed the palette's 8 colors"),
+        (_scatter_spec({"x": [1e300, 1e300], "y": [1, 2]}),
+         "error[data]: degenerate scale domain"),
+    ],
+    ids=["too-many-levels", "unwidenable-domain"],
+)
+@pytest.mark.parametrize("command", ("render", "cvd-grid", "alt", "tactile"))
+def test_chart_commands_refuse_an_undrawable_chart_alike(workdir, capsys, command,
+                                                         spec, line):
+    Path("bad.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main([command, "bad.json"]) == 1
+    assert capsys.readouterr() == ("", f"polyrep: {line}\n")
+
+
 def _tones(wav: bytes) -> int:
     """Runs of sound separated by at least 10 ms of silence."""
     frames, rate = read_wav_oracle(wav)

@@ -13,6 +13,7 @@ from oracles import (
     box_scan_oracle,
     histogram_loop_oracle,
     histogram_oracle,
+    linear_fit_oracle,
     normal_equations_fit,
     quantile_oracle,
 )
@@ -343,6 +344,34 @@ def test_fit_order_invariant(pairs, rng):
     b = linear_fit([p[0] for p in shuffled], [p[1] for p in shuffled])
     assert math.isclose(a.slope, b.slope, rel_tol=1e-9, abs_tol=1e-9)
     assert math.isclose(a.intercept, b.intercept, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def _fit_bits(fit, x, y):
+    """A fit's exact (slope, intercept, n) bits, or its DataError message."""
+    try:
+        slope, intercept, n = fit(x, y)
+    except DataError as exc:
+        return str(exc)
+    return slope.hex(), intercept.hex(), n
+
+
+_FIT_VALUES = st.none() | st.sampled_from([0.0, 1.0, 2.5]) | st.floats(-1e6, 1e6)
+
+
+@given(st.lists(st.tuples(_FIT_VALUES, _FIT_VALUES), max_size=40))
+@example([])
+@example([(None, 1.0), (2.0, None)])
+@example([(1.0, 2.0)])
+@example([(2.0, 1.0), (None, 5.0), (2.0, 3.0)])
+@example([(1.0, 2.0), (3.0, None), (4.0, 8.0)])
+def test_linear_fit_matches_oracle_bit_for_bit(pairs):
+    x, y = [a for a, _ in pairs], [b for _, b in pairs]
+
+    def fit(x, y):
+        f = linear_fit(x, y)
+        return f.slope, f.intercept, f.n
+
+    assert _fit_bits(fit, x, y) == _fit_bits(linear_fit_oracle, x, y)
 
 
 # -- nice_ticks --------------------------------------------------------------
