@@ -24,7 +24,7 @@ from .chartspec import ChartSpec, bind, load_dataset, parse_spec
 from .color import Palette, Rgb, audit_palette, okabe_ito
 from .dataset import Dataset
 from .errors import DataError, PolyrepError, SpecError
-from .scene import Scene, layout
+from .scene import Scene, layout, summarize
 from .sonify import SonifyConfig, sonify_points, sonify_sweep, write_wav
 from .svgout import cvd_grid, emit_svg, grid_alt
 from .tactile import (
@@ -161,8 +161,8 @@ def _cmd_cvd_grid(args) -> int:
 
 
 def _cmd_alt(args) -> int:
-    scene = _chart(args)
-    alt = auto_alt(scene.summary)
+    spec, data = _load(args.spec)
+    alt = auto_alt(summarize(spec, bind(spec, data)))
     print(json.dumps(list(alt.sentences), indent=2) if args.json else alt.flattened)
     return 0
 

@@ -1,20 +1,21 @@
 """Chart layout: device-space geometry for what a spec draws from its data.
 
 `chartspec.bind` computes what the chart draws in data space (its complete
-rows, bars, bins or boxes); layout scales and places those values and
+rows, bars, bins or boxes). `summarize` computes what its axes and legend
+say, still in data space: each axis's title, domain and ticks, and the
+grouped levels in legend order. `layout` scales and places those and
 computes none of them again.
 
-Every axis comes from one of two rules: `_value_axis` scales a numeric
-range (padded 5%, counts from 0, a flat range widened half a unit each
-way) and ticks it with `nice_ticks`; `_band_axis` gives each category an
-equal slot, ticked at its centre. The SVG, the alt text and the tactile
-page all read the AxisInfo these make.
+An axis follows one of two rules: `_value_axis` pads a numeric range 5%
+(counts from 0, a flat range widened half a unit each way) and ticks it
+with `nice_ticks`; a band axis gives each category an equal slot, ticked at
+its centre. The alt text reads the summary without a layout; the SVG and
+the tactile page draw the same axes from the scene.
 
 The Scene separates data marks (points, rects, lines that encode values;
 these get stable ids and are recolored by the deficiency grid) from
 decorations (axes, tick labels, titles, legend). Coordinates are SVG
-pixels, y down. The summary carried on the scene feeds the verbalizer:
-the spec, the ChartValues the scene was laid out from, and the drawn axes.
+pixels, y down. The scene carries the summary it was laid out from.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .chartspec import ChartSpec, ChartValues, bind
 from .color import Rgb
 from .dataset import Dataset
 from .errors import DataError, SpecError
 from .stats import nice_ticks
-from .verbalize import ChartSummary
+from .verbalize import ChartSummary, DataAxis
 
 WIDTH = 640.0
 HEIGHT = 480.0
@@ -193,11 +195,9 @@ class Scene:
 
 
 class LinearScale:
-    """Affine data -> device map."""
+    """Affine data -> device map of a domain `summarize` checked is open."""
 
     def __init__(self, d0: float, d1: float, r0: float, r1: float):
-        if d0 == d1:
-            raise DataError("degenerate scale domain")
         self.d0, self.d1, self.r0, self.r1 = d0, d1, r0, r1
 
     def __call__(self, v: float) -> float:
@@ -209,7 +209,8 @@ def layout(spec: ChartSpec, data: Dataset) -> Scene:
     """Lay a chart out on the default canvas.
 
     Raises SpecError when the spec does not bind to the data, DataError
-    when nothing remains to draw after dropping missing values.
+    when nothing remains to draw after dropping missing values, and what
+    `summarize` raises.
     """
     builder = {
         "bar": _layout_bar,
@@ -218,7 +219,64 @@ def layout(spec: ChartSpec, data: Dataset) -> Scene:
         "scatter": _layout_points,
         "line": _layout_points,
     }[spec.chart_type]
-    return builder(spec, bind(spec, data))
+    return builder(summarize(spec, bind(spec, data)))
+
+
+# -- data space ------------------------------------------------------------
+
+
+def summarize(spec: ChartSpec, values: ChartValues) -> ChartSummary:
+    """What the chart's axes and legend say, in data space.
+
+    Raises SpecError when the grouped levels outnumber the palette's
+    colors, DataError when widening cannot open an axis's domain.
+    """
+    levels: tuple[str, ...] = ()
+    if spec.chart_type == "bar":
+        max_count = float(max(c for _, c in values.bars))
+        y = _value_axis("count", 0.0, max_count, from_zero=True)
+        x = DataAxis(spec.x, tuple(label for label, _ in values.bars))
+    elif spec.chart_type == "histogram":
+        bins = values.bins
+        max_count = float(max(c for _, _, c in bins))
+        y = _value_axis("count", 0.0, max_count, from_zero=True)
+        x = _value_axis(spec.x, bins[0][0], bins[-1][1])
+    elif spec.chart_type == "boxplot":
+        extremes: list[float] = []
+        for b in values.boxes:
+            extremes.extend((b.min_whisker, b.max_whisker, *b.outliers))
+        if spec.y is None:  # one box, no x axis
+            y, x = _value_axis(spec.x, min(extremes), max(extremes)), DataAxis("")
+        else:
+            y = _value_axis(spec.y, min(extremes), max(extremes))
+            x = DataAxis(spec.x, tuple(b.group_label for b in values.boxes))
+    else:
+        if spec.group is not None:
+            levels = tuple(dict.fromkeys(map(itemgetter(2), values.rows)))
+            if spec.sort_order == "alpha":
+                levels = tuple(sorted(levels))
+            if len(levels) > len(spec.palette):
+                raise SpecError(f"{len(levels)} group levels exceed the "
+                                f"palette's {len(spec.palette)} colors")
+        (x_lo, x_hi), (y_lo, y_hi) = values.ranges
+        y = _value_axis(spec.y or "", y_lo, y_hi)
+        x = _value_axis(spec.x, x_lo, x_hi)
+    return ChartSummary(spec, values, x, y, levels)
+
+
+def _value_axis(title: str, lo: float, hi: float, from_zero: bool = False) -> DataAxis:
+    """The axis of data [lo, hi]: a flat range widens half a unit each way,
+    the domain is padded 5% at each end (at the top only, from exactly 0,
+    when `from_zero`), and the ticks are the nice ticks of the unpadded
+    range."""
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    pad = 0.05 * (hi - lo)
+    domain = (0.0 if from_zero else lo - pad, hi + pad)
+    if domain[0] == domain[1]:
+        raise DataError("degenerate scale domain")
+    ticks = nice_ticks(lo, hi)
+    return DataAxis(title, ticks.labels, ticks.positions, domain)
 
 
 # -- shared assembly -------------------------------------------------------
@@ -229,27 +287,18 @@ def _plot_rect(with_legend: bool) -> Rect:
     return Rect(MARGIN, MARGIN, w, HEIGHT - 2 * MARGIN)
 
 
-def _value_axis(
-    title: str, lo: float, hi: float, r0: float, r1: float, from_zero: bool = False
-) -> tuple[LinearScale, AxisInfo]:
-    """The scale of data [lo, hi] onto device [r0, r1] and its axis: a flat
-    range widens half a unit each way, the domain is padded 5% at each end
-    (at the top only, from exactly 0, when `from_zero`), and the ticks are
-    the nice ticks of the unpadded range."""
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    pad = 0.05 * (hi - lo)
-    scale = LinearScale(0.0 if from_zero else lo - pad, hi + pad, r0, r1)
-    ticks = nice_ticks(lo, hi)
-    return scale, AxisInfo(title, tuple(map(scale, ticks.positions)), ticks.labels)
+def _scale_axis(axis: DataAxis, r0: float, r1: float) -> tuple[LinearScale, AxisInfo]:
+    """The scale of a value axis's domain onto device [r0, r1], and the axis
+    drawn there."""
+    scale = LinearScale(*axis.domain, r0, r1)
+    return scale, AxisInfo(axis.title, tuple(map(scale, axis.ticks)), axis.labels)
 
 
-def _band_axis(title: str, labels: Sequence[str], plot: Rect) -> tuple[float, AxisInfo]:
-    """One equal slot per category across the plot, ticked at slot centres;
-    returns the slot width and the axis."""
-    slot = plot.w / len(labels)
-    centers = tuple(plot.x + (i + 0.5) * slot for i in range(len(labels)))
-    return slot, AxisInfo(title, centers, tuple(labels))
+def _band_slots(n: int, plot: Rect) -> tuple[float, tuple[float, ...]]:
+    """One equal slot per category across the plot: the slot width and the
+    slot centres, where a band axis is ticked."""
+    slot = plot.w / n
+    return slot, tuple(plot.x + (i + 0.5) * slot for i in range(n))
 
 
 def _axis_decorations(
@@ -318,8 +367,7 @@ def _legend_decorations(
 
 
 def _assemble(
-    spec: ChartSpec,
-    values: ChartValues,
+    summary: ChartSummary,
     plot: Rect,
     marks: list[Mark],
     x_axis: AxisInfo,
@@ -327,17 +375,14 @@ def _assemble(
     legend: tuple[LegendEntry, ...] = (),
     extra_decorations: Sequence[Mark] = (),
     panels: Sequence[tuple[Rect, tuple[float, ...]]] = (),
-    group_levels: tuple[str, ...] = (),
 ) -> Scene:
-    """The scene, with a summary of its spec, its values and its drawn axes;
-    `panels` splits the plot for facets."""
+    """The scene of a summary; `panels` splits the plot for facets."""
+    spec = summary.spec
     decos = _axis_decorations(plot, x_axis, y_axis, panels or ((plot, x_axis.ticks),))
     decos.extend(_chrome_decorations(spec))
     if legend:
         decos.extend(_legend_decorations(plot, spec.group, legend))
     decos.extend(extra_decorations)
-    summary = ChartSummary(spec, values, x_axis.title, y_axis.title,
-                           x_axis.labels, y_axis.labels, group_levels)
     return Scene(WIDTH, HEIGHT, plot, tuple(marks), tuple(decos), x_axis, y_axis,
                  legend, summary)
 
@@ -345,12 +390,12 @@ def _assemble(
 # -- bar / histogram -------------------------------------------------------
 
 
-def _layout_bar(spec: ChartSpec, values: ChartValues) -> Scene:
-    counts = values.bars
+def _layout_bar(summary: ChartSummary) -> Scene:
+    counts = summary.values.bars
     plot = _plot_rect(with_legend=False)
-    max_count = float(max(c for _, c in counts))
-    sy, y_axis = _value_axis("count", 0.0, max_count, plot.y1, plot.y, from_zero=True)
-    slot, x_axis = _band_axis(spec.x, [label for label, _ in counts], plot)
+    sy, y_axis = _scale_axis(summary.y_axis, plot.y1, plot.y)
+    slot, centers = _band_slots(len(counts), plot)
+    x_axis = AxisInfo(summary.x_axis.title, centers, summary.x_axis.labels)
 
     marks: list[Mark] = []
     for cx, (_, count) in zip(x_axis.ticks, counts):
@@ -358,43 +403,35 @@ def _layout_bar(spec: ChartSpec, values: ChartValues) -> Scene:
         marks.append(
             RectMark(cx - 0.4 * slot, top, 0.8 * slot, sy(0.0) - top, fill=INK)
         )
-    return _assemble(spec, values, plot, marks, x_axis, y_axis)
+    return _assemble(summary, plot, marks, x_axis, y_axis)
 
 
-def _layout_histogram(spec: ChartSpec, values: ChartValues) -> Scene:
-    bins = values.bins
+def _layout_histogram(summary: ChartSummary) -> Scene:
     plot = _plot_rect(with_legend=False)
-    max_count = float(max(c for _, _, c in bins))
-    sy, y_axis = _value_axis("count", 0.0, max_count, plot.y1, plot.y, from_zero=True)
-    sx, x_axis = _value_axis(spec.x, bins[0][0], bins[-1][1], plot.x, plot.x1)
+    sy, y_axis = _scale_axis(summary.y_axis, plot.y1, plot.y)
+    sx, x_axis = _scale_axis(summary.x_axis, plot.x, plot.x1)
 
     marks: list[Mark] = []
-    for blo, bhi, count in bins:
+    for blo, bhi, count in summary.values.bins:
         left, right = sx(blo), sx(bhi)
         top = sy(float(count))
         marks.append(
             RectMark(left, top, right - left, sy(0.0) - top, fill=INK, stroke=WHITE)
         )
-    return _assemble(spec, values, plot, marks, x_axis, y_axis)
+    return _assemble(summary, plot, marks, x_axis, y_axis)
 
 
 # -- boxplot ---------------------------------------------------------------
 
 
-def _layout_boxplot(spec: ChartSpec, values: ChartValues) -> Scene:
-    grouped = spec.y is not None
-    value_col = spec.y if grouped else spec.x
-    boxes = values.boxes
+def _layout_boxplot(summary: ChartSummary) -> Scene:
+    boxes = summary.values.boxes
     plot = _plot_rect(with_legend=False)
-
-    extremes: list[float] = []
-    for b in boxes:
-        extremes.extend((b.min_whisker, b.max_whisker, *b.outliers))
-    sy, y_axis = _value_axis(value_col, min(extremes), max(extremes), plot.y1, plot.y)
-    slot, band = _band_axis(spec.x, [b.group_label for b in boxes], plot)
+    sy, y_axis = _scale_axis(summary.y_axis, plot.y1, plot.y)
+    slot, centers = _band_slots(len(boxes), plot)
 
     marks: list[Mark] = []
-    for cx, b in zip(band.ticks, boxes):
+    for cx, b in zip(centers, boxes):
         half = 0.25 * slot
         cap = 0.125 * slot
         y_q1, y_q3 = sy(b.q1), sy(b.q3)
@@ -410,28 +447,27 @@ def _layout_boxplot(spec: ChartSpec, values: ChartValues) -> Scene:
         for v in b.outliers:
             marks.append(PointMark(cx, sy(v), ShapeKind.CIRCLE, BLACK, size=2.5))
 
-    x_axis = band if grouped else AxisInfo("", (), ())
-    return _assemble(spec, values, plot, marks, x_axis, y_axis)
+    # an ungrouped box has no x axis: no labels, so no ticks
+    x = summary.x_axis
+    x_axis = AxisInfo(x.title, centers if x.labels else (), x.labels)
+    return _assemble(summary, plot, marks, x_axis, y_axis)
 
 
 # -- scatter / line --------------------------------------------------------
 
 
-def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
+def _layout_points(summary: ChartSummary) -> Scene:
+    spec = summary.spec
     by_level: dict[str | None, list[tuple[float, float]]] = {}
-    for x, y, g in values.rows:
+    for x, y, g in summary.values.rows:
         by_level.setdefault(g, []).append((x, y))
-    # the drawn levels in first-appearance order; ungrouped, the one key None
-    order = sorted(by_level) if spec.sort_order == "alpha" else list(by_level)
+    # the levels in legend order; ungrouped, the one key None
+    order = summary.group_levels or (None,)
     grouped = spec.group is not None
     facet = spec.encodings.facet and grouped
     plot = _plot_rect(with_legend=grouped and not facet)
 
     # one style per level, read by the marks and by the legend alike
-    if grouped and len(order) > len(spec.palette):
-        raise SpecError(
-            f"{len(order)} group levels exceed the palette's {len(spec.palette)} colors"
-        )
     enc = spec.encodings
     styles: list[LegendEntry] = []
     for i, level in enumerate(order):
@@ -446,8 +482,7 @@ def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
                      else ShapeKind.CIRCLE)
             styles.append(LegendEntry(level or "", color, shape=shape))
 
-    (x_lo, x_hi), (y_lo, y_hi) = values.ranges
-    sy, y_axis = _value_axis(spec.y or "", y_lo, y_hi, plot.y1, plot.y)
+    sy, y_axis = _scale_axis(summary.y_axis, plot.y1, plot.y)
 
     panels = [plot]
     if facet:
@@ -455,7 +490,7 @@ def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
         panel_w = (plot.w - gap * (len(order) - 1)) / len(order)
         panels = [Rect(plot.x + i * (panel_w + gap), plot.y, panel_w, plot.h)
                   for i in range(len(order))]
-    x_axes = [_value_axis(spec.x, x_lo, x_hi, panel.x, panel.x1) for panel in panels]
+    x_axes = [_scale_axis(summary.x_axis, panel.x, panel.x1) for panel in panels]
     marks: list[Mark] = []
     for i, (level, style) in enumerate(zip(order, styles)):
         sx = x_axes[i if facet else 0][0]
@@ -467,11 +502,10 @@ def _layout_points(spec: ChartSpec, values: ChartValues) -> Scene:
         for panel, level in zip(panels, order)
     ] if facet else []
     return _assemble(
-        spec, values, plot, marks, x_axis, y_axis,
+        summary, plot, marks, x_axis, y_axis,
         tuple(styles) if grouped and not facet else (),
         facet_labels,
         panel_ticks,
-        tuple(order) if grouped else (),
     )
 
 

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import is_not
+from operator import is_not, mul, sub
 
 from .dataset import Dataset
 from .errors import DataError
@@ -199,16 +199,21 @@ def linear_fit(x: list[float | None], y: list[float | None]) -> LinearFit:
     """
     if len(x) != len(y):
         raise DataError(f"series lengths differ: {len(x)} vs {len(y)}")
-    pairs = [(a, b) for a, b in zip(x, y) if a is not None and b is not None]
-    n = len(pairs)
+    if None in x or None in y:
+        pairs = [(a, b) for a, b in zip(x, y) if a is not None and b is not None]
+        x, y = [a for a, _ in pairs], [b for _, b in pairs]
+    n = len(x)
     if n < 2:
         raise DataError(f"need at least 2 complete pairs, found {n}")
-    mx = sum(a for a, _ in pairs) / n
-    my = sum(b for _, b in pairs) / n
-    sxx = sum((a - mx) ** 2 for a, _ in pairs)
+    # whole-column passes in C, summing the same terms in the same order
+    # as a loop over the pairs would
+    mx = sum(x) / n
+    my = sum(y) / n
+    dx = list(map(sub, x, repeat(mx)))
+    sxx = sum(map(pow, dx, repeat(2)))
     if sxx == 0:
         raise DataError("x is constant; the fit is degenerate")
-    sxy = sum((a - mx) * (b - my) for a, b in pairs)
+    sxy = sum(map(mul, dx, map(sub, y, repeat(my))))
     slope = sxy / sxx
     return LinearFit(slope, my - slope * mx, n)
 

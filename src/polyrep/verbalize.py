@@ -1,9 +1,10 @@
 """Alt-text generation: an automatic template grammar plus a manual formula.
 
-The automatic grammar describes a laid-out chart sentence by sentence:
-metadata, the two axes with their tick labels, the chart type, then one
-sentence per mark group. It reads the spec, the `ChartValues` the chart
-was laid out from and the drawn axes, so it restates no fact of its own;
+The automatic grammar describes a chart sentence by sentence: metadata,
+the two axes with their tick labels, the chart type, then one sentence per
+mark group. It reads a `ChartSummary`: the spec, the bound `ChartValues`
+and the data-space axes that `scene.summarize` computes and the SVG and
+tactile page draw, so it restates no fact of its own and needs no layout;
 the trend is the sign of `ChartValues.fit()`. Bar charts follow the
 canonical wording
 
@@ -52,17 +53,26 @@ class ManualAltInput:
 
 
 @dataclass(frozen=True)
+class DataAxis:
+    """What an axis says, in data space: its title and tick labels, and for
+    a value axis the tick values and the (d0, d1) domain a scale maps. A
+    band axis, one slot per label, has neither."""
+
+    title: str
+    labels: tuple[str, ...] = ()
+    ticks: tuple[float, ...] = ()
+    domain: tuple[float, float] | None = None
+
+
+@dataclass(frozen=True)
 class ChartSummary:
-    """A laid-out chart as the verbalizer reads it: the spec, the values it
-    was laid out from, the drawn axes' titles and tick labels, and the
-    grouped levels in legend order."""
+    """A chart as the verbalizer reads it: the spec, the bound values, the
+    two axes in data space, and the grouped levels in legend order."""
 
     spec: ChartSpec
     values: ChartValues
-    x_name: str
-    y_name: str
-    x_labels: tuple[str, ...]
-    y_labels: tuple[str, ...]
+    x_axis: DataAxis
+    y_axis: DataAxis
     group_levels: tuple[str, ...] = ()
 
 
@@ -104,19 +114,20 @@ def auto_alt(summary: ChartSummary) -> AltText:
 
     Titles and the chart type come from the spec; bars, bins, boxes, point
     and dropped-row counts, ranges and the trend from the values; the axes
-    from the summary's drawn ones. A scatter or line chart whose fit is
-    degenerate (constant x) gets no trend sentence.
+    from the summary's. A scatter or line chart whose fit is degenerate
+    (constant x) gets no trend sentence.
     """
     spec, values = summary.spec, summary.values
+    x_name, y_name = summary.x_axis.title, summary.y_axis.title
     s: list[str] = [_metadata_sentence(spec.title, spec.subtitle, spec.caption)]
-    if summary.x_labels:
+    if summary.x_axis.labels:
         s.append(
-            f"It has x-axis '{summary.x_name}' with labels "
-            f"{join_labels(summary.x_labels)}."
+            f"It has x-axis '{x_name}' with labels "
+            f"{join_labels(summary.x_axis.labels)}."
         )
     s.append(
-        f"It has y-axis '{summary.y_name}' with labels "
-        f"{join_labels(summary.y_labels)}."
+        f"It has y-axis '{y_name}' with labels "
+        f"{join_labels(summary.y_axis.labels)}."
     )
 
     kind = spec.chart_type
@@ -154,8 +165,8 @@ def auto_alt(summary: ChartSummary) -> AltText:
         s.append(f"The chart is a {noun} with {_plural(len(values.rows), 'point')}.")
         (x_lo, x_hi), (y_lo, y_hi) = values.ranges
         s.append(
-            f"Values of '{summary.x_name}' vary from about {_about(x_lo)} to "
-            f"{_about(x_hi)}, and values of '{summary.y_name}' vary from about "
+            f"Values of '{x_name}' vary from about {_about(x_lo)} to "
+            f"{_about(x_hi)}, and values of '{y_name}' vary from about "
             f"{_about(y_lo)} to {_about(y_hi)}."
         )
         try:
@@ -171,7 +182,7 @@ def auto_alt(summary: ChartSummary) -> AltText:
                 kind_phrase = "no clear relationship"
             s.append(
                 f"Overall there is {kind_phrase} between "
-                f"'{summary.x_name}' and '{summary.y_name}'."
+                f"'{x_name}' and '{y_name}'."
             )
         if spec.group:
             s.append(

@@ -95,6 +95,26 @@ def test_alt_prints_block(workdir, capsys):
     assert capsys.readouterr().out == GOLDEN_BAR_BLOCK
 
 
+@pytest.mark.parametrize("name", ["lin", "penguins_bar", "penguins_box",
+                                  "penguins_hist", "penguins_scatter", "grouped_line"])
+def test_alt_never_lays_out_marks(workdir, capsys, monkeypatch, name):
+    # alt reads the bound values and their summary: the same text as the
+    # sidecar render writes, with every mark builder refusing to run
+    if name == "grouped_line":
+        Path(f"{name}.json").write_text(json.dumps(CVD_GRID_SPECS[name]), encoding="utf-8")
+    assert main(["render", f"{name}.json", "-o", "r.svg"]) == 0
+    capsys.readouterr()
+
+    def no_marks(*args, **kwargs):
+        raise AssertionError("marks laid out")
+
+    for builder in ("_layout_bar", "_layout_histogram", "_layout_boxplot",
+                    "_layout_points", "_series_marks"):
+        monkeypatch.setattr(f"polyrep.scene.{builder}", no_marks)
+    assert main(["alt", f"{name}.json"]) == 0
+    assert capsys.readouterr().out == Path("r.svg.alt.txt").read_text(encoding="utf-8")
+
+
 def test_alt_json(workdir, capsys):
     assert main(["alt", "penguins_bar.json", "--json"]) == 0
     sentences = json.loads(capsys.readouterr().out)

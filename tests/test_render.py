@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import load_fixture_spec
+from conftest import FIXTURES, load_fixture_spec
+from test_cli import CVD_GRID_SPECS, FLAT_RANGE_SHA256
 from polyrep import svgout
 from polyrep.chartspec import bind, inline_dataset, load_dataset, parse_spec
 from polyrep.color import CvdKind, Rgb, simulate_cvd
@@ -16,6 +18,7 @@ from polyrep.scene import (
     ShapeKind,
     TextMark,
     layout,
+    summarize,
 )
 from polyrep.svgout import cvd_grid, emit_svg
 from polyrep.tactile import tactualize
@@ -266,6 +269,34 @@ def test_alt_axes_are_the_drawn_axes(name, fixtures_dir):
     drawn = {m.text for m in scene.decorations if isinstance(m, TextMark)}
     assert set(x.labels) | set(y.labels) <= drawn
     assert {t for t in (x.title, y.title) if t} <= drawn
+
+
+def _summary_cases() -> dict[str, bytes]:
+    """Spec bytes of the fixtures, the facet chart and every flat-range and
+    CVD-grid pinned chart (their CSV paths resolve against the fixtures)."""
+    cases = {name: (FIXTURES / name).read_bytes()
+             for name in AGREEMENT_CASES if name != "facet"}
+    cases["facet"] = FACET_SCATTER
+    for name, (inline, chart, _) in FLAT_RANGE_SHA256.items():
+        spec = {"data": {"inline": inline}, "chart": chart}
+        cases[f"flat_{name}"] = json.dumps(spec).encode()
+    for name, spec in CVD_GRID_SPECS.items():
+        cases[f"grid_{name}"] = json.dumps(spec).encode()
+    return cases
+
+
+SUMMARY_CASES = _summary_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_CASES))
+def test_summary_is_the_laid_out_summary(name, fixtures_dir):
+    spec = parse_spec(SUMMARY_CASES[name])
+    data = load_dataset(spec, base_dir=fixtures_dir)
+    scene = layout(spec, data)
+    summary = summarize(spec, bind(spec, data))
+    assert summary == scene.summary
+    for drawn, said in ((scene.x_axis, summary.x_axis), (scene.y_axis, summary.y_axis)):
+        assert (drawn.title, drawn.labels) == (said.title, said.labels)
 
 
 def _complete(penguins, *cols):

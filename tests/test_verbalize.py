@@ -11,6 +11,7 @@ from polyrep.scene import layout
 from polyrep.verbalize import (
     AltText,
     ChartSummary,
+    DataAxis,
     ManualAltInput,
     auto_alt,
     checklist_score,
@@ -44,8 +45,8 @@ def bar_summary(
     **spec_fields,
 ):
     spec = ChartSpec(**{"chart_type": "bar", "x": "species", **spec_fields})
-    return ChartSummary(spec, ChartValues(0, bars=bars), "species", "count",
-                        x_labels, y_labels)
+    return ChartSummary(spec, ChartValues(0, bars=bars), DataAxis("species", x_labels),
+                        DataAxis("count", y_labels))
 
 
 def test_penguins_bar_block_exact(penguins):
@@ -93,10 +94,8 @@ def test_histogram_grammar():
         ChartSummary(
             ChartSpec("histogram", "v"),
             ChartValues(0, bins=((0.0, 1.5, 2), (1.5, 3.0, 2))),
-            x_name="v",
-            y_name="count",
-            x_labels=("0", "2"),
-            y_labels=("0", "2"),
+            x_axis=DataAxis("v", ("0", "2")),
+            y_axis=DataAxis("count", ("0", "2")),
         )
     )
     assert "The chart is a histogram with 2 bins." in alt.sentences
