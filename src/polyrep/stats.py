@@ -206,14 +206,14 @@ def linear_fit(x: list[float | None], y: list[float | None]) -> LinearFit:
     if n < 2:
         raise DataError(f"need at least 2 complete pairs, found {n}")
     # whole-column passes in C, summing the same terms in the same order
-    # as a loop over the pairs would
+    # as a loop over the pairs would; x - mx is taken twice rather than
+    # held in a list of n floats
     mx = sum(x) / n
     my = sum(y) / n
-    dx = list(map(sub, x, repeat(mx)))
-    sxx = sum(map(pow, dx, repeat(2)))
+    sxx = sum(map(pow, map(sub, x, repeat(mx)), repeat(2)))
     if sxx == 0:
         raise DataError("x is constant; the fit is degenerate")
-    sxy = sum(map(mul, dx, map(sub, y, repeat(my))))
+    sxy = sum(map(mul, map(sub, x, repeat(mx)), map(sub, y, repeat(my))))
     slope = sxy / sxx
     return LinearFit(slope, my - slope * mx, n)
 
