@@ -26,6 +26,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .chartspec import ChartSpec, ChartValues, bind
 from .color import Rgb
@@ -166,10 +167,11 @@ class Rect:
         return self.y + self.h
 
 
-@dataclass(frozen=True)
-class AxisInfo:
+class AxisInfo(NamedTuple):
+    """A `DataAxis` as drawn: its tick positions are device positions."""
+
     title: str
-    ticks: tuple[float, ...]  # device positions
+    ticks: tuple[float, ...]
     labels: tuple[str, ...]
 
 

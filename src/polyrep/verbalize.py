@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chartspec import ChartSpec, ChartValues
 from .dataset import format_number
@@ -52,11 +53,11 @@ class ManualAltInput:
     data_link: str | None = None
 
 
-@dataclass(frozen=True)
-class DataAxis:
+class DataAxis(NamedTuple):
     """What an axis says, in data space: its title and tick labels, and for
     a value axis the tick values and the (d0, d1) domain a scale maps. A
-    band axis, one slot per label, has neither."""
+    band axis, one slot per label, has neither. (A NamedTuple, like the
+    scene's `AxisInfo`: a tenth of a dataclass's cost at import.)"""
 
     title: str
     labels: tuple[str, ...] = ()
