@@ -43,6 +43,23 @@ options:
   --version      show program's version number and exit
 """
 
+TACTILE_HELP = """\
+usage: polyrep tactile [-h] [-o OUTPUT] [--paper {letter,a4,braille11x11}]
+                       [--preview]
+                       spec
+
+positional arguments:
+  spec                  chart spec JSON file
+
+options:
+  -h, --help            show this help message and exit
+  -o OUTPUT, --output OUTPUT
+                        output PDF path (default: <spec>.pdf)
+  --paper {letter,a4,braille11x11}
+                        page size (default letter)
+  --preview             also write a sighted-verification SVG next to the PDF
+"""
+
 GOLDEN_BAR_BLOCK = """\
 This is an untitled chart with no subtitle or caption.
 It has x-axis 'species' with labels Adelie, Chinstrap and Gentoo.
@@ -65,6 +82,25 @@ def workdir(tmp_path, fixtures_dir, monkeypatch):
 
 def test_help_golden():
     assert build_parser().format_help() == TOP_HELP
+
+
+@pytest.mark.parametrize("argv,text", [(["--help"], TOP_HELP),
+                                       (["tactile", "--help"], TACTILE_HELP)],
+                         ids=["top", "tactile"])
+def test_help_flag_prints_golden(capsys, argv, text):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == text
+
+
+def test_tactile_rejects_unknown_paper(workdir, capsys):
+    assert main(["tactile", "lin.json", "--paper", "b5"]) == 1
+    assert capsys.readouterr().err == (
+        "polyrep: error[spec]: argument --paper: invalid choice: 'b5' "
+        "(choose from 'letter', 'a4', 'braille11x11')\n"
+    )
+    assert not Path("lin.pdf").exists()
 
 
 def test_help_enumerates_every_flag():
