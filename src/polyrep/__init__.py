@@ -7,92 +7,56 @@ braille labels.
 
 Typical library use::
 
-    from polyrep import parse_csv, parse_spec, layout, auto_alt, emit_svg
+    from polyrep import (auto_alt, bind, emit_svg, layout, load_dataset,
+                         parse_spec, summarize)
 
     spec = parse_spec(spec_bytes)
-    data = parse_csv(csv_bytes)
-    scene = layout(spec, data)
-    svg = emit_svg(scene, auto_alt(scene.summary))
+    data = load_dataset(spec, base_dir=spec_dir)
+    values = bind(spec, data)  # the chart's data: bars, bins, boxes or points
+    alt = auto_alt(summarize(spec, values))  # alt text needs no layout
+    scene = layout(spec, data)  # the marks an SVG, grid or tactile page draws
+    svg = emit_svg(scene, alt)
+
+Each name below is imported from its module on first use, so importing
+``polyrep`` loads none of its modules.
 """
 
-from .braille import BrailleCell, to_braille
-from .chartspec import ChartSpec, load_dataset, parse_spec
-from .color import (
-    CvdKind,
-    Palette,
-    Rgb,
-    audit_palette,
-    delta_e,
-    okabe_ito,
-    simulate_cvd,
-)
-from .dataset import Column, Dataset, parse_csv
-from .errors import PolyrepError
-from .scene import Scene, layout
-from .sonify import (
-    AudioBuffer,
-    SonifyConfig,
-    sonify_points,
-    sonify_sweep,
-    write_wav,
-)
-from .stats import (
-    BoxStats,
-    LinearFit,
-    TickSet,
-    bar_counts,
-    box_stats,
-    histogram,
-    linear_fit,
-    nice_ticks,
-)
-from .svgout import cvd_grid, emit_svg
-from .tactile import TactileLayout, TactilePage, emit_pdf, emit_preview_svg, tactualize
-from .verbalize import AltText, auto_alt, checklist_score, manual_alt
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AltText",
-    "AudioBuffer",
-    "BoxStats",
-    "BrailleCell",
-    "ChartSpec",
-    "Column",
-    "CvdKind",
-    "Dataset",
-    "LinearFit",
-    "Palette",
-    "PolyrepError",
-    "Rgb",
-    "Scene",
-    "SonifyConfig",
-    "TactileLayout",
-    "TactilePage",
-    "TickSet",
-    "audit_palette",
-    "auto_alt",
-    "bar_counts",
-    "box_stats",
-    "checklist_score",
-    "cvd_grid",
-    "delta_e",
-    "emit_pdf",
-    "emit_preview_svg",
-    "emit_svg",
-    "histogram",
-    "layout",
-    "linear_fit",
-    "load_dataset",
-    "manual_alt",
-    "nice_ticks",
-    "okabe_ito",
-    "parse_csv",
-    "parse_spec",
-    "simulate_cvd",
-    "sonify_points",
-    "sonify_sweep",
-    "tactualize",
-    "to_braille",
-    "write_wav",
-]
+# module -> the public names it defines
+_MODULES = {
+    "braille": ("BrailleCell", "to_braille"),
+    "chartspec": ("ChartSpec", "bind", "load_dataset", "parse_spec"),
+    "color": ("CvdKind", "Palette", "Rgb", "audit_palette", "delta_e", "okabe_ito",
+              "simulate_cvd"),
+    "dataset": ("Column", "Dataset", "parse_csv"),
+    "errors": ("PolyrepError",),
+    "scene": ("Scene", "layout", "summarize"),
+    "sonify": ("AudioBuffer", "SonifyConfig", "sonify_points", "sonify_sweep",
+               "write_wav"),
+    "stats": ("BoxStats", "LinearFit", "TickSet", "bar_counts", "box_stats",
+              "histogram", "linear_fit", "nice_ticks"),
+    "svgout": ("cvd_grid", "emit_svg"),
+    "tactile": ("TactileLayout", "TactilePage", "emit_pdf", "emit_preview_svg",
+                "tactualize"),
+    "verbalize": ("AltText", "auto_alt", "checklist_score", "manual_alt"),
+}
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups find it without this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

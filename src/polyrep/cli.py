@@ -9,6 +9,9 @@
 
 Exit codes: 0 success, 1 validation error (including a failing audit),
 2 I/O error. Errors print to stderr as ``polyrep: error[<code>]: ...``.
+
+Each command imports the modules it runs when it runs, so a process that
+makes one artifact never loads the code of the others.
 """
 
 from __future__ import annotations
@@ -18,23 +21,17 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .chartspec import ChartSpec, bind, load_dataset, parse_spec
-from .color import Palette, Rgb, audit_palette, okabe_ito
-from .dataset import Dataset
 from .errors import DataError, PolyrepError, SpecError
-from .scene import Scene, layout, summarize
-from .sonify import SonifyConfig, sonify_points, sonify_sweep, write_wav
-from .svgout import cvd_grid, emit_svg, grid_alt
-from .tactile import (
-    PAPER_SIZES_MM,
-    TactileLayout,
-    emit_pdf,
-    emit_preview_svg,
-    tactualize,
-)
-from .verbalize import AltText, auto_alt
+from .pdfwrite import PAPER_SIZES_MM
+
+if TYPE_CHECKING:
+    from .chartspec import ChartSpec
+    from .dataset import Dataset
+    from .scene import Scene
+    from .verbalize import AltText
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,6 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(spec_path: str) -> tuple[ChartSpec, Dataset]:
+    from .chartspec import load_dataset, parse_spec
+
     path = Path(spec_path)
     spec = parse_spec(path.read_bytes())
     data = load_dataset(spec, base_dir=path.parent)
@@ -127,6 +126,8 @@ def _load(spec_path: str) -> tuple[ChartSpec, Dataset]:
 
 def _chart(args) -> Scene:
     """The spec's laid-out scene."""
+    from .scene import layout
+
     return layout(*_load(args.spec))
 
 
@@ -146,6 +147,9 @@ def _write(path: Path, payload: bytes, alt: AltText | None = None) -> None:
 
 
 def _cmd_render(args) -> int:
+    from .svgout import emit_svg
+    from .verbalize import auto_alt
+
     scene = _chart(args)
     alt = auto_alt(scene.summary)
     _write(_output(args, ".svg"),
@@ -154,6 +158,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_cvd_grid(args) -> int:
+    from .svgout import cvd_grid, grid_alt
+    from .verbalize import auto_alt
+
     scene = _chart(args)
     alt = auto_alt(scene.summary)
     _write(_output(args, ".cvd.svg"), cvd_grid(scene, alt), grid_alt(alt))
@@ -161,6 +168,10 @@ def _cmd_cvd_grid(args) -> int:
 
 
 def _cmd_alt(args) -> int:
+    from .chartspec import bind
+    from .scene import summarize
+    from .verbalize import auto_alt
+
     spec, data = _load(args.spec)
     alt = auto_alt(summarize(spec, bind(spec, data)))
     print(json.dumps(list(alt.sentences), indent=2) if args.json else alt.flattened)
@@ -168,6 +179,9 @@ def _cmd_alt(args) -> int:
 
 
 def _cmd_sonify(args) -> int:
+    from .chartspec import bind, load_dataset, parse_spec
+    from .sonify import SonifyConfig, sonify_points, sonify_sweep, write_wav
+
     path = Path(args.spec)
     spec = parse_spec(path.read_bytes())
     if spec.chart_type == "boxplot":  # refused before its data is read
@@ -190,6 +204,9 @@ def _cmd_sonify(args) -> int:
 
 
 def _cmd_tactile(args) -> int:
+    from .tactile import TactileLayout, emit_pdf, emit_preview_svg, tactualize
+    from .verbalize import auto_alt
+
     scene = _chart(args)
     page = tactualize(scene, TactileLayout.for_paper(args.paper))
     out = _output(args, ".pdf")
@@ -201,6 +218,8 @@ def _cmd_tactile(args) -> int:
 
 
 def _cmd_audit_palette(args) -> int:
+    from .color import Palette, Rgb, audit_palette, okabe_ito
+
     if args.colors.strip().lower() == "okabe-ito":
         palette = okabe_ito()
     else:

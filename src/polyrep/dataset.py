@@ -12,7 +12,6 @@ cells, so that equal strings share one object.
 from __future__ import annotations
 
 import csv
-import decimal
 import io
 import math
 from collections.abc import Callable, Iterable
@@ -272,6 +271,8 @@ def format_number(v: float) -> str:
         return str(int(v))
     s = repr(float(v))
     if "e" in s or "E" in s:
+        import decimal  # only here, so that most commands start without it
+
         # repr carries the shortest digits; re-render without the exponent
         s = format(decimal.Decimal(s), "f")
     return s

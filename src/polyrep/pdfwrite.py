@@ -8,6 +8,13 @@ from __future__ import annotations
 
 MM_TO_PT = 72.0 / 25.4
 
+# width, height; `polyrep tactile --paper` offers these keys
+PAPER_SIZES_MM: dict[str, tuple[float, float]] = {
+    "letter": (215.9, 279.4),
+    "a4": (210.0, 297.0),
+    "braille11x11": (279.4, 279.4),
+}
+
 # circle-from-Beziers constant: 4*(sqrt(2)-1)/3
 KAPPA = 0.5522847498307936
 

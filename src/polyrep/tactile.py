@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .braille import BrailleCell, to_braille
 from .errors import TactileError
-from .pdfwrite import MM_TO_PT, ContentStream, build_pdf, fmt_pt, path_ops
+from .pdfwrite import MM_TO_PT, PAPER_SIZES_MM, ContentStream, build_pdf, fmt_pt, path_ops
 from .scene import (
     PointMark,
     PolylineMark,
@@ -51,13 +51,6 @@ from .scene import (
 )
 from .svgout import xml_escape
 from .verbalize import AltText
-
-PAPER_SIZES_MM: dict[str, tuple[float, float]] = {
-    "letter": (215.9, 279.4),
-    "a4": (210.0, 297.0),
-    "braille11x11": (279.4, 279.4),
-}
-
 
 # fixed braille sizes (mm), after BANA's Guidelines and Standards for
 # Tactile Graphics (2010); only the page size is chosen per call

@@ -692,14 +692,19 @@ def test_sonify_plays_the_points_the_chart_draws(workdir, spec, drawn, n_drawn):
 
 
 # sonify refuses a chart type it cannot play before reading its data, so a
-# box plot is refused even when a column is missing, and no CSV is parsed
-@pytest.mark.parametrize("y", ["body_mass_g", "nope"])
-def test_sonify_refuses_a_box_plot_before_binding(workdir, capsys, monkeypatch, y):
+# box plot is refused even when a column or the CSV itself is missing, and
+# no CSV is parsed
+@pytest.mark.parametrize("y,csv", [("body_mass_g", "penguins.csv"),
+                                   ("nope", "penguins.csv"),
+                                   ("body_mass_g", "no-such.csv")],
+                         ids=["body_mass_g", "nope", "no_csv"])
+def test_sonify_refuses_a_box_plot_before_binding(workdir, capsys, monkeypatch, y, csv):
     def no_data(*args, **kwargs):
         raise AssertionError("load_dataset called")
 
-    monkeypatch.setattr("polyrep.cli.load_dataset", no_data)
-    spec = {"data": {"csv": "penguins.csv"},
+    # the command imports load_dataset from chartspec when it runs
+    monkeypatch.setattr("polyrep.chartspec.load_dataset", no_data)
+    spec = {"data": {"csv": csv},
             "chart": {"type": "boxplot", "x": "species", "y": y}}
     Path("box.json").write_text(json.dumps(spec), encoding="utf-8")
     assert main(["sonify", "box.json", "--categorical", "-o", "box.wav"]) == 1
@@ -719,28 +724,97 @@ def test_overlong_csv_field_exits_1(workdir, capsys):
     assert "error[csv]: row 3: field larger than field limit" in err
 
 
-# Only audio needs numpy: a fresh process that makes no audio never loads it.
+# Each command imports only the modules it runs, and only audio needs numpy:
+# a fresh process that makes no audio never loads it.
 COLD_START = """\
 import sys
 import polyrep.cli
+
+def loaded():
+    return {name for name in sys.modules if name.partition(".")[0] == "polyrep"}
+
 assert "numpy" not in sys.modules, "import polyrep.cli"
-for argv in (["render", "penguins_bar.json", "-o", "r.svg"],
-             ["cvd-grid", "penguins_bar.json", "-o", "g.svg"],
-             ["alt", "penguins_bar.json"],
-             ["tactile", "penguins_bar.json", "-o", "t.pdf"]):
+assert loaded() == {"polyrep", "polyrep.cli", "polyrep.errors", "polyrep.pdfwrite"}, loaded()
+for argv, unused in (
+    (["alt", "penguins_bar.json"], {"svgout", "tactile", "braille", "sonify"}),
+    (["render", "penguins_bar.json", "-o", "r.svg"], {"tactile", "braille", "sonify"}),
+    (["cvd-grid", "penguins_bar.json", "-o", "g.svg"], {"tactile", "braille", "sonify"}),
+    (["tactile", "penguins_bar.json", "-o", "t.pdf"], {"sonify"}),
+):
     assert polyrep.cli.main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
+    assert not loaded() & {f"polyrep.{name}" for name in unused}, (argv, loaded())
+"""
+
+COLD_PALETTE_THEN_AUDIO = """\
+import sys
+import polyrep.cli
+
+def loaded():
+    return {name for name in sys.modules if name.partition(".")[0] == "polyrep"}
+
+before = loaded()
+assert polyrep.cli.main(["audit-palette", "okabe-ito"]) == 0
+assert loaded() - before == {"polyrep.color"}, loaded() - before
+assert polyrep.cli.main(["sonify", "penguins_bar.json", "-o", "s.wav"]) == 0
+unused = {"scene", "verbalize", "svgout", "tactile", "braille"}
+assert not loaded() & {f"polyrep.{name}" for name in unused}, loaded()
 """
 
 
-def test_non_audio_commands_never_import_numpy(workdir):
+def _fresh_python(script: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run `script` in a new interpreter that imports this checkout's polyrep."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    run = subprocess.run([sys.executable, "-c", COLD_START], cwd=workdir,
-                         env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_non_audio_commands_never_import_numpy(workdir):
+    run = _fresh_python(COLD_START, workdir)
     assert run.returncode == 0, run.stderr
     assert {p.name for p in workdir.iterdir()} >= {"r.svg", "g.svg", "t.pdf"}
+
+
+def test_audit_palette_and_sonify_load_only_their_modules(workdir):
+    run = _fresh_python(COLD_PALETTE_THEN_AUDIO, workdir)
+    assert run.returncode == 0, run.stderr
+    assert Path("s.wav").is_file()
+
+
+def test_package_names_load_on_first_use(workdir):
+    import importlib
+
+    import polyrep
+
+    for name in polyrep.__all__:
+        value = getattr(polyrep, name)
+        assert value is getattr(importlib.import_module(value.__module__), name), name
+    namespace = {}
+    exec("from polyrep import *", namespace)
+    assert {name: namespace[name] for name in polyrep.__all__} == {
+        name: getattr(polyrep, name) for name in polyrep.__all__
+    }
+    with pytest.raises(AttributeError, match="'nope'"):
+        polyrep.nope
+    assert set(polyrep.__all__) <= set(dir(polyrep))
+    run = _fresh_python("import sys, polyrep\n"
+                        "print(sorted(m for m in sys.modules if m.startswith('polyrep.')))",
+                        workdir)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
+def test_package_docstring_pipeline(workdir):
+    from polyrep import auto_alt, bind, emit_svg, layout, load_dataset, parse_spec, summarize
+
+    spec = parse_spec(Path("penguins_bar.json").read_bytes())
+    data = load_dataset(spec, base_dir=workdir)
+    alt = auto_alt(summarize(spec, bind(spec, data)))
+    assert alt.flattened + "\n" == GOLDEN_BAR_BLOCK
+    assert main(["render", "penguins_bar.json", "-o", "bar.svg"]) == 0
+    assert emit_svg(layout(spec, data), alt) == Path("bar.svg").read_bytes()
 
 
 def test_no_command_prints_help(capsys):
