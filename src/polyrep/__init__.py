@@ -17,8 +17,8 @@ Typical library use::
     scene = layout(spec, data)  # the marks an SVG, grid or tactile page draws
     svg = emit_svg(scene, alt)
 
-Each name below is imported from its module on first use, so importing
-``polyrep`` loads none of its modules.
+Each exported name is imported from its module on first use, so
+``import polyrep`` loads none of the package's modules.
 """
 
 import importlib

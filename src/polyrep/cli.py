@@ -21,12 +21,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import DataError, PolyrepError, SpecError
 from .pdfwrite import PAPER_SIZES_MM
 
+TYPE_CHECKING = False  # type checkers read it as true; typing is slow to import
 if TYPE_CHECKING:
     from .chartspec import ChartSpec
     from .dataset import Dataset
