@@ -13,8 +13,9 @@ Typical library use::
     spec = parse_spec(spec_bytes)
     data = load_dataset(spec, base_dir=spec_dir)
     values = bind(spec, data)  # the chart's data: bars, bins, boxes or points
-    alt = auto_alt(summarize(spec, values))  # alt text needs no layout
-    scene = layout(spec, data)  # the marks an SVG, grid or tactile page draws
+    summary = summarize(spec, values)  # its axes and legend, in data space
+    alt = auto_alt(summary)  # alt text needs no layout
+    scene = layout(summary)  # the marks an SVG, grid or tactile page draws
     svg = emit_svg(scene, alt)
 
 Each exported name is imported from its module on first use, so

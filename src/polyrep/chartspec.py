@@ -33,7 +33,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .color import Palette, Rgb, okabe_ito
-from .dataset import Column, Dataset, parse_csv
+from .dataset import MISSING_TOKENS, Column, Dataset, parse_csv
 from .errors import DataError, SpecError
 from .stats import BoxStats, LinearFit, bar_counts, box_stats, histogram, linear_fit
 
@@ -217,12 +217,17 @@ def inline_dataset(columns: dict[str, list]) -> Dataset:
                 f"inline column {name!r} has {len(values)} values, expected {n_rows}"
             )
         present = [v for v in values if v is not None]
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in present):
-            vals = tuple(None if v is None else float(v) for v in values)
-            for v in vals:
-                if v is not None and not math.isfinite(v):
-                    raise SpecError(f"inline column {name!r} holds non-finite {v!r}")
-            out[name] = Column("numeric", vals)
+        for v in present:
+            if isinstance(v, (bool, list, dict)):
+                raise SpecError(f"inline column {name!r} holds {json.dumps(v)}; "
+                                "use a number, a string or null")
+            if v in MISSING_TOKENS:
+                raise SpecError(f"inline column {name!r} holds {v!r}; "
+                                "use null for a missing value")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise SpecError(f"inline column {name!r} holds non-finite {v!r}")
+        if all(isinstance(v, (int, float)) for v in present):
+            out[name] = Column("numeric", tuple(None if v is None else float(v) for v in values))
         elif all(isinstance(v, str) for v in present):
             out[name] = Column("categorical", tuple(values))
         else:

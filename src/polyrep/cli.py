@@ -28,10 +28,8 @@ from .pdfwrite import PAPER_SIZES_MM
 
 TYPE_CHECKING = False  # type checkers read it as true; typing is slow to import
 if TYPE_CHECKING:
-    from .chartspec import ChartSpec
-    from .dataset import Dataset
-    from .scene import Scene
-    from .verbalize import AltText
+    from .chartspec import ChartSpec, ChartValues
+    from .verbalize import AltText, ChartSummary
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,20 +113,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(spec_path: str) -> tuple[ChartSpec, Dataset]:
-    from .chartspec import load_dataset, parse_spec
+def _bind(args) -> tuple[ChartSpec, ChartValues]:
+    """The spec and its chart's values: one parse, one read of its data and
+    one bind. Sonify refuses a box plot before its data is read."""
+    from .chartspec import bind, load_dataset, parse_spec
 
-    path = Path(spec_path)
+    path = Path(args.spec)
     spec = parse_spec(path.read_bytes())
-    data = load_dataset(spec, base_dir=path.parent)
-    return spec, data
+    if args.command == "sonify" and spec.chart_type == "boxplot":
+        raise DataError("cannot sonify a boxplot chart")
+    return spec, bind(spec, load_dataset(spec, base_dir=path.parent))
 
 
-def _chart(args) -> Scene:
-    """The spec's laid-out scene."""
-    from .scene import layout
+def _summary(args) -> ChartSummary:
+    """The summary that the chart's alt text reads and its scene draws."""
+    from .scene import summarize
 
-    return layout(*_load(args.spec))
+    return summarize(*_bind(args))
 
 
 def _output(args, suffix: str) -> Path:
@@ -147,46 +148,42 @@ def _write(path: Path, payload: bytes, alt: AltText | None = None) -> None:
 
 
 def _cmd_render(args) -> int:
+    from .scene import layout
     from .svgout import emit_svg
     from .verbalize import auto_alt
 
-    scene = _chart(args)
-    alt = auto_alt(scene.summary)
+    summary = _summary(args)
+    scene = layout(summary)
+    alt = auto_alt(summary)
     _write(_output(args, ".svg"),
-           emit_svg(scene, alt, short_alt=scene.summary.spec.manual_alt), alt)
+           emit_svg(scene, alt, short_alt=summary.spec.manual_alt), alt)
     return 0
 
 
 def _cmd_cvd_grid(args) -> int:
+    from .scene import layout
     from .svgout import cvd_grid, grid_alt
     from .verbalize import auto_alt
 
-    scene = _chart(args)
-    alt = auto_alt(scene.summary)
+    summary = _summary(args)
+    scene = layout(summary)
+    alt = auto_alt(summary)
     _write(_output(args, ".cvd.svg"), cvd_grid(scene, alt), grid_alt(alt))
     return 0
 
 
 def _cmd_alt(args) -> int:
-    from .chartspec import bind
-    from .scene import summarize
     from .verbalize import auto_alt
 
-    spec, data = _load(args.spec)
-    alt = auto_alt(summarize(spec, bind(spec, data)))
+    alt = auto_alt(_summary(args))
     print(json.dumps(list(alt.sentences), indent=2) if args.json else alt.flattened)
     return 0
 
 
 def _cmd_sonify(args) -> int:
-    from .chartspec import bind, load_dataset, parse_spec
     from .sonify import SonifyConfig, sonify_points, sonify_sweep, write_wav
 
-    path = Path(args.spec)
-    spec = parse_spec(path.read_bytes())
-    if spec.chart_type == "boxplot":  # refused before its data is read
-        raise DataError("cannot sonify a boxplot chart")
-    values = bind(spec, load_dataset(spec, base_dir=path.parent))
+    spec, values = _bind(args)
     xs, ys = values.points
     cfg = SonifyConfig(
         duration_s=args.duration,
@@ -204,16 +201,16 @@ def _cmd_sonify(args) -> int:
 
 
 def _cmd_tactile(args) -> int:
+    from .scene import layout
     from .tactile import TactileLayout, emit_pdf, emit_preview_svg, tactualize
     from .verbalize import auto_alt
 
-    scene = _chart(args)
-    page = tactualize(scene, TactileLayout.for_paper(args.paper))
+    summary = _summary(args)
+    page = tactualize(layout(summary), TactileLayout.for_paper(args.paper))
     out = _output(args, ".pdf")
     _write(out, emit_pdf(page))
     if args.preview:
-        alt = auto_alt(scene.summary)
-        _write(out.with_suffix(".preview.svg"), emit_preview_svg(page, alt))
+        _write(out.with_suffix(".preview.svg"), emit_preview_svg(page, auto_alt(summary)))
     return 0
 
 

@@ -3,8 +3,9 @@
 `chartspec.bind` computes what the chart draws in data space (its complete
 rows, bars, bins or boxes). `summarize` computes what its axes and legend
 say, still in data space: each axis's title, domain and ticks, and the
-grouped levels in legend order. `layout` scales and places those and
-computes none of them again.
+grouped levels in legend order. `layout(summary)` scales and places those
+and computes none of them again, so one `bind` and one `summarize` serve
+the scene and the alt text alike.
 
 An axis follows one of two rules: `_value_axis` pads a numeric range 5%
 (counts from 0, a flat range widened half a unit each way) and ticks it
@@ -28,9 +29,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .chartspec import ChartSpec, ChartValues, bind
+from .chartspec import ChartSpec, ChartValues
 from .color import Rgb
-from .dataset import Dataset
 from .errors import DataError, SpecError
 from .stats import nice_ticks
 from .verbalize import ChartSummary, DataAxis
@@ -207,21 +207,16 @@ class LinearScale:
         return self.r0 + t * (self.r1 - self.r0)
 
 
-def layout(spec: ChartSpec, data: Dataset) -> Scene:
-    """Lay a chart out on the default canvas.
-
-    Raises SpecError when the spec does not bind to the data, DataError
-    when nothing remains to draw after dropping missing values, and what
-    `summarize` raises.
-    """
+def layout(summary: ChartSummary) -> Scene:
+    """Lay a chart's summary out on the default canvas."""
     builder = {
         "bar": _layout_bar,
         "histogram": _layout_histogram,
         "boxplot": _layout_boxplot,
         "scatter": _layout_points,
         "line": _layout_points,
-    }[spec.chart_type]
-    return builder(summarize(spec, bind(spec, data)))
+    }[summary.spec.chart_type]
+    return builder(summary)
 
 
 # -- data space ------------------------------------------------------------

@@ -3,10 +3,10 @@
 The automatic grammar describes a chart sentence by sentence: metadata,
 the two axes with their tick labels, the chart type, then one sentence per
 mark group. It reads a `ChartSummary`: the spec, the bound `ChartValues`
-and the data-space axes that `scene.summarize` computes and the SVG and
-tactile page draw, so it restates no fact of its own and needs no layout;
-the trend is the sign of `ChartValues.fit()`. Bar charts follow the
-canonical wording
+and the data-space axes that `scene.summarize` computes. `scene.layout`
+draws that same summary for the SVG and tactile page, so the alt text
+restates no fact of its own and needs no layout; the trend is the sign of
+`ChartValues.fit()`. Bar charts follow the canonical wording
 
     This is an untitled chart with no subtitle or caption.
     It has x-axis 'species' with labels Adelie, Chinstrap and Gentoo.

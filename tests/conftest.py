@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from polyrep.chartspec import parse_spec
+from polyrep.chartspec import bind, parse_spec
 from polyrep.dataset import parse_csv
+from polyrep.scene import layout, summarize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,6 +25,20 @@ def fixtures_dir():
 
 def load_fixture_spec(name: str):
     return parse_spec((FIXTURES / name).read_bytes())
+
+
+def laid_out(spec, data):
+    """The scene of `spec` drawn from `data`: one bind, one summary, one layout."""
+    return layout(summarize(spec, bind(spec, data)))
+
+
+def patch_everywhere(monkeypatch, fn, replacement):
+    """Replace `fn` under every name that a loaded polyrep module holds it by."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "polyrep":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 # A scatter with six groups draws every marker shape (circle, triangle,

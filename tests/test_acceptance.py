@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import load_fixture_spec
+from conftest import laid_out, load_fixture_spec
 from oracles import (
     box_oracle,
     extract_braille_runs,
@@ -38,7 +38,6 @@ from polyrep.color import (
 )
 from polyrep.dataset import Column, Dataset
 from polyrep.pdfwrite import MM_TO_PT
-from polyrep.scene import layout
 from polyrep.sonify import (
     GAP_FRACTION,
     AudioBuffer,
@@ -173,7 +172,7 @@ def test_criterion_4_red_green_regression_values():
 
 def test_criterion_5_grid_geometry_invariance(penguins):
     spec = load_fixture_spec("penguins_scatter.json")
-    scene = layout(spec, penguins)
+    scene = laid_out(spec, penguins)
     alt = auto_alt(scene.summary)
     attrs = ("x", "y", "width", "height", "x1", "y1", "x2", "y2", "d", "transform")
 
@@ -264,7 +263,7 @@ def test_criterion_7_statistics_oracles(penguins):
 
 def test_criterion_8_tactile_validity(penguins):
     spec = load_fixture_spec("penguins_box.json")
-    scene = layout(spec, penguins)
+    scene = laid_out(spec, penguins)
     page = tactualize(scene)
     raw = emit_pdf(page)
 

@@ -155,6 +155,21 @@ def test_inline_dataset_mixed_rejected():
         inline_dataset({"x": [1, "a"]})
 
 
+# a value the inline data cannot hold is refused with its column and the fix
+@pytest.mark.parametrize("values,message", [
+    (["a", "NA"], "inline column 'c' holds 'NA'; use null for a missing value"),
+    (["a", ""], "inline column 'c' holds ''; use null for a missing value"),
+    ([1, "NA"], "inline column 'c' holds 'NA'; use null for a missing value"),
+    ([1, 2, True], "inline column 'c' holds true; use a number, a string or null"),
+    ([1, [2]], "inline column 'c' holds [2]; use a number, a string or null"),
+    (["a", {}], "inline column 'c' holds {}; use a number, a string or null"),
+])
+def test_inline_dataset_names_the_column_and_the_fix(values, message):
+    with pytest.raises(SpecError) as exc:
+        inline_dataset({"ok": [None] * len(values), "c": values})
+    assert str(exc.value) == message
+
+
 def test_inline_dataset_ragged_rejected():
     with pytest.raises(SpecError, match="expected"):
         inline_dataset({"x": [1], "y": [1, 2]})

@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import SIX_SHAPES_SPEC
+from conftest import SIX_SHAPES_SPEC, laid_out, patch_everywhere
 from oracles import read_wav_oracle, validate_pdf
 from polyrep import cli
 from polyrep.chartspec import load_dataset, parse_spec
 from polyrep.cli import build_parser, main
-from polyrep.scene import layout
 
 TOP_HELP = """\
 usage: polyrep [-h] [--version] command ...
@@ -625,9 +624,13 @@ def _scatter_spec(inline: dict, **chart) -> dict:
          "x column 'nope' is not in the dataset"),
         ({"data": {"inline": {"v": [1, 2]}}, "chart": {"type": "histogram", "x": "nope"}},
          "x column 'nope' is not in the dataset"),
+        ({"data": {"inline": {"s": ["a", "NA"]}}, "chart": {"type": "bar", "x": "s"}},
+         "inline column 's' holds 'NA'; use null for a missing value"),
+        (_scatter_spec({"x": [1, 2, True], "y": [3, 4, 5]}),
+         "inline column 'x' holds true; use a number, a string or null"),
     ],
     ids=["missing-column", "numeric-group", "bar-missing-column",
-         "histogram-missing-column"],
+         "histogram-missing-column", "inline-missing-token", "inline-boolean"],
 )
 @pytest.mark.parametrize("command", CHART_COMMANDS)
 def test_chart_commands_reject_unbound_spec_alike(workdir, capsys, command, spec,
@@ -686,7 +689,7 @@ def test_sonify_plays_the_points_the_chart_draws(workdir, spec, drawn, n_drawn):
         Path("g.json").write_text(json.dumps(spec), encoding="utf-8")
         spec = "g.json"
     parsed = parse_spec(Path(spec).read_bytes())
-    assert drawn(layout(parsed, load_dataset(parsed)).summary.values) == n_drawn
+    assert drawn(laid_out(parsed, load_dataset(parsed)).summary.values) == n_drawn
     assert main(["sonify", spec, "-o", "g.wav"]) == 0
     assert _tones(Path("g.wav").read_bytes()) == n_drawn
 
@@ -811,10 +814,35 @@ def test_package_docstring_pipeline(workdir):
 
     spec = parse_spec(Path("penguins_bar.json").read_bytes())
     data = load_dataset(spec, base_dir=workdir)
-    alt = auto_alt(summarize(spec, bind(spec, data)))
+    values = bind(spec, data)
+    summary = summarize(spec, values)
+    alt = auto_alt(summary)
     assert alt.flattened + "\n" == GOLDEN_BAR_BLOCK
+    scene = layout(summary)
     assert main(["render", "penguins_bar.json", "-o", "bar.svg"]) == 0
-    assert emit_svg(layout(spec, data), alt) == Path("bar.svg").read_bytes()
+    assert emit_svg(scene, alt) == Path("bar.svg").read_bytes()
+
+
+# each command that draws or describes a chart parses its spec, reads its
+# CSV, binds its data and summarizes its chart once, for every artifact
+@pytest.mark.parametrize("argv", [
+    ["render", "penguins_box.json", "-o", "r.svg"],
+    ["cvd-grid", "penguins_box.json", "-o", "g.svg"],
+    ["alt", "penguins_box.json"],
+    ["tactile", "penguins_box.json", "-o", "t.pdf", "--preview"],
+], ids=lambda argv: argv[0])
+def test_chart_commands_parse_bind_and_summarize_once(workdir, capsys, monkeypatch, argv):
+    from polyrep import chartspec, dataset, scene
+
+    calls = dict.fromkeys(("parse_spec", "parse_csv", "bind", "summarize"), 0)
+    for fn in (chartspec.parse_spec, dataset.parse_csv, chartspec.bind, scene.summarize):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        patch_everywhere(monkeypatch, fn, counted)
+    assert main(argv) == 0
+    assert calls == {"parse_spec": 1, "parse_csv": 1, "bind": 1, "summarize": 1}
 
 
 def test_no_command_prints_help(capsys):

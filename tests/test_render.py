@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import FIXTURES, load_fixture_spec
+from conftest import FIXTURES, laid_out, load_fixture_spec, patch_everywhere
 from test_cli import CVD_GRID_SPECS, FLAT_RANGE_SHA256
 from polyrep import svgout
 from polyrep.chartspec import bind, inline_dataset, load_dataset, parse_spec
@@ -30,7 +30,7 @@ ALLOWED_TAGS = {"svg", "rect", "path", "line", "text", "g", "title", "desc"}
 
 def scene_and_alt(name, penguins):
     spec = load_fixture_spec(name)
-    scene = layout(spec, penguins)
+    scene = laid_out(spec, penguins)
     return scene, auto_alt(scene.summary)
 
 
@@ -106,7 +106,7 @@ def test_six_groups_get_six_distinct_shapes():
         }
     )
     spec = parse_spec(b'{"chart":{"type":"scatter","x":"x","y":"y","group":"g"}}')
-    scene = layout(spec, data)
+    scene = laid_out(spec, data)
     shapes = [m.shape for m in scene.marks if isinstance(m, PointMark)]
     assert len(set(shapes)) == 6
 
@@ -124,14 +124,14 @@ def test_too_many_groups_names_palette_size():
         b'"palette":["#E69F00","#56B4E9"]}'
     )
     with pytest.raises(SpecError, match="2"):
-        layout(spec, data)
+        laid_out(spec, data)
 
 
 def test_empty_after_missing_errors():
     data = inline_dataset({"x": [None, None], "y": [1, 2]})
     spec = parse_spec(b'{"chart":{"type":"scatter","x":"x","y":"y"}}')
     with pytest.raises(DataError, match="no complete rows"):
-        layout(spec, data)
+        laid_out(spec, data)
 
 
 @pytest.mark.parametrize("name", ["lin.json", "penguins_scatter.json"])
@@ -140,7 +140,7 @@ def test_trend_sign_is_the_sign_of_the_fit(name, fixtures_dir):
     data = load_dataset(spec, base_dir=fixtures_dir)
     slope = bind(spec, data).fit().slope
     assert slope != 0
-    scene = layout(spec, data)
+    scene = laid_out(spec, data)
     sign = "positive" if slope > 0 else "negative"
     assert (f"Overall there is a {sign} relationship between "
             f"'{scene.x_axis.title}' and '{scene.y_axis.title}'."
@@ -152,7 +152,7 @@ def test_grouped_box_plot_alpha_order():
                            "kg": [5, 1, 3, 2, 6, 4]})
     spec = parse_spec(b'{"chart":{"type":"boxplot","x":"fruit","y":"kg",'
                       b'"sort_order":"alpha"}}')
-    scene = layout(spec, data)
+    scene = laid_out(spec, data)
     assert scene.x_axis.labels == ("apple", "fig", "pear")
     band_labels = sorted((m.x, m.text) for m in scene.decorations
                          if isinstance(m, TextMark) and m.text in scene.x_axis.labels)
@@ -171,7 +171,7 @@ def test_facet_panels(penguins):
         b'"chart":{"type":"scatter","x":"flipper_length_mm",'
         b'"y":"bill_length_mm","group":"species"}}'
     )
-    scene = layout(spec, penguins)
+    scene = laid_out(spec, penguins)
     assert scene.legend == ()  # panel titles name the levels instead
     labels = [m.text for m in scene.decorations if hasattr(m, "text")]
     for level in ("Adelie", "Chinstrap", "Gentoo"):
@@ -186,7 +186,7 @@ FACET_SCATTER = (
 
 
 def test_facet_decorations_drawn_once(penguins):
-    scene = layout(parse_spec(FACET_SCATTER), penguins)
+    scene = laid_out(parse_spec(FACET_SCATTER), penguins)
     decos = [m for m in scene.decorations if isinstance(m, (TextMark, SegmentMark))]
     assert len(decos) == len(set(decos))
     tick_labels = [
@@ -198,7 +198,7 @@ def test_facet_decorations_drawn_once(penguins):
 
 
 def test_facet_x_baseline_drawn_once_per_panel(penguins):
-    scene = layout(parse_spec(FACET_SCATTER), penguins)
+    scene = laid_out(parse_spec(FACET_SCATTER), penguins)
     plot = scene.plot
     baselines = sorted(
         (m.x1, m.x2) for m in scene.decorations
@@ -220,7 +220,7 @@ def test_group_levels_come_from_drawn_rows():
         {"x": [1, 2, 3, 4], "y": [1, 2, 3, None], "g": ["a", "b", "a", "c"]}
     )
     spec = parse_spec(b'{"chart":{"type":"scatter","x":"x","y":"y","group":"g"}}')
-    scene = layout(spec, data)
+    scene = laid_out(spec, data)
     assert len(scene.marks) == 3
     assert [e.label for e in scene.legend] == ["a", "b"]
     assert "Points are grouped by 'g' as a and b." in auto_alt(scene.summary).sentences
@@ -229,7 +229,7 @@ def test_group_levels_come_from_drawn_rows():
 def test_line_level_with_one_row_is_drawn_as_a_point():
     data = inline_dataset({"x": [1, 2, 3, 4], "y": [1, 2, 3, 4], "g": ["a", "a", "a", "b"]})
     spec = parse_spec(b'{"chart":{"type":"line","x":"x","y":"y","group":"g"}}')
-    scene = layout(spec, data)
+    scene = laid_out(spec, data)
     a, b = scene.legend
     # level b has one row: no segment to stroke, so it is drawn as a circle
     mark = scene.marks[1]
@@ -258,7 +258,7 @@ AGREEMENT_CASES = [
 @pytest.mark.parametrize("name", AGREEMENT_CASES)
 def test_alt_axes_are_the_drawn_axes(name, fixtures_dir):
     spec = parse_spec(FACET_SCATTER) if name == "facet" else load_fixture_spec(name)
-    scene = layout(spec, load_dataset(spec, base_dir=fixtures_dir))
+    scene = laid_out(spec, load_dataset(spec, base_dir=fixtures_dir))
     sentences = auto_alt(scene.summary).sentences
     x, y = scene.x_axis, scene.y_axis
     if x.labels:
@@ -292,11 +292,37 @@ SUMMARY_CASES = _summary_cases()
 def test_summary_is_the_laid_out_summary(name, fixtures_dir):
     spec = parse_spec(SUMMARY_CASES[name])
     data = load_dataset(spec, base_dir=fixtures_dir)
-    scene = layout(spec, data)
+    scene = laid_out(spec, data)
     summary = summarize(spec, bind(spec, data))
     assert summary == scene.summary
     for drawn, said in ((scene.x_axis, summary.x_axis), (scene.y_axis, summary.y_axis)):
         assert (drawn.title, drawn.labels) == (said.title, said.labels)
+
+
+# one chart of each type over the penguins
+PENGUIN_CHARTS = {
+    "bar": {"x": "species"},
+    "histogram": {"x": "flipper_length_mm"},
+    "boxplot": {"x": "species", "y": "body_mass_g"},
+    "scatter": {"x": "flipper_length_mm", "y": "bill_length_mm", "group": "species"},
+    "line": {"x": "flipper_length_mm", "y": "bill_length_mm", "group": "species"},
+}
+
+
+@pytest.mark.parametrize("chart_type", sorted(PENGUIN_CHARTS))
+def test_layout_draws_its_summary_without_recomputing_it(chart_type, penguins, monkeypatch):
+    chart = {"type": chart_type, **PENGUIN_CHARTS[chart_type]}
+    spec = parse_spec(json.dumps({"chart": chart}).encode())
+    summary = summarize(spec, bind(spec, penguins))
+
+    def recomputed(*args, **kwargs):
+        raise AssertionError("layout bound or summarized its chart again")
+
+    for fn in (bind, summarize):
+        patch_everywhere(monkeypatch, fn, recomputed)
+    scene = layout(summary)
+    assert scene.summary is summary
+    assert scene.marks
 
 
 def _complete(penguins, *cols):
@@ -346,7 +372,7 @@ def _box_axes(penguins):
 def _ungrouped_box_axes(penguins):
     values = [1, 2, 3, 4, 50]
     spec = parse_spec(b'{"chart":{"type":"boxplot","x":"v"}}')
-    scene = layout(spec, inline_dataset({"v": values}))
+    scene = laid_out(spec, inline_dataset({"v": values}))
     y, plot = scene.y_axis, scene.plot
     return [(y.ticks, y.labels, *_span(values), plot.y1, plot.y, False)]
 
@@ -354,14 +380,14 @@ def _ungrouped_box_axes(penguins):
 def _line_axes(penguins):
     # lin.json's data drawn as a line chart
     spec = parse_spec(b'{"chart":{"type":"line","x":"x","y":"y"}}')
-    scene = layout(spec, load_dataset(load_fixture_spec("lin.json")))
+    scene = laid_out(spec, load_dataset(load_fixture_spec("lin.json")))
     x, y, plot = scene.x_axis, scene.y_axis, scene.plot
     return [(x.ticks, x.labels, 1.0, 5.0, plot.x, plot.x1, False),
             (y.ticks, y.labels, 1.0, 5.0, plot.y1, plot.y, False)]
 
 
 def _facet_axes(penguins):
-    scene = layout(parse_spec(FACET_SCATTER), penguins)
+    scene = laid_out(parse_spec(FACET_SCATTER), penguins)
     plot = scene.plot
     x_lo, x_hi = _span([r[0] for r in _complete(
         penguins, "flipper_length_mm", "bill_length_mm", "species")])
@@ -409,17 +435,17 @@ def test_axis_ticks_are_scaled_nice_ticks(penguins, name):
 def test_degenerate_constant_data_charts():
     # constant values must still lay out (half-unit expanded ranges)
     box = parse_spec(b'{"chart":{"type":"boxplot","x":"v"}}')
-    scene = layout(box, inline_dataset({"v": [5.0, 5.0, 5.0]}))
+    scene = laid_out(box, inline_dataset({"v": [5.0, 5.0, 5.0]}))
     assert scene.y_axis.ticks
     scatter = parse_spec(b'{"chart":{"type":"scatter","x":"x","y":"y"}}')
-    scene = layout(scatter, inline_dataset({"x": [2, 2], "y": [3, 3]}))
+    scene = laid_out(scatter, inline_dataset({"x": [2, 2], "y": [3, 3]}))
     assert scene.marks
 
 
 def test_single_level_group_uses_palette_consistently():
     data = inline_dataset({"x": [1, 2, 3], "y": [1, 2, 3], "g": ["only"] * 3})
     spec = parse_spec(b'{"chart":{"type":"scatter","x":"x","y":"y","group":"g"}}')
-    scene = layout(spec, data)
+    scene = laid_out(spec, data)
     assert len(scene.legend) == 1
     points = [m for m in scene.marks if isinstance(m, PointMark)]
     assert {m.color for m in points} == {scene.legend[0].color}
@@ -434,7 +460,7 @@ def test_line_chart_dashes():
         }
     )
     spec = parse_spec(b'{"chart":{"type":"line","x":"x","y":"y","group":"g"}}')
-    scene = layout(spec, data)
+    scene = laid_out(spec, data)
     lines = [m for m in scene.marks if hasattr(m, "points")]
     assert len(lines) == 2
     assert lines[0].dash is None and lines[1].dash is not None
@@ -473,7 +499,7 @@ def test_svg_accessibility_wiring(penguins):
 def test_svg_draws_subtitle_and_caption():
     spec = parse_spec(b'{"title":"T","subtitle":"Sub","caption":"Cap",'
                       b'"chart":{"type":"bar","x":"s"}}')
-    scene = layout(spec, inline_dataset({"s": ["a", "b", "a"]}))
+    scene = laid_out(spec, inline_dataset({"s": ["a", "b", "a"]}))
     alt = auto_alt(scene.summary)
     assert alt.sentences[0] == (
         "This is a chart titled 'T' with subtitle 'Sub' and caption 'Cap'."
@@ -516,7 +542,7 @@ def test_svg_escapes_markup():
     spec = parse_spec(
         b'{"title":"x < y & z","chart":{"type":"bar","x":"x"}}'
     )
-    scene = layout(spec, data)
+    scene = laid_out(spec, data)
     raw = emit_svg(scene, auto_alt(scene.summary))
     root = ET.fromstring(raw)  # would blow up on raw < or &
     texts = [e.text for e in root.iter(f"{SVG_NS}text")]

@@ -15,6 +15,7 @@ from conftest import (
     BIG_SCATTER_GROUPS,
     SIX_SHAPES_SPEC,
     big_scatter_points,
+    laid_out,
     load_fixture_spec,
 )
 from oracles import (
@@ -27,7 +28,7 @@ from polyrep.braille import BrailleCell
 from polyrep.chartspec import inline_dataset, load_dataset, parse_spec
 from polyrep.errors import TactileError
 from polyrep.pdfwrite import MM_TO_PT
-from polyrep.scene import ShapeKind, layout
+from polyrep.scene import ShapeKind
 from polyrep.tactile import (
     CELL_PITCH,
     DOT_DIAMETER,
@@ -57,7 +58,7 @@ from polyrep.verbalize import AltText
 @pytest.fixture(scope="module")
 def box_page(penguins):
     spec = load_fixture_spec("penguins_box.json")
-    scene = layout(spec, penguins)
+    scene = laid_out(spec, penguins)
     return tactualize(scene)
 
 
@@ -70,7 +71,7 @@ def box_pdf(box_page):
 def six_shapes_page():
     """The six-group scatter: one glyph of every marker shape per group."""
     spec = parse_spec(json.dumps(SIX_SHAPES_SPEC).encode())
-    scene = layout(spec, load_dataset(spec))
+    scene = laid_out(spec, load_dataset(spec))
     return tactualize(scene)
 
 
@@ -159,7 +160,7 @@ def test_all_ink_within_margins(box_page):
 
 def test_ticks_limited_to_five_per_axis(penguins):
     spec = load_fixture_spec("penguins_hist.json")
-    scene = layout(spec, penguins)
+    scene = laid_out(spec, penguins)
     assert len(scene.x_axis.ticks) > 5  # the scene itself has more
     page = tactualize(scene)
     # tactile x ticks: strokes that drop below the x baseline
@@ -199,7 +200,7 @@ def _rect_outlines(page):
 def test_filled_rects_get_horizontal_hatch(penguins, name):
     """Every bar and bin is followed by horizontal lines 6 mm apart, inset
     2.5 mm from its outline, and by nothing else."""
-    scene = layout(load_fixture_spec(name), penguins)
+    scene = laid_out(load_fixture_spec(name), penguins)
     page = tactualize(scene)
     rects = _rect_outlines(page)
     assert len(rects) == len(scene.marks)
@@ -233,7 +234,7 @@ def test_label_too_long_suggests_abbreviation():
             '{"chart":{"type":"boxplot","x":"%s"}}' % name
         ).encode()
     )
-    scene = layout(spec, data)
+    scene = laid_out(spec, data)
     with pytest.raises(TactileError, match="abbreviate"):
         tactualize(scene)
 
@@ -376,7 +377,7 @@ def test_preview_svg_well_formed(box_page):
 
 
 def test_preview_and_chart_svg_escape_text_alike(penguins):
-    scene = layout(load_fixture_spec("penguins_box.json"), penguins)
+    scene = laid_out(load_fixture_spec("penguins_box.json"), penguins)
     alt = AltText(('Boxes of "body mass" & <species>.',))
     desc = b'<desc id="desc">Boxes of &quot;body mass&quot; &amp; &lt;species&gt;.</desc>'
     assert desc in emit_svg(scene, alt)
@@ -389,7 +390,7 @@ def test_single_box_page(penguins):
         b'{"data":{"csv":"penguins.csv"},'
         b'"chart":{"type":"boxplot","x":"body_mass_g"}}'
     )
-    scene = layout(spec, penguins)
+    scene = laid_out(spec, penguins)
     page = tactualize(scene)
     assert len(page.strokes) >= 2  # the two axis lines at minimum
 
@@ -415,7 +416,7 @@ def _random_scenes():
                 "w": [round(rng.uniform(0, 9), 2) for _ in range(n)],
             }
         )
-        yield trial, kind, layout(parse_spec(specs[kind]), data)
+        yield trial, kind, laid_out(parse_spec(specs[kind]), data)
 
 
 def test_random_scenes_keep_ink_inside_and_clear_of_braille():
@@ -451,7 +452,7 @@ def test_markless_scene_page_has_axes_only(penguins):
     from dataclasses import replace
 
     spec = load_fixture_spec("penguins_box.json")
-    scene = replace(layout(spec, penguins), marks=())
+    scene = replace(laid_out(spec, penguins), marks=())
     page = tactualize(scene)
     # axes plus ticks, no data strokes or glyphs, labels still present
     assert not page.glyphs
@@ -473,7 +474,7 @@ def big_scatter_scene():
     """Seeded 2,000-point scatter in three groups, axis ranges pinned."""
     xs, ys, gs = big_scatter_points()
     spec = parse_spec(b'{"chart":{"type":"scatter","x":"x","y":"y","group":"grp"}}')
-    return layout(spec, inline_dataset({"x": xs, "y": ys, "grp": gs}))
+    return laid_out(spec, inline_dataset({"x": xs, "y": ys, "grp": gs}))
 
 
 @pytest.fixture(scope="module")
@@ -491,7 +492,7 @@ def big_line_scene():
             gs.append(name)
     levels[0], levels[1] = 0.0, 100.0  # pin the axis range
     spec = parse_spec(b'{"chart":{"type":"line","x":"t","y":"level","group":"grp"}}')
-    return layout(spec, inline_dataset({"t": ts, "level": levels, "grp": gs}))
+    return laid_out(spec, inline_dataset({"t": ts, "level": levels, "grp": gs}))
 
 
 def _brute_force_run_conflicts(self, run):

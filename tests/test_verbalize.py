@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import load_fixture_spec
+from conftest import laid_out, load_fixture_spec
 from polyrep.chartspec import ChartSpec, ChartValues, inline_dataset, parse_spec
 from polyrep.errors import SpecError
-from polyrep.scene import layout
 from polyrep.verbalize import (
     AltText,
     ChartSummary,
@@ -51,7 +50,7 @@ def bar_summary(
 
 def test_penguins_bar_block_exact(penguins):
     spec = load_fixture_spec("penguins_bar.json")
-    alt = auto_alt(layout(spec, penguins).summary)
+    alt = auto_alt(laid_out(spec, penguins).summary)
     assert alt.flattened == GOLDEN_BAR_BLOCK
     assert len(alt.sentences) == 7
 
@@ -107,7 +106,7 @@ def test_histogram_grammar():
 
 def test_scatter_grammar_rounding_and_sign(penguins):
     spec = load_fixture_spec("penguins_scatter.json")
-    summary = layout(spec, penguins).summary
+    summary = laid_out(spec, penguins).summary
     alt = auto_alt(summary)
     joined = alt.flattened
     assert "The chart is a scatter plot with" in joined
@@ -133,21 +132,21 @@ def test_trend_of_a_degenerate_fit(chart, xs, ys, trend):
     spec = parse_spec(
         b'{"chart":{"type":"%s","x":"x","y":"y"}}' % chart.encode()
     )
-    alt = auto_alt(layout(spec, inline_dataset({"x": xs, "y": ys})).summary)
+    alt = auto_alt(laid_out(spec, inline_dataset({"x": xs, "y": ys})).summary)
     assert [s for s in alt.sentences if s.startswith("Overall")] == trend
     assert any("vary from about" in s for s in alt.sentences)
 
 
 def test_boxplot_grammar(penguins):
     spec = load_fixture_spec("penguins_box.json")
-    alt = auto_alt(layout(spec, penguins).summary)
+    alt = auto_alt(laid_out(spec, penguins).summary)
     assert "The chart is a box plot with 3 boxes." in alt.sentences
     assert any(s.startswith("Box 1 summarizes Adelie with median") for s in alt.sentences)
 
 
 def test_dropped_rows_sentence(penguins):
     spec = load_fixture_spec("penguins_scatter.json")
-    alt = auto_alt(layout(spec, penguins).summary)
+    alt = auto_alt(laid_out(spec, penguins).summary)
     assert alt.sentences[-1] == "2 rows with missing values were dropped."
 
 
@@ -223,7 +222,7 @@ def test_generated_alt_passes_own_checklist(penguins, fixtures_dir):
     for name in ("penguins_bar.json", "penguins_scatter.json", "penguins_box.json",
                  "penguins_hist.json"):
         spec = load_fixture_spec(name)
-        alt = auto_alt(layout(spec, penguins).summary)
+        alt = auto_alt(laid_out(spec, penguins).summary)
         report = checklist_score(alt, spec)
         assert report.has_type, name
         assert report.has_axes, name
@@ -234,11 +233,11 @@ def test_generated_alt_checklist_line_and_single_box(penguins):
 
     line_spec = parse_spec(b'{"chart":{"type":"line","x":"x","y":"y"}}')
     line_data = inline_dataset({"x": [1, 2, 3], "y": [3, 1, 2]})
-    report = checklist_score(auto_alt(layout(line_spec, line_data).summary), line_spec)
+    report = checklist_score(auto_alt(laid_out(line_spec, line_data).summary), line_spec)
     assert report.has_type and report.has_axes
 
     box_spec = parse_spec(b'{"chart":{"type":"boxplot","x":"body_mass_g"}}')
-    report = checklist_score(auto_alt(layout(box_spec, penguins).summary), box_spec)
+    report = checklist_score(auto_alt(laid_out(box_spec, penguins).summary), box_spec)
     assert report.has_type and report.has_axes
 
 
