@@ -29,16 +29,16 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _MODULES = {
     "braille": ("BrailleCell", "to_braille"),
-    "chartspec": ("ChartSpec", "bind", "load_dataset", "parse_spec"),
+    "chartspec": ("ChartSpec", "bind", "load_dataset", "parse_spec", "summarize"),
     "color": ("CvdKind", "Palette", "Rgb", "audit_palette", "delta_e", "okabe_ito",
               "simulate_cvd"),
     "dataset": ("Column", "Dataset", "parse_csv"),
     "errors": ("PolyrepError",),
-    "scene": ("Scene", "layout", "summarize"),
+    "scene": ("Scene", "layout"),
     "sonify": ("AudioBuffer", "SonifyConfig", "sonify_points", "sonify_sweep",
                "write_wav"),
-    "stats": ("BoxStats", "LinearFit", "TickSet", "bar_counts", "box_stats",
-              "histogram", "linear_fit", "nice_ticks"),
+    "stats": ("BoxStats", "LinearFit", "bar_counts", "box_stats", "histogram",
+              "linear_fit", "nice_ticks"),
     "svgout": ("cvd_grid", "emit_svg"),
     "tactile": ("TactileLayout", "TactilePage", "emit_pdf", "emit_preview_svg",
                 "tactualize"),

@@ -1,12 +1,21 @@
-"""Declarative chart descriptions: JSON parsing, defaults, and data binding.
+"""Declarative chart descriptions: JSON parsing, defaults, and data space.
 
-`bind` is the one step from a spec and its data to what the chart draws
-(`ChartValues`): the complete rows of a scatter or line chart, or the bars,
-bins or boxes. Layout draws those values and sonification plays them, so
-the chart and its audio agree by construction. The audio plays `points`:
-rows in data order, bars as (index, count), bins as (centre, count). Their
-one least-squares `fit()` gives the alt text's trend and regression audio,
-and their `ranges` give the axes and the alt text's "vary from" sentence.
+Everything a chart says before it is laid out lives here, in two steps.
+`bind` computes what the chart draws (`ChartValues`): the complete rows of
+a scatter or line chart, or the bars, bins or boxes. Sonification plays
+those values as `points`: rows in data order, bars as (index, count), bins
+as (centre, count). Their one least-squares `fit()` gives the alt text's
+trend and regression audio, and their `ranges` give the axes and the alt
+text's "vary from" sentence.
+
+`summarize` then computes what the axes and legend say (`ChartSummary`):
+each axis's title, tick labels and, for a value axis, its tick values and
+domain, and the grouped levels in legend order. A value axis pads its
+numeric range 5% (counts from 0, a flat range widened half a unit each way)
+and is ticked with `nice_ticks`; a band axis gives each label one slot. The
+alt text reads the summary, `scene.layout` scales and places it for the SVG
+and the tactile page, and the checklist reads its axis titles, so every
+artifact states each fact from this one source.
 
 Spec document schema::
 
@@ -30,12 +39,15 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .color import Palette, Rgb, okabe_ito
-from .dataset import MISSING_TOKENS, Column, Dataset, parse_csv
+from .dataset import MISSING_TOKENS, Column, Dataset, _typed_column, parse_csv
 from .errors import DataError, SpecError
-from .stats import BoxStats, LinearFit, bar_counts, box_stats, histogram, linear_fit
+from .stats import (BoxStats, LinearFit, bar_counts, box_stats, histogram, linear_fit,
+                    nice_ticks)
 
 CHART_TYPES = ("scatter", "bar", "histogram", "boxplot", "line")
 POINT_CHARTS = ("scatter",)
@@ -202,7 +214,11 @@ def load_dataset(spec: ChartSpec, base_dir: Path | str = ".") -> Dataset:
 
 
 def inline_dataset(columns: dict[str, list]) -> Dataset:
-    """Build a Dataset from inline JSON columns (null marks a missing cell)."""
+    """Build a Dataset from inline JSON columns (null marks a missing cell).
+
+    Every cell is checked here, so the columns are built without
+    `Column.__post_init__` checking them again.
+    """
     if not columns:
         raise SpecError("inline data has no columns")
     out: dict[str, Column] = {}
@@ -227,9 +243,14 @@ def inline_dataset(columns: dict[str, list]) -> Dataset:
             if isinstance(v, float) and not math.isfinite(v):
                 raise SpecError(f"inline column {name!r} holds non-finite {v!r}")
         if all(isinstance(v, (int, float)) for v in present):
-            out[name] = Column("numeric", tuple(None if v is None else float(v) for v in values))
+            try:
+                floats = tuple(None if v is None else float(v) for v in values)
+            except OverflowError:
+                raise SpecError(f"inline column {name!r} holds an integer too large "
+                                "for a double; rescale it") from None
+            out[name] = _typed_column("numeric", floats)
         elif all(isinstance(v, str) for v in present):
-            out[name] = Column("categorical", tuple(values))
+            out[name] = _typed_column("categorical", tuple(values))
         else:
             raise SpecError(f"inline column {name!r} mixes numbers and strings")
     return Dataset(out, n_rows or 0)
@@ -326,3 +347,88 @@ def bind(spec: ChartSpec, data: Dataset) -> ChartValues:
     if not rows:
         raise DataError("nothing to draw: no complete rows")
     return ChartValues(data.n_rows - len(rows), rows=rows)
+
+
+class DataAxis(NamedTuple):
+    """What an axis says, in data space: its title and tick labels, and for
+    a value axis the tick values and the (d0, d1) domain a scale maps. A
+    band axis, one slot per label, has neither. (A NamedTuple: a tenth of a
+    dataclass's cost at import.)"""
+
+    title: str
+    labels: tuple[str, ...] = ()
+    ticks: tuple[float, ...] = ()
+    domain: tuple[float, float] | None = None
+
+
+@dataclass(frozen=True)
+class ChartSummary:
+    """What a chart says before it is laid out: the spec, the bound values,
+    the two axes in data space, and the grouped levels in legend order."""
+
+    spec: ChartSpec
+    values: ChartValues
+    x_axis: DataAxis
+    y_axis: DataAxis
+    group_levels: tuple[str, ...] = ()
+
+
+def summarize(spec: ChartSpec, values: ChartValues) -> ChartSummary:
+    """What the chart's axes and legend say, in data space.
+
+    Raises SpecError when the grouped levels outnumber the palette's
+    colors, DataError when widening cannot open an axis's domain or a
+    range is too wide to tick.
+    """
+    levels: tuple[str, ...] = ()
+    if spec.chart_type == "bar":
+        max_count = float(max(c for _, c in values.bars))
+        y = _value_axis("count", 0.0, max_count, from_zero=True)
+        x = DataAxis(spec.x, tuple(label for label, _ in values.bars))
+    elif spec.chart_type == "histogram":
+        bins = values.bins
+        max_count = float(max(c for _, _, c in bins))
+        y = _value_axis("count", 0.0, max_count, from_zero=True)
+        x = _value_axis(spec.x, bins[0][0], bins[-1][1])
+    elif spec.chart_type == "boxplot":
+        extremes: list[float] = []
+        for b in values.boxes:
+            extremes.extend((b.min_whisker, b.max_whisker, *b.outliers))
+        if spec.y is None:  # one box, no x axis
+            y, x = _value_axis(spec.x, min(extremes), max(extremes)), DataAxis("")
+        else:
+            y = _value_axis(spec.y, min(extremes), max(extremes))
+            x = DataAxis(spec.x, tuple(b.group_label for b in values.boxes))
+    else:
+        if spec.group is not None:
+            levels = tuple(dict.fromkeys(map(itemgetter(2), values.rows)))
+            if spec.sort_order == "alpha":
+                levels = tuple(sorted(levels))
+            if len(levels) > len(spec.palette):
+                raise SpecError(f"{len(levels)} group levels exceed the "
+                                f"palette's {len(spec.palette)} colors")
+        (x_lo, x_hi), (y_lo, y_hi) = values.ranges
+        y = _value_axis(spec.y or "", y_lo, y_hi)
+        x = _value_axis(spec.x, x_lo, x_hi)
+    return ChartSummary(spec, values, x, y, levels)
+
+
+def _value_axis(title: str, lo: float, hi: float, from_zero: bool = False) -> DataAxis:
+    """The axis of data [lo, hi]: a flat range widens half a unit each way,
+    the domain is padded 5% at each end (at the top only, from exactly 0,
+    when `from_zero`), and the ticks are the nice ticks of the unpadded
+    range."""
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    pad = 0.05 * (hi - lo)
+    domain = (0.0 if from_zero else lo - pad, hi + pad)
+    if domain[0] == domain[1]:
+        raise DataError("degenerate scale domain")
+    try:
+        ticks = nice_ticks(lo, hi)
+    except OverflowError:  # a tick step past the largest double
+        ticks = None
+    if ticks is None or math.isinf(domain[1] - domain[0]):
+        raise DataError(f"column {title!r} spans too wide a range for an axis; "
+                        "rescale it")
+    return DataAxis(title, ticks.labels, ticks.positions, domain)

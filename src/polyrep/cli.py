@@ -28,8 +28,8 @@ from .pdfwrite import PAPER_SIZES_MM
 
 TYPE_CHECKING = False  # type checkers read it as true; typing is slow to import
 if TYPE_CHECKING:
-    from .chartspec import ChartSpec, ChartValues
-    from .verbalize import AltText, ChartSummary
+    from .chartspec import ChartSpec, ChartSummary, ChartValues
+    from .verbalize import AltText
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,7 +127,7 @@ def _bind(args) -> tuple[ChartSpec, ChartValues]:
 
 def _summary(args) -> ChartSummary:
     """The summary that the chart's alt text reads and its scene draws."""
-    from .scene import summarize
+    from .chartspec import summarize
 
     return summarize(*_bind(args))
 

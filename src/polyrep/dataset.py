@@ -32,8 +32,6 @@ class Column:
     def __post_init__(self):
         if self.kind not in ("numeric", "categorical"):
             raise DataError(f"unknown column kind {self.kind!r}")
-        if self._all_valid():
-            return
         for v in self.values:  # name the first invalid value
             if v is None:
                 continue
@@ -48,21 +46,6 @@ class Column:
             elif not isinstance(v, str) or v in MISSING_TOKENS:
                 # "" and the literal NA are reserved as missing-value tokens
                 raise DataError(f"categorical column holds invalid value {v!r}")
-
-    def _all_valid(self) -> bool:
-        """The checks of the loop in __post_init__, a column at a time.
-
-        Exact float and str types only: a subclass falls through to the loop.
-        """
-        types = set(map(type, self.values))
-        if self.kind == "numeric":
-            # filter(None, ...) also skips zeros, which are finite
-            return types <= {float, type(None)} and all(
-                map(math.isfinite, filter(None, self.values))
-            )
-        return types <= {str, type(None)} and not any(
-            token in self.values for token in MISSING_TOKENS
-        )
 
     def non_missing(self) -> list:
         return [v for v in self.values if v is not None]
@@ -236,9 +219,10 @@ def _column(cells) -> Column:
 
 
 def _typed_column(kind: str, values: tuple) -> Column:
-    """A Column of values `_column` has typed, so that `Column.__post_init__`
-    does not check them again: finite floats, or strings that are not a
-    missing token, and None."""
+    """A Column of values its caller has typed and checked (`_column`, and
+    `chartspec.inline_dataset`), so that `Column.__post_init__` does not
+    check them again: finite floats, or strings that are not a missing
+    token, and None."""
     col = object.__new__(Column)
     object.__setattr__(col, "kind", kind)
     object.__setattr__(col, "values", values)

@@ -1,22 +1,18 @@
-"""Chart layout: device-space geometry for what a spec draws from its data.
+"""Chart layout: device-space geometry for a chart summary.
 
-`chartspec.bind` computes what the chart draws in data space (its complete
-rows, bars, bins or boxes). `summarize` computes what its axes and legend
-say, still in data space: each axis's title, domain and ticks, and the
-grouped levels in legend order. `layout(summary)` scales and places those
-and computes none of them again, so one `bind` and one `summarize` serve
-the scene and the alt text alike.
-
-An axis follows one of two rules: `_value_axis` pads a numeric range 5%
-(counts from 0, a flat range widened half a unit each way) and ticks it
-with `nice_ticks`; a band axis gives each category an equal slot, ticked at
-its centre. The alt text reads the summary without a layout; the SVG and
-the tactile page draw the same axes from the scene.
+`chartspec.summarize` says everything in data space: the bound values,
+each axis's title, labels, ticks and domain, and the legend's levels.
+`layout(summary)` only scales and places that summary and computes none of
+it again, so one `bind` and one `summarize` serve the scene and the alt
+text alike. A value axis maps its domain linearly onto the plot; a band
+axis gives each label an equal slot, ticked at its centre.
 
 The Scene separates data marks (points, rects, lines that encode values;
 these get stable ids and are recolored by the deficiency grid) from
 decorations (axes, tick labels, titles, legend). Coordinates are SVG
-pixels, y down. The scene carries the summary it was laid out from.
+pixels, y down. The scene keeps only the device positions of its ticks
+(`x_ticks`, `y_ticks`) and carries the summary it was laid out from, whose
+axis titles and labels the SVG and the tactile page draw.
 """
 
 from __future__ import annotations
@@ -26,14 +22,9 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import NamedTuple
 
-from .chartspec import ChartSpec, ChartValues
+from .chartspec import ChartSpec, ChartSummary, DataAxis
 from .color import Rgb
-from .errors import DataError, SpecError
-from .stats import nice_ticks
-from .verbalize import ChartSummary, DataAxis
 
 WIDTH = 640.0
 HEIGHT = 480.0
@@ -167,14 +158,6 @@ class Rect:
         return self.y + self.h
 
 
-class AxisInfo(NamedTuple):
-    """A `DataAxis` as drawn: its tick positions are device positions."""
-
-    title: str
-    ticks: tuple[float, ...]
-    labels: tuple[str, ...]
-
-
 @dataclass(frozen=True)
 class LegendEntry:
     label: str
@@ -190,14 +173,15 @@ class Scene:
     plot: Rect
     marks: tuple[Mark, ...]
     decorations: tuple[Mark, ...]
-    x_axis: AxisInfo
-    y_axis: AxisInfo
+    x_ticks: tuple[float, ...]  # device positions of summary.x_axis.labels
+    y_ticks: tuple[float, ...]  # and of summary.y_axis.labels
     legend: tuple[LegendEntry, ...]
     summary: ChartSummary
 
 
 class LinearScale:
-    """Affine data -> device map of a domain `summarize` checked is open."""
+    """Affine data -> device map of a domain `chartspec.summarize` checked is
+    open."""
 
     def __init__(self, d0: float, d1: float, r0: float, r1: float):
         self.d0, self.d1, self.r0, self.r1 = d0, d1, r0, r1
@@ -219,63 +203,6 @@ def layout(summary: ChartSummary) -> Scene:
     return builder(summary)
 
 
-# -- data space ------------------------------------------------------------
-
-
-def summarize(spec: ChartSpec, values: ChartValues) -> ChartSummary:
-    """What the chart's axes and legend say, in data space.
-
-    Raises SpecError when the grouped levels outnumber the palette's
-    colors, DataError when widening cannot open an axis's domain.
-    """
-    levels: tuple[str, ...] = ()
-    if spec.chart_type == "bar":
-        max_count = float(max(c for _, c in values.bars))
-        y = _value_axis("count", 0.0, max_count, from_zero=True)
-        x = DataAxis(spec.x, tuple(label for label, _ in values.bars))
-    elif spec.chart_type == "histogram":
-        bins = values.bins
-        max_count = float(max(c for _, _, c in bins))
-        y = _value_axis("count", 0.0, max_count, from_zero=True)
-        x = _value_axis(spec.x, bins[0][0], bins[-1][1])
-    elif spec.chart_type == "boxplot":
-        extremes: list[float] = []
-        for b in values.boxes:
-            extremes.extend((b.min_whisker, b.max_whisker, *b.outliers))
-        if spec.y is None:  # one box, no x axis
-            y, x = _value_axis(spec.x, min(extremes), max(extremes)), DataAxis("")
-        else:
-            y = _value_axis(spec.y, min(extremes), max(extremes))
-            x = DataAxis(spec.x, tuple(b.group_label for b in values.boxes))
-    else:
-        if spec.group is not None:
-            levels = tuple(dict.fromkeys(map(itemgetter(2), values.rows)))
-            if spec.sort_order == "alpha":
-                levels = tuple(sorted(levels))
-            if len(levels) > len(spec.palette):
-                raise SpecError(f"{len(levels)} group levels exceed the "
-                                f"palette's {len(spec.palette)} colors")
-        (x_lo, x_hi), (y_lo, y_hi) = values.ranges
-        y = _value_axis(spec.y or "", y_lo, y_hi)
-        x = _value_axis(spec.x, x_lo, x_hi)
-    return ChartSummary(spec, values, x, y, levels)
-
-
-def _value_axis(title: str, lo: float, hi: float, from_zero: bool = False) -> DataAxis:
-    """The axis of data [lo, hi]: a flat range widens half a unit each way,
-    the domain is padded 5% at each end (at the top only, from exactly 0,
-    when `from_zero`), and the ticks are the nice ticks of the unpadded
-    range."""
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    pad = 0.05 * (hi - lo)
-    domain = (0.0 if from_zero else lo - pad, hi + pad)
-    if domain[0] == domain[1]:
-        raise DataError("degenerate scale domain")
-    ticks = nice_ticks(lo, hi)
-    return DataAxis(title, ticks.labels, ticks.positions, domain)
-
-
 # -- shared assembly -------------------------------------------------------
 
 
@@ -284,11 +211,13 @@ def _plot_rect(with_legend: bool) -> Rect:
     return Rect(MARGIN, MARGIN, w, HEIGHT - 2 * MARGIN)
 
 
-def _scale_axis(axis: DataAxis, r0: float, r1: float) -> tuple[LinearScale, AxisInfo]:
-    """The scale of a value axis's domain onto device [r0, r1], and the axis
-    drawn there."""
+def _scale_axis(
+    axis: DataAxis, r0: float, r1: float
+) -> tuple[LinearScale, tuple[float, ...]]:
+    """The scale of a value axis's domain onto device [r0, r1], and the
+    axis's ticks drawn there."""
     scale = LinearScale(*axis.domain, r0, r1)
-    return scale, AxisInfo(axis.title, tuple(map(scale, axis.ticks)), axis.labels)
+    return scale, tuple(map(scale, axis.ticks))
 
 
 def _band_slots(n: int, plot: Rect) -> tuple[float, tuple[float, ...]]:
@@ -299,13 +228,14 @@ def _band_slots(n: int, plot: Rect) -> tuple[float, tuple[float, ...]]:
 
 
 def _axis_decorations(
+    summary: ChartSummary,
     plot: Rect,
-    x_axis: AxisInfo,
-    y_axis: AxisInfo,
+    y_ticks: tuple[float, ...],
     panels: Sequence[tuple[Rect, tuple[float, ...]]],
 ) -> list[Mark]:
     """One x baseline and one set of x ticks per panel (a panel and its x
     tick positions, labelled alike), then the shared y axis and titles."""
+    x_axis, y_axis = summary.x_axis, summary.y_axis
     decos: list[Mark] = [
         SegmentMark(panel.x, panel.y1, panel.x1, panel.y1, width=1.0)
         for panel, _ in panels
@@ -315,7 +245,7 @@ def _axis_decorations(
         for tx, label in zip(ticks, x_axis.labels):
             decos.append(SegmentMark(tx, plot.y1, tx, plot.y1 + 5, width=1.0))
             decos.append(TextMark(tx, plot.y1 + 18, label, anchor="middle"))
-    for ty, label in zip(y_axis.ticks, y_axis.labels):
+    for ty, label in zip(y_ticks, y_axis.labels):
         decos.append(SegmentMark(plot.x - 5, ty, plot.x, ty, width=1.0))
         decos.append(TextMark(plot.x - 8, ty + 4, label, anchor="end"))
     if x_axis.title:
@@ -367,20 +297,20 @@ def _assemble(
     summary: ChartSummary,
     plot: Rect,
     marks: list[Mark],
-    x_axis: AxisInfo,
-    y_axis: AxisInfo,
+    x_ticks: tuple[float, ...],
+    y_ticks: tuple[float, ...],
     legend: tuple[LegendEntry, ...] = (),
     extra_decorations: Sequence[Mark] = (),
     panels: Sequence[tuple[Rect, tuple[float, ...]]] = (),
 ) -> Scene:
     """The scene of a summary; `panels` splits the plot for facets."""
     spec = summary.spec
-    decos = _axis_decorations(plot, x_axis, y_axis, panels or ((plot, x_axis.ticks),))
+    decos = _axis_decorations(summary, plot, y_ticks, panels or ((plot, x_ticks),))
     decos.extend(_chrome_decorations(spec))
     if legend:
         decos.extend(_legend_decorations(plot, spec.group, legend))
     decos.extend(extra_decorations)
-    return Scene(WIDTH, HEIGHT, plot, tuple(marks), tuple(decos), x_axis, y_axis,
+    return Scene(WIDTH, HEIGHT, plot, tuple(marks), tuple(decos), x_ticks, y_ticks,
                  legend, summary)
 
 
@@ -390,23 +320,22 @@ def _assemble(
 def _layout_bar(summary: ChartSummary) -> Scene:
     counts = summary.values.bars
     plot = _plot_rect(with_legend=False)
-    sy, y_axis = _scale_axis(summary.y_axis, plot.y1, plot.y)
+    sy, y_ticks = _scale_axis(summary.y_axis, plot.y1, plot.y)
     slot, centers = _band_slots(len(counts), plot)
-    x_axis = AxisInfo(summary.x_axis.title, centers, summary.x_axis.labels)
 
     marks: list[Mark] = []
-    for cx, (_, count) in zip(x_axis.ticks, counts):
+    for cx, (_, count) in zip(centers, counts):
         top = sy(float(count))
         marks.append(
             RectMark(cx - 0.4 * slot, top, 0.8 * slot, sy(0.0) - top, fill=INK)
         )
-    return _assemble(summary, plot, marks, x_axis, y_axis)
+    return _assemble(summary, plot, marks, centers, y_ticks)
 
 
 def _layout_histogram(summary: ChartSummary) -> Scene:
     plot = _plot_rect(with_legend=False)
-    sy, y_axis = _scale_axis(summary.y_axis, plot.y1, plot.y)
-    sx, x_axis = _scale_axis(summary.x_axis, plot.x, plot.x1)
+    sy, y_ticks = _scale_axis(summary.y_axis, plot.y1, plot.y)
+    sx, x_ticks = _scale_axis(summary.x_axis, plot.x, plot.x1)
 
     marks: list[Mark] = []
     for blo, bhi, count in summary.values.bins:
@@ -415,7 +344,7 @@ def _layout_histogram(summary: ChartSummary) -> Scene:
         marks.append(
             RectMark(left, top, right - left, sy(0.0) - top, fill=INK, stroke=WHITE)
         )
-    return _assemble(summary, plot, marks, x_axis, y_axis)
+    return _assemble(summary, plot, marks, x_ticks, y_ticks)
 
 
 # -- boxplot ---------------------------------------------------------------
@@ -424,7 +353,7 @@ def _layout_histogram(summary: ChartSummary) -> Scene:
 def _layout_boxplot(summary: ChartSummary) -> Scene:
     boxes = summary.values.boxes
     plot = _plot_rect(with_legend=False)
-    sy, y_axis = _scale_axis(summary.y_axis, plot.y1, plot.y)
+    sy, y_ticks = _scale_axis(summary.y_axis, plot.y1, plot.y)
     slot, centers = _band_slots(len(boxes), plot)
 
     marks: list[Mark] = []
@@ -445,9 +374,8 @@ def _layout_boxplot(summary: ChartSummary) -> Scene:
             marks.append(PointMark(cx, sy(v), ShapeKind.CIRCLE, BLACK, size=2.5))
 
     # an ungrouped box has no x axis: no labels, so no ticks
-    x = summary.x_axis
-    x_axis = AxisInfo(x.title, centers if x.labels else (), x.labels)
-    return _assemble(summary, plot, marks, x_axis, y_axis)
+    x_ticks = centers if summary.x_axis.labels else ()
+    return _assemble(summary, plot, marks, x_ticks, y_ticks)
 
 
 # -- scatter / line --------------------------------------------------------
@@ -479,7 +407,7 @@ def _layout_points(summary: ChartSummary) -> Scene:
                      else ShapeKind.CIRCLE)
             styles.append(LegendEntry(level or "", color, shape=shape))
 
-    sy, y_axis = _scale_axis(summary.y_axis, plot.y1, plot.y)
+    sy, y_ticks = _scale_axis(summary.y_axis, plot.y1, plot.y)
 
     panels = [plot]
     if facet:
@@ -492,14 +420,13 @@ def _layout_points(summary: ChartSummary) -> Scene:
     for i, (level, style) in enumerate(zip(order, styles)):
         sx = x_axes[i if facet else 0][0]
         marks.extend(_series_marks(by_level[level], style, sx, sy))
-    panel_ticks = [(panel, axis.ticks) for panel, (_, axis) in zip(panels, x_axes)]
-    x_axis = x_axes[0][1]
+    panel_ticks = [(panel, ticks) for panel, (_, ticks) in zip(panels, x_axes)]
     facet_labels = [
         TextMark(panel.x + panel.w / 2, panel.y - 8, level, anchor="middle")
         for panel, level in zip(panels, order)
     ] if facet else []
     return _assemble(
-        summary, plot, marks, x_axis, y_axis,
+        summary, plot, marks, panel_ticks[0][1], y_ticks,
         tuple(styles) if grouped and not facet else (),
         facet_labels,
         panel_ticks,

@@ -95,6 +95,8 @@ def histogram(
     width = (hi - lo) / k
     if width == 0:  # the range is a few subnormal floats apart
         raise DataError(f"column {x!r} spans too narrow a range for {k} bins")
+    if width == math.inf:  # the range is wider than the largest double
+        raise DataError(f"column {x!r} spans too wide a range for {k} bins; rescale it")
     # _bin_index never decreases as v grows (see there), so the values of
     # bin i are a run of the sorted list, found by bisection
     index = functools.partial(_bin_index, lo=lo, width=width, k=k)
@@ -195,7 +197,8 @@ def linear_fit(x: list[float | None], y: list[float | None]) -> LinearFit:
     """Closed-form OLS: slope = cov(x,y)/var(x), intercept = mean residual 0.
 
     Pairs with a missing member are dropped first; requires two or more
-    pairs and non-constant x.
+    pairs and non-constant x. A fit whose sums overflow a double is
+    degenerate too.
     """
     if len(x) != len(y):
         raise DataError(f"series lengths differ: {len(x)} vs {len(y)}")
@@ -210,10 +213,15 @@ def linear_fit(x: list[float | None], y: list[float | None]) -> LinearFit:
     # held in a list of n floats
     mx = sum(x) / n
     my = sum(y) / n
-    sxx = sum(map(pow, map(sub, x, repeat(mx)), repeat(2)))
+    try:
+        sxx = sum(map(pow, map(sub, x, repeat(mx)), repeat(2)))
+    except OverflowError:  # pow raises where a square passes the largest double
+        sxx = math.inf
     if sxx == 0:
         raise DataError("x is constant; the fit is degenerate")
     sxy = sum(map(mul, map(sub, x, repeat(mx)), map(sub, y, repeat(my))))
+    if not (math.isfinite(sxx) and math.isfinite(sxy)):
+        raise DataError("the fit's sums overflow a double; rescale x or y")
     slope = sxy / sxx
     return LinearFit(slope, my - slope * mx, n)
 
@@ -287,18 +295,3 @@ def round_sig(v: float, figures: int = 2) -> float:
     mag = math.floor(math.log10(abs(v)))
     return round(v, figures - 1 - mag)
 
-
-__all__ = [
-    "BoxStats",
-    "LinearFit",
-    "TickSet",
-    "EmptyGroupWarning",
-    "bar_counts",
-    "histogram",
-    "box_stats",
-    "linear_fit",
-    "nice_ticks",
-    "quantile_type7",
-    "sturges_bins",
-    "round_sig",
-]

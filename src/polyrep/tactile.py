@@ -362,10 +362,12 @@ class _PageBuilder:
 
     def build(self) -> TactilePage:
         scene, printable = self.scene, self.printable
-        title = scene.summary.spec.title
+        summary = scene.summary
+        title = summary.spec.title
+        x_title, y_title = summary.x_axis.title, summary.y_axis.title
 
-        x_pairs = _limit_ticks(scene.x_axis.ticks, scene.x_axis.labels)
-        y_pairs = _limit_ticks(scene.y_axis.ticks, scene.y_axis.labels)
+        x_pairs = _limit_ticks(scene.x_ticks, summary.x_axis.labels)
+        y_pairs = _limit_ticks(scene.y_ticks, summary.y_axis.labels)
 
         # gutters reserve room for braille before the chart is scaled
         def ink_width(pairs: list[tuple[float, str]]) -> float:
@@ -377,10 +379,8 @@ class _PageBuilder:
         # centered x labels can poke past either plot edge
         left_gutter = max(y_label_w + 9.0, x_label_w / 2 + 2.0)
         right_gutter = max(4.0, x_label_w / 2 + 2.0)
-        bottom_gutter = 7.0 + 2 * LINE_PITCH + (
-            LINE_PITCH if scene.x_axis.title else 0.0
-        ) + 2.0
-        top_lines = (1 if title else 0) + (1 if scene.y_axis.title else 0)
+        bottom_gutter = 7.0 + 2 * LINE_PITCH + (LINE_PITCH if x_title else 0.0) + 2.0
+        top_lines = (1 if title else 0) + (1 if y_title else 0)
         top_gutter = top_lines * LINE_PITCH + 4.0
 
         avail = Rect(
@@ -472,12 +472,11 @@ class _PageBuilder:
         if title:
             self._label(title, "title", title_x, y_base, "down", "left")
             y_base += LINE_PITCH
-        if scene.y_axis.title:
-            t = scene.y_axis.title
-            self._label(t, f"y-axis title {t!r}", title_x, y_base, "down", "left")
-        if scene.x_axis.title:
-            t = scene.x_axis.title
-            self._label(t, f"x-axis title {t!r}", plot_mm.x + plot_mm.w / 2,
+        if y_title:
+            self._label(y_title, f"y-axis title {y_title!r}", title_x, y_base,
+                        "down", "left")
+        if x_title:
+            self._label(x_title, f"x-axis title {x_title!r}", plot_mm.x + plot_mm.w / 2,
                         x_label_y + 2 * LINE_PITCH, "down", "center")
 
         page = TactilePage(self.layout, tuple(self.strokes), tuple(self.glyphs),

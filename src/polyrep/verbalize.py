@@ -2,11 +2,12 @@
 
 The automatic grammar describes a chart sentence by sentence: metadata,
 the two axes with their tick labels, the chart type, then one sentence per
-mark group. It reads a `ChartSummary`: the spec, the bound `ChartValues`
-and the data-space axes that `scene.summarize` computes. `scene.layout`
-draws that same summary for the SVG and tactile page, so the alt text
-restates no fact of its own and needs no layout; the trend is the sign of
-`ChartValues.fit()`. Bar charts follow the canonical wording
+mark group. It reads a `chartspec.ChartSummary`: the spec, the bound
+`ChartValues` and the data-space axes that `chartspec.summarize` computes.
+`scene.layout` draws that same summary for the SVG and tactile page, so the
+alt text restates no fact of its own and needs no layout; the trend is the
+sign of `ChartValues.fit()`. The checklist looks in a text for the axis
+titles of that summary too. Bar charts follow the canonical wording
 
     This is an untitled chart with no subtitle or caption.
     It has x-axis 'species' with labels Adelie, Chinstrap and Gentoo.
@@ -23,9 +24,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .chartspec import ChartSpec, ChartValues
+from .chartspec import ChartSummary
 from .dataset import format_number
 from .errors import DataError, SpecError
 from .stats import round_sig
@@ -51,30 +51,6 @@ class ManualAltInput:
     data_desc: str
     reason: str
     data_link: str | None = None
-
-
-class DataAxis(NamedTuple):
-    """What an axis says, in data space: its title and tick labels, and for
-    a value axis the tick values and the (d0, d1) domain a scale maps. A
-    band axis, one slot per label, has neither. (A NamedTuple, like the
-    scene's `AxisInfo`: a tenth of a dataclass's cost at import.)"""
-
-    title: str
-    labels: tuple[str, ...] = ()
-    ticks: tuple[float, ...] = ()
-    domain: tuple[float, float] | None = None
-
-
-@dataclass(frozen=True)
-class ChartSummary:
-    """A chart as the verbalizer reads it: the spec, the bound values, the
-    two axes in data space, and the grouped levels in legend order."""
-
-    spec: ChartSpec
-    values: ChartValues
-    x_axis: DataAxis
-    y_axis: DataAxis
-    group_levels: tuple[str, ...] = ()
 
 
 def join_labels(labels: list[str] | tuple[str, ...]) -> str:
@@ -262,19 +238,12 @@ class ChecklistReport:
         return self.has_type and self.has_axes and self.has_scale and self.has_meaning
 
 
-def _axis_names(spec: ChartSpec) -> list[str]:
-    if spec.chart_type in ("bar", "histogram"):
-        return [spec.x, "count"]
-    if spec.chart_type == "boxplot" and spec.y is None:
-        return [spec.x]
-    return [spec.x, spec.y or ""]
-
-
-def checklist_score(alt: AltText | str, spec: ChartSpec) -> ChecklistReport:
+def checklist_score(alt: AltText | str, summary: ChartSummary) -> ChecklistReport:
     """Advisory content check: chart type, axis variables, scale, meaning.
 
-    Axis names match token-wise (underscores and case ignored), so
-    'flipper_length_mm' is found in "flipper length in mm".
+    The axis variables are the summary's axis titles (an ungrouped box
+    plot's x axis has none). They match token-wise (underscores and case
+    ignored), so 'flipper_length_mm' is found in "flipper length in mm".
     """
     text = (alt.flattened if isinstance(alt, AltText) else alt).lower()
     has_type = any(w in text for w in _TYPE_WORDS)
@@ -283,7 +252,8 @@ def checklist_score(alt: AltText | str, spec: ChartSpec) -> ChecklistReport:
         tokens = [t for t in re.split(r"[^a-z0-9]+", name.lower()) if t]
         return bool(tokens) and all(t in text for t in tokens)
 
-    has_axes = all(axis_present(n) for n in _axis_names(spec))
+    titles = (summary.x_axis.title, summary.y_axis.title)
+    has_axes = all(axis_present(t) for t in titles if t)
     has_scale = len(re.findall(r"\d+(?:\.\d+)?", text)) >= 2
     has_meaning = any(stem in text for stem in _MEANING_STEMS)
     return ChecklistReport(has_type, has_axes, has_scale, has_meaning)

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from polyrep.chartspec import bind, parse_spec
+from polyrep.chartspec import bind, parse_spec, summarize
 from polyrep.dataset import parse_csv
-from polyrep.scene import layout, summarize
+from polyrep.scene import layout
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

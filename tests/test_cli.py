@@ -628,9 +628,12 @@ def _scatter_spec(inline: dict, **chart) -> dict:
          "inline column 's' holds 'NA'; use null for a missing value"),
         (_scatter_spec({"x": [1, 2, True], "y": [3, 4, 5]}),
          "inline column 'x' holds true; use a number, a string or null"),
+        (_scatter_spec({"x": [1, 10**400], "y": [3, 4]}),
+         "inline column 'x' holds an integer too large for a double; rescale it"),
     ],
     ids=["missing-column", "numeric-group", "bar-missing-column",
-         "histogram-missing-column", "inline-missing-token", "inline-boolean"],
+         "histogram-missing-column", "inline-missing-token", "inline-boolean",
+         "inline-huge-integer"],
 )
 @pytest.mark.parametrize("command", CHART_COMMANDS)
 def test_chart_commands_reject_unbound_spec_alike(workdir, capsys, command, spec,
@@ -640,7 +643,22 @@ def test_chart_commands_reject_unbound_spec_alike(workdir, capsys, command, spec
     assert capsys.readouterr().err == f"polyrep: error[spec]: {message}\n"
 
 
-# a chart that binds but cannot be drawn is refused by every mode that draws
+def test_fit_with_overflowing_sums_states_no_trend(workdir, capsys):
+    spec = _scatter_spec({"x": [0, 1e155, 1], "y": [1, 2, 3]})
+    Path("far.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["alt", "far.json"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and "The chart is a scatter plot with 3 points." in out.out
+    assert "Overall" not in out.out  # as for a constant x
+    assert main(["render", "far.json", "-o", "far.svg"]) == 0
+    assert main(["sonify", "far.json", "--mode", "regression", "-o", "far.wav"]) == 1
+    assert capsys.readouterr().err == (
+        "polyrep: error[data]: the fit's sums overflow a double; rescale x or y\n"
+    )
+    assert not Path("far.wav").exists()
+
+
+# a chart whose values cannot be drawn is refused by every mode that draws
 # or describes it, so the alt text never describes a chart nothing draws
 @pytest.mark.parametrize(
     "spec,line",
@@ -650,8 +668,16 @@ def test_chart_commands_reject_unbound_spec_alike(workdir, capsys, command, spec
          "error[spec]: 12 group levels exceed the palette's 8 colors"),
         (_scatter_spec({"x": [1e300, 1e300], "y": [1, 2]}),
          "error[data]: degenerate scale domain"),
+        (_scatter_spec({"x": [-8.5e307, 8.5e307, 0], "y": [1, 2, 3]}),
+         "error[data]: column 'x' spans too wide a range for an axis; rescale it"),
+        (_scatter_spec({"x": [-1e308, 1e308, 0], "y": [1, 2, 3]}),
+         "error[data]: column 'x' spans too wide a range for an axis; rescale it"),
+        ({"data": {"inline": {"v": [-1e308, 1e308]}},
+          "chart": {"type": "histogram", "x": "v"}},
+         "error[data]: column 'v' spans too wide a range for 2 bins; rescale it"),
     ],
-    ids=["too-many-levels", "unwidenable-domain"],
+    ids=["too-many-levels", "unwidenable-domain", "unsteppable-axis", "overflowing-axis",
+         "unbinnable-histogram"],
 )
 @pytest.mark.parametrize("command", ("render", "cvd-grid", "alt", "tactile"))
 def test_chart_commands_refuse_an_undrawable_chart_alike(workdir, capsys, command,
@@ -780,6 +806,21 @@ def test_non_audio_commands_never_import_numpy(workdir):
     assert {p.name for p in workdir.iterdir()} >= {"r.svg", "g.svg", "t.pdf"}
 
 
+COLD_ALT = """\
+import sys
+import polyrep.cli
+
+for chart in ("lin", "penguins_bar", "penguins_box", "penguins_hist", "penguins_scatter"):
+    assert polyrep.cli.main(["alt", chart + ".json"]) == 0, chart
+assert "polyrep.scene" not in sys.modules, sorted(sys.modules)
+"""
+
+
+def test_alt_never_imports_scene(workdir):
+    run = _fresh_python(COLD_ALT, workdir)
+    assert run.returncode == 0, run.stderr
+
+
 def test_audit_palette_and_sonify_load_only_their_modules(workdir):
     run = _fresh_python(COLD_PALETTE_THEN_AUDIO, workdir)
     assert run.returncode == 0, run.stderr
@@ -832,10 +873,10 @@ def test_package_docstring_pipeline(workdir):
     ["tactile", "penguins_box.json", "-o", "t.pdf", "--preview"],
 ], ids=lambda argv: argv[0])
 def test_chart_commands_parse_bind_and_summarize_once(workdir, capsys, monkeypatch, argv):
-    from polyrep import chartspec, dataset, scene
+    from polyrep import chartspec, dataset
 
     calls = dict.fromkeys(("parse_spec", "parse_csv", "bind", "summarize"), 0)
-    for fn in (chartspec.parse_spec, dataset.parse_csv, chartspec.bind, scene.summarize):
+    for fn in (chartspec.parse_spec, dataset.parse_csv, chartspec.bind, chartspec.summarize):
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)

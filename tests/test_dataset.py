@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import parse_csv_oracle, serialize_csv
+from polyrep.chartspec import inline_dataset
 from polyrep.dataset import Column, Dataset, format_number, parse_csv
 from polyrep.errors import CsvParseError, DataError
 
@@ -130,13 +131,15 @@ def test_column_rejects_invalid_value_by_name(kind, values, bad):
 
 def test_parse_csv_types_columns_without_checking_them_again(monkeypatch):
     def no_recheck(self):
-        raise AssertionError("Column._all_valid called")
+        raise AssertionError("Column.__post_init__ called")
 
-    monkeypatch.setattr(Column, "_all_valid", no_recheck)
-    data = parse_csv(b"a,b\n1.5,x\nNA,NA\n2,x\n")
-    a, b = data.column("a"), data.column("b")
-    assert (a.kind, a.values, a.n_missing()) == ("numeric", (1.5, None, 2.0), 1)
-    assert (b.kind, b.values, b.n_missing()) == ("categorical", ("x", None, "x"), 1)
+    monkeypatch.setattr(Column, "__post_init__", no_recheck)
+    # CSV and inline data alike are checked once, where they are typed
+    for data in (parse_csv(b"a,b\n1.5,x\nNA,NA\n2,x\n"),
+                 inline_dataset({"a": [1.5, None, 2], "b": ["x", None, "x"]})):
+        a, b = data.column("a"), data.column("b")
+        assert (a.kind, a.values, a.n_missing()) == ("numeric", (1.5, None, 2.0), 1)
+        assert (b.kind, b.values, b.n_missing()) == ("categorical", ("x", None, "x"), 1)
 
 
 def test_column_accepts_zeros_and_float_subclasses():

@@ -8,7 +8,7 @@ import pytest
 from conftest import FIXTURES, laid_out, load_fixture_spec, patch_everywhere
 from test_cli import CVD_GRID_SPECS, FLAT_RANGE_SHA256
 from polyrep import svgout
-from polyrep.chartspec import bind, inline_dataset, load_dataset, parse_spec
+from polyrep.chartspec import bind, inline_dataset, load_dataset, parse_spec, summarize
 from polyrep.color import CvdKind, Rgb, simulate_cvd
 from polyrep.errors import DataError, SpecError
 from polyrep.scene import (
@@ -18,7 +18,6 @@ from polyrep.scene import (
     ShapeKind,
     TextMark,
     layout,
-    summarize,
 )
 from polyrep.svgout import cvd_grid, emit_svg
 from polyrep.tactile import tactualize
@@ -142,8 +141,9 @@ def test_trend_sign_is_the_sign_of_the_fit(name, fixtures_dir):
     assert slope != 0
     scene = laid_out(spec, data)
     sign = "positive" if slope > 0 else "negative"
+    x, y = scene.summary.x_axis, scene.summary.y_axis
     assert (f"Overall there is a {sign} relationship between "
-            f"'{scene.x_axis.title}' and '{scene.y_axis.title}'."
+            f"'{x.title}' and '{y.title}'."
             in auto_alt(scene.summary).sentences)
 
 
@@ -153,10 +153,11 @@ def test_grouped_box_plot_alpha_order():
     spec = parse_spec(b'{"chart":{"type":"boxplot","x":"fruit","y":"kg",'
                       b'"sort_order":"alpha"}}')
     scene = laid_out(spec, data)
-    assert scene.x_axis.labels == ("apple", "fig", "pear")
+    x_labels = scene.summary.x_axis.labels
+    assert x_labels == ("apple", "fig", "pear")
     band_labels = sorted((m.x, m.text) for m in scene.decorations
-                         if isinstance(m, TextMark) and m.text in scene.x_axis.labels)
-    assert band_labels == list(zip(scene.x_axis.ticks, ("apple", "fig", "pear")))
+                         if isinstance(m, TextMark) and m.text in x_labels)
+    assert band_labels == list(zip(scene.x_ticks, ("apple", "fig", "pear")))
     boxes = [s for s in auto_alt(scene.summary).sentences if s.startswith("Box ")]
     assert [s.split(", quartiles")[0] for s in boxes] == [
         "Box 1 summarizes apple with median 1.5",
@@ -194,7 +195,7 @@ def test_facet_decorations_drawn_once(penguins):
         if isinstance(m, TextMark) and m.y == scene.plot.y1 + 18
     ]
     # three panels, each with one label per x tick
-    assert sorted(tick_labels) == sorted(scene.x_axis.labels * 3)
+    assert sorted(tick_labels) == sorted(scene.summary.x_axis.labels * 3)
 
 
 def test_facet_x_baseline_drawn_once_per_panel(penguins):
@@ -210,9 +211,9 @@ def test_facet_x_baseline_drawn_once_per_panel(penguins):
     assert all(a[1] < b[0] for a, b in zip(baselines, baselines[1:]))
     ticks = [m.x1 for m in scene.decorations
              if isinstance(m, SegmentMark) and m.y1 == plot.y1 and m.y2 == plot.y1 + 5]
-    assert len(ticks) == 3 * len(scene.x_axis.ticks)
+    assert len(ticks) == 3 * len(scene.x_ticks)
     for x0, x1 in baselines:
-        assert sum(x0 <= t <= x1 for t in ticks) == len(scene.x_axis.ticks)
+        assert sum(x0 <= t <= x1 for t in ticks) == len(scene.x_ticks)
 
 
 def test_group_levels_come_from_drawn_rows():
@@ -260,7 +261,7 @@ def test_alt_axes_are_the_drawn_axes(name, fixtures_dir):
     spec = parse_spec(FACET_SCATTER) if name == "facet" else load_fixture_spec(name)
     scene = laid_out(spec, load_dataset(spec, base_dir=fixtures_dir))
     sentences = auto_alt(scene.summary).sentences
-    x, y = scene.x_axis, scene.y_axis
+    x, y = scene.summary.x_axis, scene.summary.y_axis
     if x.labels:
         assert f"It has x-axis '{x.title}' with labels {join_labels(x.labels)}." in sentences
     else:
@@ -295,8 +296,9 @@ def test_summary_is_the_laid_out_summary(name, fixtures_dir):
     scene = laid_out(spec, data)
     summary = summarize(spec, bind(spec, data))
     assert summary == scene.summary
-    for drawn, said in ((scene.x_axis, summary.x_axis), (scene.y_axis, summary.y_axis)):
-        assert (drawn.title, drawn.labels) == (said.title, said.labels)
+    # the scene draws one tick per label the summary gives each axis
+    for drawn, said in ((scene.x_ticks, summary.x_axis), (scene.y_ticks, summary.y_axis)):
+        assert len(drawn) == len(said.labels)
 
 
 # one chart of each type over the penguins
@@ -340,50 +342,50 @@ def _span(values):
 def _scatter_axes(penguins):
     scene, _ = scene_and_alt("penguins_scatter.json", penguins)
     rows = _complete(penguins, "flipper_length_mm", "bill_length_mm")
-    x, y, plot = scene.x_axis, scene.y_axis, scene.plot
-    return [(x.ticks, x.labels, *_span([r[0] for r in rows]), plot.x, plot.x1, False),
-            (y.ticks, y.labels, *_span([r[1] for r in rows]), plot.y1, plot.y, False)]
+    x, y, plot = scene.summary.x_axis, scene.summary.y_axis, scene.plot
+    return [(scene.x_ticks, x.labels, *_span([r[0] for r in rows]), plot.x, plot.x1, False),
+            (scene.y_ticks, y.labels, *_span([r[1] for r in rows]), plot.y1, plot.y, False)]
 
 
 def _bar_axes(penguins):
     scene, _ = scene_and_alt("penguins_bar.json", penguins)
     species = [s for (s,) in _complete(penguins, "species")]
     top = float(max(species.count(s) for s in set(species)))
-    y, plot = scene.y_axis, scene.plot
-    return [(y.ticks, y.labels, 0.0, top, plot.y1, plot.y, True)]
+    y, plot = scene.summary.y_axis, scene.plot
+    return [(scene.y_ticks, y.labels, 0.0, top, plot.y1, plot.y, True)]
 
 
 def _hist_axes(penguins):
     scene, _ = scene_and_alt("penguins_hist.json", penguins)
     bins = scene.summary.values.bins
     top = float(max(c for _, _, c in bins))
-    x, y, plot = scene.x_axis, scene.y_axis, scene.plot
-    return [(x.ticks, x.labels, bins[0][0], bins[-1][1], plot.x, plot.x1, False),
-            (y.ticks, y.labels, 0.0, top, plot.y1, plot.y, True)]
+    x, y, plot = scene.summary.x_axis, scene.summary.y_axis, scene.plot
+    return [(scene.x_ticks, x.labels, bins[0][0], bins[-1][1], plot.x, plot.x1, False),
+            (scene.y_ticks, y.labels, 0.0, top, plot.y1, plot.y, True)]
 
 
 def _box_axes(penguins):
     scene, _ = scene_and_alt("penguins_box.json", penguins)
     rows = _complete(penguins, "species", "body_mass_g")
-    y, plot = scene.y_axis, scene.plot
-    return [(y.ticks, y.labels, *_span([r[1] for r in rows]), plot.y1, plot.y, False)]
+    y, plot = scene.summary.y_axis, scene.plot
+    return [(scene.y_ticks, y.labels, *_span([r[1] for r in rows]), plot.y1, plot.y, False)]
 
 
 def _ungrouped_box_axes(penguins):
     values = [1, 2, 3, 4, 50]
     spec = parse_spec(b'{"chart":{"type":"boxplot","x":"v"}}')
     scene = laid_out(spec, inline_dataset({"v": values}))
-    y, plot = scene.y_axis, scene.plot
-    return [(y.ticks, y.labels, *_span(values), plot.y1, plot.y, False)]
+    y, plot = scene.summary.y_axis, scene.plot
+    return [(scene.y_ticks, y.labels, *_span(values), plot.y1, plot.y, False)]
 
 
 def _line_axes(penguins):
     # lin.json's data drawn as a line chart
     spec = parse_spec(b'{"chart":{"type":"line","x":"x","y":"y"}}')
     scene = laid_out(spec, load_dataset(load_fixture_spec("lin.json")))
-    x, y, plot = scene.x_axis, scene.y_axis, scene.plot
-    return [(x.ticks, x.labels, 1.0, 5.0, plot.x, plot.x1, False),
-            (y.ticks, y.labels, 1.0, 5.0, plot.y1, plot.y, False)]
+    x, y, plot = scene.summary.x_axis, scene.summary.y_axis, scene.plot
+    return [(scene.x_ticks, x.labels, 1.0, 5.0, plot.x, plot.x1, False),
+            (scene.y_ticks, y.labels, 1.0, 5.0, plot.y1, plot.y, False)]
 
 
 def _facet_axes(penguins):
@@ -436,7 +438,7 @@ def test_degenerate_constant_data_charts():
     # constant values must still lay out (half-unit expanded ranges)
     box = parse_spec(b'{"chart":{"type":"boxplot","x":"v"}}')
     scene = laid_out(box, inline_dataset({"v": [5.0, 5.0, 5.0]}))
-    assert scene.y_axis.ticks
+    assert scene.y_ticks
     scatter = parse_spec(b'{"chart":{"type":"scatter","x":"x","y":"y"}}')
     scene = laid_out(scatter, inline_dataset({"x": [2, 2], "y": [3, 3]}))
     assert scene.marks

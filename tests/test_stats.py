@@ -157,6 +157,13 @@ def test_histogram_range_too_narrow_for_its_bins():
     ]
 
 
+def test_histogram_range_too_wide_for_its_bins():
+    # hi - lo overflows to infinity: an error, not a NaN bin index
+    with pytest.raises(DataError) as exc:
+        histogram(numeric_ds([-1e308, 1e308]), "x", bins=2)
+    assert str(exc.value) == "column 'x' spans too wide a range for 2 bins; rescale it"
+
+
 # -- box_stats ---------------------------------------------------------------
 
 
@@ -372,6 +379,16 @@ def test_linear_fit_matches_oracle_bit_for_bit(pairs):
         return f.slope, f.intercept, f.n
 
     assert _fit_bits(fit, x, y) == _fit_bits(linear_fit_oracle, x, y)
+
+
+@pytest.mark.parametrize("x,y", [
+    ([0.0, 1e155, 1.0], [1.0, 2.0, 3.0]),  # a square of x passes the largest double
+    ([0.0, 1.0, 2.0], [1e308, 1e308, 1.0]),  # the sum of y does
+], ids=["square", "sum"])
+def test_linear_fit_with_overflowing_sums_is_degenerate(x, y):
+    with pytest.raises(DataError) as exc:
+        linear_fit(x, y)
+    assert str(exc.value) == "the fit's sums overflow a double; rescale x or y"
 
 
 # -- nice_ticks --------------------------------------------------------------

@@ -5,12 +5,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import laid_out, load_fixture_spec
-from polyrep.chartspec import ChartSpec, ChartValues, inline_dataset, parse_spec
+from polyrep.chartspec import (
+    ChartSpec,
+    ChartSummary,
+    ChartValues,
+    DataAxis,
+    bind,
+    inline_dataset,
+    parse_spec,
+    summarize,
+)
 from polyrep.errors import SpecError
 from polyrep.verbalize import (
     AltText,
-    ChartSummary,
-    DataAxis,
     ManualAltInput,
     auto_alt,
     checklist_score,
@@ -191,14 +198,16 @@ def test_manual_alt_empty_field_rejected():
 # -- checklist ---------------------------------------------------------------
 
 
-def scatter_spec():
-    return parse_spec(
-        b'{"chart":{"type":"scatter","x":"flipper_length_mm","y":"bill_length_mm"}}'
-    )
+def penguin_summary(penguins, chart: bytes):
+    spec = parse_spec(b'{"chart":' + chart + b'}')
+    return summarize(spec, bind(spec, penguins))
 
 
-def test_checklist_on_manual_scatter_text():
-    report = checklist_score(SCATTER_MANUAL_TEXT, scatter_spec())
+SCATTER_CHART = b'{"type":"scatter","x":"flipper_length_mm","y":"bill_length_mm"}'
+
+
+def test_checklist_on_manual_scatter_text(penguins):
+    report = checklist_score(SCATTER_MANUAL_TEXT, penguin_summary(penguins, SCATTER_CHART))
     assert report.has_type
     assert report.has_axes
     assert report.has_scale
@@ -206,14 +215,14 @@ def test_checklist_on_manual_scatter_text():
     assert report.complete
 
 
-def test_checklist_empty_text():
-    report = checklist_score("", scatter_spec())
+def test_checklist_empty_text(penguins):
+    report = checklist_score("", penguin_summary(penguins, SCATTER_CHART))
     assert not (report.has_type or report.has_axes or report.has_scale or report.has_meaning)
 
 
-def test_checklist_type_only():
-    spec = parse_spec(b'{"chart":{"type":"bar","x":"species"}}')
-    report = checklist_score("bar chart", spec)
+def test_checklist_type_only(penguins):
+    summary = penguin_summary(penguins, b'{"type":"bar","x":"species"}')
+    report = checklist_score("bar chart", summary)
     assert report.has_type
     assert not report.has_axes and not report.has_scale and not report.has_meaning
 
@@ -221,9 +230,8 @@ def test_checklist_type_only():
 def test_generated_alt_passes_own_checklist(penguins, fixtures_dir):
     for name in ("penguins_bar.json", "penguins_scatter.json", "penguins_box.json",
                  "penguins_hist.json"):
-        spec = load_fixture_spec(name)
-        alt = auto_alt(laid_out(spec, penguins).summary)
-        report = checklist_score(alt, spec)
+        summary = laid_out(load_fixture_spec(name), penguins).summary
+        report = checklist_score(auto_alt(summary), summary)
         assert report.has_type, name
         assert report.has_axes, name
 
@@ -233,11 +241,13 @@ def test_generated_alt_checklist_line_and_single_box(penguins):
 
     line_spec = parse_spec(b'{"chart":{"type":"line","x":"x","y":"y"}}')
     line_data = inline_dataset({"x": [1, 2, 3], "y": [3, 1, 2]})
-    report = checklist_score(auto_alt(laid_out(line_spec, line_data).summary), line_spec)
+    summary = laid_out(line_spec, line_data).summary
+    report = checklist_score(auto_alt(summary), summary)
     assert report.has_type and report.has_axes
 
     box_spec = parse_spec(b'{"chart":{"type":"boxplot","x":"body_mass_g"}}')
-    report = checklist_score(auto_alt(laid_out(box_spec, penguins).summary), box_spec)
+    summary = laid_out(box_spec, penguins).summary
+    report = checklist_score(auto_alt(summary), summary)
     assert report.has_type and report.has_axes
 
 
