@@ -2,14 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from polyrep.chartspec import (
-    ChartValues,
-    bind,
-    inline_dataset,
-    load_dataset,
-    parse_spec,
-    summarize,
-)
+from polyrep.chartspec import ChartValues, bind, inline_dataset, load_dataset, parse_spec
 from polyrep.dataset import Column, Dataset
 from polyrep.errors import DataError, SpecError
 
@@ -176,20 +169,6 @@ def test_inline_dataset_names_the_column_and_the_fix(values, message):
     with pytest.raises(SpecError) as exc:
         inline_dataset({"ok": [None] * len(values), "c": values})
     assert str(exc.value) == message
-
-
-# a value axis must have a finite domain and a tick step a double can hold
-@pytest.mark.parametrize("xs", [
-    [-8.5e307, 8.5e307, 0],  # the span is finite, a tick step is not
-    [-1e308, 1e308, 0],  # the span itself overflows
-    [1e308, 1.79e308, 1.5e308],  # the padded domain overflows
-], ids=["step", "span", "padding"])
-def test_summarize_refuses_a_range_too_wide_for_an_axis(xs):
-    spec = parse_spec(b'{"chart":{"type":"scatter","x":"x","y":"y"}}')
-    values = bind(spec, inline_dataset({"x": xs, "y": [1, 2, 3]}))
-    with pytest.raises(DataError) as exc:
-        summarize(spec, values)
-    assert str(exc.value) == "column 'x' spans too wide a range for an axis; rescale it"
 
 
 def test_inline_dataset_ragged_rejected():

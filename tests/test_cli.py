@@ -672,12 +672,14 @@ def test_fit_with_overflowing_sums_states_no_trend(workdir, capsys):
          "error[data]: column 'x' spans too wide a range for an axis; rescale it"),
         (_scatter_spec({"x": [-1e308, 1e308, 0], "y": [1, 2, 3]}),
          "error[data]: column 'x' spans too wide a range for an axis; rescale it"),
+        (_scatter_spec({"x": [1e308, 1.79e308, 1.5e308], "y": [1, 2, 3]}),
+         "error[data]: column 'x' spans too wide a range for an axis; rescale it"),
         ({"data": {"inline": {"v": [-1e308, 1e308]}},
           "chart": {"type": "histogram", "x": "v"}},
          "error[data]: column 'v' spans too wide a range for 2 bins; rescale it"),
     ],
     ids=["too-many-levels", "unwidenable-domain", "unsteppable-axis", "overflowing-axis",
-         "unbinnable-histogram"],
+         "overflowing-padding", "unbinnable-histogram"],
 )
 @pytest.mark.parametrize("command", ("render", "cvd-grid", "alt", "tactile"))
 def test_chart_commands_refuse_an_undrawable_chart_alike(workdir, capsys, command,
