@@ -328,7 +328,10 @@ def bind(spec: ChartSpec, data: Dataset) -> ChartValues:
         boxes = box_stats(data, spec.y, spec.x)
         if spec.sort_order == "alpha":
             boxes = sorted(boxes, key=lambda b: b.group_label)
-        dropped = sum(1 for g, v in zip(x.values, y.values) if g is None or v is None)
+        x_missing, y_missing = x.n_missing(), y.n_missing()
+        dropped = x_missing + y_missing
+        if x_missing and y_missing:  # a row may lack both
+            dropped = sum(1 for g, v in zip(x.values, y.values) if g is None or v is None)
         return ChartValues(dropped, boxes=tuple(boxes))
     y = data.column(spec.y)
     _require(x.kind == "numeric", f"{ctype} needs numeric x")

@@ -28,7 +28,7 @@ from .pdfwrite import PAPER_SIZES_MM
 
 TYPE_CHECKING = False  # type checkers read it as true; typing is slow to import
 if TYPE_CHECKING:
-    from .chartspec import ChartSpec, ChartSummary, ChartValues
+    from .chartspec import ChartSummary
     from .verbalize import AltText
 
 
@@ -113,23 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bind(args) -> tuple[ChartSpec, ChartValues]:
-    """The spec and its chart's values: one parse, one read of its data and
-    one bind. Sonify refuses a box plot before its data is read."""
-    from .chartspec import bind, load_dataset, parse_spec
+def _summary(args) -> ChartSummary:
+    """The summary that the chart's alt text reads, its scene draws and its
+    audio plays: one parse, one read of its data, one bind and one
+    summarize. Sonify refuses a box plot before its data is read."""
+    from .chartspec import bind, load_dataset, parse_spec, summarize
 
     path = Path(args.spec)
     spec = parse_spec(path.read_bytes())
     if args.command == "sonify" and spec.chart_type == "boxplot":
         raise DataError("cannot sonify a boxplot chart")
-    return spec, bind(spec, load_dataset(spec, base_dir=path.parent))
-
-
-def _summary(args) -> ChartSummary:
-    """The summary that the chart's alt text reads and its scene draws."""
-    from .chartspec import summarize
-
-    return summarize(*_bind(args))
+    return summarize(spec, bind(spec, load_dataset(spec, base_dir=path.parent)))
 
 
 def _output(args, suffix: str) -> Path:
@@ -183,7 +177,8 @@ def _cmd_alt(args) -> int:
 def _cmd_sonify(args) -> int:
     from .sonify import SonifyConfig, sonify_points, sonify_sweep, write_wav
 
-    spec, values = _bind(args)
+    summary = _summary(args)  # a chart no axis can draw is not played either
+    spec, values = summary.spec, summary.values
     xs, ys = values.points
     cfg = SonifyConfig(
         duration_s=args.duration,

@@ -5,8 +5,9 @@ strings); empty cells and the literal ``NA`` are missing values. Type
 inference is per column: numeric iff every non-missing cell parses as a
 finite decimal number with no ``_``. A column is typed by one ``float()``
 call per non-missing cell, which stops at the first cell that is not a
-number; only a categorical column then builds a dict of its distinct
-cells, so that equal strings share one object.
+number; a column with no missing cell is typed before it is stripped.
+Only a categorical column then builds a dict of its distinct cells, so
+that equal strings share one object.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import io
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import filterfalse, repeat
+from itertools import filterfalse
 
 from .errors import CsvParseError, DataError
 
@@ -124,8 +125,9 @@ def _split_plain(text: str) -> tuple[list[str], int, Callable[[int], list[str]]]
     for text with no quote character.
 
     Without quoting, every line is one record and every comma ends a field,
-    so the whole body is split in bulk and a column is a stride of the
-    cells, taken only when asked for; no list is built per row.
+    so the whole body is split in one pass, with a marker cell between
+    records, and a column is a stride of the cells, taken only when asked
+    for; no list is built per row.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -136,19 +138,22 @@ def _split_plain(text: str) -> tuple[list[str], int, Callable[[int], list[str]]]
     names = _header_names(header)
     n = len(names)
 
-    body = lines[1:]
-    records = list(filter(None, body))
-    if not set(map(str.count, records, repeat(","))) <= {n - 1} or (
-        max(map(len, records), default=0) > limit
-    ):
+    records = list(filter(None, lines[1:]))
+    r = len(records)
+    overlong = max(map(len, records), default=0) > limit
+    # a "\n" cell, which no record holds, marks each record's end: every
+    # record has n fields iff the r - 1 markers fall every n + 1 cells
+    joined = ",\n,".join(records)
+    del lines, records  # so that the lines are freed before the cells are made
+    cells = joined.split(",") if r else []
+    if overlong or len(cells) != (n + 1) * r - 1 or cells[n::n + 1].count("\n") != r - 1:
         # some record is ragged or may hold an overlong field: find the first
-        for i, line in enumerate(body, start=2):
+        for i, line in enumerate(text.split("\n")[1:], start=2):
             if line:
                 fields = line.split(",")
                 _check_field_sizes(fields, limit, row=i)
                 _check_field_count(fields, n, row=i)
-    cells = ",".join(records).split(",") if records else []
-    return names, len(records), lambda j: cells[j::n]
+    return names, r, lambda j: cells[j::n + 1]
 
 
 def _split_quoted(text: str) -> tuple[list[str], int, Callable[[int], tuple[str, ...]]]:
@@ -208,6 +213,15 @@ def _column(cells) -> Column:
     Otherwise the column is categorical, and equal cells share the string
     of their first appearance.
     """
+    try:
+        # float() skips the whitespace it shares with str.strip() and
+        # refuses the missing tokens, so a column with no missing cell is
+        # typed by this one pass over its raw cells
+        numbers = tuple(map(float, cells))
+    except ValueError:  # a missing cell, or whitespace that float() keeps
+        numbers = None
+    if numbers is not None and _plain(numbers, cells):
+        return _typed_column("numeric", numbers)
     stripped = list(map(str.strip, cells))
     numbers = _numbers(stripped)
     if numbers is not None:
@@ -237,14 +251,19 @@ def _numbers(stripped: list[str]) -> tuple[float | None, ...] | None:
         values = tuple(map(float, filterfalse(_MISSING.__contains__, stripped)))
     except ValueError:
         return None
-    # digit-group underscores and inf / nan spellings are data, not numbers;
-    # the missing tokens hold no "_"
-    if not all(map(math.isfinite, values)) or "_" in "".join(stripped):
+    if not _plain(values, stripped):
         return None
     if len(values) < len(stripped):  # put each missing cell back in its row
         present = iter(values)
         values = tuple(None if s in _MISSING else next(present) for s in stripped)
     return values
+
+
+def _plain(values: tuple[float, ...], cells) -> bool:
+    """Whether every value is finite and no cell holds ``_``: digit-group
+    underscores and inf / nan spellings are data, not numbers (whitespace
+    and the missing tokens hold no ``_``)."""
+    return all(map(math.isfinite, values)) and "_" not in "".join(cells)
 
 
 def format_number(v: float) -> str:

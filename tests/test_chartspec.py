@@ -109,6 +109,18 @@ def test_bind_boxplot_shapes(penguins):
         bind(parse_spec(b'{"chart":{"type":"boxplot","x":"species"}}'), penguins)
 
 
+@pytest.mark.parametrize("groups,values", [
+    (["a", "b", "a", "b"], [1, 2, 3, 4]),
+    (["a", None, "a", "b"], [1, 2, 3, 4]),
+    (["a", "b", "a", "b"], [1, None, None, 4]),
+    (["a", None, None, "b", "a", "b"], [1, 2, None, None, 5, 6]),  # row 3 lacks both
+], ids=["none", "group-only", "value-only", "both"])
+def test_box_plot_drops_each_incomplete_row_once(groups, values):
+    spec = parse_spec(b'{"chart":{"type":"boxplot","x":"g","y":"v"}}')
+    bound = bind(spec, inline_dataset({"g": groups, "v": values}))
+    assert bound.dropped_rows == sum(g is None or v is None for g, v in zip(groups, values))
+
+
 def test_bar_with_no_category_has_nothing_to_draw():
     # only reachable from Python: the CLI never types an all-missing column
     # as categorical

@@ -658,8 +658,9 @@ def test_fit_with_overflowing_sums_states_no_trend(workdir, capsys):
     assert not Path("far.wav").exists()
 
 
-# a chart whose values cannot be drawn is refused by every mode that draws
-# or describes it, so the alt text never describes a chart nothing draws
+# a chart whose values cannot be drawn is refused by every mode that draws,
+# describes or plays it, so the alt text and the audio never speak of a
+# chart nothing draws
 @pytest.mark.parametrize(
     "spec,line",
     [
@@ -681,12 +682,38 @@ def test_fit_with_overflowing_sums_states_no_trend(workdir, capsys):
     ids=["too-many-levels", "unwidenable-domain", "unsteppable-axis", "overflowing-axis",
          "overflowing-padding", "unbinnable-histogram"],
 )
-@pytest.mark.parametrize("command", ("render", "cvd-grid", "alt", "tactile"))
+@pytest.mark.parametrize("command", ("render", "cvd-grid", "alt", "sonify", "tactile"))
 def test_chart_commands_refuse_an_undrawable_chart_alike(workdir, capsys, command,
                                                          spec, line):
     Path("bad.json").write_text(json.dumps(spec), encoding="utf-8")
     assert main([command, "bad.json"]) == 1
     assert capsys.readouterr() == ("", f"polyrep: {line}\n")
+    assert [p.name for p in Path().glob("bad.*")] == ["bad.json"]  # no artifact
+
+
+# tick labels whose gutters leave the plot no width are named, with what to
+# change; a larger paper is offered only when one has room for them
+@pytest.mark.parametrize("digits,fix", [
+    (155, "rescale column 'x'"),
+    (25, "rescale column 'x' or use a larger --paper"),
+], ids=["no-paper-fits", "larger-paper"])
+def test_tactile_wide_tick_label_error(workdir, capsys, digits, fix):
+    x_max = "1" + "0" * digits
+    spec = _scatter_spec({"x": [0, float(x_max), 1], "y": [1, 2, 3]})
+    Path("far.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert _tactile_error("far.json", capsys) == (
+        f"polyrep: error[tactile]: x tick label '{x_max}' is too wide for the page "
+        f"at braille size; {fix}\n"
+    )
+
+
+def test_tactile_wide_category_label_error(workdir, capsys):
+    spec = {"data": {"inline": {"c": ["a" * 40, "b"]}}, "chart": {"type": "bar", "x": "c"}}
+    Path("wide.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert _tactile_error("wide.json", capsys) == (
+        f"polyrep: error[tactile]: x tick label '{'a' * 40}' is too wide for the page "
+        "at braille size; abbreviate it\n"
+    )
 
 
 def _tones(wav: bytes) -> int:
@@ -866,12 +893,14 @@ def test_package_docstring_pipeline(workdir):
     assert emit_svg(scene, alt) == Path("bar.svg").read_bytes()
 
 
-# each command that draws or describes a chart parses its spec, reads its
-# CSV, binds its data and summarizes its chart once, for every artifact
+# each command that draws, describes or plays a chart parses its spec,
+# reads its CSV, binds its data and summarizes its chart once, for every
+# artifact (sonify cannot play the box plot, so it plays the bar chart)
 @pytest.mark.parametrize("argv", [
     ["render", "penguins_box.json", "-o", "r.svg"],
     ["cvd-grid", "penguins_box.json", "-o", "g.svg"],
     ["alt", "penguins_box.json"],
+    ["sonify", "penguins_bar.json", "-o", "s.wav"],
     ["tactile", "penguins_box.json", "-o", "t.pdf", "--preview"],
 ], ids=lambda argv: argv[0])
 def test_chart_commands_parse_bind_and_summarize_once(workdir, capsys, monkeypatch, argv):

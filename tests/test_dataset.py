@@ -237,6 +237,15 @@ def _assert_same_as_oracle(data: bytes) -> None:
         b"x,y\nNA,1\n2,2\n3,NA\n",  # NA as the first and the last cell
         b'x,y\n"",1\n2,"2"\n"NA",3\n',
         b"x\n+1\n-0\n1e400\n",  # overflows to inf: categorical
+        # one field too many and one too few: the cell count is right
+        b"a,b,c\n1,2,3,4\n5,6\n",
+        b"a,b,c\n1,2,3,4\n5,6,7\n8,9\n",
+        b"x\n1\n2\nNA\n",  # the one missing cell is the last
+        b"x,y\n \t,1\n,2\n \t ,3\n",  # whitespace-only cells are missing
+        "x,y\n\u3000,a\n1,b\n".encode(),
+        # whitespace str.strip() drops around numbers; float() keeps \x1c
+        "x\n\u3000 1\n\x0c2\n\x1c3\n".encode(),
+        "x,y\n\u3000 1,\x1c3\n\x0c2,4\n".encode(),
     ],
 )
 def test_parser_edge_cases_match_oracle(data):
@@ -247,7 +256,8 @@ def test_parser_edge_cases_match_oracle(data):
 _PIECES = (",", '"', "\r", "\n", "\r\n", " ", "NA", "_", "inf", "nan", "-",
            ".", "e", "0", "1", "7", "a", "Q")
 _NUMBERS = ("", " ", "NA", " NA ", "0", "-0", "-1", "+1", "2.5", " 3 ", "1e2", ".5",
-            "inf", "1e400", "1_0", "0x1", "\u0661")
+            "inf", "1e400", "1_0", "0x1", "\u0661", " \t", "\u3000", "\u3000 1", "\x0c2",
+            "\x1c3")
 
 
 @st.composite

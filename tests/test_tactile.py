@@ -239,6 +239,16 @@ def test_label_too_long_suggests_abbreviation():
         tactualize(scene)
 
 
+def test_page_too_small_for_any_labels_says_so():
+    """A page whose printable width cannot hold the plot even beside empty
+    gutters is too small, whatever its tick labels."""
+    spec = parse_spec(b'{"chart":{"type":"scatter","x":"x","y":"y"}}')
+    scene = laid_out(spec, inline_dataset({"x": [1.0, 2.0], "y": [1.0, 2.0]}))
+    with pytest.raises(TactileError) as exc:
+        tactualize(scene, TactileLayout(page_w=2 * MARGIN + 20.0))
+    assert str(exc.value) == "page too small for the chart at braille size"
+
+
 def test_glyph_bounds_checked_through_its_extent():
     """A glyph flush with the margin passes; one past it fails naming the
     first outline point out, as the point-by-point check of a stroke does."""
