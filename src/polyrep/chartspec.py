@@ -39,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from operator import itemgetter
+from operator import is_, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -328,11 +328,10 @@ def bind(spec: ChartSpec, data: Dataset) -> ChartValues:
         boxes = box_stats(data, spec.y, spec.x)
         if spec.sort_order == "alpha":
             boxes = sorted(boxes, key=lambda b: b.group_label)
-        x_missing, y_missing = x.n_missing(), y.n_missing()
-        dropped = x_missing + y_missing
-        if x_missing and y_missing:  # a row may lack both
-            dropped = sum(1 for g, v in zip(x.values, y.values) if g is None or v is None)
-        return ChartValues(dropped, boxes=tuple(boxes))
+        # a category string and a float are never one object, so `is_`
+        # holds only where a row lacks both cells
+        both = sum(map(is_, x.values, y.values))
+        return ChartValues(x.n_missing() + y.n_missing() - both, boxes=tuple(boxes))
     y = data.column(spec.y)
     _require(x.kind == "numeric", f"{ctype} needs numeric x")
     _require(y.kind == "numeric", f"{ctype} needs numeric y")

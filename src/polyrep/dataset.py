@@ -208,8 +208,11 @@ def _column(cells) -> Column:
     """Type one column from its raw cells.
 
     Cells are stripped; empty cells and ``NA`` are missing. The column is
-    numeric iff every other cell is a finite decimal number with no ``_``;
-    then each such cell costs one ``float()`` call and no dict is built.
+    numeric iff every other cell is a finite decimal number with no ``_``,
+    and no dict is built for it. A column with no missing cell costs one
+    ``float()`` call per cell; in one with a missing cell, every cell before
+    the first missing one is converted twice, since the first pass stops
+    there and the stripped cells are converted again from the start.
     Otherwise the column is categorical, and equal cells share the string
     of their first appearance.
     """

@@ -358,20 +358,14 @@ class _PageBuilder:
         return any(dot_touches_stroke(dot, piece, LABEL_CLEARANCE)
                    for dot in run.dots() for piece in near)
 
-    def _wide_tick_label(self, x_pairs: list[tuple[float, str]],
-                         y_pairs: list[tuple[float, str]], gutters: float) -> TactileError:
+    def _wide_tick_label(self, name: str, pairs: list[tuple[float, str]],
+                         gutters: float) -> TactileError:
         """The error for tick labels whose `gutters` (left plus right) leave
         the plot no width on a page that has room for it: it names the
-        widest label, its axis and what to change, and a larger paper only
-        if one has room for the gutters."""
-        summary = self.scene.summary
-        name, axis, label = max(
-            ((name, axis, label)
-             for name, axis, pairs in (("x", summary.x_axis, x_pairs),
-                                       ("y", summary.y_axis, y_pairs))
-             for _, label in pairs),
-            key=lambda named: _run_width(_braille(named[2])),
-        )
+        widest label of axis `name`, whose `pairs` these are, and what to
+        change, and a larger paper only if one has room for the gutters."""
+        axis = self.scene.summary.x_axis if name == "x" else self.scene.summary.y_axis
+        label = max((label for _, label in pairs), key=lambda lbl: _run_width(_braille(lbl)))
         fix = "abbreviate it" if axis.domain is None else f"rescale column {axis.title!r}"
         widest_paper = max(w for w, _ in PAPER_SIZES_MM.values())
         if widest_paper - 2 * MARGIN - gutters > 10:
@@ -400,7 +394,8 @@ class _PageBuilder:
             return (max(y_label_w + 9.0, x_label_w / 2 + 2.0),
                     max(4.0, x_label_w / 2 + 2.0))
 
-        left_gutter, right_gutter = side_gutters(ink_width(y_pairs), ink_width(x_pairs))
+        x_ink, y_ink = ink_width(x_pairs), ink_width(y_pairs)
+        left_gutter, right_gutter = side_gutters(y_ink, x_ink)
         bottom_gutter = 7.0 + 2 * LINE_PITCH + (LINE_PITCH if x_title else 0.0) + 2.0
         top_lines = (1 if title else 0) + (1 if y_title else 0)
         top_gutter = top_lines * LINE_PITCH + 4.0
@@ -413,7 +408,11 @@ class _PageBuilder:
         )
         if avail.w <= 10 or avail.h <= 10:
             if avail.h > 10 and printable.w - sum(side_gutters(0.0, 0.0)) > 10:
-                raise self._wide_tick_label(x_pairs, y_pairs, left_gutter + right_gutter)
+                # name the axis whose labels alone take more of the width:
+                # an x label reaches into both gutters, a y label the left
+                if sum(side_gutters(y_ink, 0.0)) >= sum(side_gutters(0.0, x_ink)):
+                    raise self._wide_tick_label("y", y_pairs, left_gutter + right_gutter)
+                raise self._wide_tick_label("x", x_pairs, left_gutter + right_gutter)
             raise TactileError("page too small for the chart at braille size")
 
         scale = min(avail.w / scene.plot.w, avail.h / scene.plot.h)

@@ -707,6 +707,24 @@ def test_tactile_wide_tick_label_error(workdir, capsys, digits, fix):
     )
 
 
+@pytest.mark.parametrize("x_digits,y_digits,named", [
+    (30, 29, "y"),
+    (31, 29, "x"),
+], ids=["y-sets-the-gutters", "x-sets-the-gutters"])
+def test_tactile_wide_labels_on_both_axes_name_the_wider_gutter(
+        workdir, capsys, x_digits, y_digits, named):
+    # an x label takes half its width from each side gutter, a y label its
+    # whole width and more from the left one, so a y label one digit
+    # shorter than the x label still takes more of the page's width
+    maxima = {"x": "1" + "0" * x_digits, "y": "1" + "0" * y_digits}
+    spec = _scatter_spec({axis: [0, float(v), 1] for axis, v in maxima.items()})
+    Path("far.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert _tactile_error("far.json", capsys) == (
+        f"polyrep: error[tactile]: {named} tick label '{maxima[named]}' is too wide "
+        f"for the page at braille size; rescale column '{named}'\n"
+    )
+
+
 def test_tactile_wide_category_label_error(workdir, capsys):
     spec = {"data": {"inline": {"c": ["a" * 40, "b"]}}, "chart": {"type": "bar", "x": "c"}}
     Path("wide.json").write_text(json.dumps(spec), encoding="utf-8")
