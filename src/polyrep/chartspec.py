@@ -98,15 +98,47 @@ def _opt_str(obj: dict, key: str) -> str | None:
     return v
 
 
+# the keys of each object of the schema above, by the name an error gives it
+_KEYS = {
+    "the top level": frozenset(("title", "subtitle", "caption", "data", "chart",
+                                "encodings", "palette", "alt")),
+    '"data"': frozenset(("csv", "inline")),
+    '"chart"': frozenset(("type", "x", "y", "group", "bins", "sort_order")),
+    '"encodings"': frozenset(("color", "shape", "linetype", "facet")),
+}
+
+
+def _check_keys(obj: dict, where: str) -> None:
+    """Refuse the first key of `obj` that object `where` of the schema does
+    not have, naming the object it belongs in or the key it is closest to."""
+    known = _KEYS[where]
+    if obj.keys() <= known:
+        return
+    key = next(k for k in obj if k not in known)
+    home = next((name for name, keys in _KEYS.items() if key in keys), None)
+    if home:
+        hint = f"{key!r} belongs in {home}"
+    else:
+        import difflib  # only a misspelled spec pays for the import
+
+        close = difflib.get_close_matches(key, sorted(known), n=1)
+        hint = (f"did you mean {close[0]!r}?" if close
+                else f"expected one of {', '.join(map(repr, sorted(known)))}")
+    raise SpecError(f"unknown key {key!r} in {where}; {hint}")
+
+
 def parse_spec(data: bytes) -> ChartSpec:
-    """Parse and validate a chart spec document, applying defaults."""
+    """Parse and validate a chart spec document, applying defaults. A key
+    that its object does not have fails, naming the key it meant."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecError(f"spec is not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "spec root must be a JSON object")
+    _check_keys(doc, "the top level")
     chart = doc.get("chart")
     _require(isinstance(chart, dict), "spec needs a 'chart' object")
+    _check_keys(chart, '"chart"')
 
     ctype = chart.get("type")
     _require(
@@ -145,6 +177,7 @@ def parse_spec(data: bytes) -> ChartSpec:
 
     enc_doc = doc.get("encodings", {})
     _require(isinstance(enc_doc, dict), "'encodings' must be an object")
+    _check_keys(enc_doc, '"encodings"')
     enc_kwargs = {}
     for key in ("color", "shape", "linetype", "facet"):
         if key in enc_doc:
@@ -163,6 +196,7 @@ def parse_spec(data: bytes) -> ChartSpec:
     source = None
     if data_doc is not None:
         _require(isinstance(data_doc, dict), "'data' must be an object")
+        _check_keys(data_doc, '"data"')
         if "csv" in data_doc:
             _require(isinstance(data_doc["csv"], str), "data.csv must be a path string")
             source = DataSource(csv_path=data_doc["csv"])
@@ -191,7 +225,7 @@ def parse_spec(data: bytes) -> ChartSpec:
 
 def _parse_palette(value) -> Palette:
     if value == "okabe-ito":
-        return Palette(okabe_ito().colors, name="okabe-ito")
+        return okabe_ito()
     if isinstance(value, list) and value:
         try:
             return Palette(tuple(Rgb.from_hex(h) for h in value))

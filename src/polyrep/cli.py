@@ -10,8 +10,9 @@
 Exit codes: 0 success, 1 validation error (including a failing audit),
 2 I/O error. Errors print to stderr as ``polyrep: error[<code>]: ...``.
 
-Each command imports the modules it runs when it runs, so a process that
-makes one artifact never loads the code of the others.
+Each command imports the modules it runs when it runs, and builds only
+its own argument parser, so a process that makes one artifact never loads
+the code of the others nor parses for them.
 """
 
 from __future__ import annotations
@@ -41,35 +42,20 @@ def _formatter(prog):
     return argparse.HelpFormatter(prog, width=80)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="polyrep",
-        description="Render one chart spec into coordinated accessible "
-        "representations: SVG, alt text, audio, tactile PDF.",
-        formatter_class=_formatter,
-    )
-    parser.add_argument("--version", action="version", version=f"polyrep {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text, formatter_class=_formatter)
-        return p
-
-    p = add("render", "write an SVG chart plus its .alt.txt sidecar")
+def _spec_args(p, output_help: str | None = None) -> None:
+    """The spec argument, and given `output_help`, the -o artifact path."""
     p.add_argument("spec", help="chart spec JSON file")
-    p.add_argument("-o", "--output", help="output SVG path (default: <spec>.svg)")
+    if output_help:
+        p.add_argument("-o", "--output", help=output_help)
 
-    p = add("cvd-grid", "write a four-panel color-deficiency simulation SVG")
-    p.add_argument("spec", help="chart spec JSON file")
-    p.add_argument("-o", "--output", help="output SVG path (default: <spec>.cvd.svg)")
 
-    p = add("alt", "print generated alt text")
-    p.add_argument("spec", help="chart spec JSON file")
+def _alt_args(p) -> None:
+    _spec_args(p)
     p.add_argument("--json", action="store_true", help="emit the sentence list as JSON")
 
-    p = add("sonify", "write a stereo sonification WAV")
-    p.add_argument("spec", help="chart spec JSON file")
-    p.add_argument("-o", "--output", help="output WAV path (default: <spec>.wav)")
+
+def _sonify_args(p) -> None:
+    _spec_args(p, "output WAV path (default: <spec>.wav)")
     p.add_argument(
         "--mode",
         choices=("discrete", "sweep", "regression"),
@@ -86,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignored: bar charts and histograms play without it",
     )
 
-    p = add("tactile", "write an emboss-ready tactile PDF")
-    p.add_argument("spec", help="chart spec JSON file")
-    p.add_argument("-o", "--output", help="output PDF path (default: <spec>.pdf)")
+
+def _tactile_args(p) -> None:
+    _spec_args(p, "output PDF path (default: <spec>.pdf)")
     p.add_argument(
         "--paper",
         choices=tuple(PAPER_SIZES_MM),
@@ -101,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a sighted-verification SVG next to the PDF",
     )
 
-    p = add("audit-palette", "check palette distinguishability under CVD simulation")
+
+def _audit_palette_args(p) -> None:
     p.add_argument(
         "colors",
         help="comma-separated #RRGGBB list, or the palette name 'okabe-ito'",
@@ -110,6 +97,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold", type=float, default=10.0, help="minimum deltaE (default 10)"
     )
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. Given the name of a `command`, only that
+    command's parser is built under the top level (its help, usage and
+    errors are the same as in the full tree); otherwise every command's."""
+    parser = _Parser(
+        prog="polyrep",
+        description="Render one chart spec into coordinated accessible "
+        "representations: SVG, alt text, audio, tactile PDF.",
+        formatter_class=_formatter,
+    )
+    parser.add_argument("--version", action="version", version=f"polyrep {__version__}")
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for name in (command,) if command in _COMMANDS else _COMMANDS:
+        help_text, add_args, _ = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text, formatter_class=_formatter))
     return parser
 
 
@@ -226,24 +230,32 @@ def _cmd_audit_palette(args) -> int:
     return 0 if report.passed else 1
 
 
+# name: (help line, argument builder, runner), in `--help` order
 _COMMANDS = {
-    "render": _cmd_render,
-    "cvd-grid": _cmd_cvd_grid,
-    "alt": _cmd_alt,
-    "sonify": _cmd_sonify,
-    "tactile": _cmd_tactile,
-    "audit-palette": _cmd_audit_palette,
+    "render": ("write an SVG chart plus its .alt.txt sidecar",
+               lambda p: _spec_args(p, "output SVG path (default: <spec>.svg)"),
+               _cmd_render),
+    "cvd-grid": ("write a four-panel color-deficiency simulation SVG",
+                 lambda p: _spec_args(p, "output SVG path (default: <spec>.cvd.svg)"),
+                 _cmd_cvd_grid),
+    "alt": ("print generated alt text", _alt_args, _cmd_alt),
+    "sonify": ("write a stereo sonification WAV", _sonify_args, _cmd_sonify),
+    "tactile": ("write an emboss-ready tactile PDF", _tactile_args, _cmd_tactile),
+    "audit-palette": ("check palette distinguishability under CVD simulation",
+                      _audit_palette_args, _cmd_audit_palette),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if not args.command:
             parser.print_help()
             return 1
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except PolyrepError as exc:
         print(f"polyrep: error[{exc.code}]: {exc}", file=sys.stderr)
         return 1

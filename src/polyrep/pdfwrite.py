@@ -66,24 +66,29 @@ class ContentStream:
         (tx, ty) pt; the graphics state is saved and restored around them."""
         self._ops.append(f"q\n1 0 0 1 {fmt_pt(tx)} {fmt_pt(ty)} cm\n{ops}\nQ")
 
-    def fill_circle(self, cx: float, cy: float, r: float) -> None:
+    def fill_circles(self, centers: list[tuple[float, float]], r: float) -> None:
+        """Fill a black disc of radius `r` about each (cx, cy) center, each
+        one four Bezier arcs; a coordinate is formatted once per value."""
         k = KAPPA * r
-        p = fmt_pt
-        self._ops.append("0 g")
-        self._ops.append(f"{p(cx + r)} {p(cy)} m")
-        self._ops.append(
-            f"{p(cx + r)} {p(cy + k)} {p(cx + k)} {p(cy + r)} {p(cx)} {p(cy + r)} c"
-        )
-        self._ops.append(
-            f"{p(cx - k)} {p(cy + r)} {p(cx - r)} {p(cy + k)} {p(cx - r)} {p(cy)} c"
-        )
-        self._ops.append(
-            f"{p(cx - r)} {p(cy - k)} {p(cx - k)} {p(cy - r)} {p(cx)} {p(cy - r)} c"
-        )
-        self._ops.append(
-            f"{p(cx + k)} {p(cy - r)} {p(cx + r)} {p(cy - k)} {p(cx + r)} {p(cy)} c"
-        )
-        self._ops.append("f")
+
+        def offsets(values) -> dict[float, tuple[str, ...]]:
+            # v + r, v + k, v, v - k, v - r for each distinct v
+            return {v: (fmt_pt(v + r), fmt_pt(v + k), fmt_pt(v), fmt_pt(v - k),
+                        fmt_pt(v - r))
+                    for v in set(values)}
+
+        xs = offsets(cx for cx, _ in centers)
+        ys = offsets(cy for _, cy in centers)
+        for cx, cy in centers:
+            xr, xk, x0, xmk, xmr = xs[cx]
+            yr, yk, y0, ymk, ymr = ys[cy]
+            self._ops.append(
+                f"0 g\n{xr} {y0} m\n"
+                f"{xr} {yk} {xk} {yr} {x0} {yr} c\n"
+                f"{xmk} {yr} {xmr} {yk} {xmr} {y0} c\n"
+                f"{xmr} {ymk} {xmk} {ymr} {x0} {ymr} c\n"
+                f"{xk} {ymr} {xr} {ymk} {xr} {y0} c\nf"
+            )
 
     def to_bytes(self) -> bytes:
         return ("\n".join(self._ops) + "\n").encode("ascii")

@@ -292,6 +292,10 @@ def _limit_ticks(
     return [pairs[i] for i in idx]
 
 
+# what to change when a title or category label cannot be set clear
+_ABBREVIATE = "abbreviate the labels or enlarge the page"
+
+
 class _PageBuilder:
     def __init__(self, scene: Scene, layout: TactileLayout):
         self.scene = scene
@@ -308,12 +312,12 @@ class _PageBuilder:
         self.glyph_boxes: list[tuple[_Box, Glyph]] = []
 
     def _label(self, text: str, what: str, x: float, y: float, push: str,
-               align: str) -> None:
+               align: str, fix: str = _ABBREVIATE) -> None:
         """Set `text` in braille with its first dot row at `y` and its left
         end, center or right end (`align`) at `x`, then push it a braille
         line `push` ("down" or "left") at a time until it clears strokes
-        and other labels. The aligned run's ink must lie between the left
-        and right margins."""
+        and other labels; if it cannot, the error says to `fix` it. The
+        aligned run's ink must lie between the left and right margins."""
         cells = _braille(text)
         if not cells:
             return
@@ -339,10 +343,7 @@ class _PageBuilder:
                 self.dots.extend(run.dots())
                 return
             run = BrailleRun(cells, run.x + dx, run.y + dy)
-        raise TactileError(
-            "braille labels overlap even after displacement; "
-            "abbreviate the labels or enlarge the page"
-        )
+        raise TactileError(f"braille labels overlap even after displacement; {fix}")
 
     def _run_conflicts(self, run: BrailleRun) -> bool:
         box = run.bbox()
@@ -357,6 +358,18 @@ class _PageBuilder:
                     near += glyph.strokes()
         return any(dot_touches_stroke(dot, piece, LABEL_CLEARANCE)
                    for dot in run.dots() for piece in near)
+
+    def _tick_fix(self, name: str) -> str:
+        """What to change when a tick label of axis `name` overlaps others:
+        a category is abbreviated and a column rescaled, but a count cannot
+        be, so a count axis needs a larger page."""
+        summary = self.scene.summary
+        axis = summary.x_axis if name == "x" else summary.y_axis
+        if axis.domain is None:
+            return _ABBREVIATE
+        if name == "y" and summary.spec.chart_type in ("bar", "histogram"):
+            return "enlarge the page"
+        return f"rescale column {axis.title!r}"
 
     def _wide_tick_label(self, name: str, pairs: list[tuple[float, str]],
                          gutters: float) -> TactileError:
@@ -484,11 +497,13 @@ class _PageBuilder:
 
         # braille labels: x ticks below, y ticks left, titles around
         x_label_y = plot_mm.y1 + tick_len + 3.0
+        x_fix, y_fix = self._tick_fix("x"), self._tick_fix("y")
         for tx, label in x_pairs:
-            self._label(label, f"x label {label!r}", mx(tx), x_label_y, "down", "center")
+            self._label(label, f"x label {label!r}", mx(tx), x_label_y, "down", "center",
+                        x_fix)
         for ty, label in y_pairs:
             self._label(label, f"y label {label!r}", plot_mm.x - tick_len - 3.0,
-                        my(ty) - DOT_PITCH, "left", "right")
+                        my(ty) - DOT_PITCH, "left", "right", y_fix)
 
         title_x = printable.x + DOT_DIAMETER / 2
         y_base = printable.y + DOT_DIAMETER / 2
@@ -576,9 +591,7 @@ def emit_pdf(page: TactilePage) -> bytes:
         cs.set_stroke(MIN_STROKE * MM_TO_PT)  # a translation keeps the width
     for g in page.glyphs:
         cs.place(*pt(g.x, g.y), _outline_ops(g.shape, g.r))
-    for dot in page.dots:
-        cx, cy = pt(dot.x, dot.y)
-        cs.fill_circle(cx, cy, DOT_DIAMETER / 2 * MM_TO_PT)
+    cs.fill_circles([pt(dot.x, dot.y) for dot in page.dots], DOT_DIAMETER / 2 * MM_TO_PT)
     return build_pdf(cs.to_bytes(), lay.page_w * MM_TO_PT, h_pt)
 
 

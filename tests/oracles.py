@@ -17,6 +17,7 @@ import numpy as np
 
 from polyrep.dataset import MISSING_TOKENS, Column, Dataset, format_number
 from polyrep.errors import CsvParseError, DataError
+from polyrep.pdfwrite import KAPPA, fmt_pt
 from polyrep.sonify import (
     AMPLITUDE,
     FADE_S,
@@ -517,6 +518,22 @@ def validate_pdf(raw: bytes) -> dict:
         "stream length field does not match the actual data"
     )
     return {"media_box": media_box, "content": content, "n_objects": count - 1}
+
+
+def fill_circle_oracle(cx: float, cy: float, r: float) -> list[str]:
+    """The content-stream lines of one black disc, four Bezier arcs, with
+    every coordinate formatted where it is used."""
+    k = KAPPA * r
+    p = fmt_pt
+    return [
+        "0 g",
+        f"{p(cx + r)} {p(cy)} m",
+        f"{p(cx + r)} {p(cy + k)} {p(cx + k)} {p(cy + r)} {p(cx)} {p(cy + r)} c",
+        f"{p(cx - k)} {p(cy + r)} {p(cx - r)} {p(cy + k)} {p(cx - r)} {p(cy)} c",
+        f"{p(cx - r)} {p(cy - k)} {p(cx - k)} {p(cy - r)} {p(cx)} {p(cy - r)} c",
+        f"{p(cx + k)} {p(cy - r)} {p(cx + r)} {p(cy - k)} {p(cx + r)} {p(cy)} c",
+        "f",
+    ]
 
 
 def pdf_filled_circles(content: bytes) -> list[tuple[float, float, float]]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from polyrep.chartspec import ChartValues, bind, inline_dataset, load_dataset, parse_spec
@@ -74,6 +76,58 @@ def test_metadata_and_alt():
     )
     assert (spec.title, spec.subtitle, spec.caption) == ("T", "S", "C")
     assert spec.manual_alt == "manual"
+
+
+_SCATTER = {"data": {"inline": {"x": [1], "y": [2]}},
+            "chart": {"type": "scatter", "x": "x", "y": "y"}}
+
+
+def _with(path: tuple[str, ...], key: str, value) -> bytes:
+    """The scatter spec with `key` set in the object at `path`."""
+    doc = json.loads(json.dumps(_SCATTER))
+    obj = doc
+    for name in path:
+        obj = obj.setdefault(name, {})
+    obj[key] = value
+    return json.dumps(doc).encode()
+
+
+# one typo per object, and keys that belong in another object
+_UNKNOWN_KEYS = [
+    ((), "titel", "unknown key 'titel' in the top level; did you mean 'title'?"),
+    ((), "encoding", "unknown key 'encoding' in the top level; did you mean 'encodings'?"),
+    (("chart",), "grup", "unknown key 'grup' in \"chart\"; did you mean 'group'?"),
+    (("data",), "cvs", "unknown key 'cvs' in \"data\"; did you mean 'csv'?"),
+    (("encodings",), "colour", "unknown key 'colour' in \"encodings\"; did you mean 'color'?"),
+    (("chart",), "facet", "unknown key 'facet' in \"chart\"; 'facet' belongs in \"encodings\""),
+    ((), "group", "unknown key 'group' in the top level; 'group' belongs in \"chart\""),
+    (("chart",), "title", "unknown key 'title' in \"chart\"; 'title' belongs in the top level"),
+    (("encodings",), "zzz", "unknown key 'zzz' in \"encodings\"; expected one of "
+                            "'color', 'facet', 'linetype', 'shape'"),
+]
+
+
+@pytest.mark.parametrize("path,key,message", _UNKNOWN_KEYS,
+                         ids=[".".join((*path, key)) for path, key, _ in _UNKNOWN_KEYS])
+def test_unknown_key_names_the_key_meant(path, key, message):
+    with pytest.raises(SpecError) as exc:
+        parse_spec(_with(path, key, True))
+    assert str(exc.value) == message
+
+
+def test_inline_column_names_are_not_keys():
+    spec = parse_spec(_with(("data", "inline"), "grup", [3]))
+    assert spec.data.inline["grup"] == [3]
+
+
+def test_every_documented_key_parses():
+    spec = parse_spec(json.dumps({
+        "title": "T", "subtitle": "S", "caption": "C", "alt": "A", "palette": "okabe-ito",
+        "data": {"csv": "d.csv"},
+        "chart": {"type": "histogram", "x": "v", "bins": 3, "sort_order": "alpha"},
+        "encodings": {"color": True, "shape": True, "linetype": True, "facet": False},
+    }).encode())
+    assert (spec.title, spec.bins, spec.data.csv_path) == ("T", 3, "d.csv")
 
 
 def test_invalid_json_rejected():

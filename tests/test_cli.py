@@ -102,9 +102,40 @@ def test_tactile_rejects_unknown_paper(workdir, capsys):
     assert not Path("lin.pdf").exists()
 
 
+def _subparsers(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_command_parser_built_alone_matches_full_tree(name):
+    alone = _subparsers(build_parser(name))
+    assert list(alone) == [name]
+    assert alone[name].format_help() == _subparsers(build_parser())[name].format_help()
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help and --version
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+# a command's argv builds only its parser; any other builds every parser
+@pytest.mark.parametrize("argv", [
+    ["render"], ["render", "a.json", "--version"], ["sonify", "x.json", "--mode", "bogus"],
+    ["sonify", "x.json", "--duration", "abc"], ["tactile", "x.json", "--paper", "b5"],
+    ["alt", "x.json", "--nope"], ["rend", "x.json"], ["--version"], ["--help"], [],
+], ids=str)
+def test_lazy_parser_answers_as_the_full_tree(workdir, capsys, monkeypatch, argv):
+    lazy = _outcome(argv, capsys)
+    full_tree = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_tree())
+    assert lazy == _outcome(argv, capsys)
+
+
 def test_help_enumerates_every_flag():
-    parser = build_parser()
-    subparsers = parser._subparsers._group_actions[0].choices
+    subparsers = _subparsers(build_parser())
     assert set(subparsers) == {
         "render", "cvd-grid", "alt", "sonify", "tactile", "audit-palette",
     }
@@ -293,13 +324,24 @@ def test_tactile_title_too_long_error(workdir, capsys):
 
 
 def test_tactile_labels_overlap_error(workdir, capsys):
-    # 150 rows put the count ticks so close that pushing left cannot clear them
+    # 150 rows put the count ticks so close that pushing left cannot clear
+    # them; a count cannot be abbreviated or rescaled
     spec = {"data": {"inline": {"c": [LONG_CATEGORY] * 150}},
             "chart": {"type": "bar", "x": "c"}}
     Path("crowded.json").write_text(json.dumps(spec), encoding="utf-8")
     assert _tactile_error("crowded.json", capsys) == (
         "polyrep: error[tactile]: braille labels overlap even after "
-        "displacement; abbreviate the labels or enlarge the page\n"
+        "displacement; enlarge the page\n"
+    )
+
+
+def test_tactile_number_labels_overlap_error(workdir, capsys):
+    # the 17-digit x label cannot be pushed clear of its neighbours on letter
+    spec = _scatter_spec({"x": [0, 1e16, 1], "y": [1, 2, 3]})
+    Path("far.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert _tactile_error("far.json", capsys) == (
+        "polyrep: error[tactile]: braille labels overlap even after "
+        "displacement; rescale column 'x'\n"
     )
 
 

@@ -20,6 +20,7 @@ from conftest import (
 )
 from oracles import (
     extract_braille_runs,
+    fill_circle_oracle,
     pdf_filled_circles,
     pdf_stroked_polylines,
     validate_pdf,
@@ -27,7 +28,7 @@ from oracles import (
 from polyrep.braille import BrailleCell
 from polyrep.chartspec import inline_dataset, load_dataset, parse_spec
 from polyrep.errors import TactileError
-from polyrep.pdfwrite import MM_TO_PT
+from polyrep.pdfwrite import MM_TO_PT, ContentStream
 from polyrep.scene import ShapeKind
 from polyrep.tactile import (
     CELL_PITCH,
@@ -376,6 +377,22 @@ def _assert_pdf_geometry_matches(page):
 
 def test_pdf_deterministic(box_page):
     assert emit_pdf(box_page) == emit_pdf(box_page)
+
+
+# a few values, so that centers share coordinates, beside any float
+_COORD = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 36.3, 600.125)),
+                   st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@given(st.lists(st.tuples(_COORD, _COORD), max_size=12),
+       st.sampled_from((0.0, 0.6 * MM_TO_PT, 3.0, -2.0)))
+def test_fill_circles_matches_one_disc_at_a_time(centers, r):
+    cs = ContentStream()
+    cs.fill_circles(centers, r)
+    lines = ["1 J", "1 j"]
+    for cx, cy in centers:
+        lines += fill_circle_oracle(cx, cy, r)
+    assert cs.to_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
 
 def test_preview_svg_well_formed(box_page):
