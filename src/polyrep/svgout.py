@@ -179,12 +179,14 @@ class _Body:
 
 
 def _document(
-    width: float, height: float, short_alt: str, long_alt: str, body: str
+    width: float, height: float, short_alt: str, long_alt: str, body: str, unit: str = ""
 ) -> bytes:
+    """An SVG file on a white page: its root sized in `unit` (user units
+    by default), named by `short_alt` and described by `long_alt`."""
     head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'width="{_fmt(width)}{unit}" height="{_fmt(height)}{unit}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}" role="img" '
         f'aria-labelledby="title desc">',
         f"<title id=\"title\">{xml_escape(short_alt)}</title>",

@@ -49,7 +49,7 @@ from .scene import (
     WHITE,
     glyph_rings,
 )
-from .svgout import xml_escape
+from .svgout import _document
 from .verbalize import AltText
 
 # fixed braille sizes (mm), after BANA's Guidelines and Standards for
@@ -292,14 +292,11 @@ def _limit_ticks(
     return [pairs[i] for i in idx]
 
 
-# what to change when a title or category label cannot be set clear
-_ABBREVIATE = "abbreviate the labels or enlarge the page"
-
-
 class _PageBuilder:
-    def __init__(self, scene: Scene, layout: TactileLayout):
+    def __init__(self, scene: Scene, layout: TactileLayout, trial: bool = False):
         self.scene = scene
         self.layout = layout
+        self.trial = trial
         self.printable = Rect(MARGIN, MARGIN, layout.page_w - 2 * MARGIN,
                               layout.page_h - 2 * MARGIN)
         self.strokes: list[Stroke] = []
@@ -312,11 +309,11 @@ class _PageBuilder:
         self.glyph_boxes: list[tuple[_Box, Glyph]] = []
 
     def _label(self, text: str, what: str, x: float, y: float, push: str,
-               align: str, fix: str = _ABBREVIATE) -> None:
+               align: str, axis: str | None = None) -> None:
         """Set `text` in braille with its first dot row at `y` and its left
         end, center or right end (`align`) at `x`, then push it a braille
         line `push` ("down" or "left") at a time until it clears strokes
-        and other labels; if it cannot, the error says to `fix` it. The
+        and other labels, or fail with the fix for labels of `axis`. The
         aligned run's ink must lie between the left and right margins."""
         cells = _braille(text)
         if not cells:
@@ -343,7 +340,8 @@ class _PageBuilder:
                 self.dots.extend(run.dots())
                 return
             run = BrailleRun(cells, run.x + dx, run.y + dy)
-        raise TactileError(f"braille labels overlap even after displacement; {fix}")
+        raise TactileError("braille labels overlap even after displacement; "
+                           + self._fix(axis, "the labels"))
 
     def _run_conflicts(self, run: BrailleRun) -> bool:
         box = run.bbox()
@@ -359,32 +357,42 @@ class _PageBuilder:
         return any(dot_touches_stroke(dot, piece, LABEL_CLEARANCE)
                    for dot in run.dots() for piece in near)
 
-    def _tick_fix(self, name: str) -> str:
-        """What to change when a tick label of axis `name` overlaps others:
-        a category is abbreviated and a column rescaled, but a count cannot
-        be, so a count axis needs a larger page."""
+    def _fix(self, axis: str | None, labels: str) -> str:
+        """What to change about `labels` of `axis` (None: a title) that cannot
+        be set: abbreviate a category or title, rescale a column, and for a
+        count, which is neither, change the x labels beside it; offer a
+        larger paper only when the page builds on one."""
         summary = self.scene.summary
-        axis = summary.x_axis if name == "x" else summary.y_axis
-        if axis.domain is None:
-            return _ABBREVIATE
-        if name == "y" and summary.spec.chart_type in ("bar", "histogram"):
-            return "enlarge the page"
-        return f"rescale column {axis.title!r}"
-
-    def _wide_tick_label(self, name: str, pairs: list[tuple[float, str]],
-                         gutters: float) -> TactileError:
-        """The error for tick labels whose `gutters` (left plus right) leave
-        the plot no width on a page that has room for it: it names the
-        widest label of axis `name`, whose `pairs` these are, and what to
-        change, and a larger paper only if one has room for the gutters."""
-        axis = self.scene.summary.x_axis if name == "x" else self.scene.summary.y_axis
-        label = max((label for _, label in pairs), key=lambda lbl: _run_width(_braille(lbl)))
-        fix = "abbreviate it" if axis.domain is None else f"rescale column {axis.title!r}"
-        widest_paper = max(w for w, _ in PAPER_SIZES_MM.values())
-        if widest_paper - 2 * MARGIN - gutters > 10:
+        if axis == "y" and summary.spec.chart_type in ("bar", "histogram"):
+            axis = "x"
+        data_axis = {"x": summary.x_axis, "y": summary.y_axis}.get(axis)
+        if data_axis is None or data_axis.domain is None:
+            fix = f"abbreviate {labels}"
+        else:
+            fix = f"rescale column {data_axis.title!r}"
+        if not self.trial and self._larger_paper_fits():
             fix += " or use a larger --paper"
+        return fix
+
+    def _larger_paper_fits(self) -> bool:
+        """Whether a trial build, which names no fix, sets the page on a larger paper."""
+        area = self.layout.page_w * self.layout.page_h
+        for w, h in PAPER_SIZES_MM.values():
+            if w * h > area:
+                try:
+                    _PageBuilder(self.scene, TactileLayout(w, h), trial=True).build()
+                    return True
+                except TactileError:
+                    pass
+        return False
+
+    def _wide_tick_label(self, name: str, pairs: list[tuple[float, str]]) -> TactileError:
+        """The error for tick labels of axis `name`, whose `pairs` these are,
+        that leave the plot no width on a page that has room for it: it
+        names the widest label and what to change."""
+        label = max((label for _, label in pairs), key=lambda lbl: _run_width(_braille(lbl)))
         return TactileError(f"{name} tick label {label!r} is too wide for the page at "
-                            f"braille size; {fix}")
+                            f"braille size; {self._fix(name, 'it')}")
 
     # -- chart geometry ------------------------------------------------------
 
@@ -424,8 +432,8 @@ class _PageBuilder:
                 # name the axis whose labels alone take more of the width:
                 # an x label reaches into both gutters, a y label the left
                 if sum(side_gutters(y_ink, 0.0)) >= sum(side_gutters(0.0, x_ink)):
-                    raise self._wide_tick_label("y", y_pairs, left_gutter + right_gutter)
-                raise self._wide_tick_label("x", x_pairs, left_gutter + right_gutter)
+                    raise self._wide_tick_label("y", y_pairs)
+                raise self._wide_tick_label("x", x_pairs)
             raise TactileError("page too small for the chart at braille size")
 
         scale = min(avail.w / scene.plot.w, avail.h / scene.plot.h)
@@ -497,13 +505,12 @@ class _PageBuilder:
 
         # braille labels: x ticks below, y ticks left, titles around
         x_label_y = plot_mm.y1 + tick_len + 3.0
-        x_fix, y_fix = self._tick_fix("x"), self._tick_fix("y")
         for tx, label in x_pairs:
             self._label(label, f"x label {label!r}", mx(tx), x_label_y, "down", "center",
-                        x_fix)
+                        "x")
         for ty, label in y_pairs:
             self._label(label, f"y label {label!r}", plot_mm.x - tick_len - 3.0,
-                        my(ty) - DOT_PITCH, "left", "right", y_fix)
+                        my(ty) - DOT_PITCH, "left", "right", "y")
 
         title_x = printable.x + DOT_DIAMETER / 2
         y_base = printable.y + DOT_DIAMETER / 2
@@ -598,17 +605,7 @@ def emit_pdf(page: TactilePage) -> bytes:
 def emit_preview_svg(page: TactilePage, alt: AltText) -> bytes:
     """Sighted-verification twin of the PDF (mm coordinate space)."""
     lay = page.layout
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{fmt_pt(lay.page_w)}mm" height="{fmt_pt(lay.page_h)}mm" '
-        f'viewBox="0 0 {fmt_pt(lay.page_w)} {fmt_pt(lay.page_h)}" role="img" '
-        f'aria-labelledby="title desc">',
-        "<title id=\"title\">Tactile page preview</title>",
-        f"<desc id=\"desc\">{xml_escape(alt.flattened)}</desc>",
-        f'<rect x="0" y="0" width="{fmt_pt(lay.page_w)}" '
-        f'height="{fmt_pt(lay.page_h)}" fill="#FFFFFF"/>',
-    ]
+    body = []
     for s in page.ink():
         d = "M " + " L ".join(f"{fmt_pt(x)},{fmt_pt(y)}" for x, y in s.points)
         if s.close:
@@ -616,17 +613,18 @@ def emit_preview_svg(page: TactilePage, alt: AltText) -> bytes:
         dash = (
             f' stroke-dasharray="{",".join(fmt_pt(v) for v in s.dash)}"' if s.dash else ""
         )
-        lines.append(
-            f'<path d="{d}" fill="none" stroke="#000000" '
+        body.append(
+            f'\n<path d="{d}" fill="none" stroke="#000000" '
             f'stroke-width="{fmt_pt(s.width)}" stroke-linecap="round" '
             f'stroke-linejoin="round"{dash}/>'
         )
     r = DOT_DIAMETER / 2
     for dot in page.dots:
-        lines.append(
-            f'<path d="M {fmt_pt(dot.x - r)},{fmt_pt(dot.y)} '
+        body.append(
+            f'\n<path d="M {fmt_pt(dot.x - r)},{fmt_pt(dot.y)} '
             f"A {fmt_pt(r)},{fmt_pt(r)} 0 1 0 {fmt_pt(dot.x + r)},{fmt_pt(dot.y)} "
             f'A {fmt_pt(r)},{fmt_pt(r)} 0 1 0 {fmt_pt(dot.x - r)},{fmt_pt(dot.y)} Z" '
             f'fill="#000000"/>'
         )
-    return ("\n".join(lines) + "\n</svg>\n").encode("utf-8")
+    return _document(lay.page_w, lay.page_h, "Tactile page preview", alt.flattened,
+                     "".join(body), unit="mm")

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import FIXTURES, laid_out, load_fixture_spec, patch_everywhere
-from test_cli import CVD_GRID_SPECS, FLAT_RANGE_SHA256
+from golden import CASES
 from polyrep import svgout
 from polyrep.chartspec import bind, inline_dataset, load_dataset, parse_spec, summarize
 from polyrep.color import CvdKind, Rgb, simulate_cvd
@@ -278,11 +278,10 @@ def _summary_cases() -> dict[str, bytes]:
     cases = {name: (FIXTURES / name).read_bytes()
              for name in AGREEMENT_CASES if name != "facet"}
     cases["facet"] = FACET_SCATTER
-    for name, (inline, chart, _) in FLAT_RANGE_SHA256.items():
-        spec = {"data": {"inline": inline}, "chart": chart}
-        cases[f"flat_{name}"] = json.dumps(spec).encode()
-    for name, spec in CVD_GRID_SPECS.items():
-        cases[f"grid_{name}"] = json.dumps(spec).encode()
+    cases.update({name: json.dumps(spec).encode() for name, spec in CASES.items()
+                  if name.startswith("flat_")})
+    cases.update({f"grid_{name}": json.dumps(CASES[name]).encode()
+                  for name in ("six_shapes", "six_shapes_facet", "grouped_line", "escaped_bar")})
     return cases
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import big_scatter_points
+from golden import CASES, PINNED, run_library
 from oracles import (
     check_wav_header,
     read_wav_oracle,
@@ -201,36 +200,13 @@ def test_discrete_missing_dropped_and_empty_errors():
         sonify_points([None], [1])
 
 
-# 8 kHz, 13 ms and log pitch: 300 points in 104 frames leave every slot at
-# most one frame, so 196 tones are skipped and the rest are zero samples;
-# at 0.5 s the same points sound 11- and 12-frame tones with 5- and 6-frame
-# fades.
-def _low_rate(duration_s: float) -> SonifyConfig:
-    return SonifyConfig(duration_s=duration_s, sample_rate=8000, f_min=200.0,
-                        f_max=3000.0, log_pitch=True)
-
-
-POINTS_SHA256 = {  # (points of the big scatter, config, WAV digest)
-    "big_scatter": (
-        2000, CFG, "e76872f8e13a757a5c7bb4655ff88604daf468d9d1cd098efec805ad3a3246fb"),
-    "big_scatter_log_pitch": (
-        2000, SonifyConfig(log_pitch=True),
-        "f1007661c1ff5ee0db8f9ce912fe2eee92c5054a40d1f04fc8aa3d7499af99a8"),
-    "8khz_skipped": (
-        300, _low_rate(0.013),
-        "c7e27859c71e0865e22e13b705643b7daf38b082960a9c71410c0f131fb7353f"),
-    "8khz_sounding": (
-        300, _low_rate(0.5),
-        "f7468eb1cc14da3ba313d0efa0033ac0fdfb6a30f13b1fb5e18bc84114f830ff"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(POINTS_SHA256))
-def test_points_wav_bytes_pinned(name):
-    n, cfg, want = POINTS_SHA256[name]
-    xs, ys, _ = big_scatter_points()
-    digest = hashlib.sha256(write_wav(sonify_points(xs[:n], ys[:n], cfg))).hexdigest()
-    assert digest == want
+# Slices of the golden table (tests/golden.txt); the whole table is checked
+# at once in tests/test_golden.py. Ids in table order.
+@pytest.mark.parametrize("key", [key for key in PINNED if key[1] == "sonify_points"],
+                         ids=["big_scatter", "big_scatter_log_pitch", "8khz_skipped",
+                              "8khz_sounding"])
+def test_points_wav_bytes_pinned(key):
+    assert run_library(*key) == PINNED[key]
 
 
 @st.composite
@@ -388,51 +364,16 @@ def test_sweep_log_pitch_midpoint_is_geometric():
     assert abs(f_mid - math.sqrt(440 * 880)) / f_mid < 0.03
 
 
-SWEEP_CASES = {
-    "flat_x": ([2.0, 2.0, 2.0], [1.0, 4.0, 2.0]),
-    "flat_y": ([0.0, 1.0, 2.0], [4.0, 4.0, 4.0]),
-    "both_flat": ([5.0, 5.0], [7.0, 7.0]),
-    "unsorted_x": ([3.0, 0.0, 2.0, 1.0], [1.0, 0.0, 5.0, 2.0]),
-    "repeated_x": ([0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]),
-}
-
-SWEEP_SHA256 = {  # (linear pitch, log pitch) WAV digests at 0.25 s
-    "flat_x": (
-        "36d4ee454f91ae151c2f26a28221dd652231567734628a6cf899037c98c96c1c",
-        "af0e32cbc3c7be1591a39997eb3898a8fac24d5f181487bb292bfc4584acf576",
-    ),
-    "flat_y": (
-        "dd5188b67e9a88d6623b726786147417705129128b3936a607d0cadd77b3a20d",
-        "cc20ea0fee122f35e72697673531727c6413b85f653da9c21ce8ce753f7be878",
-    ),
-    "both_flat": (
-        "ce73745c3fd929c6c1b179342448790797973d124cd0957a90754d55bcf1a109",
-        "6df5c01bae61c5f8519fed582bcd63f80339b618a69a24fea823798f9fb36b5b",
-    ),
-    "unsorted_x": (
-        "25047cb1c8b44b64415ddac53448b7bfbc8870008940013bddea3d1de4dbbad0",
-        "72da4d44424c2c873f9cd64b5dd48e89ee2c5394bd5d0e9db83eed698a666710",
-    ),
-    "repeated_x": (
-        "5055a6d4cd28fc5c7117a1741e6b3bc840c8b9146a05f29acc8bb8c411c7a9cf",
-        "36f13ea7b95c3fc1bdfab7fcd51d2e3fca80253dae182d919bff205c61be260a",
-    ),
-}
-
-
-@pytest.mark.parametrize("log_pitch", [False, True])
-@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
-def test_sweep_wav_bytes_pinned(name, log_pitch):
-    x, y = SWEEP_CASES[name]
-    cfg = SonifyConfig(duration_s=0.25, log_pitch=log_pitch)
-    digest = hashlib.sha256(write_wav(sonify_sweep(x, y, cfg))).hexdigest()
-    assert digest == SWEEP_SHA256[name][log_pitch]
+@pytest.mark.parametrize("key", [key for key in PINNED if key[1] == "sonify_sweep"], ids=lambda k:
+                         f"{k[0].removeprefix('sweep_')}-{'log_pitch=True' in k[2]}")
+def test_sweep_wav_bytes_pinned(key):
+    assert run_library(*key) == PINNED[key]
 
 
 @settings(max_examples=40, deadline=None)
 @given(point_sets(min_n=2), configs().filter(lambda cfg: cfg.n_frames >= 2))
-@example(SWEEP_CASES["unsorted_x"], SonifyConfig(duration_s=0.25, log_pitch=True))
-@example(SWEEP_CASES["repeated_x"], SonifyConfig(duration_s=0.25))
+@example(CASES["sweep_unsorted_x"], SonifyConfig(duration_s=0.25, log_pitch=True))
+@example(CASES["sweep_repeated_x"], SonifyConfig(duration_s=0.25))
 def test_sonify_sweep_matches_oracle(points, cfg):
     x, y = points
     buf = sonify_sweep(x, y, cfg)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -11,13 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    BIG_SCATTER_GROUPS,
-    SIX_SHAPES_SPEC,
-    big_scatter_points,
-    laid_out,
-    load_fixture_spec,
-)
+from conftest import laid_out, load_fixture_spec
+from golden import CASES, PINNED, run_cli
 from oracles import (
     extract_braille_runs,
     fill_circle_oracle,
@@ -28,7 +22,7 @@ from oracles import (
 from polyrep.braille import BrailleCell
 from polyrep.chartspec import inline_dataset, load_dataset, parse_spec
 from polyrep.errors import TactileError
-from polyrep.pdfwrite import MM_TO_PT, ContentStream
+from polyrep.pdfwrite import MM_TO_PT, PAPER_SIZES_MM, ContentStream, fmt_pt
 from polyrep.scene import ShapeKind
 from polyrep.tactile import (
     CELL_PITCH,
@@ -71,9 +65,7 @@ def box_pdf(box_page):
 @pytest.fixture(scope="module")
 def six_shapes_page():
     """The six-group scatter: one glyph of every marker shape per group."""
-    spec = parse_spec(json.dumps(SIX_SHAPES_SPEC).encode())
-    scene = laid_out(spec, load_dataset(spec))
-    return tactualize(scene)
+    return tactualize(_laid_out_case("six_shapes"))
 
 
 def pdf_dots_mm(raw: bytes, layout: TactileLayout):
@@ -395,12 +387,17 @@ def test_fill_circles_matches_one_disc_at_a_time(centers, r):
     assert cs.to_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
 
-def test_preview_svg_well_formed(box_page):
-    raw = emit_preview_svg(box_page, AltText(("Box plot.",)))
-    root = ET.fromstring(raw)
-    assert root.get("width").endswith("mm")
-    tags = {e.tag.split("}")[1] for e in root.iter()}
-    assert tags <= {"svg", "rect", "path", "text", "g", "title", "desc", "line"}
+def test_preview_svg_well_formed(penguins):
+    # the preview's root comes from the chart SVG's, which prints numbers
+    # to 2 decimals where the PDF prints 3: no paper size tells them apart
+    scene = laid_out(load_fixture_spec("penguins_box.json"), penguins)
+    for paper, (w, h) in PAPER_SIZES_MM.items():
+        page = tactualize(scene, TactileLayout.for_paper(paper))
+        root = ET.fromstring(emit_preview_svg(page, AltText(("Box plot.",))))
+        assert [root.get(k) for k in ("width", "height", "viewBox")] == [
+            f"{fmt_pt(w)}mm", f"{fmt_pt(h)}mm", f"0 0 {fmt_pt(w)} {fmt_pt(h)}"], paper
+        tags = {e.tag.split("}")[1] for e in root.iter()}
+        assert tags <= {"svg", "rect", "path", "text", "g", "title", "desc", "line"}
 
 
 def test_preview_and_chart_svg_escape_text_alike(penguins):
@@ -492,34 +489,21 @@ def test_markless_scene_page_has_axes_only(penguins):
 # -- stroke piece index vs the brute-force oracle --------------------------
 
 
-def _clip(v: float) -> float:
-    return min(100.0, max(0.0, v))
+def _laid_out_case(name: str):
+    spec = parse_spec(json.dumps(CASES[name]).encode())
+    return laid_out(spec, load_dataset(spec))
 
 
 @pytest.fixture(scope="module")
 def big_scatter_scene():
     """Seeded 2,000-point scatter in three groups, axis ranges pinned."""
-    xs, ys, gs = big_scatter_points()
-    spec = parse_spec(b'{"chart":{"type":"scatter","x":"x","y":"y","group":"grp"}}')
-    return laid_out(spec, inline_dataset({"x": xs, "y": ys, "grp": gs}))
+    return _laid_out_case("big_scatter")
 
 
 @pytest.fixture(scope="module")
 def big_line_scene():
     """Seeded line chart of three 3,333-point noisy sine polylines."""
-    rng = random.Random(3002)
-    ts, levels, gs = [], [], []
-    for name in BIG_SCATTER_GROUPS:
-        period = rng.uniform(200.0, 600.0)
-        phase = rng.uniform(0.0, 2 * math.pi)
-        for t in range(3333):
-            y = 50 + 35 * math.sin(2 * math.pi * t / period + phase) + rng.gauss(0, 4)
-            ts.append(float(t))
-            levels.append(round(_clip(y), 2))
-            gs.append(name)
-    levels[0], levels[1] = 0.0, 100.0  # pin the axis range
-    spec = parse_spec(b'{"chart":{"type":"line","x":"t","y":"level","group":"grp"}}')
-    return laid_out(spec, inline_dataset({"t": ts, "level": levels, "grp": gs}))
+    return _laid_out_case("big_line")
 
 
 def _brute_force_run_conflicts(self, run):
@@ -568,25 +552,12 @@ def test_grid_matches_brute_force_on_big_line_chart(big_line_scene, monkeypatch)
     _assert_grid_matches_brute_force([big_line_scene], monkeypatch)
 
 
-# Tactile PDFs of the many-marks scenes, pinned byte for byte: work on the
-# label check must not move a single dot or stroke.
-BIG_SCENE_SHA256 = {
-    ("big_line_scene", "braille11x11"):
-        "f5471a1931b16dd6b656c8c37ed89ce428179a5411ad43e5071199cfd4bbac5f",
-    ("big_line_scene", "letter"):
-        "0a2c5f272bcf696ddd8e012a18db8d309090f538d576675a4c75019a558c39b0",
-    ("big_scatter_scene", "braille11x11"):
-        "23de0dbbf4d30bf16ae3ac1239cabbaaf6f80d7a184843f814452ca2c847957f",
-    ("big_scatter_scene", "letter"):
-        "769302c298a6cf90df9c512ab5ba8fd7dc2092045c9a8ac00a6faa96a606a8bf",
-}
-
-
-@pytest.mark.parametrize("scene_name,paper", sorted(BIG_SCENE_SHA256))
-def test_big_scene_pdf_golden_hash(request, scene_name, paper):
-    scene = request.getfixturevalue(scene_name)
-    pdf = _tactile_outcome(scene, paper)
-    assert hashlib.sha256(pdf).hexdigest() == BIG_SCENE_SHA256[scene_name, paper]
+# A slice of the golden table (tests/golden.txt), checked whole in
+# tests/test_golden.py.
+@pytest.mark.parametrize("key", [key for key in PINNED if key[0] in ("big_scatter", "big_line")],
+                         ids=lambda key: f"{key[0]}_scene-{key[2][1] if key[2] else 'letter'}")
+def test_big_scene_pdf_golden_hash(golden_dir, key):
+    assert run_cli(golden_dir, *key) == PINNED[key]
 
 
 def test_label_check_work_stays_local(big_scatter_scene, monkeypatch):
