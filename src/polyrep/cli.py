@@ -18,14 +18,12 @@ the code of the others nor parses for them.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .errors import DataError, PolyrepError, SpecError
-from .pdfwrite import PAPER_SIZES_MM
 
 TYPE_CHECKING = False  # type checkers read it as true; typing is slow to import
 if TYPE_CHECKING:
@@ -74,6 +72,8 @@ def _sonify_args(p) -> None:
 
 
 def _tactile_args(p) -> None:
+    from .pdfwrite import PAPER_SIZES_MM
+
     _spec_args(p, "output PDF path (default: <spec>.pdf)")
     p.add_argument(
         "--paper",
@@ -171,6 +171,8 @@ def _cmd_cvd_grid(args) -> int:
 
 
 def _cmd_alt(args) -> int:
+    import json
+
     from .verbalize import auto_alt
 
     alt = auto_alt(_summary(args))

@@ -3,11 +3,16 @@
 A column is either numeric (finite floats) or categorical (non-empty
 strings); empty cells and the literal ``NA`` are missing values. Type
 inference is per column: numeric iff every non-missing cell parses as a
-finite decimal number with no ``_``. A column is typed by one ``float()``
-call per non-missing cell, which stops at the first cell that is not a
-number; a column with no missing cell is typed before it is stripped.
-Only a categorical column then builds a dict of its distinct cells, so
-that equal strings share one object.
+finite decimal number with no ``_``.
+
+Text without quotes is split a bounded chunk of records at a time, and
+quoted text a record at a time; either way only the cells of the columns
+asked for are kept, so an unbound column's cells never outlive their
+chunk. A column is typed by one ``float()`` call per non-missing cell: a
+pass over the raw cells stops at the first cell that is not a number and
+resumes on the stripped cells from there. Only a categorical column then
+builds a dict of its distinct cells, so that equal strings share one
+object.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import filterfalse
 
@@ -101,10 +106,10 @@ def parse_csv(data: bytes, columns: Iterable[str | None] | None = None) -> Datas
     offending 1-based record number (the header is record 1).
 
     With ``columns``, every record is still split and checked as above, but
-    only the named columns are typed and kept, in header order; names not
-    in the header are skipped. Typing never raises (a cell that is not a
-    number makes its column categorical), so an unbound column's content
-    can change neither the result nor the error.
+    only the named columns' cells are kept and typed, in header order;
+    names not in the header are skipped. Typing never raises (a cell that
+    is not a number makes its column categorical), so an unbound column's
+    content can change neither the result nor the error.
     """
     try:
         text = data.decode("utf-8-sig")
@@ -113,71 +118,102 @@ def parse_csv(data: bytes, columns: Iterable[str | None] | None = None) -> Datas
     if not text:
         raise CsvParseError("empty input, expected a header row")
 
-    names, n_rows, raw = _split_quoted(text) if '"' in text else _split_plain(text)
-    keep = set(names if columns is None else columns)
-    return Dataset(
-        {name: _column(raw(j)) for j, name in enumerate(names) if name in keep}, n_rows
-    )
+    keep = None if columns is None else set(columns)
+    split = _split_quoted if '"' in text else _split_plain
+    cells, n_rows = split(text, keep)
+    return Dataset({name: _column(c) for name, c in cells.items()}, n_rows)
 
 
-def _split_plain(text: str) -> tuple[list[str], int, Callable[[int], list[str]]]:
-    """Header names, record count and a getter of the raw cells of column j,
-    for text with no quote character.
+_CHUNK = 1 << 16  # characters of body that _split_plain splits at a time
 
-    Without quoting, every line is one record and every comma ends a field,
-    so the whole body is split in one pass, with a marker cell between
-    records, and a column is a stride of the cells, taken only when asked
-    for; no list is built per row.
+
+def _split_plain(text: str, keep: set | None) -> tuple[dict[str, list[str]], int]:
+    """The raw cells of each kept column, in header order, and the record
+    count, for text with no quote character; `keep` None keeps every column.
+
+    Without quoting, every line is one record and every comma ends a field.
+    The body is walked in chunks of about `_CHUNK` characters, each cut at a
+    record end. A chunk is split in one pass, with a marker cell between
+    records; only the kept columns' cells, a stride of the chunk's, are
+    copied out before the next chunk, so no list is built per row and the
+    other columns' cells never outlive their chunk.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
     limit = csv.field_size_limit()
-    header = lines[0].split(",") if lines[0] else []
+    end = text.find("\n")
+    if end < 0:
+        end = len(text)
+    header = text[:end].split(",") if end else []
     _check_field_sizes(header, limit, row=1)
     names = _header_names(header)
     n = len(names)
+    kept, strides = _kept(names, keep)
 
-    records = list(filter(None, lines[1:]))
-    r = len(records)
-    overlong = max(map(len, records), default=0) > limit
-    # a "\n" cell, which no record holds, marks each record's end: every
-    # record has n fields iff the r - 1 markers fall every n + 1 cells
-    joined = ",\n,".join(records)
-    del lines, records  # so that the lines are freed before the cells are made
-    cells = joined.split(",") if r else []
-    if overlong or len(cells) != (n + 1) * r - 1 or cells[n::n + 1].count("\n") != r - 1:
-        # some record is ragged or may hold an overlong field: find the first
-        for i, line in enumerate(text.split("\n")[1:], start=2):
-            if line:
-                fields = line.split(",")
-                _check_field_sizes(fields, limit, row=i)
-                _check_field_count(fields, n, row=i)
-    return names, r, lambda j: cells[j::n + 1]
+    r = 0
+    start = end + 1
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK)
+        if stop < 0:
+            stop = len(text)
+        chunk = text[start:stop]
+        records = list(filter(None, chunk.split("\n")))
+        if records:
+            k = len(records)
+            # a "\n" cell, which no record holds, marks each record's end:
+            # every record has n fields iff the k - 1 markers fall every
+            # n + 1 cells; no field of a chunk within the limit passes it
+            cells = ",\n,".join(records).split(",")
+            if (len(cells) != (n + 1) * k - 1 or cells[n::n + 1].count("\n") != k - 1
+                    or (len(chunk) > limit and max(map(len, records)) > limit)):
+                # a record is ragged or may hold an overlong field: find the first
+                row = text.count("\n", 0, start) + 1  # the chunk's first line
+                for i, line in enumerate(chunk.split("\n"), start=row):
+                    if line:
+                        fields = line.split(",")
+                        _check_field_sizes(fields, limit, row=i)
+                        _check_field_count(fields, n, row=i)
+            for j, column in strides:
+                column += cells[j::n + 1]
+            r += k
+            del cells  # so that the next chunk's cells reuse its memory
+        start = stop + 1
+    return kept, r
 
 
-def _split_quoted(text: str) -> tuple[list[str], int, Callable[[int], tuple[str, ...]]]:
-    """Header names, record count and a getter of the raw cells of column j,
-    for text that may quote fields."""
-    rows: list[list[str]] = []
-    overlong = None
+def _split_quoted(text: str, keep: set | None) -> tuple[dict[str, list[str]], int]:
+    """The raw cells of each kept column, in header order, and the record
+    count, for text that may quote fields; `keep` None keeps every column.
+
+    Records are read one at a time, and only the kept columns' cells are
+    held. A ragged record is reported before an overlong field in a later
+    one, since it is read first.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    read = 0  # records read; csv.reader fails in the next one
     try:
-        for row in csv.reader(io.StringIO(text, newline="")):
-            rows.append(row)
-    except csv.Error as exc:  # an overlong field; reported after earlier records
-        overlong = CsvParseError(str(exc), row=len(rows) + 1)
-    if not rows:
-        raise overlong
-    names = _header_names(rows[0])
-    body = rows[1:]
-    for i, row in enumerate(body, start=2):
-        if row:
-            _check_field_count(row, len(names), row=i)
-    if overlong is not None:
-        raise overlong
-    body = [row for row in body if row]
-    columns = list(zip(*body)) if body else [()] * len(names)
-    return names, len(body), columns.__getitem__
+        header = next(reader)
+        read = 1
+        names = _header_names(header)
+        n = len(names)
+        kept, strides = _kept(names, keep)
+        r = 0
+        for read, fields in enumerate(reader, start=2):
+            if fields:
+                _check_field_count(fields, n, row=read)
+                for j, column in strides:
+                    column.append(fields[j])
+                r += 1
+    except csv.Error as exc:  # an overlong field
+        raise CsvParseError(str(exc), row=read + 1) from None
+    return kept, r
+
+
+def _kept(names: list[str], keep: set | None):
+    """An empty cell list per kept column, by name in header order, and
+    the same lists paired with their column's index."""
+    kept = {name: [] for name in names if keep is None or name in keep}
+    return kept, [(j, kept[name]) for j, name in enumerate(names) if name in kept]
 
 
 def _header_names(header: list[str]) -> list[str]:
@@ -204,31 +240,33 @@ def _check_field_count(fields: list[str], n: int, row: int) -> None:
         raise CsvParseError(f"expected {n} fields, found {len(fields)}", row=row)
 
 
-def _column(cells) -> Column:
+def _column(cells: list[str]) -> Column:
     """Type one column from its raw cells.
 
     Cells are stripped; empty cells and ``NA`` are missing. The column is
     numeric iff every other cell is a finite decimal number with no ``_``,
-    and no dict is built for it. A column with no missing cell costs one
-    ``float()`` call per cell; in one with a missing cell, every cell before
-    the first missing one is converted twice, since the first pass stops
-    there and the stripped cells are converted again from the start.
-    Otherwise the column is categorical, and equal cells share the string
-    of their first appearance.
+    and no dict is built for it; each of its cells that is not missing is
+    converted by one ``float()`` call (two, if it holds whitespace that
+    ``float()`` keeps). Otherwise the column is categorical, and equal
+    cells share the string of their first appearance.
     """
+    numbers: list = []
+    stripped = None
     try:
         # float() skips the whitespace it shares with str.strip() and
-        # refuses the missing tokens, so a column with no missing cell is
-        # typed by this one pass over its raw cells
-        numbers = tuple(map(float, cells))
+        # refuses the missing tokens, so this one pass over the raw cells
+        # types a column up to its first missing cell; extend keeps the
+        # floats made before the raise
+        numbers.extend(map(float, cells))
     except ValueError:  # a missing cell, or whitespace that float() keeps
-        numbers = None
-    if numbers is not None and _plain(numbers, cells):
-        return _typed_column("numeric", numbers)
-    stripped = list(map(str.strip, cells))
-    numbers = _numbers(stripped)
+        stripped = list(map(str.strip, cells))
+        numbers = _numbers(numbers, stripped)
+    else:
+        numbers = numbers if _plain(numbers, cells) else None
     if numbers is not None:
-        return _typed_column("numeric", numbers)
+        return _typed_column("numeric", tuple(numbers))
+    if stripped is None:
+        stripped = list(map(str.strip, cells))
     first_seen = dict.fromkeys(stripped)
     lookup = dict(zip(first_seen, first_seen))
     lookup.update(dict.fromkeys(MISSING_TOKENS))
@@ -246,23 +284,25 @@ def _typed_column(kind: str, values: tuple) -> Column:
     return col
 
 
-def _numbers(stripped: list[str]) -> tuple[float | None, ...] | None:
-    """The stripped cells as floats with None for the missing ones, or None
-    unless every other cell is a finite decimal number with no ``_``."""
+def _numbers(numbers: list[float], stripped: list[str]) -> list[float | None] | None:
+    """`numbers`, the floats of the first stripped cells, followed by the
+    other cells as floats with None for the missing ones; or None unless
+    every cell that is not missing is a finite decimal number with no ``_``."""
+    typed = len(numbers)
+    rest = stripped[typed:]
     try:
         # lazily, so that a categorical column stops at its first non-number
-        values = tuple(map(float, filterfalse(_MISSING.__contains__, stripped)))
+        numbers.extend(map(float, filterfalse(_MISSING.__contains__, rest)))
     except ValueError:
         return None
-    if not _plain(values, stripped):
+    if not _plain(numbers, stripped):
         return None
-    if len(values) < len(stripped):  # put each missing cell back in its row
-        present = iter(values)
-        values = tuple(None if s in _MISSING else next(present) for s in stripped)
-    return values
+    present = iter(numbers[typed:])  # put each missing cell back in its row
+    numbers[typed:] = [None if s in _MISSING else next(present) for s in rest]
+    return numbers
 
 
-def _plain(values: tuple[float, ...], cells) -> bool:
+def _plain(values: list[float], cells: list[str]) -> bool:
     """Whether every value is finite and no cell holds ``_``: digit-group
     underscores and inf / nan spellings are data, not numbers (whitespace
     and the missing tokens hold no ``_``)."""

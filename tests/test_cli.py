@@ -631,7 +631,7 @@ def loaded():
     return {name for name in sys.modules if name.partition(".")[0] == "polyrep"}
 
 assert "numpy" not in sys.modules, "import polyrep.cli"
-assert loaded() == {"polyrep", "polyrep.cli", "polyrep.errors", "polyrep.pdfwrite"}, loaded()
+assert loaded() == {"polyrep", "polyrep.cli", "polyrep.errors"}, loaded()
 for argv, unused in (
     (["alt", "penguins_bar.json"], {"svgout", "tactile", "braille", "sonify"}),
     (["render", "penguins_bar.json", "-o", "r.svg"], {"tactile", "braille", "sonify"}),

@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import parse_csv_oracle, serialize_csv
+from polyrep import dataset
 from polyrep.chartspec import inline_dataset
 from polyrep.dataset import Column, Dataset, format_number, parse_csv
 from polyrep.errors import CsvParseError, DataError
@@ -418,21 +421,116 @@ def test_overlong_field_in_an_unbound_column_reports_its_record(quoted):
     assert err.value.row == 3
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    text=st.one_of(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join), _tables()),
-    columns=st.lists(st.one_of(
-        st.none(),
-        st.sampled_from(("c0", "c1", "c2", "c3", "nope")),
-        st.lists(st.sampled_from(_PIECES), max_size=3).map("".join),
-    ), max_size=4),
-    limit=st.one_of(st.none(), st.integers(2, 5)),
-)
-def test_projection_matches_oracle_on_random_text(text, columns, limit):
+_TEXTS = st.one_of(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join), _tables())
+_COLUMN_NAMES = st.lists(st.one_of(
+    st.none(),
+    st.sampled_from(("c0", "c1", "c2", "c3", "nope")),
+    st.lists(st.sampled_from(_PIECES), max_size=3).map("".join),
+), max_size=4)
+_LIMITS = st.one_of(st.none(), st.integers(2, 5))
+
+
+def _assert_projection_same_as_oracle_at_limit(data: bytes, columns, limit) -> None:
     # a small field size limit makes some records overlong, bound or not
     old = csv.field_size_limit(limit) if limit is not None else None
     try:
-        _assert_projection_same_as_oracle(text.encode("utf-8"), columns)
+        _assert_projection_same_as_oracle(data, columns)
     finally:
         if old is not None:
             csv.field_size_limit(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_TEXTS, columns=_COLUMN_NAMES, limit=_LIMITS)
+def test_projection_matches_oracle_on_random_text(text, columns, limit):
+    _assert_projection_same_as_oracle_at_limit(text.encode("utf-8"), columns, limit)
+
+
+# -- chunks of the unquoted parser ----------------------------------------------
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@settings(max_examples=200, deadline=None)
+@given(text=_TEXTS, columns=_COLUMN_NAMES, limit=_LIMITS)
+def test_projection_in_small_chunks_matches_oracle(chunk, text, columns, limit):
+    # records, blank lines, CR and CRLF ends, ragged and overlong records
+    # straddle the chunk ends
+    with mock.patch.object(dataset, "_CHUNK", chunk):
+        _assert_projection_same_as_oracle_at_limit(text.encode("utf-8"), columns, limit)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_ragged_and_overlong_records_across_chunks_report_their_record(chunk):
+    lines = ["a,b,c", *(f"{i},{i % 7},x{i}" for i in range(3, 200)), ""]
+    lines[150] = "1,2,3,4"  # record 151
+    lines[40] = ""  # blank lines count as records
+    with mock.patch.object(dataset, "_CHUNK", chunk):
+        for end in ("\n", "\r\n", "\r"):
+            data = end.join(lines).encode()
+            with pytest.raises(CsvParseError) as err:
+                parse_csv(data, columns=("b",))
+            assert (str(err.value), err.value.row) == ("row 151: expected 3 fields, found 4", 151)
+        old = csv.field_size_limit(4)
+        try:
+            with pytest.raises(CsvParseError) as err:
+                parse_csv("\n".join(lines[:100] + ["1,12345,3"]).encode(), columns=("a",))
+        finally:
+            csv.field_size_limit(old)
+        assert (str(err.value), err.value.row) == ("row 101: field larger than field limit (4)", 101)
+
+
+def test_a_deep_ragged_record_reports_its_number():
+    # 20,000 records; the 15,000th lies past the first chunk
+    lines = ["a,b,c", *(f"{i},{i % 7},{i / 3:.3f}" for i in range(2, 20_001))]
+    lines[14_999] += ",9"
+    with pytest.raises(CsvParseError) as err:
+        parse_csv("\n".join(lines).encode(), columns=("a",))
+    assert str(err.value) == "row 15000: expected 3 fields, found 4"
+    del lines[14_999]
+    assert parse_csv("\n".join(lines).encode(), columns=("a",)).n_rows == 19_998
+
+
+def _peak_bytes(data: bytes, columns) -> int:
+    tracemalloc.start()
+    try:
+        parse_csv(data, columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_one_bound_column_holds_less_than_all(quoted):
+    rng = random.Random(7)
+    groups, levels = ("north", "south", "east"), [f"level{i}" for i in range(8)]
+    rows = [f"{rng.choice(groups)},{rng.choice(levels)},"
+            f"{rng.triangular(0, 200):.3f},{rng.random():.4f}" for _ in range(20_000)]
+    header = '"grp",cat,value,weight' if quoted else "grp,cat,value,weight"
+    data = "\n".join([header, *rows]).encode()
+    # only the bound column's cells are kept, not every column's
+    assert _peak_bytes(data, ("value",)) <= 0.6 * _peak_bytes(data, None)
+
+
+# -- typing a column ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cells", [
+    ["NA", "1.5", " 2 ", "3e1", "4"],
+    ["1.5", " 2 ", "", "3e1", "NA", "4"],
+    ["1.5", " 2 ", "3e1", "4", " NA "],
+])
+def test_each_number_is_converted_once(monkeypatch, cells):
+    data = "\n".join(["x,y", *(f"{c},{i}" for i, c in enumerate(cells))]).encode()
+    calls = []
+
+    def counting_float(cell):
+        calls.append(cell.strip())
+        return float(cell)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dataset, "float", counting_float, raising=False)
+        got = parse_csv(data, columns=("x",)).columns["x"]
+    assert got == parse_csv_oracle(data).columns["x"]
+    assert got.kind == "numeric"
+    numbers = [c.strip() for c in cells if c.strip() not in ("", "NA")]
+    assert sorted(c for c in calls if c not in ("", "NA")) == sorted(numbers)
