@@ -6,13 +6,16 @@ inference is per column: numeric iff every non-missing cell parses as a
 finite decimal number with no ``_``.
 
 Text without quotes is split a bounded chunk of records at a time, and
-quoted text a record at a time; either way only the cells of the columns
-asked for are kept, so an unbound column's cells never outlive their
-chunk. A column is typed by one ``float()`` call per non-missing cell: a
-pass over the raw cells stops at the first cell that is not a number and
-resumes on the stripped cells from there. Only a categorical column then
-builds a dict of its distinct cells, so that equal strings share one
-object.
+quoted text a block of records at a time; either way only the cells of
+the columns asked for are kept, and each is typed as soon as its chunk
+passes the shape check, so a long file costs the memory of its kept
+columns' typed values, not of their text. A number is typed by one
+``float()`` call per non-missing cell: a pass over a stride of raw cells
+stops at the first cell that is not a number and resumes on the stripped
+cells from there. A categorical column keeps one dict of its distinct
+cells, so that equal strings share one object. A column that looks
+numeric until a later chunk holds a word has lost its earlier cells by
+then; the text is split once more with it categorical from the start.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import filterfalse
+from itertools import chain, filterfalse
 
 from .errors import CsvParseError, DataError
 
@@ -120,23 +123,41 @@ def parse_csv(data: bytes, columns: Iterable[str | None] | None = None) -> Datas
 
     keep = None if columns is None else set(columns)
     split = _split_quoted if '"' in text else _split_plain
-    cells, n_rows = split(text, keep)
-    return Dataset({name: _column(c) for name, c in cells.items()}, n_rows)
+    typed, n_rows = split(text, keep, set())
+    lost = {name for name, column in typed.items() if column.lost}
+    if lost:
+        # numbers until a later chunk held a word: the earlier chunks' cells
+        # are gone, so one more split types these columns as categorical
+        typed.update(split(text, lost, lost)[0])
+    return Dataset({name: column.column() for name, column in typed.items()}, n_rows)
 
 
-_CHUNK = 1 << 16  # characters of body that _split_plain splits at a time
+_CHUNK = 1 << 14  # characters of text split at a time
 
 
-def _split_plain(text: str, keep: set | None) -> tuple[dict[str, list[str]], int]:
-    """The raw cells of each kept column, in header order, and the record
-    count, for text with no quote character; `keep` None keeps every column.
+def _chunks(text: str, start: int) -> Iterator[tuple[int, int]]:
+    """The (start, stop) of each chunk of `text` from `start` on: at least
+    `_CHUNK` characters, cut before a "\n", the last one at the end."""
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK)
+        if stop < 0:
+            stop = len(text)
+        yield start, stop
+        start = stop + 1
+
+
+def _split_plain(text: str, keep: set | None,
+                 words: set) -> tuple[dict[str, _Typer], int]:
+    """Each kept column, typed, by name in header order, and the record
+    count, for text with no quote character; `keep` None keeps every
+    column, and the columns in `words` are typed as categorical.
 
     Without quoting, every line is one record and every comma ends a field.
     The body is walked in chunks of about `_CHUNK` characters, each cut at a
     record end. A chunk is split in one pass, with a marker cell between
-    records; only the kept columns' cells, a stride of the chunk's, are
-    copied out before the next chunk, so no list is built per row and the
-    other columns' cells never outlive their chunk.
+    records; once the chunk passes the shape check, each kept column is
+    typed from its stride of the chunk's cells, so no list is built per row
+    and no cell outlives its chunk.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -148,14 +169,10 @@ def _split_plain(text: str, keep: set | None) -> tuple[dict[str, list[str]], int
     _check_field_sizes(header, limit, row=1)
     names = _header_names(header)
     n = len(names)
-    kept, strides = _kept(names, keep)
+    kept, strides = _kept(names, keep, words)
 
     r = 0
-    start = end + 1
-    while start < len(text):
-        stop = text.find("\n", start + _CHUNK)
-        if stop < 0:
-            stop = len(text)
+    for start, stop in _chunks(text, end + 1):
         chunk = text[start:stop]
         records = list(filter(None, chunk.split("\n")))
         if records:
@@ -174,45 +191,59 @@ def _split_plain(text: str, keep: set | None) -> tuple[dict[str, list[str]], int
                         _check_field_sizes(fields, limit, row=i)
                         _check_field_count(fields, n, row=i)
             for j, column in strides:
-                column += cells[j::n + 1]
+                column.feed(cells[j::n + 1])
             r += k
             del cells  # so that the next chunk's cells reuse its memory
-        start = stop + 1
     return kept, r
 
 
-def _split_quoted(text: str, keep: set | None) -> tuple[dict[str, list[str]], int]:
-    """The raw cells of each kept column, in header order, and the record
-    count, for text that may quote fields; `keep` None keeps every column.
+def _split_quoted(text: str, keep: set | None,
+                  words: set) -> tuple[dict[str, _Typer], int]:
+    """As `_split_plain`, for text that may quote fields.
 
-    Records are read one at a time, and only the kept columns' cells are
-    held. A ragged record is reported before an overlong field in a later
-    one, since it is read first.
+    Records are read one at a time and checked, and each kept column is
+    typed a block of records at a time, as many as a chunk of `_CHUNK`
+    characters holds at 32 characters a record. The reader takes its lines
+    from one chunk of text at a time, since a StringIO holds four bytes a
+    character. A ragged record is reported before an overlong field in a
+    later one, since it is read first.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    lines = chain.from_iterable(io.StringIO(text[start:stop + 1], newline="")
+                                for start, stop in _chunks(text, 0))
+    reader = csv.reader(lines)
     read = 0  # records read; csv.reader fails in the next one
     try:
         header = next(reader)
         read = 1
         names = _header_names(header)
         n = len(names)
-        kept, strides = _kept(names, keep)
+        kept, strides = _kept(names, keep, words)
+        size = max(1, _CHUNK >> 5)
+        block: list[list[str]] = []
         r = 0
         for read, fields in enumerate(reader, start=2):
             if fields:
                 _check_field_count(fields, n, row=read)
-                for j, column in strides:
-                    column.append(fields[j])
-                r += 1
+                block.append(fields)
+                if len(block) == size:
+                    r += _feed(strides, block)
+                    block = []
     except csv.Error as exc:  # an overlong field
         raise CsvParseError(str(exc), row=read + 1) from None
-    return kept, r
+    return kept, r + _feed(strides, block)
 
 
-def _kept(names: list[str], keep: set | None):
-    """An empty cell list per kept column, by name in header order, and
-    the same lists paired with their column's index."""
-    kept = {name: [] for name in names if keep is None or name in keep}
+def _feed(strides: list[tuple[int, _Typer]], records: list[list[str]]) -> int:
+    """Type each kept column from a block of checked records; their count."""
+    for j, column in strides:
+        column.feed([fields[j] for fields in records])
+    return len(records)
+
+
+def _kept(names: list[str], keep: set | None, words: set):
+    """An untyped column per kept column, by name in header order, and the
+    same columns paired with their index; those in `words` are categorical."""
+    kept = {name: _Typer(name in words) for name in names if keep is None or name in keep}
     return kept, [(j, kept[name]) for j, name in enumerate(names) if name in kept]
 
 
@@ -240,41 +271,75 @@ def _check_field_count(fields: list[str], n: int, row: int) -> None:
         raise CsvParseError(f"expected {n} fields, found {len(fields)}", row=row)
 
 
-def _column(cells: list[str]) -> Column:
-    """Type one column from its raw cells.
+class _Typer:
+    """One kept column, typed a stride of raw cells at a time.
 
     Cells are stripped; empty cells and ``NA`` are missing. The column is
-    numeric iff every other cell is a finite decimal number with no ``_``,
-    and no dict is built for it; each of its cells that is not missing is
-    converted by one ``float()`` call (two, if it holds whitespace that
-    ``float()`` keeps). Otherwise the column is categorical, and equal
-    cells share the string of their first appearance.
+    numeric while every other cell is a finite decimal number with no
+    ``_``; each such cell is converted by one ``float()`` call (two, if it
+    holds whitespace that ``float()`` keeps). A stride that holds any other
+    cell makes the column categorical, where equal cells share the string
+    of their first appearance, across strides. If numbers were typed from
+    an earlier stride, whose cells are gone, the column is `lost` instead
+    and takes no more strides; `parse_csv` types it again from the start.
     """
-    numbers: list = []
-    stripped = None
-    try:
-        # float() skips the whitespace it shares with str.strip() and
-        # refuses the missing tokens, so this one pass over the raw cells
-        # types a column up to its first missing cell; extend keeps the
-        # floats made before the raise
-        numbers.extend(map(float, cells))
-    except ValueError:  # a missing cell, or whitespace that float() keeps
+
+    __slots__ = ("values", "first", "lost")
+
+    def __init__(self, categorical: bool):
+        self.values: list = []  # floats or strings, and None for a missing cell
+        # categorical: each stripped cell to its first string, the missing tokens to None
+        self.first = dict.fromkeys(MISSING_TOKENS) if categorical else None
+        self.lost = False
+
+    def feed(self, cells: list[str]) -> None:
+        """Type the column's next stride of raw cells."""
+        if self.lost:
+            return
+        if self.first is None:
+            typed = len(self.values)
+            if self._numbers(cells, typed):
+                return
+            self.values = []
+            if typed:
+                self.lost = True
+                return
+            self.first = dict.fromkeys(MISSING_TOKENS)
         stripped = list(map(str.strip, cells))
-        numbers = _numbers(numbers, stripped)
-    else:
-        numbers = numbers if _plain(numbers, cells) else None
-    if numbers is not None:
-        return _typed_column("numeric", tuple(numbers))
-    if stripped is None:
-        stripped = list(map(str.strip, cells))
-    first_seen = dict.fromkeys(stripped)
-    lookup = dict(zip(first_seen, first_seen))
-    lookup.update(dict.fromkeys(MISSING_TOKENS))
-    return _typed_column("categorical", tuple(map(lookup.__getitem__, stripped)))
+        self.values += map(self.first.setdefault, stripped, stripped)
+
+    def _numbers(self, cells: list[str], typed: int) -> bool:
+        """Whether `cells` are numbers, appended to the `typed` values as
+        floats with None for the missing ones."""
+        values = self.values
+        try:
+            # float() skips the whitespace it shares with str.strip() and
+            # refuses the missing tokens, so this one pass over the raw cells
+            # types a stride up to its first missing cell; extend keeps the
+            # floats made before the raise
+            values.extend(map(float, cells))
+        except ValueError:  # a missing cell, or whitespace that float() keeps
+            done = len(values)
+            rest = list(map(str.strip, cells[done - typed:]))
+            try:
+                # lazily, so that a categorical stride stops at its first non-number
+                values.extend(map(float, filterfalse(_MISSING.__contains__, rest)))
+            except ValueError:
+                return False
+            if not _plain(values[typed:], cells):
+                return False
+            present = iter(values[done:])  # put each missing cell back in its row
+            values[done:] = [None if s in _MISSING else next(present) for s in rest]
+            return True
+        return _plain(values[typed:], cells)
+
+    def column(self) -> Column:
+        kind = "numeric" if self.first is None else "categorical"
+        return _typed_column(kind, tuple(self.values))
 
 
 def _typed_column(kind: str, values: tuple) -> Column:
-    """A Column of values its caller has typed and checked (`_column`, and
+    """A Column of values its caller has typed and checked (`_Typer`, and
     `chartspec.inline_dataset`), so that `Column.__post_init__` does not
     check them again: finite floats, or strings that are not a missing
     token, and None."""
@@ -282,24 +347,6 @@ def _typed_column(kind: str, values: tuple) -> Column:
     object.__setattr__(col, "kind", kind)
     object.__setattr__(col, "values", values)
     return col
-
-
-def _numbers(numbers: list[float], stripped: list[str]) -> list[float | None] | None:
-    """`numbers`, the floats of the first stripped cells, followed by the
-    other cells as floats with None for the missing ones; or None unless
-    every cell that is not missing is a finite decimal number with no ``_``."""
-    typed = len(numbers)
-    rest = stripped[typed:]
-    try:
-        # lazily, so that a categorical column stops at its first non-number
-        numbers.extend(map(float, filterfalse(_MISSING.__contains__, rest)))
-    except ValueError:
-        return None
-    if not _plain(numbers, stripped):
-        return None
-    present = iter(numbers[typed:])  # put each missing cell back in its row
-    numbers[typed:] = [None if s in _MISSING else next(present) for s in rest]
-    return numbers
 
 
 def _plain(values: list[float], cells: list[str]) -> bool:

@@ -416,6 +416,10 @@ class _PageBuilder:
                     max(4.0, x_label_w / 2 + 2.0))
 
         x_ink, y_ink = ink_width(x_pairs), ink_width(y_pairs)
+        # tick labels that cannot be set are fixed on the axis whose labels
+        # take more of the width: an x label reaches into both gutters, a y
+        # label the left
+        crowding = "y" if sum(side_gutters(y_ink, 0.0)) >= sum(side_gutters(0.0, x_ink)) else "x"
         left_gutter, right_gutter = side_gutters(y_ink, x_ink)
         bottom_gutter = 7.0 + 2 * LINE_PITCH + (LINE_PITCH if x_title else 0.0) + 2.0
         top_lines = (1 if title else 0) + (1 if y_title else 0)
@@ -429,11 +433,7 @@ class _PageBuilder:
         )
         if avail.w <= 10 or avail.h <= 10:
             if avail.h > 10 and printable.w - sum(side_gutters(0.0, 0.0)) > 10:
-                # name the axis whose labels alone take more of the width:
-                # an x label reaches into both gutters, a y label the left
-                if sum(side_gutters(y_ink, 0.0)) >= sum(side_gutters(0.0, x_ink)):
-                    raise self._wide_tick_label("y", y_pairs)
-                raise self._wide_tick_label("x", x_pairs)
+                raise self._wide_tick_label(crowding, x_pairs if crowding == "x" else y_pairs)
             raise TactileError("page too small for the chart at braille size")
 
         scale = min(avail.w / scene.plot.w, avail.h / scene.plot.h)
@@ -507,10 +507,10 @@ class _PageBuilder:
         x_label_y = plot_mm.y1 + tick_len + 3.0
         for tx, label in x_pairs:
             self._label(label, f"x label {label!r}", mx(tx), x_label_y, "down", "center",
-                        "x")
+                        crowding)
         for ty, label in y_pairs:
             self._label(label, f"y label {label!r}", plot_mm.x - tick_len - 3.0,
-                        my(ty) - DOT_PITCH, "left", "right", "y")
+                        my(ty) - DOT_PITCH, "left", "right", crowding)
 
         title_x = printable.x + DOT_DIAMETER / 2
         y_base = printable.y + DOT_DIAMETER / 2

@@ -346,6 +346,20 @@ def test_tactile_number_labels_overlap_error(workdir, capsys):
     assert main(["tactile", "far.json", "--paper", "braille11x11", "-o", "t.pdf"]) == 0
 
 
+def test_tactile_overlap_error_names_the_axis_that_sets_the_gutter(workdir, capsys):
+    # the 19-digit y labels widen the left gutter until the x labels crowd
+    # on a4 (and the y labels on letter): the fix is the y column's either
+    # way, the axis a too-wide label error would name
+    spec = _scatter_spec({"x": [1, 2, 3], "y": [0, 1e18, 1]})
+    Path("tall.json").write_text(json.dumps(spec), encoding="utf-8")
+    for paper in ("letter", "a4"):
+        assert _tactile_error("tall.json", capsys, "--paper", paper) == (
+            "polyrep: error[tactile]: braille labels overlap even after "
+            "displacement; rescale column 'y' or use a larger --paper\n"
+        )
+    assert main(["tactile", "tall.json", "--paper", "braille11x11", "-o", "t.pdf"]) == 0
+
+
 def test_tactile_x_title_margin_error(workdir, capsys):
     # the wide y labels push the plot, and the title centered on it, right
     name = "abcdefghijklmnopqrstuvwx"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -421,7 +422,26 @@ def test_overlong_field_in_an_unbound_column_reports_its_record(quoted):
     assert err.value.row == 3
 
 
-_TEXTS = st.one_of(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join), _tables())
+@st.composite
+def _late_word_tables(draw):
+    """Columns of numbers, missing cells and non-numbers, one of which may
+    hold a word only after many records, in a later chunk than its first
+    numbers; the header may be quoted, so that both splitters type them."""
+    n = draw(st.integers(1, 3))
+    spellings = st.sampled_from(("", "NA", " NA ", " \t", "\x1c3", "\u3000 1", "1_0", "inf",
+                                 "nan", "-0", "2.5", " 3 ", "1e2", "7"))
+    rows = draw(st.lists(st.lists(spellings, min_size=n, max_size=n), min_size=1, max_size=40))
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.integers(len(rows) // 2, len(rows) - 1))
+        rows[row][draw(st.integers(0, n - 1))] = draw(st.sampled_from(("a", "Q", "n/a")))
+    header = [f"c{j}" for j in range(n)]
+    if draw(st.booleans()):
+        header[0] = '"c0"'
+    return "\n".join(map(",".join, [header, *rows]))
+
+
+_TEXTS = st.one_of(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join), _tables(),
+                   _late_word_tables())
 _COLUMN_NAMES = st.lists(st.one_of(
     st.none(),
     st.sampled_from(("c0", "c1", "c2", "c3", "nope")),
@@ -490,6 +510,33 @@ def test_a_deep_ragged_record_reports_its_number():
     assert parse_csv("\n".join(lines).encode(), columns=("a",)).n_rows == 19_998
 
 
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_a_late_word_costs_one_more_split(chunk, quoted):
+    # "a" and "b" are numbers until record 151 and 171, in later chunks than
+    # their first numbers; "c" stays numeric
+    lines = ['"a",b,c' if quoted else "a,b,c",
+             *(f"{i},{i % 5}, {i / 4}" for i in range(2, 201))]
+    lines[150] = "word,1,2"
+    split = "_split_quoted" if quoted else "_split_plain"
+    for switching in (("a",), ("a", "b"), ("c",), ("a", "b", "c")):
+        if "b" in switching:
+            lines[170] = "1,NA word,2"
+        data = "\n".join(lines).encode()
+        expected = parse_csv_oracle(data)
+        with mock.patch.object(dataset, "_CHUNK", chunk), \
+                mock.patch.object(dataset, split, wraps=getattr(dataset, split)) as spy:
+            got = parse_csv(data, switching)
+        assert got == Dataset({name: expected.columns[name] for name in switching},
+                              expected.n_rows)
+        lost = [name for name in switching if name != "c"]
+        assert [got.columns[name].kind for name in lost] == ["categorical"] * len(lost)
+        # the first split, and one more for all the columns it lost
+        assert spy.call_count == (2 if lost else 1)
+        if lost:
+            assert spy.call_args.args[1:] == (set(lost), set(lost))
+
+
 def _peak_bytes(data: bytes, columns) -> int:
     tracemalloc.start()
     try:
@@ -509,6 +556,18 @@ def test_one_bound_column_holds_less_than_all(quoted):
     data = "\n".join([header, *rows]).encode()
     # only the bound column's cells are kept, not every column's
     assert _peak_bytes(data, ("value",)) <= 0.6 * _peak_bytes(data, None)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_a_bound_numeric_column_never_holds_its_cells(quoted):
+    rng = random.Random(11)
+    cells = [repr(rng.uniform(0, 200)) for _ in range(20_000)]  # full-precision doubles
+    header = '"grp",value' if quoted else "grp,value"
+    data = "\n".join([header, *(f"{rng.choice('abc')},{c}" for c in cells)]).encode()
+    # each chunk's cells are typed before the next is split, so the column
+    # costs its floats, never the text of its cells
+    assert (_peak_bytes(data, ("value",)) - _peak_bytes(data, ())
+            < sum(map(sys.getsizeof, cells)))
 
 
 # -- typing a column ------------------------------------------------------------
