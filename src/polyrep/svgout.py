@@ -51,6 +51,26 @@ def xml_escape(text: str) -> str:
     )
 
 
+def path_data(rings, closed: bool, fmt: Callable[[float], str] = _fmt) -> str:
+    """SVG path data: one `M … L …` subpath per ring, each ended by `Z`
+    when `closed`."""
+    end = " Z" if closed else ""
+    return " ".join(
+        "M " + " L ".join(f"{fmt(x)},{fmt(y)}" for x, y in ring) + end for ring in rings
+    )
+
+
+def circle_data(cx: float, cy: float, r: float, fmt: Callable[[float], str] = _fmt) -> str:
+    """SVG path data of a circle as two half-circle arcs."""
+    left, right, y, rr = fmt(cx - r), fmt(cx + r), fmt(cy), fmt(r)
+    return f"M {left},{y} A {rr},{rr} 0 1 0 {right},{y} A {rr},{rr} 0 1 0 {left},{y} Z"
+
+
+def dash_attr(dash: tuple[float, ...] | None, fmt: Callable[[float], str] = _fmt) -> str:
+    """A `stroke-dasharray` attribute, or nothing for a solid stroke."""
+    return f' stroke-dasharray="{",".join(fmt(d) for d in dash)}"' if dash else ""
+
+
 @functools.lru_cache
 def _shape_path(shape: ShapeKind, r: float) -> tuple[str, bool]:
     """Path data centered on the origin; second member is True when filled.
@@ -58,22 +78,9 @@ def _shape_path(shape: ShapeKind, r: float) -> tuple[str, bool]:
     Cached: a scatter draws one glyph per (shape, size) at every point.
     """
     if shape is ShapeKind.CIRCLE:
-        d = (
-            f"M {_fmt(-r)},0 A {_fmt(r)},{_fmt(r)} 0 1 0 {_fmt(r)},0 "
-            f"A {_fmt(r)},{_fmt(r)} 0 1 0 {_fmt(-r)},0 Z"
-        )
-        return d, True
+        return circle_data(0, 0, r), True
     rings, closed = glyph_rings(shape, r)
-    end = " Z" if closed else ""
-    d = " ".join(
-        "M " + " L ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in ring) + end
-        for ring in rings
-    )
-    return d, closed
-
-
-def _dash_attr(dash: tuple[float, ...] | None) -> str:
-    return f' stroke-dasharray="{",".join(_fmt(d) for d in dash)}"' if dash else ""
+    return path_data(rings, closed), closed
 
 
 # Slot filled with the panel's mark id prefix ("m" in the chart, one per
@@ -114,15 +121,14 @@ def _mark_element(mark: Mark, ident: tuple) -> tuple:
             f' x1="{_fmt(mark.x1)}" y1="{_fmt(mark.y1)}" '
             f'x2="{_fmt(mark.x2)}" y2="{_fmt(mark.y2)}" stroke="',
             mark.color,
-            f'" stroke-width="{_fmt(mark.width)}"{_dash_attr(mark.dash)}/>',
+            f'" stroke-width="{_fmt(mark.width)}"{dash_attr(mark.dash)}/>',
         )
     if isinstance(mark, PolylineMark):
-        steps = " L ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in mark.points)
         return (
             "<path", *ident,
-            f' d="M {steps}" fill="none" stroke="',
+            f' d="{path_data((mark.points,), False)}" fill="none" stroke="',
             mark.color,
-            f'" stroke-width="{_fmt(mark.width)}"{_dash_attr(mark.dash)}/>',
+            f'" stroke-width="{_fmt(mark.width)}"{dash_attr(mark.dash)}/>',
         )
     if isinstance(mark, TextMark):
         rotate = (

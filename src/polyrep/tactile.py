@@ -49,7 +49,7 @@ from .scene import (
     WHITE,
     glyph_rings,
 )
-from .svgout import _document
+from .svgout import _document, circle_data, dash_attr, path_data
 from .verbalize import AltText
 
 # fixed braille sizes (mm), after BANA's Guidelines and Standards for
@@ -607,24 +607,13 @@ def emit_preview_svg(page: TactilePage, alt: AltText) -> bytes:
     lay = page.layout
     body = []
     for s in page.ink():
-        d = "M " + " L ".join(f"{fmt_pt(x)},{fmt_pt(y)}" for x, y in s.points)
-        if s.close:
-            d += " Z"
-        dash = (
-            f' stroke-dasharray="{",".join(fmt_pt(v) for v in s.dash)}"' if s.dash else ""
-        )
         body.append(
-            f'\n<path d="{d}" fill="none" stroke="#000000" '
-            f'stroke-width="{fmt_pt(s.width)}" stroke-linecap="round" '
-            f'stroke-linejoin="round"{dash}/>'
+            f'\n<path d="{path_data((s.points,), s.close, fmt_pt)}" fill="none" '
+            f'stroke="#000000" stroke-width="{fmt_pt(s.width)}" stroke-linecap="round" '
+            f'stroke-linejoin="round"{dash_attr(s.dash, fmt_pt)}/>'
         )
     r = DOT_DIAMETER / 2
     for dot in page.dots:
-        body.append(
-            f'\n<path d="M {fmt_pt(dot.x - r)},{fmt_pt(dot.y)} '
-            f"A {fmt_pt(r)},{fmt_pt(r)} 0 1 0 {fmt_pt(dot.x + r)},{fmt_pt(dot.y)} "
-            f'A {fmt_pt(r)},{fmt_pt(r)} 0 1 0 {fmt_pt(dot.x - r)},{fmt_pt(dot.y)} Z" '
-            f'fill="#000000"/>'
-        )
+        body.append(f'\n<path d="{circle_data(dot.x, dot.y, r, fmt_pt)}" fill="#000000"/>')
     return _document(lay.page_w, lay.page_h, "Tactile page preview", alt.flattened,
                      "".join(body), unit="mm")

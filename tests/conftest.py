@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import shutil
 import sys
 from pathlib import Path
 
@@ -11,6 +12,17 @@ from polyrep.scene import layout
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# the alt text of tests/fixtures/penguins_bar.json
+GOLDEN_BAR_BLOCK = """\
+This is an untitled chart with no subtitle or caption.
+It has x-axis 'species' with labels Adelie, Chinstrap and Gentoo.
+It has y-axis 'count' with labels 0, 50, 100 and 150.
+The chart is a bar chart with 3 vertical bars.
+Bar 1 is centered horizontally at Adelie, and spans vertically from 0 to 152.
+Bar 2 is centered horizontally at Chinstrap, and spans vertically from 0 to 68.
+Bar 3 is centered horizontally at Gentoo, and spans vertically from 0 to 124.
+"""
+
 
 @pytest.fixture(scope="session")
 def penguins():
@@ -20,6 +32,16 @@ def penguins():
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return FIXTURES
+
+
+@pytest.fixture()
+def workdir(tmp_path, monkeypatch):
+    """A fresh working directory holding the penguins data and fixture specs."""
+    for name in ("penguins.csv", "penguins_bar.json", "penguins_scatter.json",
+                 "penguins_box.json", "penguins_hist.json", "lin.json"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
 
 
 @pytest.fixture(scope="session")

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import math
 import random
-import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import laid_out, load_fixture_spec
+from conftest import GOLDEN_BAR_BLOCK, laid_out, load_fixture_spec
 from oracles import (
     box_oracle,
     extract_braille_runs,
@@ -51,29 +50,9 @@ from polyrep.svgout import cvd_grid, emit_svg
 from polyrep.tactile import DOT_DIAMETER, MARGIN, emit_pdf, tactualize
 from polyrep.verbalize import auto_alt
 
-GOLDEN_BAR_BLOCK = (
-    "This is an untitled chart with no subtitle or caption.\n"
-    "It has x-axis 'species' with labels Adelie, Chinstrap and Gentoo.\n"
-    "It has y-axis 'count' with labels 0, 50, 100 and 150.\n"
-    "The chart is a bar chart with 3 vertical bars.\n"
-    "Bar 1 is centered horizontally at Adelie, and spans vertically from 0 to 152.\n"
-    "Bar 2 is centered horizontally at Chinstrap, and spans vertically from 0 to 68.\n"
-    "Bar 3 is centered horizontally at Gentoo, and spans vertically from 0 to 124.\n"
-)
-
-
 def report(n: int | str, desc: str, ok: bool) -> None:
     print(f"ACCEPTANCE {n}: {'PASS' if ok else 'FAIL'} - {desc}")
     assert ok, f"criterion {n}: {desc}"
-
-
-@pytest.fixture()
-def workdir(tmp_path, fixtures_dir, monkeypatch):
-    for name in ("penguins.csv", "penguins_bar.json", "penguins_scatter.json",
-                 "penguins_box.json", "lin.json"):
-        shutil.copy(fixtures_dir / name, tmp_path / name)
-    monkeypatch.chdir(tmp_path)
-    return tmp_path
 
 
 def test_criterion_1_verbalization_golden(workdir, capsys):

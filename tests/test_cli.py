@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 import wave
@@ -12,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import laid_out, patch_everywhere
-from golden import CASES, PINNED, run_cli
+from conftest import GOLDEN_BAR_BLOCK, laid_out, patch_everywhere
+from golden import CASES
 from oracles import read_wav_oracle, validate_pdf
 from polyrep import cli
 from polyrep.chartspec import load_dataset, parse_spec
@@ -56,26 +55,6 @@ options:
                         page size (default letter)
   --preview             also write a sighted-verification SVG next to the PDF
 """
-
-GOLDEN_BAR_BLOCK = """\
-This is an untitled chart with no subtitle or caption.
-It has x-axis 'species' with labels Adelie, Chinstrap and Gentoo.
-It has y-axis 'count' with labels 0, 50, 100 and 150.
-The chart is a bar chart with 3 vertical bars.
-Bar 1 is centered horizontally at Adelie, and spans vertically from 0 to 152.
-Bar 2 is centered horizontally at Chinstrap, and spans vertically from 0 to 68.
-Bar 3 is centered horizontally at Gentoo, and spans vertically from 0 to 124.
-"""
-
-
-@pytest.fixture()
-def workdir(tmp_path, fixtures_dir, monkeypatch):
-    for name in ("penguins.csv", "penguins_bar.json", "penguins_scatter.json",
-                 "penguins_box.json", "penguins_hist.json", "lin.json"):
-        shutil.copy(fixtures_dir / name, tmp_path / name)
-    monkeypatch.chdir(tmp_path)
-    return tmp_path
-
 
 def test_help_golden():
     assert build_parser().format_help() == TOP_HELP
@@ -242,69 +221,6 @@ def test_tactile_paper_a4(workdir):
                  "--paper", "a4"]) == 0
     mb = validate_pdf(Path("box.pdf").read_bytes())["media_box"]
     assert abs(mb[2] - 595.28) < 0.5 and abs(mb[3] - 841.89) < 0.5
-
-
-# Slices of the golden table (tests/golden.txt) by the feature they pin; the
-# whole table is checked at once in tests/test_golden.py.
-_CAT = ("--categorical",)
-
-
-def _check_pinned(work: Path, *keys: tuple) -> None:
-    assert [run_cli(work, *key) for key in keys] == [PINNED[key] for key in keys], keys
-
-
-@pytest.mark.parametrize("name", ["lin", "penguins_bar", "penguins_box", "penguins_hist"])
-def test_tactile_pdf_golden_hash(golden_dir, name):
-    _check_pinned(golden_dir, (name, "tactile.pdf", ()))
-
-
-@pytest.mark.parametrize("name,paper", [
-    (name, paper) for name in ("penguins_bar", "penguins_box") for paper in ("a4", "braille11x11")
-] + [("penguins_scatter", "braille11x11")])
-def test_tactile_paper_golden_hash(golden_dir, name, paper):
-    _check_pinned(golden_dir, (name, "tactile.pdf", ("--paper", paper)))
-
-
-@pytest.mark.parametrize("name", ["down", "left"])
-def test_tactile_pushed_labels_golden_hash(golden_dir, name):
-    _check_pinned(golden_dir, (f"pushed_{name}", "tactile.pdf", ()))
-
-
-@pytest.mark.parametrize("name", [name for name, spec in CASES.items() if isinstance(spec, str)])
-def test_fixture_artifacts_golden_hash(golden_dir, name):
-    _check_pinned(golden_dir, (name, "render.svg", ()), (name, "cvd-grid.svg", ()),
-                  (name, "sonify.wav", _CAT))
-
-
-def test_six_shapes_golden_hash(golden_dir):
-    _check_pinned(golden_dir, ("six_shapes", "render.svg", ()), ("six_shapes", "tactile.pdf", ()))
-
-
-@pytest.mark.parametrize("name", ["box_constant", "box_outlier", "hist_constant",
-                                  "line_one_point", "scatter_constant_x", "scatter_constant_y"])
-def test_flat_range_golden_hash(golden_dir, name):
-    _check_pinned(golden_dir, (f"flat_{name}", "render.svg", ()),
-                  (f"flat_{name}", "tactile.pdf", ()))
-
-
-@pytest.mark.parametrize("name", ["escaped_bar", "grouped_line", "six_shapes", "six_shapes_facet"])
-def test_cvd_grid_golden_hash(golden_dir, name):
-    _check_pinned(golden_dir, (name, "cvd-grid.svg", ()))
-
-
-@pytest.mark.parametrize("key", [
-    ("grouped_line", "sonify.wav", ()), ("interleaved_line", "sonify.wav", ()),
-    ("lin", "sonify.wav", ("--mode", "regression")), ("six_shapes_facet", "sonify.wav", ()),
-], ids=["grouped_line", "interleaved_line", "lin_regression", "six_shapes_facet"])
-def test_sonify_golden_hash(golden_dir, key):
-    _check_pinned(golden_dir, key)
-
-
-@pytest.mark.parametrize("name", ["bar", "box", "hist"])
-def test_many_rows_artifacts_golden_hash(golden_dir, name):
-    case = f"many_rows_{name}"
-    _check_pinned(golden_dir, (case, "render.svg", ()), (case, "render.svg.alt.txt", ()),
-                  (case, "tactile.pdf", ()), (case, "sonify.wav", _CAT))
 
 
 def _tactile_error(name: str, capsys, *flags: str) -> str:

@@ -13,14 +13,16 @@ def test_table_names_known_cases_and_commands_once():
     assert {case for case, *_ in PINNED} == set(CASES), "a case no pin uses"
 
 
-# Every CLI pin, then every library pin, each run once: the test fails once,
-# listing each key whose value differs with the pinned and the actual value.
-@pytest.mark.parametrize("library", [False, True], ids=["cli", "library"])
-def test_every_pinned_artifact_matches(golden_dir, library):
-    differ = []
-    for key, pinned in PINNED.items():
-        if (key[1] in LIBRARY) == library:
-            actual = run_library(*key) if library else run_cli(golden_dir, *key)
-            if actual != pinned:
-                differ.append(f"{key!r}: pinned {pinned!r}, got {actual!r}")
-    assert not differ, f"{len(differ)} pinned artifacts differ:\n" + "\n".join(differ)
+def _written(key: tuple) -> str:
+    """A key as golden.txt writes it: `<case> <artifact> [<flag> ...]`."""
+    case, artifact, flags = key
+    return " ".join((case, artifact, *flags))
+
+
+# One item per pin, named by its key; a failure prints the golden.txt line
+# that pins the actual value (a refusal's without its newline).
+@pytest.mark.parametrize("key", PINNED, ids=_written)
+def test_pinned_artifact_matches(golden_dir, key):
+    actual = run_library(*key) if key[1] in LIBRARY else run_cli(golden_dir, *key)
+    line = f"{_written(key)} = " + actual.removesuffix("\n")
+    assert actual == PINNED[key], line

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from golden import CASES, PINNED, run_library
+from golden import CASES
 from oracles import (
     check_wav_header,
     read_wav_oracle,
@@ -200,15 +200,6 @@ def test_discrete_missing_dropped_and_empty_errors():
         sonify_points([None], [1])
 
 
-# Slices of the golden table (tests/golden.txt); the whole table is checked
-# at once in tests/test_golden.py. Ids in table order.
-@pytest.mark.parametrize("key", [key for key in PINNED if key[1] == "sonify_points"],
-                         ids=["big_scatter", "big_scatter_log_pitch", "8khz_skipped",
-                              "8khz_sounding"])
-def test_points_wav_bytes_pinned(key):
-    assert run_library(*key) == PINNED[key]
-
-
 @st.composite
 def point_sets(draw, min_n=1):
     """min_n to 3,000 points, with x and y each flat, drawn from a few
@@ -362,12 +353,6 @@ def test_sweep_log_pitch_midpoint_is_geometric():
     mid = mono[n * 9 // 20 : n * 11 // 20]
     f_mid = zero_crossing_freq(mid, buf.rate)
     assert abs(f_mid - math.sqrt(440 * 880)) / f_mid < 0.03
-
-
-@pytest.mark.parametrize("key", [key for key in PINNED if key[1] == "sonify_sweep"], ids=lambda k:
-                         f"{k[0].removeprefix('sweep_')}-{'log_pitch=True' in k[2]}")
-def test_sweep_wav_bytes_pinned(key):
-    assert run_library(*key) == PINNED[key]
 
 
 @settings(max_examples=40, deadline=None)

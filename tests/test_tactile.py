@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import laid_out, load_fixture_spec
-from golden import CASES, PINNED, run_cli
+from golden import CASES
 from oracles import (
     extract_braille_runs,
     fill_circle_oracle,
@@ -550,14 +550,6 @@ def test_grid_matches_brute_force_on_big_scatter(big_scatter_scene, monkeypatch)
 
 def test_grid_matches_brute_force_on_big_line_chart(big_line_scene, monkeypatch):
     _assert_grid_matches_brute_force([big_line_scene], monkeypatch)
-
-
-# A slice of the golden table (tests/golden.txt), checked whole in
-# tests/test_golden.py.
-@pytest.mark.parametrize("key", [key for key in PINNED if key[0] in ("big_scatter", "big_line")],
-                         ids=lambda key: f"{key[0]}_scene-{key[2][1] if key[2] else 'letter'}")
-def test_big_scene_pdf_golden_hash(golden_dir, key):
-    assert run_cli(golden_dir, *key) == PINNED[key]
 
 
 def test_label_check_work_stays_local(big_scatter_scene, monkeypatch):

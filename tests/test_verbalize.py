@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import laid_out, load_fixture_spec
+from conftest import GOLDEN_BAR_BLOCK, laid_out, load_fixture_spec
 from polyrep.chartspec import (
     ChartSpec,
     ChartSummary,
@@ -24,15 +24,6 @@ from polyrep.verbalize import (
     join_labels,
     manual_alt,
 )
-
-GOLDEN_BAR_BLOCK = """\
-This is an untitled chart with no subtitle or caption.
-It has x-axis 'species' with labels Adelie, Chinstrap and Gentoo.
-It has y-axis 'count' with labels 0, 50, 100 and 150.
-The chart is a bar chart with 3 vertical bars.
-Bar 1 is centered horizontally at Adelie, and spans vertically from 0 to 152.
-Bar 2 is centered horizontally at Chinstrap, and spans vertically from 0 to 68.
-Bar 3 is centered horizontally at Gentoo, and spans vertically from 0 to 124."""
 
 # a hand-written description of the penguins scatterplot, used as
 # checklist input
@@ -58,7 +49,7 @@ def bar_summary(
 def test_penguins_bar_block_exact(penguins):
     spec = load_fixture_spec("penguins_bar.json")
     alt = auto_alt(laid_out(spec, penguins).summary)
-    assert alt.flattened == GOLDEN_BAR_BLOCK
+    assert alt.flattened + "\n" == GOLDEN_BAR_BLOCK
     assert len(alt.sentences) == 7
 
 
