@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import is_, itemgetter
@@ -127,6 +128,11 @@ def _check_keys(obj: dict, where: str) -> None:
     raise SpecError(f"unknown key {key!r} in {where}; {hint}")
 
 
+# a JSON escape of a UTF-16 surrogate: a pair decodes to the character it
+# stands for, a lone one to a string that no file or stream can encode
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+
+
 def parse_spec(data: bytes) -> ChartSpec:
     """Parse and validate a chart spec document, applying defaults. A key
     that its object does not have fails, naming the key it meant."""
@@ -134,6 +140,12 @@ def parse_spec(data: bytes) -> ChartSpec:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecError(f"spec is not valid JSON: {exc}") from None
+    if b"\\" in data and _SURROGATE_ESCAPE.search(data):  # only escaped text pays
+        try:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SpecError(f"spec holds the lone surrogate {exc.object[exc.start]!r}; "
+                            "remove it or complete its pair") from None
     _require(isinstance(doc, dict), "spec root must be a JSON object")
     _check_keys(doc, "the top level")
     chart = doc.get("chart")
@@ -229,7 +241,7 @@ def _parse_palette(value) -> Palette:
     if isinstance(value, list) and value:
         try:
             return Palette(tuple(Rgb.from_hex(h) for h in value))
-        except Exception as exc:
+        except DataError as exc:
             raise SpecError(f"bad palette entry: {exc}") from None
     raise SpecError("palette must be \"okabe-ito\" or a list of #RRGGBB strings")
 

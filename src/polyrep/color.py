@@ -33,7 +33,7 @@ class Rgb:
 
     @classmethod
     def from_hex(cls, text: str) -> "Rgb":
-        s = text.strip().lstrip("#")
+        s = text.strip().lstrip("#") if isinstance(text, str) else ""
         if len(s) != 6 or any(c not in "0123456789abcdefABCDEF" for c in s):
             raise DataError(f"expected #RRGGBB hex color, got {text!r}")
         return cls(*(int(s[i : i + 2], 16) / 255.0 for i in (0, 2, 4)))
@@ -270,6 +270,8 @@ def audit_palette(palette: Palette, threshold: float = 10.0) -> AuditReport:
     """
     if len(palette) < 2:
         raise DataError("palette audit needs at least 2 colors")
+    if not math.isfinite(threshold):
+        raise DataError(f"threshold must be a finite deltaE, got {threshold!r}")
     kinds = []
     for kind in CvdKind:
         simulated = [simulate_cvd(c, kind) for c in palette.colors]

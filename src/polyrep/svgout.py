@@ -10,9 +10,11 @@ produce identical bytes.
 from __future__ import annotations
 
 import functools
+import re
 from typing import Callable
 
 from .color import CvdKind, Rgb, simulate_cvd
+from .errors import DataError
 from .scene import (
     Mark,
     PointMark,
@@ -41,8 +43,17 @@ def _fmt(v: float) -> str:
     return "0" if s == "-0" else s
 
 
+# the characters that XML 1.0 cannot hold, escaped or not
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def xml_escape(text: str) -> str:
-    """Text for XML content in every SVG this package writes."""
+    """Text for XML content in every SVG this package writes; a character
+    that XML cannot hold is refused, by name."""
+    bad = _NOT_XML.search(text)
+    if bad:
+        raise DataError(f"text {text!r} holds {bad.group()!r}, which an SVG cannot hold; "
+                        "remove it")
     return (
         text.replace("&", "&amp;")
         .replace("<", "&lt;")

@@ -57,6 +57,13 @@ def test_bad_palette_entry():
         parse_spec(b'{"chart":{"type":"bar","x":"s"},"palette":["nope"]}')
 
 
+def test_surrogate_pairs_and_escaped_backslashes_are_text():
+    # only a lone surrogate is refused: a pair is the character it encodes,
+    # and an escaped backslash before "ud800" is plain text
+    spec = parse_spec(rb'{"title":"\ud83d\ude00 \\ud800","chart":{"type":"bar","x":"s"}}')
+    assert spec.title == "\U0001f600 \\ud800"
+
+
 def test_bins_only_for_histograms():
     with pytest.raises(SpecError, match="bins"):
         parse_spec(b'{"chart":{"type":"bar","x":"s","bins":3}}')

@@ -193,6 +193,15 @@ def test_sonify_flags(workdir):
         assert w.getframerate() == 22050
 
 
+@pytest.mark.parametrize("duration", ["inf", "nan", "0"])
+def test_sonify_refuses_a_duration_no_wav_can_hold(workdir, capsys, duration):
+    assert main(["sonify", "lin.json", "--duration", duration, "-o", "d.wav"]) == 1
+    assert capsys.readouterr().err == (
+        f"polyrep: error[data]: duration must be positive and finite, got {float(duration)}\n"
+    )
+    assert not Path("d.wav").exists()
+
+
 @pytest.mark.parametrize("name", ["penguins_bar", "penguins_hist"])
 def test_sonify_plays_bars_and_bins_without_categorical(workdir, name):
     # the flag is still accepted, and changes nothing
@@ -214,6 +223,14 @@ def test_tactile_with_preview(workdir, capsys):
     assert main(["alt", "penguins_box.json"]) == 0
     desc = ET.parse("box.preview.svg").find("{http://www.w3.org/2000/svg}desc")
     assert desc.text + "\n" == capsys.readouterr().out  # the chart's alt text
+
+
+def test_tactile_preview_of_the_densest_fixture_page_parses(workdir):
+    # the scatter's title fits only braille11x11, whose preview outlines
+    # every glyph of the page
+    assert main(["tactile", "penguins_scatter.json", "--paper", "braille11x11",
+                 "--preview", "-o", "t.pdf"]) == 0
+    ET.parse("t.preview.svg")
 
 
 def test_tactile_paper_a4(workdir):
@@ -321,6 +338,13 @@ def test_audit_palette_pass_and_fail_exit_codes(workdir, capsys):
     assert "result: FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_audit_palette_refuses_a_threshold_no_deltae_meets(capsys, threshold):
+    assert main(["audit-palette", "okabe-ito", f"--threshold={threshold}"]) == 1
+    assert capsys.readouterr() == (
+        "", f"polyrep: error[data]: threshold must be a finite deltaE, got {threshold}\n")
+
+
 def test_audit_palette_json(workdir, capsys):
     assert main(["audit-palette", "okabe-ito", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -376,10 +400,19 @@ def _scatter_spec(inline: dict, **chart) -> dict:
          "inline column 'x' holds true; use a number, a string or null"),
         (_scatter_spec({"x": [1, 10**400], "y": [3, 4]}),
          "inline column 'x' holds an integer too large for a double; rescale it"),
+        (_scatter_spec({"x": [1, 2], "y": [3, 4]}, grup="g"),
+         "unknown key 'grup' in \"chart\"; did you mean 'group'?"),
+        ({**_scatter_spec({"x": [1, 2], "y": [3, 4]}), "palette": [5, "#000000"]},
+         "bad palette entry: expected #RRGGBB hex color, got 5"),
+        ({**_scatter_spec({"x": [1, 2], "y": [3, 4]}), "title": "a\ud800b"},
+         "spec holds the lone surrogate '\\ud800'; remove it or complete its pair"),
+        (_scatter_spec({"x": [1, 2], "y": [3, 4], "g\udfff": ["a", "b"]}),
+         "spec holds the lone surrogate '\\udfff'; remove it or complete its pair"),
     ],
     ids=["missing-column", "numeric-group", "bar-missing-column",
          "histogram-missing-column", "inline-missing-token", "inline-boolean",
-         "inline-huge-integer"],
+         "inline-huge-integer", "misspelled-key", "non-string-palette-entry",
+         "lone-surrogate-value", "lone-surrogate-key"],
 )
 @pytest.mark.parametrize("command", CHART_COMMANDS)
 def test_chart_commands_reject_unbound_spec_alike(workdir, capsys, command, spec,
@@ -387,6 +420,75 @@ def test_chart_commands_reject_unbound_spec_alike(workdir, capsys, command, spec
     Path("bad.json").write_text(json.dumps(spec), encoding="utf-8")
     assert main([command, "bad.json"]) == 1
     assert capsys.readouterr().err == f"polyrep: error[spec]: {message}\n"
+
+
+def _long_csv(header: str, record, late) -> str:
+    """A header and records 2 to 20,000, `record(i)` each, except that
+    record 15,000, in a later chunk of the parser than the first records,
+    is `late` of its record."""
+    rows = [header] + [record(i) for i in range(2, 20001)]
+    rows[14999] = late(rows[14999])
+    return "\n".join(rows) + "\n"
+
+
+DEEP_RAGGED_CSV = _long_csv("a,b,c", lambda i: f"{i},{i % 7},{i / 3:.3f}", lambda r: r + ",9")
+# v is a number in every record but 15,000, a later chunk than its first numbers
+LATE_WORD_CSV = _long_csv("v", lambda i: str(i % 5), lambda r: "word")
+
+
+# CSV text that cannot be bound is refused by every mode with one line,
+# naming the record it is in
+@pytest.mark.parametrize("csv,chart,line", [
+    ("a,b,c\n1,2,3,4\n5,6\n", {"type": "bar", "x": "a"},
+     "error[csv]: row 2: expected 3 fields, found 4"),
+    ('a,b,c\n1,"2",3,4\n5,6\n', {"type": "bar", "x": "a"},
+     "error[csv]: row 2: expected 3 fields, found 4"),
+    (DEEP_RAGGED_CSV, {"type": "histogram", "x": "c"},
+     "error[csv]: row 15000: expected 3 fields, found 4"),
+    ("s\nAdelie\n" + "x" * 131073 + "\n", {"type": "bar", "x": "s"},
+     "error[csv]: row 3: field larger than field limit (131072)"),
+    (LATE_WORD_CSV, {"type": "histogram", "x": "v"},
+     "error[spec]: histogram needs numeric x"),
+], ids=["ragged", "ragged-quoted", "ragged-past-the-first-chunk", "overlong-field",
+        "late-word"])
+@pytest.mark.parametrize("command", CHART_COMMANDS)
+def test_chart_commands_refuse_an_unbindable_csv_alike(workdir, capsys, command,
+                                                       csv, chart, line):
+    Path("bad.csv").write_text(csv, encoding="utf-8")
+    spec = {"data": {"csv": "bad.csv"}, "chart": chart}
+    Path("bad.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main([command, "bad.json"]) == 1
+    assert capsys.readouterr() == ("", f"polyrep: {line}\n")
+    assert sorted(p.name for p in Path().glob("bad.*")) == ["bad.csv", "bad.json"]
+
+
+def test_a_late_word_makes_its_column_categorical(workdir, capsys):
+    Path("late.csv").write_text(LATE_WORD_CSV, encoding="utf-8")
+    spec = {"data": {"csv": "late.csv"}, "chart": {"type": "bar", "x": "v"}}
+    Path("late.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["alt", "late.json"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "It has x-axis 'v' with labels 2, 3, 4, 0, 1 and word.")
+
+
+# a character that XML cannot hold (each text's second) is refused by the
+# commands that write an SVG, which then write no file; alt prints it
+@pytest.mark.parametrize("spec,text", [
+    ({**_scatter_spec({"x": [1, 2], "y": [3, 4]}), "title": "a\x01b"}, "a\x01b"),
+    (_scatter_spec({"x": [1, 2], "y": [3, 4], "g": ["a\x02", "b"]}, group="g"), "a\x02"),
+    ({"data": {"csv": "bad.csv"}, "chart": {"type": "bar", "x": "c"}}, "a\x03"),
+], ids=["title", "group-level", "csv-category"])
+@pytest.mark.parametrize("command", ("render", "cvd-grid"))
+def test_svg_commands_refuse_a_character_xml_cannot_hold(workdir, capsys, command,
+                                                         spec, text):
+    Path("bad.csv").write_text("c\na\x03\nb\n", encoding="utf-8")
+    Path("bad.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert main([command, "bad.json", "-o", "bad.svg"]) == 1
+    assert capsys.readouterr() == ("", f"polyrep: error[data]: text {text!r} holds "
+                                       f"{text[1]!r}, which an SVG cannot hold; remove it\n")
+    assert not list(Path().glob("bad.svg*"))
+    assert main(["alt", "bad.json"]) == 0
+    assert text in capsys.readouterr().out
 
 
 def test_fit_with_overflowing_sums_states_no_trend(workdir, capsys):
@@ -539,16 +641,6 @@ def test_sonify_refuses_a_box_plot_before_binding(workdir, capsys, monkeypatch, 
         "polyrep: error[data]: cannot sonify a boxplot chart\n"
     )
     assert not Path("box.wav").exists()
-
-
-def test_overlong_csv_field_exits_1(workdir, capsys):
-    Path("long.csv").write_text("species\nAdelie\n" + "x" * 131073 + "\n")
-    Path("long.json").write_text(
-        '{"data":{"csv":"long.csv"},"chart":{"type":"bar","x":"species"}}'
-    )
-    assert main(["alt", "long.json"]) == 1
-    err = capsys.readouterr().err
-    assert "error[csv]: row 3: field larger than field limit" in err
 
 
 # Each command imports only the modules it runs, and only audio needs numpy:

@@ -78,8 +78,8 @@ def test_hex_case_insensitive():
 
 
 def test_hex_malformed_rejected():
-    for bad in ("#FFF", "123456X", "#GG0000", ""):
-        with pytest.raises(DataError):
+    for bad in ("#FFF", "123456X", "#GG0000", "", 5, None):
+        with pytest.raises(DataError, match=f"expected #RRGGBB hex color, got {bad!r}$"):
             Rgb.from_hex(bad)
 
 

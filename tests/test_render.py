@@ -538,6 +538,19 @@ def test_svg_deterministic(penguins):
     assert emit_svg(scene, alt) == emit_svg(scene2, alt2)
 
 
+@pytest.mark.parametrize("char", ["\x00", "\x08", "\x0b", "\x0c", "\x0e", "\x1f",
+                                  "\ud800", "\udfff", "\ufffe", "\uffff"])
+def test_xml_escape_refuses_what_xml_cannot_hold(char):
+    with pytest.raises(DataError) as err:
+        svgout.xml_escape(f"a{char}b")
+    assert f"holds {char!r}, which an SVG cannot hold" in str(err.value)
+
+
+def test_xml_escape_keeps_what_xml_holds():
+    text = "\t\n\r \x7f\ud7ff\ue000\ufffd\U00010000 <&>\""
+    assert ET.fromstring(f"<t>{svgout.xml_escape(text)}</t>").text == text.replace("\r", "\n")
+
+
 def test_svg_escapes_markup():
     data = inline_dataset({"x": ["a<b&c", "a<b&c"]})
     spec = parse_spec(
