@@ -44,7 +44,7 @@ from operator import is_, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .color import Palette, Rgb, okabe_ito
+from .color import Palette, is_palette_name, okabe_ito, parse_palette
 from .dataset import MISSING_TOKENS, Column, Dataset, _typed_column, parse_csv
 from .errors import DataError, SpecError
 from .stats import (BoxStats, LinearFit, bar_counts, box_stats, histogram, linear_fit,
@@ -236,11 +236,10 @@ def parse_spec(data: bytes) -> ChartSpec:
 
 
 def _parse_palette(value) -> Palette:
-    if value == "okabe-ito":
-        return okabe_ito()
-    if isinstance(value, list) and value:
+    # a name or a non-empty list; only a list's entries can be bad
+    if isinstance(value, str) and is_palette_name(value) or isinstance(value, list) and value:
         try:
-            return Palette(tuple(Rgb.from_hex(h) for h in value))
+            return parse_palette(value)
         except DataError as exc:
             raise SpecError(f"bad palette entry: {exc}") from None
     raise SpecError("palette must be \"okabe-ito\" or a list of #RRGGBB strings")

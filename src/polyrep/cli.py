@@ -53,16 +53,21 @@ def _alt_args(p) -> None:
 
 
 def _sonify_args(p) -> None:
+    from .sonify import SonifyConfig as defaults
+
     _spec_args(p, "output WAV path (default: <spec>.wav)")
     p.add_argument(
         "--mode",
         choices=("discrete", "sweep", "regression"),
         help="tone mode (default: sweep for line charts, else discrete)",
     )
-    p.add_argument("--duration", type=float, default=5.0, help="seconds (default 5)")
-    p.add_argument("--fmin", type=float, default=440.0, help="low pitch Hz (default 440)")
-    p.add_argument("--fmax", type=float, default=880.0, help="high pitch Hz (default 880)")
-    p.add_argument("--rate", type=int, default=44100, help="sample rate Hz (default 44100)")
+    for flag, kind, default, what in (
+        ("--duration", float, defaults.duration_s, "seconds"),
+        ("--fmin", float, defaults.f_min, "low pitch Hz"),
+        ("--fmax", float, defaults.f_max, "high pitch Hz"),
+        ("--rate", int, defaults.sample_rate, "sample rate Hz"),
+    ):
+        p.add_argument(flag, type=kind, default=default, help=f"{what} (default %(default)g)")
     p.add_argument("--log-pitch", action="store_true", help="logarithmic pitch mapping")
     p.add_argument(
         "--categorical",
@@ -89,13 +94,14 @@ def _tactile_args(p) -> None:
 
 
 def _audit_palette_args(p) -> None:
+    from .color import AUDIT_THRESHOLD
+
     p.add_argument(
         "colors",
         help="comma-separated #RRGGBB list, or the palette name 'okabe-ito'",
     )
-    p.add_argument(
-        "--threshold", type=float, default=10.0, help="minimum deltaE (default 10)"
-    )
+    p.add_argument("--threshold", type=float, default=AUDIT_THRESHOLD,
+                   help="minimum deltaE (default %(default)g)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
 
 
@@ -216,14 +222,12 @@ def _cmd_tactile(args) -> int:
 
 
 def _cmd_audit_palette(args) -> int:
-    from .color import Palette, Rgb, audit_palette, okabe_ito
+    from .color import audit_palette, is_palette_name, parse_palette
 
-    if args.colors.strip().lower() == "okabe-ito":
-        palette = okabe_ito()
-    else:
-        hexes = [h.strip() for h in args.colors.split(",") if h.strip()]
-        palette = Palette(tuple(Rgb.from_hex(h) for h in hexes))
-    report = audit_palette(palette, threshold=args.threshold)
+    colors = args.colors
+    if not is_palette_name(colors):
+        colors = [h.strip() for h in colors.split(",") if h.strip()]
+    report = audit_palette(parse_palette(colors), threshold=args.threshold)
     if args.json:
         print(report.to_json())
     else:

@@ -166,6 +166,21 @@ def okabe_ito() -> Palette:
     return Palette(tuple(Rgb.from_hex(h) for h in _OKABE_ITO_HEX), name="okabe-ito")
 
 
+def is_palette_name(text: str) -> bool:
+    """Whether `text` is "okabe-ito", its surrounding spaces and case ignored."""
+    return text.strip().lower() == "okabe-ito"
+
+
+def parse_palette(value: str | list[str]) -> Palette:
+    """The palette a name gives (see `is_palette_name`) or a list of #RRGGBB
+    strings lists; DataError for any other string, or no, bad or repeated colors."""
+    if isinstance(value, str):
+        if not is_palette_name(value):
+            raise DataError(f"unknown palette {value!r}; expected 'okabe-ito'")
+        return okabe_ito()
+    return Palette(tuple(Rgb.from_hex(h) for h in value))
+
+
 # D65 sRGB -> XYZ (IEC 61966-2-1), then CIE L*a*b*.
 _XYZ_ROWS = (
     (0.4124564, 0.3575761, 0.1804375),
@@ -197,6 +212,7 @@ def delta_e(a: Rgb, b: Rgb) -> float:
 # palettes deliberately use near-equal luminances and would always fail a
 # grayscale distance gate (that is what the shape/linetype rules are for).
 _GATED_KINDS = (CvdKind.DEUTAN, CvdKind.PROTAN, CvdKind.TRITAN)
+AUDIT_THRESHOLD = 10.0  # the least deltaE a gated kind's closest pair may have
 
 
 @dataclass(frozen=True)
@@ -262,7 +278,7 @@ class AuditReport:
         )
 
 
-def audit_palette(palette: Palette, threshold: float = 10.0) -> AuditReport:
+def audit_palette(palette: Palette, threshold: float = AUDIT_THRESHOLD) -> AuditReport:
     """Minimum pairwise deltaE between simulated colors, per deficiency kind.
 
     The report passes iff the minimum for every dichromacy kind is at or

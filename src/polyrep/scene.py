@@ -10,9 +10,10 @@ axis gives each label an equal slot, ticked at its centre.
 The Scene separates data marks (points, rects, lines that encode values;
 these get stable ids and are recolored by the deficiency grid) from
 decorations (axes, tick labels, titles, legend). Coordinates are SVG
-pixels, y down. The scene keeps only the device positions of its ticks
-(`x_ticks`, `y_ticks`) and carries the summary it was laid out from, whose
-axis titles and labels the SVG and the tactile page draw.
+pixels, y down, on one `WIDTH` by `HEIGHT` canvas. The scene keeps only the
+device positions of its ticks (each panel's x ticks in `panels`, the shared
+`y_ticks`) and carries the summary it was laid out from, whose axis titles
+and labels the SVG and the tactile page draw.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .chartspec import ChartSpec, ChartSummary, DataAxis
@@ -166,57 +167,66 @@ class LegendEntry:
     dash: tuple[float, ...] | None = None
 
 
+# each panel (the whole plot unless faceted) and where its x labels sit
+Panels = tuple[tuple[Rect, tuple[float, ...]], ...]
+
+
 @dataclass(frozen=True)
 class Scene:
-    width: float
-    height: float
     plot: Rect
     marks: tuple[Mark, ...]
     decorations: tuple[Mark, ...]
-    x_ticks: tuple[float, ...]  # device positions of summary.x_axis.labels
-    y_ticks: tuple[float, ...]  # and of summary.y_axis.labels
+    panels: Panels
+    y_ticks: tuple[float, ...]  # device positions of summary.y_axis.labels
     legend: tuple[LegendEntry, ...]
     summary: ChartSummary
 
 
-class LinearScale:
-    """Affine data -> device map of a domain `chartspec.summarize` checked is
-    open."""
-
-    def __init__(self, d0: float, d1: float, r0: float, r1: float):
-        self.d0, self.d1, self.r0, self.r1 = d0, d1, r0, r1
-
-    def __call__(self, v: float) -> float:
-        t = (v - self.d0) / (self.d1 - self.d0)
-        return self.r0 + t * (self.r1 - self.r0)
-
-
 def layout(summary: ChartSummary) -> Scene:
-    """Lay a chart's summary out on the default canvas."""
+    """Lay a chart's summary out on the default canvas: place the plot,
+    narrowed for a legend, and scale its y axis; the chart type's builder
+    draws on them, and the decorations follow: axes, chrome, legend, extras."""
+    spec = summary.spec
     builder = {
         "bar": _layout_bar,
         "histogram": _layout_histogram,
         "boxplot": _layout_boxplot,
         "scatter": _layout_points,
         "line": _layout_points,
-    }[summary.spec.chart_type]
-    return builder(summary)
+    }[spec.chart_type]
+    w = WIDTH - 2 * MARGIN - (LEGEND_WIDTH if _keyed(spec) else 0.0)
+    plot = Rect(MARGIN, MARGIN, w, HEIGHT - 2 * MARGIN)
+    sy, y_ticks = _scale_axis(summary.y_axis, plot.y1, plot.y)
+    marks, panels, legend, extras = builder(summary, plot, sy)
+    decos = _axis_decorations(summary, plot, y_ticks, panels)
+    decos.extend(_chrome_decorations(spec))
+    if legend:
+        decos.extend(_legend_decorations(plot, spec.group, legend))
+    decos.extend(extras)
+    return Scene(plot, tuple(marks), tuple(decos), panels, y_ticks, legend, summary)
+
+
+Scale = Callable[[float], float]  # data to device, along one axis
+# a builder's marks, panels with their x ticks, legend and extra decorations
+Drawn = tuple[list[Mark], Panels, tuple[LegendEntry, ...], list[Mark]]
+
+
+def _keyed(spec: ChartSpec) -> bool:
+    """Whether a legend keys the groups: grouped points or lines in one panel."""
+    return spec.group is not None and not spec.encodings.facet
 
 
 # -- shared assembly -------------------------------------------------------
 
 
-def _plot_rect(with_legend: bool) -> Rect:
-    w = WIDTH - 2 * MARGIN - (LEGEND_WIDTH if with_legend else 0.0)
-    return Rect(MARGIN, MARGIN, w, HEIGHT - 2 * MARGIN)
+def _scale_axis(axis: DataAxis, r0: float, r1: float) -> tuple[Scale, tuple[float, ...]]:
+    """The affine map of a value axis's domain, which `chartspec.summarize`
+    checked is open, onto device [r0, r1], and the axis's ticks drawn there."""
+    d0, d1 = axis.domain
 
+    def scale(v: float) -> float:
+        return r0 + (v - d0) / (d1 - d0) * (r1 - r0)
 
-def _scale_axis(
-    axis: DataAxis, r0: float, r1: float
-) -> tuple[LinearScale, tuple[float, ...]]:
-    """The scale of a value axis's domain onto device [r0, r1], and the
-    axis's ticks drawn there."""
-    scale = LinearScale(*axis.domain, r0, r1)
     return scale, tuple(map(scale, axis.ticks))
 
 
@@ -228,10 +238,7 @@ def _band_slots(n: int, plot: Rect) -> tuple[float, tuple[float, ...]]:
 
 
 def _axis_decorations(
-    summary: ChartSummary,
-    plot: Rect,
-    y_ticks: tuple[float, ...],
-    panels: Sequence[tuple[Rect, tuple[float, ...]]],
+    summary: ChartSummary, plot: Rect, y_ticks: tuple[float, ...], panels: Panels
 ) -> list[Mark]:
     """One x baseline and one set of x ticks per panel (a panel and its x
     tick positions, labelled alike), then the shared y axis and titles."""
@@ -293,34 +300,11 @@ def _legend_decorations(
     return decos
 
 
-def _assemble(
-    summary: ChartSummary,
-    plot: Rect,
-    marks: list[Mark],
-    x_ticks: tuple[float, ...],
-    y_ticks: tuple[float, ...],
-    legend: tuple[LegendEntry, ...] = (),
-    extra_decorations: Sequence[Mark] = (),
-    panels: Sequence[tuple[Rect, tuple[float, ...]]] = (),
-) -> Scene:
-    """The scene of a summary; `panels` splits the plot for facets."""
-    spec = summary.spec
-    decos = _axis_decorations(summary, plot, y_ticks, panels or ((plot, x_ticks),))
-    decos.extend(_chrome_decorations(spec))
-    if legend:
-        decos.extend(_legend_decorations(plot, spec.group, legend))
-    decos.extend(extra_decorations)
-    return Scene(WIDTH, HEIGHT, plot, tuple(marks), tuple(decos), x_ticks, y_ticks,
-                 legend, summary)
-
-
 # -- bar / histogram -------------------------------------------------------
 
 
-def _layout_bar(summary: ChartSummary) -> Scene:
+def _layout_bar(summary: ChartSummary, plot: Rect, sy: Scale) -> Drawn:
     counts = summary.values.bars
-    plot = _plot_rect(with_legend=False)
-    sy, y_ticks = _scale_axis(summary.y_axis, plot.y1, plot.y)
     slot, centers = _band_slots(len(counts), plot)
 
     marks: list[Mark] = []
@@ -329,12 +313,10 @@ def _layout_bar(summary: ChartSummary) -> Scene:
         marks.append(
             RectMark(cx - 0.4 * slot, top, 0.8 * slot, sy(0.0) - top, fill=INK)
         )
-    return _assemble(summary, plot, marks, centers, y_ticks)
+    return marks, ((plot, centers),), (), []
 
 
-def _layout_histogram(summary: ChartSummary) -> Scene:
-    plot = _plot_rect(with_legend=False)
-    sy, y_ticks = _scale_axis(summary.y_axis, plot.y1, plot.y)
+def _layout_histogram(summary: ChartSummary, plot: Rect, sy: Scale) -> Drawn:
     sx, x_ticks = _scale_axis(summary.x_axis, plot.x, plot.x1)
 
     marks: list[Mark] = []
@@ -344,16 +326,14 @@ def _layout_histogram(summary: ChartSummary) -> Scene:
         marks.append(
             RectMark(left, top, right - left, sy(0.0) - top, fill=INK, stroke=WHITE)
         )
-    return _assemble(summary, plot, marks, x_ticks, y_ticks)
+    return marks, ((plot, x_ticks),), (), []
 
 
 # -- boxplot ---------------------------------------------------------------
 
 
-def _layout_boxplot(summary: ChartSummary) -> Scene:
+def _layout_boxplot(summary: ChartSummary, plot: Rect, sy: Scale) -> Drawn:
     boxes = summary.values.boxes
-    plot = _plot_rect(with_legend=False)
-    sy, y_ticks = _scale_axis(summary.y_axis, plot.y1, plot.y)
     slot, centers = _band_slots(len(boxes), plot)
 
     marks: list[Mark] = []
@@ -375,13 +355,13 @@ def _layout_boxplot(summary: ChartSummary) -> Scene:
 
     # an ungrouped box has no x axis: no labels, so no ticks
     x_ticks = centers if summary.x_axis.labels else ()
-    return _assemble(summary, plot, marks, x_ticks, y_ticks)
+    return marks, ((plot, x_ticks),), (), []
 
 
 # -- scatter / line --------------------------------------------------------
 
 
-def _layout_points(summary: ChartSummary) -> Scene:
+def _layout_points(summary: ChartSummary, plot: Rect, sy: Scale) -> Drawn:
     spec = summary.spec
     by_level: dict[str | None, list[tuple[float, float]]] = {}
     for x, y, g in summary.values.rows:
@@ -390,7 +370,6 @@ def _layout_points(summary: ChartSummary) -> Scene:
     order = summary.group_levels or (None,)
     grouped = spec.group is not None
     facet = spec.encodings.facet and grouped
-    plot = _plot_rect(with_legend=grouped and not facet)
 
     # one style per level, read by the marks and by the legend alike
     enc = spec.encodings
@@ -407,37 +386,30 @@ def _layout_points(summary: ChartSummary) -> Scene:
                      else ShapeKind.CIRCLE)
             styles.append(LegendEntry(level or "", color, shape=shape))
 
-    sy, y_ticks = _scale_axis(summary.y_axis, plot.y1, plot.y)
-
-    panels = [plot]
+    rects = [plot]
     if facet:
         gap = 12.0
         panel_w = (plot.w - gap * (len(order) - 1)) / len(order)
-        panels = [Rect(plot.x + i * (panel_w + gap), plot.y, panel_w, plot.h)
-                  for i in range(len(order))]
-    x_axes = [_scale_axis(summary.x_axis, panel.x, panel.x1) for panel in panels]
+        rects = [Rect(plot.x + i * (panel_w + gap), plot.y, panel_w, plot.h)
+                 for i in range(len(order))]
+    x_axes = [_scale_axis(summary.x_axis, rect.x, rect.x1) for rect in rects]
     marks: list[Mark] = []
     for i, (level, style) in enumerate(zip(order, styles)):
         sx = x_axes[i if facet else 0][0]
         marks.extend(_series_marks(by_level[level], style, sx, sy))
-    panel_ticks = [(panel, ticks) for panel, (_, ticks) in zip(panels, x_axes)]
+    panels = tuple((rect, ticks) for rect, (_, ticks) in zip(rects, x_axes))
     facet_labels = [
-        TextMark(panel.x + panel.w / 2, panel.y - 8, level, anchor="middle")
-        for panel, level in zip(panels, order)
+        TextMark(rect.x + rect.w / 2, rect.y - 8, level, anchor="middle")
+        for rect, level in zip(rects, order)
     ] if facet else []
-    return _assemble(
-        summary, plot, marks, panel_ticks[0][1], y_ticks,
-        tuple(styles) if grouped and not facet else (),
-        facet_labels,
-        panel_ticks,
-    )
+    return marks, panels, tuple(styles) if _keyed(spec) else (), facet_labels
 
 
 def _series_marks(
     pts: list[tuple[float, float]],
     style: LegendEntry,
-    sx: LinearScale,
-    sy: LinearScale,
+    sx: Scale,
+    sy: Scale,
 ) -> list[Mark]:
     if style.shape is None:  # a line level of two or more rows
         return [

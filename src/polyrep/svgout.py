@@ -16,6 +16,8 @@ from typing import Callable
 from .color import CvdKind, Rgb, simulate_cvd
 from .errors import DataError
 from .scene import (
+    HEIGHT,
+    WIDTH,
     Mark,
     PointMark,
     PolylineMark,
@@ -218,7 +220,7 @@ def emit_svg(scene: Scene, alt: AltText, short_alt: str | None = None) -> bytes:
     """Serialize a scene; the <desc> carries the flattened alt text."""
     title = short_alt if short_alt else alt.sentences[0]
     body = _Body(scene).paint(lambda c: c, "m")
-    return _document(scene.width, scene.height, title, alt.flattened, body)
+    return _document(WIDTH, HEIGHT, title, alt.flattened, body)
 
 
 def grid_alt(base_alt: AltText) -> AltText:
@@ -244,11 +246,11 @@ def cvd_grid(scene: Scene, alt: AltText) -> bytes:
     body: list[str] = []
     full = grid_alt(alt)
     for i, (name, kind) in enumerate(GRID_PANELS):
-        tx = (i % 2) * scene.width
-        ty = (i // 2) * scene.height
+        tx = (i % 2) * WIDTH
+        ty = (i // 2) * HEIGHT
         body.append(
             f'\n<g id="panel-{kind.value}" transform="translate({_fmt(tx)} {_fmt(ty)})">'
-            f'\n<text x="{_fmt(scene.width / 2)}" y="16" text-anchor="middle" '
+            f'\n<text x="{_fmt(WIDTH / 2)}" y="16" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" fill="#000000">'
             f"{xml_escape(name)}</text>"
         )
@@ -257,6 +259,6 @@ def cvd_grid(scene: Scene, alt: AltText) -> bytes:
         )
         body.append("\n</g>")
     return _document(
-        scene.width * 2, scene.height * 2, full.sentences[0], full.flattened,
+        WIDTH * 2, HEIGHT * 2, full.sentences[0], full.flattened,
         "".join(body),
     )

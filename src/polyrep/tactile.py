@@ -3,10 +3,11 @@
 Geometry is millimeter-space. Chart strokes come from the laid-out scene
 (filled bars and bins become outlines hatched with horizontal lines,
 white box-plot boxes bare outlines); every text label is re-set in
-braille. Axis ticks are thinned to at most five per axis and label runs
-are displaced outward until no braille dot touches a stroke; a label
-whose ink would cross a margin is an error. Underscores in labels become
-spaces so column names stay within the braille alphabet.
+braille. Ticks are thinned to at most five per axis, and each facet panel
+has its own x baseline and x ticks; label runs are displaced outward until
+no braille dot touches a stroke, and a label whose ink would cross a margin
+is an error. Underscores in labels become spaces so column names stay
+within the braille alphabet.
 
 Marker glyphs (scatter points and box-plot outliers) are items of their
 own: a centre, a shape and a radius. Every glyph of one shape and radius
@@ -64,7 +65,7 @@ MIN_STROKE = 1.0
 # bare paper (mm) kept between a braille label dot and any stroke's ink
 LABEL_CLEARANCE = 0.5
 
-MAX_TICKS = 5  # per axis
+MAX_TICKS = 5  # per axis, and per panel on x
 
 
 @dataclass(frozen=True)
@@ -402,7 +403,9 @@ class _PageBuilder:
         title = summary.spec.title
         x_title, y_title = summary.x_axis.title, summary.y_axis.title
 
-        x_pairs = _limit_ticks(scene.x_ticks, summary.x_axis.labels)
+        # every panel carries its own x scale, thinned alike
+        x_pairs = [pair for _, ticks in scene.panels
+                   for pair in _limit_ticks(ticks, summary.x_axis.labels)]
         y_pairs = _limit_ticks(scene.y_ticks, summary.y_axis.labels)
 
         # gutters reserve room for braille before the chart is scaled
@@ -453,11 +456,12 @@ class _PageBuilder:
             scene.plot.w * scale, scene.plot.h * scale,
         )
 
-        # axes and ticks
+        # axes and ticks: one x baseline per panel
         tick_len = 4.0
-        self.strokes.append(
-            Stroke(((plot_mm.x, plot_mm.y1), (plot_mm.x1, plot_mm.y1)), MIN_STROKE)
-        )
+        for panel, _ in scene.panels:
+            self.strokes.append(
+                Stroke(((mx(panel.x), plot_mm.y1), (mx(panel.x1), plot_mm.y1)), MIN_STROKE)
+            )
         self.strokes.append(
             Stroke(((plot_mm.x, plot_mm.y), (plot_mm.x, plot_mm.y1)), MIN_STROKE)
         )

@@ -351,6 +351,22 @@ def test_audit_palette_json(workdir, capsys):
     assert doc["pass"] is True and len(doc["colors"]) == 8
 
 
+# a spec's "palette" and audit-palette's colors read one spelling alike: the
+# name with the spaces around it stripped and its case ignored, or the colors
+@pytest.mark.parametrize("spec_palette, colors", [
+    ("okabe-ito", "okabe-ito"),
+    (" Okabe-Ito ", " Okabe-Ito "),
+    ("OKABE-ITO", "OKABE-ITO"),
+    (["#E69F00", " #56b4e9", "009E73"], "#E69F00, #56b4e9,009E73"),
+], ids=["name", "spaced-title-case", "upper-case", "colors"])
+def test_spec_and_audit_palette_read_a_palette_alike(capsys, spec_palette, colors):
+    spec = parse_spec(json.dumps({"chart": {"type": "bar", "x": "s"},
+                                  "palette": spec_palette}).encode())
+    assert main(["audit-palette", colors, "--json"]) == 0
+    audited = json.loads(capsys.readouterr().out)["colors"]
+    assert audited == [color.to_hex() for color in spec.palette.colors]
+
+
 def test_audit_palette_no_color_env(workdir, capsys, monkeypatch):
     monkeypatch.setenv("POLYREP_NO_COLOR", "1")
     main(["audit-palette", "okabe-ito"])

@@ -157,7 +157,7 @@ def test_grouped_box_plot_alpha_order():
     assert x_labels == ("apple", "fig", "pear")
     band_labels = sorted((m.x, m.text) for m in scene.decorations
                          if isinstance(m, TextMark) and m.text in x_labels)
-    assert band_labels == list(zip(scene.x_ticks, ("apple", "fig", "pear")))
+    assert band_labels == list(zip(scene.panels[0][1], ("apple", "fig", "pear")))
     boxes = [s for s in auto_alt(scene.summary).sentences if s.startswith("Box ")]
     assert [s.split(", quartiles")[0] for s in boxes] == [
         "Box 1 summarizes apple with median 1.5",
@@ -211,9 +211,9 @@ def test_facet_x_baseline_drawn_once_per_panel(penguins):
     assert all(a[1] < b[0] for a, b in zip(baselines, baselines[1:]))
     ticks = [m.x1 for m in scene.decorations
              if isinstance(m, SegmentMark) and m.y1 == plot.y1 and m.y2 == plot.y1 + 5]
-    assert len(ticks) == 3 * len(scene.x_ticks)
+    assert len(ticks) == 3 * len(scene.panels[0][1])
     for x0, x1 in baselines:
-        assert sum(x0 <= t <= x1 for t in ticks) == len(scene.x_ticks)
+        assert sum(x0 <= t <= x1 for t in ticks) == len(scene.panels[0][1])
 
 
 def test_group_levels_come_from_drawn_rows():
@@ -296,7 +296,7 @@ def test_summary_is_the_laid_out_summary(name, fixtures_dir):
     summary = summarize(spec, bind(spec, data))
     assert summary == scene.summary
     # the scene draws one tick per label the summary gives each axis
-    for drawn, said in ((scene.x_ticks, summary.x_axis), (scene.y_ticks, summary.y_axis)):
+    for drawn, said in ((scene.panels[0][1], summary.x_axis), (scene.y_ticks, summary.y_axis)):
         assert len(drawn) == len(said.labels)
 
 
@@ -342,7 +342,7 @@ def _scatter_axes(penguins):
     scene, _ = scene_and_alt("penguins_scatter.json", penguins)
     rows = _complete(penguins, "flipper_length_mm", "bill_length_mm")
     x, y, plot = scene.summary.x_axis, scene.summary.y_axis, scene.plot
-    return [(scene.x_ticks, x.labels, *_span([r[0] for r in rows]), plot.x, plot.x1, False),
+    return [(scene.panels[0][1], x.labels, *_span([r[0] for r in rows]), plot.x, plot.x1, False),
             (scene.y_ticks, y.labels, *_span([r[1] for r in rows]), plot.y1, plot.y, False)]
 
 
@@ -359,7 +359,7 @@ def _hist_axes(penguins):
     bins = scene.summary.values.bins
     top = float(max(c for _, _, c in bins))
     x, y, plot = scene.summary.x_axis, scene.summary.y_axis, scene.plot
-    return [(scene.x_ticks, x.labels, bins[0][0], bins[-1][1], plot.x, plot.x1, False),
+    return [(scene.panels[0][1], x.labels, bins[0][0], bins[-1][1], plot.x, plot.x1, False),
             (scene.y_ticks, y.labels, 0.0, top, plot.y1, plot.y, True)]
 
 
@@ -383,7 +383,7 @@ def _line_axes(penguins):
     spec = parse_spec(b'{"chart":{"type":"line","x":"x","y":"y"}}')
     scene = laid_out(spec, load_dataset(load_fixture_spec("lin.json")))
     x, y, plot = scene.summary.x_axis, scene.summary.y_axis, scene.plot
-    return [(scene.x_ticks, x.labels, 1.0, 5.0, plot.x, plot.x1, False),
+    return [(scene.panels[0][1], x.labels, 1.0, 5.0, plot.x, plot.x1, False),
             (scene.y_ticks, y.labels, 1.0, 5.0, plot.y1, plot.y, False)]
 
 

@@ -30,6 +30,7 @@ from polyrep.tactile import (
     DOT_PITCH,
     LABEL_CLEARANCE,
     MARGIN,
+    MAX_TICKS,
     BrailleRun,
     Dot,
     Glyph,
@@ -154,7 +155,7 @@ def test_all_ink_within_margins(box_page):
 def test_ticks_limited_to_five_per_axis(penguins):
     spec = load_fixture_spec("penguins_hist.json")
     scene = laid_out(spec, penguins)
-    assert len(scene.x_ticks) > 5  # the scene itself has more
+    assert len(scene.panels[0][1]) > 5  # the scene itself has more
     page = tactualize(scene)
     # tactile x ticks: strokes that drop below the x baseline
     base_y = max(y for s in page.strokes[:1] for _, y in s.points)
@@ -484,6 +485,38 @@ def test_markless_scene_page_has_axes_only(penguins):
     assert len(vertical_axis) >= 2
     assert all(not s.close for s in page.ink())
     assert page.dots
+
+
+@pytest.mark.parametrize("paper", ["letter", "a4", "braille11x11"])
+def test_faceted_page_scales_every_panel(paper):
+    """Each facet panel gets its own x baseline, its own ticks and their
+    braille labels, so every glyph has an x scale under it."""
+    scene = _laid_out_case("six_shapes_facet")
+    labels = scene.summary.x_axis.labels
+    builder = _PageBuilder(scene, TactileLayout.for_paper(paper))
+    page = builder.build()
+    two_point = [s.points for s in page.strokes if len(s.points) == 2]
+    base_y = max(a[1] for a, b in two_point if a[1] == b[1])
+    baselines = sorted((a[0], b[0]) for a, b in two_point if a[1] == b[1] == base_y)
+    assert len(baselines) == len(scene.panels) == 6
+    # left to right, each one ending before the gap to the next panel
+    assert all(x0 < x1 < next_x0 for (x0, x1), (next_x0, _) in zip(baselines, baselines[1:]))
+    assert all(any(x0 <= g.x <= x1 for x0, x1 in baselines) for g in page.glyphs)
+    ticks = [a[0] for a, b in two_point if a[0] == b[0] and a[1] == base_y < b[1]]
+    # the braille runs below the axis, decoded, by the x of their centres
+    below = [(run.x + (len(run.cells) - 1) * CELL_PITCH / 2 + DOT_PITCH / 2,
+              extract_braille_runs([(d.x, d.y) for d in run.dots()]))
+             for run in builder.runs if run.y > base_y]
+    for x0, x1 in baselines:
+        under = sorted(t for t in ticks if x0 <= t <= x1)
+        assert 2 <= len(under) <= MAX_TICKS
+        texts = []
+        for t in under:
+            [[text]] = [decoded for x, decoded in below if abs(x - t) < 1e-9]
+            texts.append(text)
+        # the panel's labels are the summary's, thinned and in order
+        remaining = iter(labels)
+        assert all(text in remaining for text in texts), (texts, labels)
 
 
 # -- stroke piece index vs the brute-force oracle --------------------------
