@@ -53,6 +53,10 @@ from .stats import (BoxStats, LinearFit, bar_counts, box_stats, histogram, linea
 CHART_TYPES = ("scatter", "bar", "histogram", "boxplot", "line")
 POINT_CHARTS = ("scatter",)
 LINE_CHARTS = ("line",)
+# past this many histogram bins no bar on the 544-px plot can be wider than
+# its 1.5-px white stroke (544 / 1.5 = 362.7), so the bars run together; a
+# million bins wrote an SVG of hundreds of MB
+MAX_BINS = 362
 
 
 @dataclass(frozen=True)
@@ -180,6 +184,7 @@ def parse_spec(data: bytes) -> ChartSpec:
             isinstance(bins, int) and not isinstance(bins, bool) and bins >= 1,
             "bins must be a positive integer",
         )
+        _require(bins <= MAX_BINS, f"bins must be at most {MAX_BINS}, or the bars run together")
         _require(ctype == "histogram", "bins only applies to histograms")
     sort_order = chart.get("sort_order", "appearance")
     _require(

@@ -6,14 +6,19 @@ continuously with accumulated phase, which suits line charts and fitted
 regression lines. Output is rendered to 16-bit PCM WAV with exact header
 fields.
 
-Discrete tones are built one block per tone length: slots differ by at
-most one frame, so the tones come in at most two lengths, and each length
-is synthesized as one (tones, length) array whose rows are then scaled by
-their pan gains into their slots. Pitch and pan stay scalar `map_pitch`
-and `pan_gains` calls per sounding tone, because `np.power` and Python's
-`**` can differ in the last bit. The sweep and the WAV quantization work
-in place in preallocated buffers. Quantization rounds half away from zero
-as `trunc(x + copysign(0.5, x))`; `np.rint` would round half to even and
+Audio is synthesized a block of `_BLOCK` values at a time, so besides
+the (frames, 2) output no array grows with the clip. Discrete tones come
+in at most two lengths, since slots differ by at most one frame; each
+length is synthesized as (tones, frames) chunks of at most one block,
+whose rows are then scaled by their pan gains into their slots. Pitch and
+pan stay scalar `map_pitch` and `pan_gains` calls per sounding tone,
+because `np.power` and Python's `**` can differ in the last bit. The sweep
+computes pan, pitch, phase and gains for one block of frames at a time
+and carries the phase across blocks as the first term of the next block's
+running sum, so it adds in the order one whole-clip `np.cumsum` would.
+`write_wav` quantizes a block at a time straight into the bytearray it
+returns. Quantization rounds half away from zero as
+`trunc(x + copysign(0.5, x))`; `np.rint` would round half to even and
 change bytes.
 
 numpy is imported inside the functions that make audio, so commands that
@@ -135,6 +140,10 @@ FADE_S = 0.005  # linear fade per tone edge, suppresses clicks
 GAP_FRACTION = 0.15  # silent share of each discrete tone's time slot
 AMPLITUDE = 0.8  # peak sample magnitude of every tone and sweep
 
+# values made per step of synthesis and of quantization: the float scratch
+# stays small, instead of whole-clip arrays beside the output
+_BLOCK = 16384
+
 
 def sonify_points(
     x: list[float | None], y: list[float | None], cfg: SonifyConfig | None = None
@@ -161,8 +170,8 @@ def sonify_points(
     y_lo, y_hi = min(ys), max(ys)
 
     # slots are floor or ceil(n_frames / n) frames long, so the sounding
-    # tones come in at most two lengths; each length is synthesized as one
-    # (tones, length) block whose rows are then scaled into their slots
+    # tones come in at most two lengths; each length is synthesized in
+    # (tones, frames) chunks whose rows are then scaled into their slots
     n = len(pairs)
     by_length: dict[int, list[tuple[int, float, float, float]]] = {}
     for i, (xv, yv) in enumerate(pairs):
@@ -176,18 +185,30 @@ def sonify_points(
         by_length.setdefault(tone_len, []).append((s0, 2.0 * math.pi * f, left, right))
     fade_max = round(FADE_S * cfg.sample_rate)
     for tone_len, tones in by_length.items():
-        t = np.arange(tone_len) / cfg.sample_rate
-        block = np.multiply.outer([tone[1] for tone in tones], t)
-        np.sin(block, out=block)
-        block *= AMPLITUDE
         fade = min(fade_max, tone_len // 2)
-        if fade > 0:
-            ramp = np.linspace(0.0, 1.0, fade, endpoint=False)
-            block[:, :fade] *= ramp
-            block[:, -fade:] *= ramp[::-1]
-        for (s0, _, left, right), wave in zip(tones, block):
-            np.multiply(wave, left, out=out[s0 : s0 + tone_len, 0])
-            np.multiply(wave, right, out=out[s0 : s0 + tone_len, 1])
+        rise = np.linspace(0.0, 1.0, fade, endpoint=False)
+        fall = rise[::-1]
+        # a chunk is `rows` tones by `cols` frames, at most one block
+        cols = min(tone_len, _BLOCK)
+        rows = _BLOCK // cols
+        for c0 in range(0, tone_len, cols):
+            c1 = min(c0 + cols, tone_len)
+            t = np.arange(c0, c1) / cfg.sample_rate
+            head = min(c1, fade) - c0  # frames from c0 on that fade in
+            tail = c1 - max(c0, tone_len - fade)  # frames up to c1 that fade out
+            end = c1 - (tone_len - fade)  # `fall` index of frame c1
+            for r0 in range(0, len(tones), rows):
+                chunk = tones[r0 : r0 + rows]
+                block = np.multiply.outer([tone[1] for tone in chunk], t)
+                np.sin(block, out=block)
+                block *= AMPLITUDE
+                if head > 0:
+                    block[:, :head] *= rise[c0 : c0 + head]
+                if tail > 0:
+                    block[:, -tail:] *= fall[end - tail : end]
+                for (s0, _, left, right), wave in zip(chunk, block):
+                    np.multiply(wave, left, out=out[s0 + c0 : s0 + c1, 0])
+                    np.multiply(wave, right, out=out[s0 + c0 : s0 + c1, 1])
     return AudioBuffer(out, cfg.sample_rate)
 
 
@@ -211,47 +232,48 @@ def sonify_sweep(
     y_lo, y_hi = float(ys.min()), float(ys.max())
     x_lo, x_hi = float(xs[0]), float(xs[-1])
 
-    # `scratch` holds the query x, then the phase steps, then the pan angle
-    scratch = np.empty(n_frames)
-    pan = (
-        np.full(n_frames, 0.5)
-        if x_lo == x_hi
-        else np.linspace(0.0, 1.0, n_frames)
-    )
-    xq = np.multiply(pan, x_hi - x_lo, out=scratch)
-    xq += x_lo
-    yq = np.interp(xq, xs, ys)
-    f = np.broadcast_to(map_pitch(yq, y_lo, y_hi, cfg), n_frames)
-
-    step = np.multiply(2.0 * math.pi, f[:-1], out=scratch[:-1])
-    step /= cfg.sample_rate
-    wave = yq  # the steps are taken, so yq's buffer takes the phase, then the wave
-    wave[0] = 0.0
-    np.cumsum(step, out=wave[1:])
-    np.sin(wave, out=wave)
-    wave *= AMPLITUDE
-    angle = np.multiply(pan, math.pi, out=scratch)
-    angle /= 2.0
+    # np.linspace(0, 1, n_frames) is k * step at frame k, and exactly 1 last
+    step = 1.0 / (n_frames - 1)
     out = np.empty((n_frames, 2))
-    for ch, gain in enumerate((np.cos, np.sin)):
-        gain(angle, out=out[:, ch])
-        out[:, ch] *= wave
+    phase = 0.0
+    for b0 in range(0, n_frames, _BLOCK):
+        b1 = min(b0 + _BLOCK, n_frames)
+        if x_lo == x_hi:
+            pan = np.full(b1 - b0, 0.5)
+        else:
+            pan = np.arange(b0, b1) * step
+            if b1 == n_frames:
+                pan[-1] = 1.0
+        xq = pan * (x_hi - x_lo)
+        xq += x_lo
+        f = map_pitch(np.interp(xq, xs, ys), y_lo, y_hi, cfg)
+        # the phase at b0, then the steps of frames b0..b1-1: their running
+        # sum is the phase at b0..b1, added as one whole-clip cumsum would
+        phases = np.empty(b1 - b0 + 1)
+        phases[0] = phase
+        np.multiply(2.0 * math.pi, f, out=phases[1:])
+        phases[1:] /= cfg.sample_rate
+        np.cumsum(phases, out=phases)
+        phase = phases[-1]
+        wave = np.sin(phases[:-1], out=phases[:-1])
+        wave *= AMPLITUDE
+        angle = np.multiply(pan, math.pi, out=xq)
+        angle /= 2.0
+        for ch, gain in enumerate((np.cos, np.sin)):
+            gain(angle, out=out[b0:b1, ch])
+            out[b0:b1, ch] *= wave
     return AudioBuffer(out, cfg.sample_rate)
 
 
-# samples quantized per block in write_wav: the float scratch stays small
-# and is reused, instead of two fresh arrays the size of the buffer
-_WAV_BLOCK = 16384
-
-
-def write_wav(buf: AudioBuffer) -> bytes:
+def write_wav(buf: AudioBuffer) -> bytearray:
     """RIFF/WAVE container: PCM, 2 channels, 16 bits, exact chunk sizes.
 
     Floats are rounded half away from zero at 16-bit scale: IEEE addition
     is sign-symmetric, so `x - 0.5 == -(|x| + 0.5)` and truncating
     `x + copysign(0.5, x)` rounds both signs alike. The clip stays because
     `samples` can be changed after the buffer checked it. The PCM is written
-    straight into the output behind its header, a block at a time.
+    straight into the returned bytearray behind its header, a block at a
+    time, so the file is never held twice.
     """
     import numpy as np
 
@@ -264,10 +286,10 @@ def write_wav(buf: AudioBuffer) -> bytes:
         b"data", struct.pack("<I", n_bytes),
     ))
     pcm = np.frombuffer(wav, dtype="<i2", offset=44)
-    x = np.empty(min(_WAV_BLOCK, flat.size))
+    x = np.empty(min(_BLOCK, flat.size))
     half = np.empty_like(x)
-    for i in range(0, flat.size, _WAV_BLOCK):
-        block = flat[i:i + _WAV_BLOCK]
+    for i in range(0, flat.size, _BLOCK):
+        block = flat[i:i + _BLOCK]
         t, h = x[:block.size], half[:block.size]
         np.multiply(block, 32767.0, out=t)
         np.copysign(0.5, t, out=h)
@@ -275,4 +297,4 @@ def write_wav(buf: AudioBuffer) -> bytes:
         np.trunc(t, out=t)
         np.clip(t, -32768, 32767, out=t)
         pcm[i:i + block.size] = t
-    return bytes(wav)
+    return wav

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from polyrep.chartspec import ChartValues, bind, inline_dataset, load_dataset, parse_spec
+from polyrep.chartspec import (MAX_BINS, ChartValues, bind, inline_dataset, load_dataset,
+                               parse_spec)
 from polyrep.dataset import Column, Dataset
 from polyrep.errors import DataError, SpecError
 
@@ -69,6 +70,15 @@ def test_bins_only_for_histograms():
         parse_spec(b'{"chart":{"type":"bar","x":"s","bins":3}}')
     spec = parse_spec(b'{"chart":{"type":"histogram","x":"v","bins":4}}')
     assert spec.bins == 4
+
+
+def test_bins_at_most_max_bins():
+    def spec(bins: int) -> bytes:
+        return b'{"chart":{"type":"histogram","x":"v","bins":%d}}' % bins
+
+    assert parse_spec(spec(MAX_BINS)).bins == MAX_BINS
+    with pytest.raises(SpecError, match=f"^bins must be at most {MAX_BINS}, or the bars"):
+        parse_spec(spec(MAX_BINS + 1))
 
 
 def test_group_only_for_point_and_line():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from oracles import (
 )
 from polyrep.errors import DataError
 from polyrep.sonify import (
+    _BLOCK,
     AMPLITUDE,
     GAP_FRACTION,
     MAX_FRAMES,
@@ -234,10 +236,22 @@ def configs(draw):
     )
 
 
+def frames_cfg(n: int, **kw) -> SonifyConfig:
+    """A 44.1 kHz config of exactly n frames."""
+    return SonifyConfig(duration_s=n / 44100, **kw)
+
+
 @settings(max_examples=40, deadline=None)
 @given(point_sets(), configs())
+# tones of 62,475 frames, each made in four chunks of at most one block
 @example(([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]), CFG)
+# slots of 38,668 frames, tones of 32,868 = 2 * _BLOCK + 100: the last
+# chunk is shorter than the 220-frame fade-out, so the fade spans two chunks
+@example(([5.0, 1.0], [2.0, 7.0]), frames_cfg(77_336))
 @example(([0.0] * 500, [1.0, 2.0] * 250), SonifyConfig(duration_s=0.01, sample_rate=8000))
+# at 4 MHz the 20,000-frame fades are longer than a block, so the fade-in
+# spans two chunks as well
+@example(([0.0], [1.0]), SonifyConfig(duration_s=0.015, sample_rate=4_000_000))
 def test_sonify_points_matches_loop_oracle(points, cfg):
     x, y = points
     buf = sonify_points(x, y, cfg)
@@ -359,12 +373,42 @@ def test_sweep_log_pitch_midpoint_is_geometric():
 @given(point_sets(min_n=2), configs().filter(lambda cfg: cfg.n_frames >= 2))
 @example(CASES["sweep_unsorted_x"], SonifyConfig(duration_s=0.25, log_pitch=True))
 @example(CASES["sweep_repeated_x"], SonifyConfig(duration_s=0.25))
+# one frame short of a block, exactly one, one past it, and one past two,
+# with flat x, flat y and log pitch among them
+@example(([0.0, 4.0, 1.0, 9.0], [2.0, -1.0, 3.5, 0.0]), frames_cfg(_BLOCK - 1, log_pitch=True))
+@example(([2.0, 2.0, 2.0], [1.0, 5.0, 3.0]), frames_cfg(_BLOCK))
+@example(([0.0, 1.0, 2.0, 3.0], [4.0, 4.0, 4.0, 4.0]), frames_cfg(_BLOCK + 1, log_pitch=True))
+@example(CASES["sweep_repeated_x"], frames_cfg(2 * _BLOCK + 1, log_pitch=True))
+# 49 * (1 / 49) is not 1, yet np.linspace ends the pan on exactly 1
+@example(CASES["sweep_unsorted_x"], frames_cfg(50))
 def test_sonify_sweep_matches_oracle(points, cfg):
     x, y = points
     buf = sonify_sweep(x, y, cfg)
     want = sonify_sweep_oracle(x, y, cfg)
     assert np.array_equal(buf.samples, want.samples)
     assert write_wav(buf) == write_wav_oracle(want)
+
+
+def _traced_peak(make, *args):
+    tracemalloc.start()
+    try:
+        made = make(*args)
+        return made, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_audio_holds_little_beside_its_output():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 100.0, 10_000).tolist()
+    y = rng.normal(0.0, 10.0, 10_000).tolist()
+    # the sweep makes a block of frames at a time: its scratch is a few
+    # blocks, not whole-clip arrays beside the 3.5 MB output
+    buf, peak = _traced_peak(sonify_sweep, x, y)
+    assert peak < 2 * buf.samples.nbytes
+    # the WAV is quantized into the bytearray it returns, never copied
+    wav, peak = _traced_peak(write_wav, buf)
+    assert peak < 1.5 * len(wav)
 
 
 # -- wav ---------------------------------------------------------------------
