@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .color import Palette, is_palette_name, okabe_ito, parse_palette
-from .dataset import MISSING_TOKENS, Column, Dataset, _typed_column, parse_csv
+from .dataset import MISSING_TOKENS, Column, Dataset, _typed_column, load_csv
 from .errors import DataError, SpecError
 from .stats import (BoxStats, LinearFit, bar_counts, box_stats, histogram, linear_fit,
                     nice_ticks)
@@ -53,10 +53,11 @@ from .stats import (BoxStats, LinearFit, bar_counts, box_stats, histogram, linea
 CHART_TYPES = ("scatter", "bar", "histogram", "boxplot", "line")
 POINT_CHARTS = ("scatter",)
 LINE_CHARTS = ("line",)
-# past this many histogram bins no bar on the 544-px plot can be wider than
-# its 1.5-px white stroke (544 / 1.5 = 362.7), so the bars run together; a
-# million bins wrote an SVG of hundreds of MB
-MAX_BINS = 362
+# past this many histogram bins the bars, which span the unpadded part of
+# the 544-px plot (its domain is padded 5% at each end: 544 / 1.1 = 494.5 px),
+# are narrower than their 1.5-px white stroke (494.5 / 1.5 = 329.7), so they
+# run together; a million bins wrote an SVG of hundreds of MB
+MAX_BINS = 329
 
 
 @dataclass(frozen=True)
@@ -253,13 +254,14 @@ def _parse_palette(value) -> Palette:
 def load_dataset(spec: ChartSpec, base_dir: Path | str = ".") -> Dataset:
     """Materialize the spec's data source (csv paths resolve against base_dir).
 
-    A CSV source keeps only the columns the chart binds (x, y and group).
+    A CSV source keeps only the columns the chart binds (x, y and group),
+    and a large one is read through the column cache (`dataset.load_csv`).
     """
     if spec.data is None:
         raise SpecError("spec has no 'data' section")
     if spec.data.csv_path is not None:
         path = Path(base_dir) / spec.data.csv_path
-        return parse_csv(path.read_bytes(), columns=(spec.x, spec.y, spec.group))
+        return load_csv(path, (spec.x, spec.y, spec.group))
     return inline_dataset(spec.data.inline or {})
 
 

@@ -16,6 +16,10 @@ cells from there. A categorical column keeps one dict of its distinct
 cells, so that equal strings share one object. A column that looks
 numeric until a later chunk holds a word has lost its earlier cells by
 then; the text is split once more with it categorical from the start.
+
+`load_csv` reads a file and serves a large one from the column cache
+(`csvcache`), so that commands run one after another on the same CSV
+parse it once between them.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse
@@ -130,6 +135,29 @@ def parse_csv(data: bytes, columns: Iterable[str | None] | None = None) -> Datas
         # are gone, so one more split types these columns as categorical
         typed.update(split(text, lost, lost)[0])
     return Dataset({name: column.column() for name, column in typed.items()}, n_rows)
+
+
+# A file this large is served from the column cache (`csvcache`). A hit in a
+# fresh process costs about 3.5 ms, most of it `import hashlib`, which parsing
+# one or two columns matches at about 200-250 KiB of text.
+_CACHE_MIN_BYTES = 256 << 10
+
+
+def load_csv(path: str | os.PathLike, columns: Iterable[str | None]) -> Dataset:
+    """`parse_csv` of the file at `path`, keeping the named `columns`.
+
+    A file of at least `_CACHE_MIN_BYTES` is read through the column cache
+    (`csvcache.load`), which parses each column once across processes; a
+    smaller one is parsed as it is read, and imports nothing more.
+    """
+    names = list(dict.fromkeys(filter(None, columns)))
+    if names and os.path.getsize(path) >= _CACHE_MIN_BYTES:
+        from . import csvcache
+
+        return csvcache.load(path, names)
+    with open(path, "rb") as f:
+        data = f.read()
+    return parse_csv(data, names)
 
 
 _CHUNK = 1 << 14  # characters of text split at a time

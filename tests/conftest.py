@@ -24,6 +24,16 @@ Bar 3 is centered horizontally at Gentoo, and spans vertically from 0 to 124.
 """
 
 
+@pytest.fixture(autouse=True)
+def xdg_cache(tmp_path_factory, monkeypatch):
+    """An empty XDG cache directory of each test's own, so that the column
+    cache of a large CSV (`dataset.load_csv`) starts cold and never writes
+    to the user's ~/.cache; subprocesses inherit it through the environment."""
+    cache = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache
+
+
 @pytest.fixture(scope="session")
 def penguins():
     return parse_csv((FIXTURES / "penguins.csv").read_bytes())

@@ -3,7 +3,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import laid_out
 from polyrep.chartspec import (MAX_BINS, ChartValues, bind, inline_dataset, load_dataset,
                                parse_spec)
 from polyrep.dataset import Column, Dataset
@@ -79,6 +82,22 @@ def test_bins_at_most_max_bins():
     assert parse_spec(spec(MAX_BINS)).bins == MAX_BINS
     with pytest.raises(SpecError, match=f"^bins must be at most {MAX_BINS}, or the bars"):
         parse_spec(spec(MAX_BINS + 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-3, 1e6),
+       inner=st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_max_bins_bars_are_wider_than_their_stroke(lo, width, inner):
+    # the bars span the data range, which the 5% padding of the x domain
+    # leaves at 1 / 1.1 of the plot
+    values = [lo, lo + width, *(lo + t * width for t in inner)]
+    spec = parse_spec(json.dumps({
+        "data": {"inline": {"v": values}},
+        "chart": {"type": "histogram", "x": "v", "bins": MAX_BINS},
+    }).encode())
+    scene = laid_out(spec, load_dataset(spec))
+    assert len(scene.marks) == MAX_BINS
+    assert min(mark.w for mark in scene.marks) >= 1.5
 
 
 def test_group_only_for_point_and_line():

@@ -660,8 +660,10 @@ def test_sonify_refuses_a_box_plot_before_binding(workdir, capsys, monkeypatch, 
 
 
 # Each command imports only the modules it runs, and only audio needs numpy:
-# a fresh process that makes no audio never loads it.
+# a fresh process that makes no audio never loads it. The fixtures' CSV is
+# too small for the column cache, so no command hashes it or writes there.
 COLD_START = """\
+import os
 import sys
 import polyrep.cli
 
@@ -679,6 +681,8 @@ for argv, unused in (
     assert polyrep.cli.main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
     assert not loaded() & {f"polyrep.{name}" for name in unused}, (argv, loaded())
+assert "hashlib" not in sys.modules and "polyrep.csvcache" not in sys.modules
+assert not os.listdir(os.environ["XDG_CACHE_HOME"])
 """
 
 COLD_PALETTE_THEN_AUDIO = """\
@@ -698,7 +702,8 @@ assert not loaded() & {f"polyrep.{name}" for name in unused}, loaded()
 
 
 def _fresh_python(script: str, cwd: Path) -> subprocess.CompletedProcess:
-    """Run `script` in a new interpreter that imports this checkout's polyrep."""
+    """Run `script` in a new interpreter that imports this checkout's polyrep,
+    with the test's environment, so its XDG_CACHE_HOME too."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-c", script], cwd=cwd,
@@ -792,6 +797,40 @@ def test_chart_commands_parse_bind_and_summarize_once(workdir, capsys, monkeypat
         patch_everywhere(monkeypatch, fn, counted)
     assert main(argv) == 0
     assert calls == {"parse_spec": 1, "parse_csv": 1, "bind": 1, "summarize": 1}
+
+
+# on a CSV large enough for the column cache, the first command parses it
+# once and writes its columns there; the same command again reads them back,
+# parses nothing and writes the same bytes
+@pytest.mark.parametrize("argv", [
+    ["render", "penguins_box.json", "-o", "r.svg"],
+    ["cvd-grid", "penguins_box.json", "-o", "g.svg"],
+    ["alt", "penguins_box.json"],
+    ["sonify", "penguins_bar.json", "-o", "s.wav"],
+    ["tactile", "penguins_box.json", "-o", "t.pdf", "--preview"],
+], ids=lambda argv: argv[0])
+def test_a_large_csv_is_parsed_by_the_first_command_only(workdir, capsys, monkeypatch, xdg_cache,
+                                                         argv):
+    from polyrep import dataset
+
+    header, _, body = Path("penguins.csv").read_text(encoding="utf-8").partition("\n")
+    copies = -(-dataset._CACHE_MIN_BYTES // len(body))
+    Path("penguins.csv").write_text(header + "\n" + body * copies, encoding="utf-8")
+    calls = []
+
+    def counted(*args, _fn=dataset.parse_csv, **kwargs):
+        calls.append(args[1])
+        return _fn(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, dataset.parse_csv, counted)
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        runs.append((len(calls), capsys.readouterr().out,
+                     {p.name: p.read_bytes() for p in workdir.iterdir() if p.suffix != ".json"}))
+    assert [n for n, *_ in runs] == [1, 1]  # one parse, by the first command
+    assert runs[0][1:] == runs[1][1:]
+    assert (xdg_cache / "polyrep").is_dir()
 
 
 def test_no_command_prints_help(capsys):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import csv
+import marshal
 import math
+import os
 import random
 import sys
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import parse_csv_oracle, serialize_csv
-from polyrep import dataset
+from polyrep import csvcache, dataset
 from polyrep.chartspec import inline_dataset
 from polyrep.dataset import Column, Dataset, format_number, parse_csv
 from polyrep.errors import CsvParseError, DataError
@@ -595,3 +598,230 @@ def test_each_number_is_converted_once(monkeypatch, cells):
     assert got.kind == "numeric"
     numbers = [c.strip() for c in cells if c.strip() not in ("", "NA")]
     assert sorted(c for c in calls if c not in ("", "NA")) == sorted(numbers)
+
+
+# -- the column cache of a large CSV --------------------------------------------
+
+
+def _entries(cache) -> list:
+    directory = cache / "polyrep"
+    return sorted(directory.iterdir()) if directory.exists() else []
+
+
+def _big_csv(path, seed: int = 0, late: str = "") -> bytes:
+    """Write a table of (grp, value, note) at least `_CACHE_MIN_BYTES` long,
+    its last record `late`; return its bytes."""
+    rng = random.Random(seed)
+    rows = ["grp,value,note"]
+    size = len(rows[0])
+    while size < dataset._CACHE_MIN_BYTES:
+        rows.append(f"{rng.choice(('north', 'south', 'east'))},{rng.uniform(0, 200):.3f},"
+                    f"{rng.choice(('a', 'b', 'NA', ''))}")
+        size += len(rows[-1]) + 1
+    data = "\n".join(rows + [late] * bool(late)).encode()
+    path.write_bytes(data)
+    return data
+
+
+def _counted_parse(monkeypatch) -> list:
+    """The `columns` of each parse_csv call from here on."""
+    calls = []
+
+    def counted(data, columns=None):
+        calls.append(None if columns is None else list(columns))
+        return parse_csv(data, columns)
+
+    monkeypatch.setattr(dataset, "parse_csv", counted)
+    return calls
+
+
+def _assert_same_dataset(got: Dataset, expected: Dataset) -> None:
+    assert list(got.columns) == list(expected.columns)
+    assert got.n_rows == expected.n_rows
+    for name, column in expected.columns.items():
+        assert (got.columns[name].kind, got.columns[name].values) == (column.kind, column.values)
+        first: dict[str, str] = {}  # equal level strings are one object
+        for v in got.columns[name].non_missing():
+            assert column.kind == "numeric" or v is first.setdefault(v, v)
+
+
+@st.composite
+def _large_tables(draw):
+    """Tables of 1 to 4 columns of numbers, missing cells and words, their
+    records repeated until the text reaches `_CACHE_MIN_BYTES`; the header
+    may be quoted, so that both splitters read them."""
+    n = draw(st.integers(1, 4))
+    header = [f"c{j}" for j in range(n)]
+    if draw(st.booleans()):
+        header[0] = '"c0"'
+    cell = st.sampled_from(_NUMBERS + ("a", "Q", "n/a", "Adelie"))
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=6))
+    body = "".join(",".join(row) + "\n" for row in rows)
+    return (",".join(header) + "\n" + body * -(-dataset._CACHE_MIN_BYTES // len(body))).encode()
+
+
+_REQUESTS = st.lists(st.one_of(st.none(), st.sampled_from(("c0", "c1", "c2", "c3", "nope"))),
+                     max_size=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=_large_tables(), first=_REQUESTS, second=_REQUESTS)
+def test_load_csv_cold_then_warm_equals_parse_csv(data, first, second):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict("os.environ", {"XDG_CACHE_HOME": tmp}):
+        path = f"{tmp}/t.csv"
+        with open(path, "wb") as f:
+            f.write(data)
+        # cold, then a request that may share some of its columns, then warm
+        _assert_same_dataset(dataset.load_csv(path, first), parse_csv(data, first))
+        _assert_same_dataset(dataset.load_csv(path, second), parse_csv(data, second))
+        with mock.patch.object(dataset, "parse_csv", side_effect=AssertionError("parsed")):
+            for columns in (first, second):
+                if any(columns):
+                    _assert_same_dataset(dataset.load_csv(path, columns),
+                                         parse_csv(data, columns))
+
+
+def test_load_csv_parses_only_the_missing_columns(tmp_path, xdg_cache, monkeypatch):
+    path = tmp_path / "big.csv"
+    data = _big_csv(path)
+    calls = _counted_parse(monkeypatch)
+    assert dataset.load_csv(path, ("value", None)) == parse_csv(data, ("value",))
+    got = dataset.load_csv(path, ("note", "nope", "value", "grp"))
+    assert list(got.columns) == ["grp", "value", "note"]
+    assert got == parse_csv(data, ("grp", "value", "note"))
+    assert calls == [["value"], ["note", "nope", "grp"]]
+    assert len(_entries(xdg_cache)) == 4  # one per column, "nope" included
+    assert dataset.load_csv(path, ("nope", "grp")) == Dataset({"grp": got.columns["grp"]},
+                                                               got.n_rows)
+    assert len(calls) == 2
+    assert (xdg_cache / "polyrep").stat().st_mode & 0o777 == 0o700
+
+
+def test_a_nul_in_the_header_is_read_alike(tmp_path):
+    # csv.reader refuses a NUL before Python 3.11, where the plain splitter
+    # takes it, so there the column is parsed and not cached
+    path = tmp_path / "big.csv"
+    data = b"a\x00b" + _big_csv(path)
+    path.write_bytes(data)
+    for _ in range(2):
+        assert dataset.load_csv(path, ("a\x00bgrp", "note")) == parse_csv(data, ("a\x00bgrp", "note"))
+
+
+def test_a_small_csv_touches_no_cache(tmp_path, xdg_cache, monkeypatch):
+    path = tmp_path / "small.csv"
+    path.write_bytes(b"x,y\n1,a\n2,b\n")
+    calls = _counted_parse(monkeypatch)
+    with mock.patch.dict(sys.modules, {"hashlib": None}):  # importing it fails
+        assert dataset.load_csv(path, ("x",)) == parse_csv(b"x,y\n1,a\n2,b\n", ("x",))
+    assert calls == [["x"]]
+    assert not list(xdg_cache.iterdir())
+
+
+def test_same_size_and_mtime_with_other_bytes_misses(tmp_path, xdg_cache, monkeypatch):
+    path = tmp_path / "big.csv"
+    data = _big_csv(path)
+    dataset.load_csv(path, ("value",))
+    stat = path.stat()
+    other = data.replace(b"north", b"NORTH")
+    assert other != data and len(other) == len(data)
+    path.write_bytes(other)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    calls = _counted_parse(monkeypatch)
+    assert dataset.load_csv(path, ("grp",)) == parse_csv(other, ("grp",))
+    assert calls == [["grp"]]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:len(blob) // 2],  # truncated
+    lambda blob: b"garbage",
+    lambda blob: b"",
+    # a well-formed marshal payload of the wrong shape
+    lambda blob: len(marshal.dumps((1, 2))).to_bytes(8, "little") + marshal.dumps((1, 2)),
+    # an entry of the right form whose values are one short
+    lambda blob: _framed(marshal.loads(blob[8:])[:3] + (marshal.loads(blob[8:])[3][1:],)),
+], ids=["truncated", "garbage", "empty", "wrong-shape", "short"])
+def test_a_damaged_entry_misses_and_is_rewritten(tmp_path, xdg_cache, monkeypatch, damage):
+    path = tmp_path / "big.csv"
+    data = _big_csv(path)
+    dataset.load_csv(path, ("value",))
+    (entry,) = _entries(xdg_cache)
+    good = entry.read_bytes()
+    entry.write_bytes(damage(good))
+    calls = _counted_parse(monkeypatch)
+    assert dataset.load_csv(path, ("value",)) == parse_csv(data, ("value",))
+    assert calls == [["value"]]
+    assert entry.read_bytes() == good
+    assert _entries(xdg_cache) == [entry]
+
+
+def _framed(entry) -> bytes:
+    blob = marshal.dumps(entry)
+    return len(blob).to_bytes(8, "little") + blob
+
+
+@pytest.mark.parametrize("cache", ["home-is-a-file", "dir-is-a-file", "not-writable"])
+def test_an_unusable_cache_directory_parses_as_before(tmp_path, xdg_cache, monkeypatch,
+                                                      cache):
+    path = tmp_path / "big.csv"
+    data = _big_csv(path)
+    blocker = tmp_path / "file"
+    if cache == "home-is-a-file":
+        blocker.write_bytes(b"")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    elif cache == "dir-is-a-file":
+        blocker = xdg_cache / "polyrep"
+        blocker.write_bytes(b"")
+    else:  # permission bits do not bind root, so the check is told so
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    calls = _counted_parse(monkeypatch)
+    with mock.patch.dict(sys.modules, {"hashlib": None}):  # importing it fails
+        for _ in range(2):
+            assert dataset.load_csv(path, ("grp", "value")) == parse_csv(data, ("grp", "value"))
+    assert len(calls) == 2
+    files = [p for p in xdg_cache.rglob("*") if p.is_file()]
+    assert files == ([blocker] if cache == "dir-is-a-file" else [])
+    assert not blocker.exists() or blocker.read_bytes() == b""
+
+
+def test_a_csv_error_is_the_same_twice_and_leaves_no_entry(tmp_path, xdg_cache):
+    path = tmp_path / "big.csv"
+    _big_csv(path, late="east,1")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(CsvParseError) as err:
+            dataset.load_csv(path, ("value",))
+        errors.append((str(err.value), err.value.row))
+    assert errors[0] == errors[1]
+    assert errors[0][0].startswith(f"row {errors[0][1]}: expected 3 fields, found 2")
+    assert _entries(xdg_cache) == []
+
+
+def test_a_changed_parser_misses(tmp_path, xdg_cache, monkeypatch):
+    path = tmp_path / "big.csv"
+    data = _big_csv(path)
+    dataset.load_csv(path, ("value",))
+    monkeypatch.setattr(csvcache, "_source_digest", lambda: b"another parser")
+    calls = _counted_parse(monkeypatch)
+    assert dataset.load_csv(path, ("value",)) == parse_csv(data, ("value",))
+    assert calls == [["value"]]
+    assert len(_entries(xdg_cache)) == 2
+
+
+def test_the_size_cap_evicts_the_oldest_entries(tmp_path, xdg_cache, monkeypatch):
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    _big_csv(old, seed=1)
+    _big_csv(new, seed=2)
+    dataset.load_csv(old, ("grp", "value", "note"))
+    olds = _entries(xdg_cache)
+    for age, entry in enumerate(olds, start=1):  # hours old, the first the newest
+        os.utime(entry, (entry.stat().st_atime, entry.stat().st_mtime - 3600 * age))
+    # room for the new entries, about as large as the old ones, and one more
+    sizes = [p.stat().st_size for p in olds]
+    monkeypatch.setattr(csvcache, "_CACHE_MAX_BYTES", sum(sizes) + max(sizes))
+    dataset.load_csv(new, ("grp", "value", "note"))
+    entries = _entries(xdg_cache)
+    assert len([p for p in entries if p not in olds]) == 3
+    kept = [p for p in olds if p in entries]
+    assert kept == olds[:len(kept)] and len(kept) < len(olds)  # the oldest went
+    assert sum(p.stat().st_size for p in entries) <= csvcache._CACHE_MAX_BYTES
