@@ -1,33 +1,31 @@
-"""The column cache: each column of a large CSV, typed, in a file of its own.
+"""The column cache: the columns a request of a large CSV keeps, typed,
+in one file.
 
 `dataset.load_csv` reads a CSV of at least `dataset._CACHE_MIN_BYTES`
 through `load`, so that commands run one after another on the same bytes
 parse it once between them, as `__pycache__` spares a module's compile.
-Each requested column is one entry in `$XDG_CACHE_HOME/polyrep` (by
-default `~/.cache/polyrep`, made with mode 0o700): its header position,
-the record count, its kind and its values, written by `marshal`, which
-keeps None for a missing cell and writes an equal level string once.
+Each set of requested columns is one entry in `$XDG_CACHE_HOME/polyrep`
+(by default `~/.cache/polyrep`, made with mode 0o700): the record count
+and each kept column's name, kind and values, in header order, as
+`parse_csv` returned them, written by `marshal`, which keeps None for a
+missing cell and writes an equal level string once.
 
-An entry's name is a digest of all that its column depends on: the sha256
-of the file's bytes, the column's name, `csv.field_size_limit()`, the
+An entry's name is a digest of all that it depends on: the sha256 of the
+file's bytes, the sorted column names, `csv.field_size_limit()`, the
 interpreter's cache tag (for the marshal format) and the source of the
-parser and of this module, so no stale entry is ever read. This is sound
-because `parse_csv` checks every record whatever it keeps and types each
-column from its own cells only, so a column parsed once from some bytes is
-that column for every later request. A parse that fails writes nothing,
-so an error is the same on every run.
+parser and of this module, so no stale entry is ever read. A parse that
+fails writes nothing, so an error is the same on every run.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import marshal
 import os
 import sys
 
 from . import dataset
-from .dataset import Dataset, _header_names, _typed_column
+from .dataset import Dataset, _typed_column
 
 # past this many bytes in the cache directory, a write removes the oldest files
 _CACHE_MAX_BYTES = 256 << 20
@@ -35,10 +33,10 @@ _CACHE_MAX_BYTES = 256 << 20
 
 def load(path: str | os.PathLike, names: list[str]) -> Dataset:
     """`dataset.parse_csv` of the file at `path`, keeping the columns `names`
-    (at least one, none repeated): each served from its entry, and only
-    those whose entry is missing, unreadable or of the wrong shape parsed,
-    in one call, and then written. If the cache directory cannot be made
-    or written, the file is parsed without being hashed."""
+    (at least one, none repeated): served from the entry of their set, or
+    parsed, and then written, if that entry is missing, unreadable or of
+    the wrong shape. If the cache directory cannot be used, the file is
+    parsed without being hashed."""
     with open(path, "rb") as f:
         data = f.read()
     directory = _cache_dir()
@@ -46,38 +44,25 @@ def load(path: str | os.PathLike, names: list[str]) -> Dataset:
         return dataset.parse_csv(data, names)
     import hashlib  # only here, so that a command that cannot cache goes without it
 
-    key = (hashlib.sha256(data).digest(), csv.field_size_limit(),
+    key = (hashlib.sha256(data).digest(), tuple(sorted(names)), csv.field_size_limit(),
            sys.implementation.cache_tag, _source_digest())
-    files = {name: os.path.join(directory, hashlib.sha256(marshal.dumps((*key, name))).hexdigest())
-             for name in names}
-    found = {name: entry for name, file in files.items()
-             if (entry := _read_entry(file)) is not None}
-    missing = [name for name in names if name not in found]
-    if missing:
-        parsed = dataset.parse_csv(data, missing)
-        try:
-            header = _header(data)
-        except csv.Error:
-            # a NUL, which csv.reader refuses before Python 3.11: no entry
-            # was ever written for these bytes, so every name was parsed
-            return parsed
-        del data  # so that the file's bytes are freed before the entries are made
-        for name in missing:
-            column = parsed.columns.get(name)
-            found[name] = entry = (
-                (-1, parsed.n_rows, None, None) if column is None
-                else (header.index(name), parsed.n_rows, column.kind, column.values))
-            _write_entry(files[name], entry)
+    file = os.path.join(directory, hashlib.sha256(marshal.dumps(key)).hexdigest())
+    entry = _read_entry(file)
+    if entry is None:
+        parsed = dataset.parse_csv(data, names)
+        del data  # so that the file's bytes are freed before the entry is made
+        _write_entry(file, (parsed.n_rows, tuple((name, column.kind, column.values)
+                                                 for name, column in parsed.columns.items())))
         _evict(directory)
-    n_rows = found[names[0]][1]
-    kept = sorted((position, name, kind, values)
-                  for name, (position, _, kind, values) in found.items() if position >= 0)
-    return Dataset({name: _typed_column(kind, values) for _, name, kind, values in kept}, n_rows)
+        return parsed
+    n_rows, columns = entry
+    return Dataset({name: _typed_column(kind, values) for name, kind, values in columns}, n_rows)
 
 
 def _cache_dir() -> str | None:
     """The column cache's directory, made if need be, or None if it cannot
-    be made or written."""
+    be made or written, or if it is not private: another user's, or one
+    that others may write, could hold entries this process did not write."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):  # unset, empty or relative: the XDG default
         base = os.path.expanduser("~/.cache")
@@ -85,8 +70,11 @@ def _cache_dir() -> str | None:
         return None
     directory = os.path.join(base, "polyrep")
     try:
-        os.makedirs(directory, mode=0o700, exist_ok=True)
+        os.makedirs(directory, mode=0o700, exist_ok=True)  # an existing mode is kept
+        stat = os.stat(directory)
     except OSError:
+        return None
+    if stat.st_uid != os.getuid() or stat.st_mode & 0o022:
         return None
     return directory if os.access(directory, os.W_OK | os.X_OK) else None
 
@@ -103,17 +91,9 @@ def _source_digest() -> bytes:
     return digest.digest()
 
 
-def _header(data: bytes) -> list[str]:
-    """The column names of CSV bytes that `parse_csv` has accepted, in header
-    order: its first record, read as the quoted splitter reads it."""
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as lines:
-        return _header_names(next(csv.reader(lines), []))
-
-
 def _read_entry(file: str) -> tuple | None:
-    """The (header position, record count, kind, values) of a column's cache
-    entry, with -1 and two Nones for a column the header lacks; None if the
-    entry is missing, unreadable or of the wrong shape."""
+    """The (record count, ((name, kind, values), ...)) of a cache entry;
+    None if it is missing, unreadable or of the wrong shape."""
     try:
         with open(file, "rb") as f:
             blob = f.read()
@@ -127,20 +107,23 @@ def _read_entry(file: str) -> tuple | None:
         entry = marshal.loads(memoryview(blob)[8:])
     except (EOFError, ValueError, TypeError):
         return None
-    if type(entry) is not tuple or len(entry) != 4:
+    if type(entry) is not tuple or len(entry) != 2:
         return None
-    position, n_rows, kind, values = entry
-    if type(position) is not int or type(n_rows) is not int or n_rows < 0:
+    n_rows, columns = entry
+    if type(n_rows) is not int or n_rows < 0 or type(columns) is not tuple:
         return None
-    if position < 0:
-        return entry if (position, kind, values) == (-1, None, None) else None
-    if kind not in ("numeric", "categorical") or type(values) is not tuple:
-        return None
-    return entry if len(values) == n_rows else None
+    for column in columns:
+        if type(column) is not tuple or len(column) != 3:
+            return None
+        name, kind, values = column
+        if (type(name) is not str or not name or kind not in ("numeric", "categorical")
+                or type(values) is not tuple or len(values) != n_rows):
+            return None
+    return entry
 
 
 def _write_entry(file: str, entry: tuple) -> None:
-    """Write a column's cache entry whole or not at all: to a file of this
+    """Write a cache entry whole or not at all: to a file of this
     process's own, then moved into place. A failed write is left out."""
     blob = marshal.dumps(entry)  # equal level strings stay one object
     temporary = f"{file}.{os.getpid()}.tmp"

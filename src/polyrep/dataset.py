@@ -147,8 +147,9 @@ def load_csv(path: str | os.PathLike, columns: Iterable[str | None]) -> Dataset:
     """`parse_csv` of the file at `path`, keeping the named `columns`.
 
     A file of at least `_CACHE_MIN_BYTES` is read through the column cache
-    (`csvcache.load`), which parses each column once across processes; a
-    smaller one is parsed as it is read, and imports nothing more.
+    (`csvcache.load`), which parses each set of columns once across
+    processes; a smaller one is parsed as it is read, and imports nothing
+    more.
     """
     names = list(dict.fromkeys(filter(None, columns)))
     if names and os.path.getsize(path) >= _CACHE_MIN_BYTES:

@@ -672,40 +672,52 @@ def test_load_csv_cold_then_warm_equals_parse_csv(data, first, second):
         path = f"{tmp}/t.csv"
         with open(path, "wb") as f:
             f.write(data)
-        # cold, then a request that may share some of its columns, then warm
+        # cold, then a request that may share some of its columns, then warm,
+        # the first request reordered too
         _assert_same_dataset(dataset.load_csv(path, first), parse_csv(data, first))
         _assert_same_dataset(dataset.load_csv(path, second), parse_csv(data, second))
         with mock.patch.object(dataset, "parse_csv", side_effect=AssertionError("parsed")):
-            for columns in (first, second):
+            for columns in (first, second, first[::-1]):
                 if any(columns):
                     _assert_same_dataset(dataset.load_csv(path, columns),
                                          parse_csv(data, columns))
 
 
-def test_load_csv_parses_only_the_missing_columns(tmp_path, xdg_cache, monkeypatch):
+def test_load_csv_keeps_one_entry_per_column_set(tmp_path, xdg_cache, monkeypatch):
     path = tmp_path / "big.csv"
     data = _big_csv(path)
     calls = _counted_parse(monkeypatch)
     assert dataset.load_csv(path, ("value", None)) == parse_csv(data, ("value",))
-    got = dataset.load_csv(path, ("note", "nope", "value", "grp"))
-    assert list(got.columns) == ["grp", "value", "note"]
-    assert got == parse_csv(data, ("grp", "value", "note"))
-    assert calls == [["value"], ["note", "nope", "grp"]]
-    assert len(_entries(xdg_cache)) == 4  # one per column, "nope" included
-    assert dataset.load_csv(path, ("nope", "grp")) == Dataset({"grp": got.columns["grp"]},
-                                                               got.n_rows)
+    got = dataset.load_csv(path, ("value", "grp"))
+    assert list(got.columns) == ["grp", "value"]
+    assert got == parse_csv(data, ("grp", "value"))
+    assert calls == [["value"], ["value", "grp"]]
+    assert len(_entries(xdg_cache)) == 2  # one per request
+    reordered = dataset.load_csv(path, ("grp", "value"))  # the same set: a hit
+    assert list(reordered.columns) == ["grp", "value"] and reordered == got
     assert len(calls) == 2
+    # another set misses once; its absent name has no entry of its own and
+    # is left out of the set's entry, as parse_csv leaves it out
+    olds = _entries(xdg_cache)
+    for _ in range(2):
+        assert dataset.load_csv(path, ("nope", "note")) == parse_csv(data, ("note",))
+    assert calls[2:] == [["nope", "note"]]
+    (new,) = [p for p in _entries(xdg_cache) if p not in olds]
+    n_rows, columns = marshal.loads(new.read_bytes()[8:])
+    assert n_rows == got.n_rows and [name for name, _, _ in columns] == ["note"]
     assert (xdg_cache / "polyrep").stat().st_mode & 0o777 == 0o700
 
 
-def test_a_nul_in_the_header_is_read_alike(tmp_path):
-    # csv.reader refuses a NUL before Python 3.11, where the plain splitter
-    # takes it, so there the column is parsed and not cached
+def test_a_nul_in_the_header_is_read_alike(tmp_path, monkeypatch):
+    # the plain splitter takes a NUL like any other character, and the entry
+    # holds what it returned, so the second load reads the column back
     path = tmp_path / "big.csv"
     data = b"a\x00b" + _big_csv(path)
     path.write_bytes(data)
+    calls = _counted_parse(monkeypatch)
     for _ in range(2):
         assert dataset.load_csv(path, ("a\x00bgrp", "note")) == parse_csv(data, ("a\x00bgrp", "note"))
+    assert calls == [["a\x00bgrp", "note"]]
 
 
 def test_a_small_csv_touches_no_cache(tmp_path, xdg_cache, monkeypatch):
@@ -738,8 +750,8 @@ def test_same_size_and_mtime_with_other_bytes_misses(tmp_path, xdg_cache, monkey
     lambda blob: b"",
     # a well-formed marshal payload of the wrong shape
     lambda blob: len(marshal.dumps((1, 2))).to_bytes(8, "little") + marshal.dumps((1, 2)),
-    # an entry of the right form whose values are one short
-    lambda blob: _framed(marshal.loads(blob[8:])[:3] + (marshal.loads(blob[8:])[3][1:],)),
+    # an entry of the right form whose first column's values are one short
+    lambda blob: _framed(_one_short(*marshal.loads(blob[8:]))),
 ], ids=["truncated", "garbage", "empty", "wrong-shape", "short"])
 def test_a_damaged_entry_misses_and_is_rewritten(tmp_path, xdg_cache, monkeypatch, damage):
     path = tmp_path / "big.csv"
@@ -758,6 +770,11 @@ def test_a_damaged_entry_misses_and_is_rewritten(tmp_path, xdg_cache, monkeypatc
 def _framed(entry) -> bytes:
     blob = marshal.dumps(entry)
     return len(blob).to_bytes(8, "little") + blob
+
+
+def _one_short(n_rows: int, columns: tuple) -> tuple:
+    (name, kind, values), *rest = columns
+    return n_rows, ((name, kind, values[1:]), *rest)
 
 
 @pytest.mark.parametrize("cache", ["home-is-a-file", "dir-is-a-file", "not-writable"])
@@ -782,6 +799,27 @@ def test_an_unusable_cache_directory_parses_as_before(tmp_path, xdg_cache, monke
     files = [p for p in xdg_cache.rglob("*") if p.is_file()]
     assert files == ([blocker] if cache == "dir-is-a-file" else [])
     assert not blocker.exists() or blocker.read_bytes() == b""
+
+
+# a cache directory that another user owns, or that others may write, could
+# hold an entry planted there, which a load would then serve
+@pytest.mark.parametrize("unsafe", ["0o777", "0o770", "0o702", "another-users"])
+def test_a_cache_directory_not_private_is_not_used(tmp_path, xdg_cache, monkeypatch, unsafe):
+    path = tmp_path / "big.csv"
+    data = _big_csv(path)
+    dataset.load_csv(path, ("value",))
+    olds = _entries(xdg_cache)
+    directory = xdg_cache / "polyrep"
+    if unsafe == "another-users":
+        monkeypatch.setattr(os, "getuid", lambda: directory.stat().st_uid + 1)
+    else:
+        directory.chmod(int(unsafe, 8))
+    calls = _counted_parse(monkeypatch)
+    with mock.patch.dict(sys.modules, {"hashlib": None}):  # importing it fails
+        assert dataset.load_csv(path, ("value",)) == parse_csv(data, ("value",))
+        assert dataset.load_csv(path, ("grp",)) == parse_csv(data, ("grp",))
+    assert calls == [["value"], ["grp"]]
+    assert _entries(xdg_cache) == olds
 
 
 def test_a_csv_error_is_the_same_twice_and_leaves_no_entry(tmp_path, xdg_cache):
@@ -812,14 +850,17 @@ def test_the_size_cap_evicts_the_oldest_entries(tmp_path, xdg_cache, monkeypatch
     old, new = tmp_path / "old.csv", tmp_path / "new.csv"
     _big_csv(old, seed=1)
     _big_csv(new, seed=2)
-    dataset.load_csv(old, ("grp", "value", "note"))
+    requests = [("grp",), ("value",), ("note",)]  # one entry each
+    for columns in requests:
+        dataset.load_csv(old, columns)
     olds = _entries(xdg_cache)
     for age, entry in enumerate(olds, start=1):  # hours old, the first the newest
         os.utime(entry, (entry.stat().st_atime, entry.stat().st_mtime - 3600 * age))
     # room for the new entries, about as large as the old ones, and one more
     sizes = [p.stat().st_size for p in olds]
     monkeypatch.setattr(csvcache, "_CACHE_MAX_BYTES", sum(sizes) + max(sizes))
-    dataset.load_csv(new, ("grp", "value", "note"))
+    for columns in requests:
+        dataset.load_csv(new, columns)
     entries = _entries(xdg_cache)
     assert len([p for p in entries if p not in olds]) == 3
     kept = [p for p in olds if p in entries]
