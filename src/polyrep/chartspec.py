@@ -2,19 +2,23 @@
 
 Everything a chart says before it is laid out lives here, in two steps.
 `bind` computes what the chart draws (`ChartValues`): the complete rows of
-a scatter or line chart, or the bars, bins or boxes. Sonification plays
-those values as `points`: rows in data order, bars as (index, count), bins
-as (centre, count). Their one least-squares `fit()` gives the alt text's
-trend and regression audio, and their `ranges` give the axes and the alt
-text's "vary from" sentence.
+a scatter or line chart, or the bars, bins or boxes. It alone looks the
+spec's columns up and checks their kinds against the chart's roles, and
+only this module applies `sort_order` (`_ordered`: bars and boxes in
+`bind`, legend levels in `summarize`); `stats` computes from the bound
+columns' values. Sonification plays those values as `points`: rows in
+data order, bars as (index, count), bins as (centre, count). Their one
+least-squares `fit()` gives the alt text's trend and regression audio, and
+their `ranges` give the axes and the alt text's "vary from" sentence.
 
 `summarize` then computes what the axes and legend say (`ChartSummary`):
 each axis's title, tick labels and, for a value axis, its tick values and
 domain, and the grouped levels in legend order. A value axis pads its
-numeric range 5% (counts from 0, a flat range widened half a unit each way)
-and is ticked with `nice_ticks`; a band axis gives each label one slot. The
-alt text reads the summary, `scene.layout` scales and places it for the SVG
-and the tactile page, and the checklist reads its axis titles, so every
+numeric range 5% (counts from 0, and a flat range, one value or values
+apart only by float noise, widened half a unit each way) and is ticked
+with `nice_ticks`; a band axis gives each label one slot. The alt text
+reads the summary, `scene.layout` scales and places it for the SVG and
+the tactile page, and the checklist reads its axis titles, so every
 artifact states each fact from this one source.
 
 Spec document schema::
@@ -38,17 +42,18 @@ import functools
 import json
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from operator import is_, itemgetter
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .color import Palette, is_palette_name, okabe_ito, parse_palette
 from .dataset import MISSING_TOKENS, Column, Dataset, _typed_column, load_csv
 from .errors import DataError, SpecError
-from .stats import (BoxStats, LinearFit, bar_counts, box_stats, histogram, linear_fit,
-                    nice_ticks)
+from .stats import (BoxStats, LinearFit, bar_counts, box_stats, histogram, is_flat,
+                    linear_fit, nice_ticks)
 
 CHART_TYPES = ("scatter", "bar", "histogram", "boxplot", "line")
 POINT_CHARTS = ("scatter",)
@@ -347,50 +352,50 @@ def bind(spec: ChartSpec, data: Dataset) -> ChartValues:
 
     Scatter and line rows are (x, y, group level) in data order, kept when x,
     y and (if grouped) the level are present; bars, bins and boxes come in
-    drawing order. Raises SpecError when a column is missing or of the wrong
-    kind, DataError when nothing remains to draw after dropping missing values.
+    drawing order, bars and boxes in the spec's `sort_order`. Raises
+    SpecError when a column is missing or of the wrong kind, DataError when
+    nothing remains to draw after dropping missing values.
     """
     for role, name in (("x", spec.x), ("y", spec.y), ("group", spec.group)):
         if name is not None and name not in data:
             raise SpecError(f"{role} column {name!r} is not in the dataset")
     ctype = spec.chart_type
-    x = data.column(spec.x)
+    x = data.columns[spec.x]
     if ctype == "bar":
         _require(
             x.kind == "categorical",
             f"bar needs a categorical x; use a histogram for numeric {spec.x!r}",
         )
-        bars = bar_counts(data, spec.x, spec.sort_order)
+        bars = _ordered(bar_counts(x.values), spec.sort_order, itemgetter(0))
         if not bars:
             raise DataError("nothing to draw: no non-missing values")
-        return ChartValues(x.n_missing(), bars=tuple(bars))
+        return ChartValues(x.n_missing(), bars=bars)
     if ctype == "histogram":
         _require(x.kind == "numeric", "histogram needs numeric x")
-        bins = histogram(data, spec.x, spec.bins)
+        bins = histogram(x.values, spec.x, spec.bins)
         return ChartValues(x.n_missing(), bins=tuple(bins))
     if ctype == "boxplot":
         if spec.y is None:
             _require(x.kind == "numeric", "boxplot without y needs a numeric x")
-            return ChartValues(x.n_missing(), boxes=tuple(box_stats(data, spec.x)))
-        y = data.column(spec.y)
+            return ChartValues(x.n_missing(), boxes=tuple(box_stats(x.values, spec.x)))
+        y = data.columns[spec.y]
         _require(
             x.kind == "categorical" and y.kind == "numeric",
             "boxplot needs numeric y grouped by categorical x (or numeric x alone)",
         )
-        boxes = box_stats(data, spec.y, spec.x)
-        if spec.sort_order == "alpha":
-            boxes = sorted(boxes, key=lambda b: b.group_label)
+        boxes = _ordered(box_stats(y.values, spec.y, x.values, spec.x), spec.sort_order,
+                         attrgetter("group_label"))
         # a category string and a float are never one object, so `is_`
         # holds only where a row lacks both cells
         both = sum(map(is_, x.values, y.values))
-        return ChartValues(x.n_missing() + y.n_missing() - both, boxes=tuple(boxes))
-    y = data.column(spec.y)
+        return ChartValues(x.n_missing() + y.n_missing() - both, boxes=boxes)
+    y = data.columns[spec.y]
     _require(x.kind == "numeric", f"{ctype} needs numeric x")
     _require(y.kind == "numeric", f"{ctype} needs numeric y")
     grouped = spec.group is not None
     levels = repeat(None)
     if grouped:
-        group = data.column(spec.group)
+        group = data.columns[spec.group]
         _require(group.kind == "categorical", "group column must be categorical")
         levels = group.values
     rows = tuple(
@@ -401,6 +406,12 @@ def bind(spec: ChartSpec, data: Dataset) -> ChartValues:
     if not rows:
         raise DataError("nothing to draw: no complete rows")
     return ChartValues(data.n_rows - len(rows), rows=rows)
+
+
+def _ordered(items: Iterable, sort_order: str, key=None) -> tuple:
+    """Bars, boxes or legend levels in `sort_order`: as they first appear,
+    or "alpha"betically by their label, `key` of each."""
+    return tuple(sorted(items, key=key) if sort_order == "alpha" else items)
 
 
 class DataAxis(NamedTuple):
@@ -455,9 +466,8 @@ def summarize(spec: ChartSpec, values: ChartValues) -> ChartSummary:
             x = DataAxis(spec.x, tuple(b.group_label for b in values.boxes))
     else:
         if spec.group is not None:
-            levels = tuple(dict.fromkeys(map(itemgetter(2), values.rows)))
-            if spec.sort_order == "alpha":
-                levels = tuple(sorted(levels))
+            levels = _ordered(dict.fromkeys(map(itemgetter(2), values.rows)),
+                              spec.sort_order)
             if len(levels) > len(spec.palette):
                 raise SpecError(f"{len(levels)} group levels exceed the "
                                 f"palette's {len(spec.palette)} colors")
@@ -468,21 +478,16 @@ def summarize(spec: ChartSpec, values: ChartValues) -> ChartSummary:
 
 
 def _value_axis(title: str, lo: float, hi: float, from_zero: bool = False) -> DataAxis:
-    """The axis of data [lo, hi]: a flat range widens half a unit each way,
-    the domain is padded 5% at each end (at the top only, from exactly 0,
-    when `from_zero`), and the ticks are the nice ticks of the unpadded
-    range."""
-    if lo == hi:
+    """The axis of data [lo, hi]: a flat range (`is_flat`: one value, or
+    values apart by float noise) widens half a unit each way, the domain is
+    padded 5% at each end (at the top only, from exactly 0, when
+    `from_zero`), and the ticks are the nice ticks of the unpadded range."""
+    if is_flat(lo, hi):
         lo, hi = lo - 0.5, hi + 0.5
+    ticks = nice_ticks(lo, hi, title)  # refuses a range still flat, or too wide
     pad = 0.05 * (hi - lo)
     domain = (0.0 if from_zero else lo - pad, hi + pad)
-    if domain[0] == domain[1]:
-        raise DataError("degenerate scale domain")
-    try:
-        ticks = nice_ticks(lo, hi)
-    except OverflowError:  # a tick step past the largest double
-        ticks = None
-    if ticks is None or math.isinf(domain[1] - domain[0]):
+    if math.isinf(domain[1] - domain[0]):
         raise DataError(f"column {title!r} spans too wide a range for an axis; "
                         "rescale it")
     return DataAxis(title, ticks.labels, ticks.positions, domain)

@@ -61,9 +61,6 @@ class Column:
                 # "" and the literal NA are reserved as missing-value tokens
                 raise DataError(f"categorical column holds invalid value {v!r}")
 
-    def non_missing(self) -> list:
-        return [v for v in self.values if v is not None]
-
     def n_missing(self) -> int:
         return self.values.count(None)
 
@@ -84,24 +81,6 @@ class Dataset:
 
     def __contains__(self, name: str) -> bool:
         return name in self.columns
-
-    def column(self, name: str) -> Column:
-        try:
-            return self.columns[name]
-        except KeyError:
-            raise DataError(f"no column named {name!r}") from None
-
-    def numeric(self, name: str) -> Column:
-        col = self.column(name)
-        if col.kind != "numeric":
-            raise DataError(f"column {name!r} is categorical, expected numeric")
-        return col
-
-    def categorical(self, name: str) -> Column:
-        col = self.column(name)
-        if col.kind != "categorical":
-            raise DataError(f"column {name!r} is numeric, expected categorical")
-        return col
 
 
 def parse_csv(data: bytes, columns: Iterable[str | None] | None = None) -> Dataset:

@@ -1,23 +1,31 @@
 """Statistics shared by every representation of a chart.
 
+Each function takes values, not a dataset: `chartspec.bind` looks the
+columns up, checks their kinds and orders bars and boxes (`sort_order`),
+then passes the bound columns' values here. A column name argument only
+words the errors.
+
 All operations drop missing values per call (pairwise for fits) and never
 impute. Quartiles follow the type-7 convention (linear interpolation of
 order statistics at p*(n-1)+1), so boxplot numbers reproduce the common
-default of statistical software.
+default of statistical software. Axis ticks come from `nice_ticks`, which
+refuses a range a double cannot tick; `is_flat` tells the ranges that are
+float noise wide, which an axis widens as it widens a single value.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import is_not, mul, sub
 
-from .dataset import Dataset
 from .errors import DataError
 
 
@@ -56,20 +64,11 @@ class TickSet:
             raise DataError("tick positions must be strictly ascending")
 
 
-def bar_counts(
-    data: Dataset, x: str, sort_order: str = "appearance"
-) -> list[tuple[str, int]]:
-    """Counts of non-missing rows per category, in first-appearance order
-    (or alphabetical with sort_order="alpha")."""
-    col = data.column(x)
-    if col.kind != "categorical":
-        raise DataError(
-            f"column {x!r} is numeric; use a histogram for numeric data"
-        )
-    counts = Counter(col.values)  # a dict: keys in first-appearance order
+def bar_counts(values: Sequence[str | None]) -> list[tuple[str, int]]:
+    """Counts of the non-missing categories, in first-appearance order."""
+    counts = Counter(values)  # a dict: keys in first-appearance order
     counts.pop(None, None)
-    labels = sorted(counts) if sort_order == "alpha" else list(counts)
-    return [(label, counts[label]) for label in labels]
+    return list(counts.items())
 
 
 def sturges_bins(n: int) -> int:
@@ -77,14 +76,15 @@ def sturges_bins(n: int) -> int:
 
 
 def histogram(
-    data: Dataset, x: str, bins: int | None = None
+    values: Sequence[float | None], name: str, bins: int | None = None
 ) -> list[tuple[float, float, int]]:
-    """Equal-width bins over [min, max]; right-closed except the first bin,
-    which also includes its left edge. Default bin count is Sturges'.
+    """Equal-width bins over [min, max] of the non-missing values; right-closed
+    except the first bin, which also includes its left edge. Default bin
+    count is Sturges'. `name` names the column in errors.
     """
-    values = sorted(data.numeric(x).non_missing())
+    values = sorted(_present(values))
     if not values:
-        raise DataError(f"column {x!r} has no non-missing values")
+        raise DataError(f"column {name!r} has no non-missing values")
     lo, hi = values[0], values[-1]
     if lo == hi:
         # degenerate range: one half-unit bin either side keeps geometry finite
@@ -94,9 +94,9 @@ def histogram(
         raise DataError("bin count must be at least 1")
     width = (hi - lo) / k
     if width == 0:  # the range is a few subnormal floats apart
-        raise DataError(f"column {x!r} spans too narrow a range for {k} bins")
+        raise DataError(f"column {name!r} spans too narrow a range for {k} bins")
     if width == math.inf:  # the range is wider than the largest double
-        raise DataError(f"column {x!r} spans too wide a range for {k} bins; rescale it")
+        raise DataError(f"column {name!r} spans too wide a range for {k} bins; rescale it")
     # _bin_index never decreases as v grows (see there), so the values of
     # bin i are a run of the sorted list, found by bisection
     index = functools.partial(_bin_index, lo=lo, width=width, k=k)
@@ -149,31 +149,34 @@ def _box_of(label: str, values: list[float]) -> BoxStats:
     return BoxStats(label, vs[first], q1, med, q3, vs[end - 1], outliers)
 
 
-def box_stats(data: Dataset, y: str, group: str | None = None) -> list[BoxStats]:
-    """Five-number summaries per group (whole column when group is None).
+def box_stats(
+    ys: Sequence[float | None], name: str,
+    levels: Sequence[str | None] | None = None, group: str | None = None,
+) -> list[BoxStats]:
+    """Five-number summaries of the non-missing ys per level, in order of
+    first appearance (of all of them when `levels` is None).
 
     Whiskers reach the most extreme data points within 1.5*IQR of the
-    hinges; points beyond are outliers. Group levels with no non-missing
-    values are omitted with an EmptyGroupWarning.
+    hinges; points beyond are outliers. Levels with no non-missing value
+    are omitted with an EmptyGroupWarning. `name` and `group` name the
+    value and level columns in errors and warnings.
     """
-    ycol = data.numeric(y)
-    if group is None:
-        values = ycol.non_missing()
+    if levels is None:
+        values = list(_present(ys))
         if not values:
-            raise DataError(f"column {y!r} has no non-missing values")
-        return [_box_of(y, values)]
+            raise DataError(f"column {name!r} has no non-missing values")
+        return [_box_of(name, values)]
 
-    gcol = data.categorical(group)
     # one list per level in order of first appearance (rows with no level
     # fill a None list, dropped after); every present y value is appended
     # to its level's list by map, not by a Python loop
-    by_level = {level: [] for level in dict.fromkeys(gcol.values)}
-    present = list(map(is_not, ycol.values, repeat(None)))
+    by_level = {level: [] for level in dict.fromkeys(levels)}
+    present = list(map(is_not, ys, repeat(None)))
     deque(
         map(
             list.append,
-            map(by_level.__getitem__, compress(gcol.values, present)),
-            compress(ycol.values, present),
+            map(by_level.__getitem__, compress(levels, present)),
+            compress(ys, present),
         ),
         maxlen=0,
     )
@@ -182,15 +185,20 @@ def box_stats(data: Dataset, y: str, group: str | None = None) -> list[BoxStats]
     for label, values in by_level.items():
         if not values:
             warnings.warn(
-                f"group {label!r} has no non-missing {y!r} values; omitted",
+                f"group {label!r} has no non-missing {name!r} values; omitted",
                 EmptyGroupWarning,
                 stacklevel=2,
             )
             continue
         out.append(_box_of(label, values))
     if not out:
-        raise DataError(f"no group of {group!r} has non-missing {y!r} values")
+        raise DataError(f"no group of {group!r} has non-missing {name!r} values")
     return out
+
+
+def _present(values: Sequence) -> Iterator:
+    """The values that are not None, in order, filtered in C."""
+    return compress(values, map(is_not, values, repeat(None)))
 
 
 def linear_fit(x: list[float | None], y: list[float | None]) -> LinearFit:
@@ -227,42 +235,60 @@ def linear_fit(x: list[float | None], y: list[float | None]) -> LinearFit:
 
 
 _STEP_MANTISSAS = (1, 2, 5)
+# a multiple this many ulps of the range's magnitude outside the range
+# still counts, so that float noise in lo, hi or v / step drops no end tick
+_SLACK_ULPS = 4
+# a step this many ulps wide keeps its ticks distinct floats, within one
+# step of the range
+_MIN_STEP_ULPS = 2 * _SLACK_ULPS
+# the largest step that fits two or more times in a range is more than a
+# fifth of it, so every range wider than this has a step of 2 ticks or more
+FLAT_ULPS = 5 * _MIN_STEP_ULPS
+MAX_AXIS_TICKS = 7  # the most ticks `nice_ticks` gives
 
 
-def _ceil_quotient(v: float, step: float) -> int:
-    q = v / step
-    return math.ceil(q - 1e-12 * max(1.0, abs(q)) - 1e-9)
+def is_flat(lo: float, hi: float) -> bool:
+    """Whether [lo, hi] is a point, or only float noise wide (0.1 + 0.2
+    against 0.3): at most FLAT_ULPS ulps of its magnitude."""
+    return hi - lo <= FLAT_ULPS * math.ulp(max(abs(lo), abs(hi)))
 
 
-def _floor_quotient(v: float, step: float) -> int:
-    q = v / step
-    return math.floor(q + 1e-12 * max(1.0, abs(q)) + 1e-9)
-
-
-def nice_ticks(lo: float, hi: float) -> TickSet:
+def nice_ticks(lo: float, hi: float, name: str) -> TickSet:
     """Ticks at multiples of a step from {1,2,5}*10^k, choosing the step
     whose multiple count inside [lo, hi] is closest to 5 (ties go to the
-    larger step)."""
-    if not (lo < hi):
-        raise DataError(f"need lo < hi, got [{lo}, {hi}]")
-    span = hi - lo
-    k0 = math.floor(math.log10(span))
-    best: tuple[int, float, int, int, int] | None = None  # (|n-5|, -step, ...)
+    larger step): from 2 to MAX_AXIS_TICKS of them.
+
+    A step is at least `_MIN_STEP_ULPS` ulps of the range's magnitude and
+    a normal float. A range with no such step (a flat one, or one a few
+    subnormals wide) and one 1e308 or more wide are refused, naming the
+    column `name`.
+    """
+    if not (lo <= hi):
+        raise DataError(f"need lo <= hi, got [{lo}, {hi}]")
+    if is_flat(lo, hi):
+        raise _untickable(name, "narrow")
+    if hi - lo >= 1e308:  # a step of 10^309 overflows
+        raise _untickable(name, "wide")
+    ulp = math.ulp(max(abs(lo), abs(hi)))
+    k0 = math.floor(math.log10(hi - lo))
+    best: tuple[int, float, int, int, int, int] | None = None  # (|n-5|, -step, ...)
     for k in range(k0 - 2, k0 + 2):
         for mant in _STEP_MANTISSAS:
             step = mant * 10.0**k
-            m_lo = _ceil_quotient(lo, step)
-            m_hi = _floor_quotient(hi, step)
+            if step < _MIN_STEP_ULPS * ulp or step < sys.float_info.min:
+                continue
+            slack = _SLACK_ULPS * ulp / step
+            m_lo = math.ceil(lo / step - slack)
+            m_hi = math.floor(hi / step + slack)
             count = m_hi - m_lo + 1
             if count < 2:
                 continue
-            key = (abs(count - 5), -step, mant, k, m_lo)
+            key = (abs(count - 5), -step, mant, k, m_lo, m_hi)
             if best is None or key[:2] < best[:2]:
                 best = key
-    assert best is not None  # k0-2 always yields >= 2 multiples
-    _, _, mant, k, m_lo = best
-    step = mant * 10.0**k
-    m_hi = _floor_quotient(hi, step)
+    if best is None:  # every step that fits underflows
+        raise _untickable(name, "narrow")
+    _, _, mant, k, m_lo, m_hi = best
     positions = []
     labels = []
     for m in range(m_lo, m_hi + 1):
@@ -270,6 +296,11 @@ def nice_ticks(lo: float, hi: float) -> TickSet:
         positions.append(float(f"{coeff}e{k}"))
         labels.append(_decimal_label(coeff, k))
     return TickSet(tuple(positions), tuple(labels))
+
+
+def _untickable(name: str, narrow_or_wide: str) -> DataError:
+    return DataError(f"column {name!r} spans too {narrow_or_wide} a range for an axis; "
+                     "rescale it")
 
 
 def _decimal_label(coeff: int, exp: int) -> str:

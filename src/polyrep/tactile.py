@@ -95,6 +95,11 @@ class Stroke:
     dash: tuple[float, ...] | None = None
     close: bool = False
 
+    def path(self) -> tuple[tuple[float, float], ...]:
+        """The points in drawing order, the first again at the end of a
+        closed stroke."""
+        return self.points + (self.points[0],) if self.close else self.points
+
 
 class Glyph(NamedTuple):
     """A marker glyph: the outline `glyph_rings(shape, r)` about its centre
@@ -197,14 +202,20 @@ def _seg_point_distance(
     return math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
 
 
+def _reach(width: float, clearance: float) -> float:
+    """How far a dot's center can lie from the center line of a stroke
+    `width` wide and still come within `clearance` of its ink."""
+    return DOT_DIAMETER / 2 + width / 2 + clearance
+
+
 def dot_touches_stroke(dot: Dot, stroke: Stroke, clearance: float) -> bool:
     """True when the dot's ink comes within `clearance` of the stroke's ink.
 
     The single collision kernel: the label check calls it per nearby
     stroke piece, and tests call it over whole strokes as the brute-force
     oracle. Dashed strokes are treated as solid."""
-    limit = DOT_DIAMETER / 2 + stroke.width / 2 + clearance
-    pts = stroke.points + (stroke.points[0],) if stroke.close else stroke.points
+    limit = _reach(stroke.width, clearance)
+    pts = stroke.path()
     for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
         if _seg_point_distance(dot.x, dot.y, x1, y1, x2, y2) < limit:
             return True
@@ -225,8 +236,8 @@ def _stroke_pieces(strokes: list[Stroke]) -> list[tuple[_Box, Stroke]]:
     a piece has its center inside that box."""
     pieces = []
     for stroke in strokes:
-        pts = stroke.points + (stroke.points[0],) if stroke.close else stroke.points
-        reach = DOT_DIAMETER / 2 + stroke.width / 2 + LABEL_CLEARANCE
+        pts = stroke.path()
+        reach = _reach(stroke.width, LABEL_CLEARANCE)
         for i in range(0, len(pts) - 1, _CHUNK):
             part = pts[i:i + _CHUNK + 1]
             xs, ys = zip(*part)
@@ -236,7 +247,7 @@ def _stroke_pieces(strokes: list[Stroke]) -> list[tuple[_Box, Stroke]]:
 
 
 # collision reach of a glyph outline, as `_stroke_pieces` computes it
-_GLYPH_REACH = DOT_DIAMETER / 2 + MIN_STROKE / 2 + LABEL_CLEARANCE
+_GLYPH_REACH = _reach(MIN_STROKE, LABEL_CLEARANCE)
 _NO_BOX: _Box = (math.inf, math.inf, -math.inf, -math.inf)  # meets no box
 
 

@@ -199,6 +199,14 @@ def test_bind_boxplot_shapes(penguins):
         bind(parse_spec(b'{"chart":{"type":"boxplot","x":"species"}}'), penguins)
 
 
+def test_bind_bar_alpha_order():
+    data = inline_dataset({"x": ["b", "a", "b"]})
+    spec = parse_spec(b'{"chart":{"type":"bar","x":"x","sort_order":"alpha"}}')
+    assert bind(spec, data).bars == (("a", 1), ("b", 2))
+    spec = parse_spec(b'{"chart":{"type":"bar","x":"x"}}')
+    assert bind(spec, data).bars == (("b", 2), ("a", 1))  # first appearance
+
+
 @pytest.mark.parametrize("groups,values", [
     (["a", "b", "a", "b"], [1, 2, 3, 4]),
     (["a", None, "a", "b"], [1, 2, 3, 4]),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import wave
@@ -15,8 +16,9 @@ from conftest import GOLDEN_BAR_BLOCK, laid_out, patch_everywhere
 from golden import CASES
 from oracles import read_wav_oracle, validate_pdf
 from polyrep import cli
-from polyrep.chartspec import load_dataset, parse_spec
+from polyrep.chartspec import bind, load_dataset, parse_spec, summarize
 from polyrep.cli import build_parser, main
+from polyrep.stats import MAX_AXIS_TICKS
 
 TOP_HELP = """\
 usage: polyrep [-h] [--version] command ...
@@ -424,17 +426,37 @@ def _scatter_spec(inline: dict, **chart) -> dict:
          "spec holds the lone surrogate '\\ud800'; remove it or complete its pair"),
         (_scatter_spec({"x": [1, 2], "y": [3, 4], "g\udfff": ["a", "b"]}),
          "spec holds the lone surrogate '\\udfff'; remove it or complete its pair"),
+        # each column kind a chart needs is checked once, by bind
+        ({"data": {"inline": {"v": [1, 2]}}, "chart": {"type": "bar", "x": "v"}},
+         "bar needs a categorical x; use a histogram for numeric 'v'"),
+        ({"data": {"inline": {"s": ["a", "b"]}}, "chart": {"type": "histogram", "x": "s"}},
+         "histogram needs numeric x"),
+        ({"data": {"inline": {"s": ["a", "b"]}}, "chart": {"type": "boxplot", "x": "s"}},
+         "boxplot without y needs a numeric x"),
+        ({"data": {"inline": {"s": ["a", "b"], "t": ["c", "d"]}},
+          "chart": {"type": "boxplot", "x": "s", "y": "t"}},
+         "boxplot needs numeric y grouped by categorical x (or numeric x alone)"),
+        (_scatter_spec({"x": ["a", "b"], "y": [3, 4]}), "scatter needs numeric x"),
+        ({"data": {"inline": {"x": [1, 2], "y": ["a", "b"]}},
+          "chart": {"type": "line", "x": "x", "y": "y"}},
+         "line needs numeric y"),
     ],
     ids=["missing-column", "numeric-group", "bar-missing-column",
          "histogram-missing-column", "inline-missing-token", "inline-boolean",
          "inline-huge-integer", "misspelled-key", "non-string-palette-entry",
-         "lone-surrogate-value", "lone-surrogate-key"],
+         "lone-surrogate-value", "lone-surrogate-key", "numeric-bar",
+         "categorical-histogram", "categorical-boxplot", "categorical-boxplot-y",
+         "categorical-scatter-x", "categorical-line-y"],
 )
 @pytest.mark.parametrize("command", CHART_COMMANDS)
 def test_chart_commands_reject_unbound_spec_alike(workdir, capsys, command, spec,
                                                   message):
     Path("bad.json").write_text(json.dumps(spec), encoding="utf-8")
     assert main([command, "bad.json"]) == 1
+    if command == "sonify" and spec["chart"]["type"] == "boxplot":
+        message = "cannot sonify a boxplot chart"  # refused before it binds
+        assert capsys.readouterr().err == f"polyrep: error[data]: {message}\n"
+        return
     assert capsys.readouterr().err == f"polyrep: error[spec]: {message}\n"
 
 
@@ -532,7 +554,7 @@ def test_fit_with_overflowing_sums_states_no_trend(workdir, capsys):
                         "g": [f"level{i}" for i in range(12)]}, group="g"),
          "error[spec]: 12 group levels exceed the palette's 8 colors"),
         (_scatter_spec({"x": [1e300, 1e300], "y": [1, 2]}),
-         "error[data]: degenerate scale domain"),
+         "error[data]: column 'x' spans too narrow a range for an axis; rescale it"),
         (_scatter_spec({"x": [-8.5e307, 8.5e307, 0], "y": [1, 2, 3]}),
          "error[data]: column 'x' spans too wide a range for an axis; rescale it"),
         (_scatter_spec({"x": [-1e308, 1e308, 0], "y": [1, 2, 3]}),
@@ -542,9 +564,12 @@ def test_fit_with_overflowing_sums_states_no_trend(workdir, capsys):
         ({"data": {"inline": {"v": [-1e308, 1e308]}},
           "chart": {"type": "histogram", "x": "v"}},
          "error[data]: column 'v' spans too wide a range for 2 bins; rescale it"),
+        # past 2^53 half a unit rounds away, so one value cannot be widened
+        (_scatter_spec({"x": [1e16, 1e16], "y": [1, 2]}),
+         "error[data]: column 'x' spans too narrow a range for an axis; rescale it"),
     ],
     ids=["too-many-levels", "unwidenable-domain", "unsteppable-axis", "overflowing-axis",
-         "overflowing-padding", "unbinnable-histogram"],
+         "overflowing-padding", "unbinnable-histogram", "constant-past-2**53"],
 )
 @pytest.mark.parametrize("command", ("render", "cvd-grid", "alt", "sonify", "tactile"))
 def test_chart_commands_refuse_an_undrawable_chart_alike(workdir, capsys, command,
@@ -553,6 +578,35 @@ def test_chart_commands_refuse_an_undrawable_chart_alike(workdir, capsys, comman
     assert main([command, "bad.json"]) == 1
     assert capsys.readouterr() == ("", f"polyrep: {line}\n")
     assert [p.name for p in Path().glob("bad.*")] == ["bad.json"]  # no artifact
+
+
+# values apart only by float noise (0.1 + 0.2 against 0.3) or by one
+# subnormal are widened as one value is, so every command draws, describes
+# or plays a handful of ticks on each axis
+@pytest.mark.parametrize("spec", [
+    _scatter_spec({"x": [1, 2, 3], "y": [0.3, 0.1 + 0.2, 0.3]}),
+    _scatter_spec({"x": [0, 5e-324], "y": [1, 2]}),
+], ids=["float-noise", "one-subnormal-apart"])
+@pytest.mark.parametrize("command", CHART_COMMANDS)
+def test_chart_commands_axis_a_flat_range_in_a_handful_of_ticks(workdir, capsys, command,
+                                                                 spec):
+    Path("edge.json").write_text(json.dumps(spec), encoding="utf-8")
+    code = main([command, "edge.json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    chart = parse_spec(Path("edge.json").read_bytes())
+    summary = summarize(chart, bind(chart, load_dataset(chart)))
+    for axis in (summary.x_axis, summary.y_axis):
+        assert 2 <= len(axis.ticks) <= MAX_AXIS_TICKS
+    written = [p for p in Path().glob("edge.*") if p.name != "edge.json"]
+    assert (command == "alt") != bool(written) and all(p.stat().st_size for p in written)
+    # the alt text states each axis's tick labels, as many as the summary's
+    # (sonify and tactile write none)
+    sidecars = [p.read_text(encoding="utf-8") for p in written if p.name.endswith(".alt.txt")]
+    for alt in [out] if command == "alt" else sidecars:
+        labels = re.findall(r"-axis '[^']*' with labels (.*)\.$", alt, re.M)
+        assert [len(found.replace(" and ", ", ").split(", ")) for found in labels] == [
+            len(summary.x_axis.labels), len(summary.y_axis.labels)]
 
 
 # tick labels whose gutters leave the plot no width are named, with what to
@@ -759,6 +813,15 @@ def test_package_names_load_on_first_use(workdir):
                         workdir)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_stats_loads_no_other_polyrep_module(workdir):
+    # the statistics take values, so column lookup and kinds stay in chartspec
+    run = _fresh_python("import sys, polyrep.stats\n"
+                        "print(sorted(m for m in sys.modules if m.startswith('polyrep.')))",
+                        workdir)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "['polyrep.errors', 'polyrep.stats']\n"
 
 
 def test_package_docstring_pipeline(workdir):

@@ -422,7 +422,7 @@ def test_axis_ticks_are_scaled_nice_ticks(penguins, name):
     from polyrep.stats import nice_ticks
 
     for ticks, labels, lo, hi, r0, r1, from_zero in AXIS_CASES[name](penguins):
-        data = nice_ticks(lo, hi)
+        data = nice_ticks(lo, hi, name)
         assert labels == data.labels
         # positions are the data ticks pushed through the padded linear
         # scale: 5% each way, or from 0 to 1.05 x max for a count

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import warnings
+from decimal import Decimal
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from oracles import (
@@ -17,32 +19,26 @@ from oracles import (
     normal_equations_fit,
     quantile_oracle,
 )
-from polyrep.dataset import Column, Dataset
 from polyrep.errors import DataError
 from polyrep.stats import (
+    FLAT_ULPS,
+    MAX_AXIS_TICKS,
     EmptyGroupWarning,
     bar_counts,
     box_stats,
     histogram,
+    is_flat,
     linear_fit,
     nice_ticks,
     quantile_type7,
 )
 
 
-def numeric_ds(values):
-    return Dataset({"x": Column("numeric", tuple(values))}, len(values))
-
-
-def categorical_ds(values):
-    return Dataset({"x": Column("categorical", tuple(values))}, len(values))
-
-
 # -- bar_counts --------------------------------------------------------------
 
 
 def test_bar_counts_penguins(penguins):
-    assert bar_counts(penguins, "species") == [
+    assert bar_counts(penguins.columns["species"].values) == [
         ("Adelie", 152),
         ("Chinstrap", 68),
         ("Gentoo", 124),
@@ -50,49 +46,39 @@ def test_bar_counts_penguins(penguins):
 
 
 def test_bar_counts_empty():
-    assert bar_counts(categorical_ds([]), "x") == []
+    assert bar_counts([]) == []
+    assert bar_counts([None, None]) == []
 
 
 def test_bar_counts_excludes_missing():
     # hand count: a=2, b=1, one NA excluded everywhere
-    ds = categorical_ds(["a", "b", None, "a", "c"])
-    assert bar_counts(ds, "x") == [("a", 2), ("b", 1), ("c", 1)]
-
-
-def test_bar_counts_alpha_order():
-    ds = categorical_ds(["b", "a", "b"])
-    assert bar_counts(ds, "x", sort_order="alpha") == [("a", 1), ("b", 2)]
-
-
-def test_bar_counts_numeric_column_directs_to_histogram():
-    with pytest.raises(DataError, match="histogram"):
-        bar_counts(numeric_ds([1.0]), "x")
+    assert bar_counts(["a", "b", None, "a", "c"]) == [("a", 2), ("b", 1), ("c", 1)]
 
 
 # -- histogram ---------------------------------------------------------------
 
 
 def test_histogram_forced_two_bins():
-    assert histogram(numeric_ds([0.0, 1.0, 2.0, 3.0]), "x", bins=2) == [
+    assert histogram([0.0, 1.0, 2.0, 3.0], "x", bins=2) == [
         (0.0, 1.5, 2),
         (1.5, 3.0, 2),
     ]
 
 
 def test_histogram_degenerate_single_value():
-    assert histogram(numeric_ds([7.0, 7.0, 7.0]), "x") == [(6.5, 7.5, 3)]
+    assert histogram([7.0, 7.0, 7.0], "x") == [(6.5, 7.5, 3)]
 
 
 def test_histogram_all_missing_errors():
     with pytest.raises(DataError):
-        histogram(numeric_ds([None, None]), "x")
+        histogram([None, None], "x")
 
 
 def test_histogram_penguins_default_bins_sum(penguins):
-    bins = histogram(penguins, "flipper_length_mm")
+    values = penguins.columns["flipper_length_mm"].values
+    bins = histogram(values, "flipper_length_mm")
     assert sum(c for _, _, c in bins) == 342
-    values = penguins.columns["flipper_length_mm"].non_missing()
-    assert bins == histogram_oracle(values, len(bins))
+    assert bins == histogram_oracle([v for v in values if v is not None], len(bins))
 
 
 @given(
@@ -105,14 +91,13 @@ def test_histogram_penguins_default_bins_sum(penguins):
 )
 @example([0.0, 5e-324], 2)
 def test_histogram_matches_oracle_and_sums(values, k):
-    ds = numeric_ds(values)
     span = max(values) - min(values)
     if span > 0 and span / k == 0:
         # a range a few subnormals wide has no bin width: refused, not binned
         with pytest.raises(DataError, match="too narrow a range"):
-            histogram(ds, "x", bins=k)
+            histogram(values, "x", bins=k)
         return
-    bins = histogram(ds, "x", bins=k)
+    bins = histogram(values, "x", bins=k)
     assert sum(c for _, _, c in bins) == len(values)
     assert bins == histogram_oracle(values, k if min(values) < max(values) else k)
 
@@ -140,19 +125,19 @@ def _values_on_bin_edges(draw):
 @given(_values_on_bin_edges(), st.integers(0, 10))
 def test_histogram_matches_the_value_loop_on_bin_edges(case, n_missing):
     values, k = case
-    ds = numeric_ds([None] * n_missing + values)  # missing values are dropped
+    column = [None] * n_missing + values  # missing values are dropped
     if (max(values) - min(values)) / k == 0:
         with pytest.raises(DataError, match="too narrow"):
-            histogram(ds, "x", bins=k)
+            histogram(column, "x", bins=k)
         return
-    assert histogram(ds, "x", bins=k) == histogram_loop_oracle(values, k)
+    assert histogram(column, "x", bins=k) == histogram_loop_oracle(values, k)
 
 
 def test_histogram_range_too_narrow_for_its_bins():
     # (hi - lo) / k underflows to zero: an error, not a division by zero
     with pytest.raises(DataError, match="too narrow a range for 2 bins"):
-        histogram(numeric_ds([1e-323, 1.5e-323]), "x", bins=2)
-    assert histogram(numeric_ds([1e-323, 1.5e-323]), "x", bins=1) == [
+        histogram([1e-323, 1.5e-323], "x", bins=2)
+    assert histogram([1e-323, 1.5e-323], "x", bins=1) == [
         (1e-323, 1.5e-323, 2)
     ]
 
@@ -160,7 +145,7 @@ def test_histogram_range_too_narrow_for_its_bins():
 def test_histogram_range_too_wide_for_its_bins():
     # hi - lo overflows to infinity: an error, not a NaN bin index
     with pytest.raises(DataError) as exc:
-        histogram(numeric_ds([-1e308, 1e308]), "x", bins=2)
+        histogram([-1e308, 1e308], "x", bins=2)
     assert str(exc.value) == "column 'x' spans too wide a range for 2 bins; rescale it"
 
 
@@ -168,7 +153,7 @@ def test_histogram_range_too_wide_for_its_bins():
 
 
 def test_box_symmetric_small_case():
-    [box] = box_stats(numeric_ds([1.0, 2.0, 3.0, 4.0, 5.0]), "x")
+    [box] = box_stats([1.0, 2.0, 3.0, 4.0, 5.0], "x")
     assert (box.q1, box.median, box.q3) == (2.0, 3.0, 4.0)
     assert (box.min_whisker, box.max_whisker) == (1.0, 5.0)
     assert box.outliers == ()
@@ -180,16 +165,16 @@ def test_box_outlier_flagged():
     q1 = quantile_oracle(values, 0.25)
     q3 = quantile_oracle(values, 0.75)
     assert (q1, q3) == (2.0, 4.0)
-    [box] = box_stats(numeric_ds(values), "x")
+    [box] = box_stats(values, "x")
     assert box.outliers == (100.0,)
     assert box.max_whisker == 4.0
 
 
 def test_box_penguins_by_species_matches_oracle(penguins):
-    boxes = box_stats(penguins, "body_mass_g", "species")
-    assert [b.group_label for b in boxes] == ["Adelie", "Chinstrap", "Gentoo"]
     mass = penguins.columns["body_mass_g"].values
     species = penguins.columns["species"].values
+    boxes = box_stats(mass, "body_mass_g", species, "species")
+    assert [b.group_label for b in boxes] == ["Adelie", "Chinstrap", "Gentoo"]
     for box in boxes:
         values = [
             m for m, s in zip(mass, species) if s == box.group_label and m is not None
@@ -202,16 +187,15 @@ def test_box_penguins_by_species_matches_oracle(penguins):
 
 
 def test_box_empty_group_warns():
-    ds = Dataset(
-        {
-            "g": Column("categorical", ("a", "a", "b")),
-            "y": Column("numeric", (1.0, 2.0, None)),
-        },
-        3,
-    )
     with pytest.warns(EmptyGroupWarning, match="'b'"):
-        boxes = box_stats(ds, "y", "g")
+        boxes = box_stats((1.0, 2.0, None), "y", ("a", "a", "b"), "g")
     assert [b.group_label for b in boxes] == ["a"]
+
+
+def test_box_stats_with_no_present_group_names_both_columns():
+    with pytest.raises(DataError) as exc, pytest.warns(EmptyGroupWarning):
+        box_stats((None, 1.0), "y", ("a", None), "g")
+    assert str(exc.value) == "no group of 'g' has non-missing 'y' values"
 
 
 def test_box_random_against_oracle():
@@ -219,7 +203,7 @@ def test_box_random_against_oracle():
     for _ in range(100):
         n = rng.randint(1, 1000)
         values = [rng.uniform(-50, 50) for _ in range(n)]
-        [box] = box_stats(numeric_ds(values), "x")
+        [box] = box_stats(values, "x")
         lo, q1, med, q3, hi, outliers = box_oracle(values)
         assert math.isclose(box.q1, q1, rel_tol=1e-12, abs_tol=1e-12)
         assert math.isclose(box.median, med, rel_tol=1e-12, abs_tol=1e-12)
@@ -269,14 +253,10 @@ def test_box_stats_match_a_linear_scan_on_the_fences(levels, data):
              ("g0", None)]
     rows = data.draw(st.permutations(rows))
     groups, ys = [g for g, _ in rows], [v for _, v in rows]
-    ds = Dataset(
-        {"g": Column("categorical", tuple(groups)), "y": Column("numeric", tuple(ys))},
-        len(rows),
-    )
     boxes, empty = box_scan_oracle(groups, ys, quantile_type7)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = box_stats(ds, "y", "g")
+        got = box_stats(ys, "y", groups, "g")
     assert [
         (b.group_label, b.min_whisker, b.q1, b.median, b.q3, b.max_whisker, b.outliers)
         for b in got
@@ -395,60 +375,98 @@ def test_linear_fit_with_overflowing_sums_is_degenerate(x, y):
 
 
 def test_ticks_species_count_axis():
-    ticks = nice_ticks(0, 152)
+    ticks = nice_ticks(0, 152, "x")
     assert list(ticks.positions) == [0.0, 50.0, 100.0, 150.0]
     assert list(ticks.labels) == ["0", "50", "100", "150"]
 
 
 def test_ticks_unit_interval():
     # enumerated by hand: step 0.2 gives 6 multiples, the closest count to 5
-    ticks = nice_ticks(0, 1)
+    ticks = nice_ticks(0, 1, "x")
     assert list(ticks.positions) == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
     assert list(ticks.labels) == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
 
 
 def test_ticks_small_count_axis():
-    assert list(nice_ticks(0, 5).positions) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert list(nice_ticks(0, 5, "x").positions) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_ticks_negative_range():
-    ticks = nice_ticks(-3, 7)
+    ticks = nice_ticks(-3, 7, "x")
     assert list(ticks.positions) == [-2.0, 0.0, 2.0, 4.0, 6.0]
     assert list(ticks.labels) == ["-2", "0", "2", "4", "6"]
 
 
 def test_ticks_fractional_range():
     # enumerate: step 0.05 gives 0.7..0.9 -> 5 multiples, the best count
-    ticks = nice_ticks(0.7, 0.9)
+    ticks = nice_ticks(0.7, 0.9, "x")
     assert list(ticks.labels) == ["0.7", "0.75", "0.8", "0.85", "0.9"]
 
 
 def test_ticks_degenerate_range_rejected():
     with pytest.raises(DataError):
-        nice_ticks(3, 3)
+        nice_ticks(3, 3, "x")
 
 
-@given(
-    st.floats(1e-3, 1e6, allow_nan=False),
-    st.floats(-1e6, 1e6, allow_nan=False),
-)
-def test_ticks_properties(span, offset_ratio):
-    # realistic axes: the range start is at most ~1e6 spans away from zero,
-    # keeping tick arithmetic clear of float cancellation pathologies
-    lo = span * offset_ratio
-    hi = lo + span
-    if not (lo < hi) or not math.isfinite(hi):
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# float edges: zero, subnormals, float noise, magnitudes past 2^53, the largest doubles
+_EDGES = st.sampled_from([0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 0.1, 0.3,
+                          1.0, 2.0**53, 1e16, 1e300, 8.5e307, 1e308, 1.7976931348623157e308])
+
+
+@st.composite
+def _finite_ranges(draw):
+    """Finite lo < hi: any two doubles, or a range from a float edge (or
+    any double) that is a few ulps, a share of its magnitude, or any double
+    wide."""
+    lo = draw(_FINITE | _EDGES | _EDGES.map(float.__neg__))
+    how = draw(st.sampled_from(("any", "ulps", "share")))
+    if how == "ulps":
+        hi = lo
+        for _ in range(draw(st.integers(1, 2 * FLAT_ULPS))):
+            hi = math.nextafter(hi, math.inf)
+    elif how == "share":
+        hi = lo + abs(lo) * 10.0 ** draw(st.integers(-17, 0)) * draw(st.floats(1, 10))
+    else:
+        hi = draw(_FINITE | _EDGES)
+    lo, hi = sorted((lo, hi))
+    assume(lo < hi and math.isfinite(hi))
+    return lo, hi
+
+
+@given(_finite_ranges())
+@example((0.3, 0.1 + 0.2))
+@example((1.0, 1.0 + 2.0**-52))
+@example((0.1, 0.1 + 1e-15))
+@example((0.0, 5e-324))
+@example((1e16, 1e16 + 2))
+@example((-1e308, 1e308))
+@example((-8.5e307, 8.5e307))
+@example((0.0, 1.7976931348623157e308))
+def test_ticks_properties(case):
+    # every finite range gets 2 to MAX_AXIS_TICKS ticks, or a DataError
+    lo, hi = case
+    try:
+        ticks = nice_ticks(lo, hi, "x")
+    except DataError as exc:
+        # only a flat range, one 1e308 or more wide, or one too narrow for a
+        # normal step is refused
+        assert (is_flat(lo, hi) or hi - lo >= 1e308
+                or hi - lo < 5 * sys.float_info.min), (lo, hi)
+        assert str(exc) in ("column 'x' spans too narrow a range for an axis; rescale it",
+                            "column 'x' spans too wide a range for an axis; rescale it")
         return
-    ticks = nice_ticks(lo, hi)
     positions = list(ticks.positions)
+    assert 2 <= len(positions) <= MAX_AXIS_TICKS
     assert positions == sorted(set(positions))
-    assert all(lo - span * 1e-6 <= p <= hi + span * 1e-6 for p in positions)
-    # step is 1, 2 or 5 times a power of ten and every position is a multiple
-    step = min(b - a for a, b in zip(positions, positions[1:]))
-    mant = step / (10.0 ** math.floor(math.log10(step)))
-    assert min(abs(mant - m) for m in (1.0, 2.0, 5.0, 10.0)) < 1e-6
-    for p in positions:
-        ratio = p / step
-        assert abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
+    # the labels are exact decimals, the multiples of a step of 1, 2 or 5
+    # times a power of ten, and each position is its label's double
     assert len(ticks.labels) == len(positions)
-    assert not any(lbl.endswith(".0") for lbl in ticks.labels)
+    decimals = [Decimal(label) for label in ticks.labels]
+    step = decimals[1] - decimals[0]
+    assert step.normalize().as_tuple().digits in ((1,), (2,), (5,))
+    assert all(b - a == step for a, b in zip(decimals, decimals[1:]))
+    assert all(d % step == 0 for d in decimals)
+    assert positions == [float(d) for d in decimals]
+    assert not any(lbl.endswith(".0") or "e" in lbl.lower() for lbl in ticks.labels)
+    assert all(lo - float(step) <= p <= hi + float(step) for p in positions)
