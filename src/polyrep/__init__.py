@@ -16,7 +16,7 @@ Typical library use::
     summary = summarize(spec, values)  # its axes and legend, in data space
     alt = auto_alt(summary)  # alt text needs no layout
     scene = layout(summary)  # the marks an SVG, grid or tactile page draws
-    svg = emit_svg(scene, alt)
+    svg = emit_svg(scene, alt)  # titled by the spec's "alt", if it has one
 
 Each exported name is imported from its module on first use, so
 ``import polyrep`` loads none of the package's modules.

@@ -10,6 +10,9 @@
 Exit codes: 0 success, 1 validation error (including a failing audit),
 2 I/O error. Errors print to stderr as ``polyrep: error[<code>]: ...``.
 
+A chart command is the shared runner `_run` plus its emitter: the runner
+parses, binds and summarizes once and writes what the emitter makes.
+
 Each command imports the modules it runs when it runs, and builds only
 its own argument parser, so a process that makes one artifact never loads
 the code of the others nor parses for them.
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -28,7 +32,6 @@ from .errors import DataError, PolyrepError, SpecError
 TYPE_CHECKING = False  # type checkers read it as true; typing is slow to import
 if TYPE_CHECKING:
     from .chartspec import ChartSummary
-    from .verbalize import AltText
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,75 +126,67 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _summary(args) -> ChartSummary:
-    """The summary that the chart's alt text reads, its scene draws and its
-    audio plays: one parse, one read of its data, one bind and one
-    summarize. Sonify refuses a box plot before its data is read."""
+def _run(emit, args) -> int:
+    """Run a chart command: parse, read, bind and summarize once (sonify
+    refuses a box plot before its data is read), then write each artifact
+    `emit(summary, args)` makes, a (suffix, bytes, alt text or None), as it
+    is made, with the alt text in a ``<path>.alt.txt`` sidecar. The first
+    goes to -o or to the spec's stem plus its suffix, a later one to the
+    first's path with its own suffix."""
     from .chartspec import bind, load_dataset, parse_spec, summarize
 
     path = Path(args.spec)
     spec = parse_spec(path.read_bytes())
     if args.command == "sonify" and spec.chart_type == "boxplot":
         raise DataError("cannot sonify a boxplot chart")
-    return summarize(spec, bind(spec, load_dataset(spec, base_dir=path.parent)))
+    summary = summarize(spec, bind(spec, load_dataset(spec, base_dir=path.parent)))
+    first = None
+    for suffix, payload, alt in emit(summary, args):
+        out = first.with_suffix(suffix) if first else Path(args.output or path.stem + suffix)
+        first = first or out
+        out.write_bytes(payload)
+        print(f"wrote {out}")
+        if alt is not None:
+            sidecar = Path(f"{out}.alt.txt")
+            sidecar.write_text(alt.flattened + "\n", encoding="utf-8")
+            print(f"wrote {sidecar}")
+    return 0
 
 
-def _output(args, suffix: str) -> Path:
-    """The -o path, or the spec's file stem plus `suffix` in the working directory."""
-    return Path(args.output) if args.output else Path(Path(args.spec).stem + suffix)
-
-
-def _write(path: Path, payload: bytes, alt: AltText | None = None) -> None:
-    """Write an artifact, and its alt text as a ``<path>.alt.txt`` sidecar."""
-    path.write_bytes(payload)
-    print(f"wrote {path}")
-    if alt is not None:
-        sidecar = Path(f"{path}.alt.txt")
-        sidecar.write_text(alt.flattened + "\n", encoding="utf-8")
-        print(f"wrote {sidecar}")
-
-
-def _cmd_render(args) -> int:
+def _render(summary: ChartSummary, args):
     from .scene import layout
     from .svgout import emit_svg
     from .verbalize import auto_alt
 
-    summary = _summary(args)
     scene = layout(summary)
     alt = auto_alt(summary)
-    _write(_output(args, ".svg"),
-           emit_svg(scene, alt, short_alt=summary.spec.manual_alt), alt)
-    return 0
+    yield ".svg", emit_svg(scene, alt), alt
 
 
-def _cmd_cvd_grid(args) -> int:
+def _cvd_grid(summary: ChartSummary, args):
     from .scene import layout
     from .svgout import cvd_grid, grid_alt
     from .verbalize import auto_alt
 
-    summary = _summary(args)
     scene = layout(summary)
     alt = auto_alt(summary)
-    _write(_output(args, ".cvd.svg"), cvd_grid(scene, alt), grid_alt(alt))
-    return 0
+    yield ".cvd.svg", cvd_grid(scene, alt), grid_alt(alt)
 
 
-def _cmd_alt(args) -> int:
+def _alt(summary: ChartSummary, args):
     import json
 
     from .verbalize import auto_alt
 
-    alt = auto_alt(_summary(args))
+    alt = auto_alt(summary)
     print(json.dumps(list(alt.sentences), indent=2) if args.json else alt.flattened)
-    return 0
+    return ()
 
 
-def _cmd_sonify(args) -> int:
+def _sonify(summary: ChartSummary, args):
     from .sonify import SonifyConfig, sonify_points, sonify_sweep, write_wav
 
-    summary = _summary(args)  # a chart no axis can draw is not played either
-    spec, values = summary.spec, summary.values
-    xs, ys = values.points
+    xs, ys = summary.values.points
     cfg = SonifyConfig(
         duration_s=args.duration,
         sample_rate=args.rate,
@@ -199,26 +194,22 @@ def _cmd_sonify(args) -> int:
         f_max=args.fmax,
         log_pitch=args.log_pitch,
     )
-    mode = args.mode or ("sweep" if spec.chart_type == "line" else "discrete")
+    mode = args.mode or ("sweep" if summary.spec.chart_type == "line" else "discrete")
     if mode == "regression":
-        ys = list(map(values.fit().predict, xs))
+        ys = list(map(summary.values.fit().predict, xs))
     play = sonify_points if mode == "discrete" else sonify_sweep
-    _write(_output(args, ".wav"), write_wav(play(xs, ys, cfg)))
-    return 0
+    yield ".wav", write_wav(play(xs, ys, cfg)), None
 
 
-def _cmd_tactile(args) -> int:
+def _tactile(summary: ChartSummary, args):
     from .scene import layout
     from .tactile import TactileLayout, emit_pdf, emit_preview_svg, tactualize
     from .verbalize import auto_alt
 
-    summary = _summary(args)
     page = tactualize(layout(summary), TactileLayout.for_paper(args.paper))
-    out = _output(args, ".pdf")
-    _write(out, emit_pdf(page))
+    yield ".pdf", emit_pdf(page), None
     if args.preview:
-        _write(out.with_suffix(".preview.svg"), emit_preview_svg(page, auto_alt(summary)))
-    return 0
+        yield ".preview.svg", emit_preview_svg(page, auto_alt(summary)), None
 
 
 def _cmd_audit_palette(args) -> int:
@@ -240,13 +231,13 @@ def _cmd_audit_palette(args) -> int:
 _COMMANDS = {
     "render": ("write an SVG chart plus its .alt.txt sidecar",
                lambda p: _spec_args(p, "output SVG path (default: <spec>.svg)"),
-               _cmd_render),
+               partial(_run, _render)),
     "cvd-grid": ("write a four-panel color-deficiency simulation SVG",
                  lambda p: _spec_args(p, "output SVG path (default: <spec>.cvd.svg)"),
-                 _cmd_cvd_grid),
-    "alt": ("print generated alt text", _alt_args, _cmd_alt),
-    "sonify": ("write a stereo sonification WAV", _sonify_args, _cmd_sonify),
-    "tactile": ("write an emboss-ready tactile PDF", _tactile_args, _cmd_tactile),
+                 partial(_run, _cvd_grid)),
+    "alt": ("print generated alt text", _alt_args, partial(_run, _alt)),
+    "sonify": ("write a stereo sonification WAV", _sonify_args, partial(_run, _sonify)),
+    "tactile": ("write an emboss-ready tactile PDF", _tactile_args, partial(_run, _tactile)),
     "audit-palette": ("check palette distinguishability under CVD simulation",
                       _audit_palette_args, _cmd_audit_palette),
 }

@@ -80,14 +80,14 @@ def histogram(
 ) -> list[tuple[float, float, int]]:
     """Equal-width bins over [min, max] of the non-missing values; right-closed
     except the first bin, which also includes its left edge. Default bin
-    count is Sturges'. `name` names the column in errors.
+    count is Sturges'. A flat range (`is_flat`) is one bin, widened half a
+    unit each way as its axis is. `name` names the column in errors.
     """
     values = sorted(_present(values))
     if not values:
         raise DataError(f"column {name!r} has no non-missing values")
     lo, hi = values[0], values[-1]
-    if lo == hi:
-        # degenerate range: one half-unit bin either side keeps geometry finite
+    if is_flat(lo, hi):
         return [(lo - 0.5, hi + 0.5, len(values))]
     k = bins if bins is not None else sturges_bins(len(values))
     if k < 1:

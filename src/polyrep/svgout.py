@@ -216,9 +216,10 @@ def _document(
     return ("\n".join(head) + body + "\n</svg>\n").encode("utf-8")
 
 
-def emit_svg(scene: Scene, alt: AltText, short_alt: str | None = None) -> bytes:
-    """Serialize a scene; the <desc> carries the flattened alt text."""
-    title = short_alt if short_alt else alt.sentences[0]
+def emit_svg(scene: Scene, alt: AltText) -> bytes:
+    """Serialize a scene. The <title> is the spec's "alt", or else the alt
+    text's first sentence; the <desc> carries the flattened alt text."""
+    title = scene.summary.spec.manual_alt or alt.sentences[0]
     body = _Body(scene).paint(lambda c: c, "m")
     return _document(WIDTH, HEIGHT, title, alt.flattened, body)
 

@@ -440,13 +440,24 @@ def _scatter_spec(inline: dict, **chart) -> dict:
         ({"data": {"inline": {"x": [1, 2], "y": ["a", "b"]}},
           "chart": {"type": "line", "x": "x", "y": "y"}},
          "line needs numeric y"),
+        ({**_scatter_spec({"x": [1, 2], "y": [3, 4]}), "data": {}},
+         "'data' needs either 'csv' or 'inline'"),
+        ({**_scatter_spec({"x": [1, 2], "y": [3, 4]}), "palette": 5},
+         "palette must be \"okabe-ito\" or a list of #RRGGBB strings"),
+        (_scatter_spec({}), "inline data has no columns"),
+        (_scatter_spec({"x": 5, "y": [3, 4]}), "inline column 'x' must be an array"),
+        # json.loads reads NaN, and json.dumps writes it
+        (_scatter_spec({"x": [1, float("nan")], "y": [3, 4]}),
+         "inline column 'x' holds non-finite nan"),
     ],
     ids=["missing-column", "numeric-group", "bar-missing-column",
          "histogram-missing-column", "inline-missing-token", "inline-boolean",
          "inline-huge-integer", "misspelled-key", "non-string-palette-entry",
          "lone-surrogate-value", "lone-surrogate-key", "numeric-bar",
          "categorical-histogram", "categorical-boxplot", "categorical-boxplot-y",
-         "categorical-scatter-x", "categorical-line-y"],
+         "categorical-scatter-x", "categorical-line-y", "data-without-source",
+         "non-list-palette", "inline-without-columns", "inline-non-array-column",
+         "inline-nan"],
 )
 @pytest.mark.parametrize("command", CHART_COMMANDS)
 def test_chart_commands_reject_unbound_spec_alike(workdir, capsys, command, spec,
@@ -582,11 +593,12 @@ def test_chart_commands_refuse_an_undrawable_chart_alike(workdir, capsys, comman
 
 # values apart only by float noise (0.1 + 0.2 against 0.3) or by one
 # subnormal are widened as one value is, so every command draws, describes
-# or plays a handful of ticks on each axis
+# or plays a handful of ticks on each axis, and a histogram one bin
 @pytest.mark.parametrize("spec", [
     _scatter_spec({"x": [1, 2, 3], "y": [0.3, 0.1 + 0.2, 0.3]}),
     _scatter_spec({"x": [0, 5e-324], "y": [1, 2]}),
-], ids=["float-noise", "one-subnormal-apart"])
+    {"data": {"inline": {"v": [0.3, 0.1 + 0.2, 0.3]}}, "chart": {"type": "histogram", "x": "v"}},
+], ids=["float-noise", "one-subnormal-apart", "float-noise-histogram"])
 @pytest.mark.parametrize("command", CHART_COMMANDS)
 def test_chart_commands_axis_a_flat_range_in_a_handful_of_ticks(workdir, capsys, command,
                                                                  spec):
@@ -607,6 +619,12 @@ def test_chart_commands_axis_a_flat_range_in_a_handful_of_ticks(workdir, capsys,
         labels = re.findall(r"-axis '[^']*' with labels (.*)\.$", alt, re.M)
         assert [len(found.replace(" and ", ", ").split(", ")) for found in labels] == [
             len(summary.x_axis.labels), len(summary.y_axis.labels)]
+        if chart.chart_type == "histogram":
+            assert "The chart is a histogram with 1 bin." in alt
+    if chart.chart_type == "histogram":
+        assert summary.values.bins == ((-0.2, 0.8, 3),)
+        [bar] = laid_out(chart, load_dataset(chart)).marks
+        assert bar.w > 0
 
 
 # tick labels whose gutters leave the plot no width are named, with what to

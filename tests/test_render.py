@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from conftest import FIXTURES, laid_out, load_fixture_spec, patch_everywhere
 from golden import CASES
 from polyrep import svgout
 from polyrep.chartspec import bind, inline_dataset, load_dataset, parse_spec, summarize
+from polyrep.cli import main
 from polyrep.color import CvdKind, Rgb, simulate_cvd
 from polyrep.errors import DataError, SpecError
 from polyrep.scene import (
@@ -515,11 +517,21 @@ def test_svg_draws_subtitle_and_caption():
     )
 
 
-def test_svg_manual_alt_becomes_title(penguins):
-    scene, alt = scene_and_alt("penguins_bar.json", penguins)
-    root = ET.fromstring(emit_svg(scene, alt, short_alt="Species counts."))
+def test_svg_manual_alt_becomes_title(workdir):
+    # the spec's "alt" titles the SVG, alike in the package docstring's
+    # library pipeline and in `polyrep render`
+    doc = json.loads(Path("penguins_bar.json").read_text(encoding="utf-8"))
+    Path("bar.json").write_text(json.dumps({**doc, "alt": "Species counts."}),
+                                encoding="utf-8")
+    spec = parse_spec(Path("bar.json").read_bytes())
+    summary = summarize(spec, bind(spec, load_dataset(spec, base_dir=workdir)))
+    alt = auto_alt(summary)
+    svg = emit_svg(layout(summary), alt)
+    root = ET.fromstring(svg)
     assert root.find(f"{SVG_NS}title").text == "Species counts."
     assert root.find(f"{SVG_NS}desc").text == alt.flattened
+    assert main(["render", "bar.json", "-o", "bar.svg"]) == 0
+    assert Path("bar.svg").read_bytes() == svg
 
 
 def test_svg_bar_heights_proportional(penguins):

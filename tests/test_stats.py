@@ -90,16 +90,17 @@ def test_histogram_penguins_default_bins_sum(penguins):
     st.integers(1, 20),
 )
 @example([0.0, 5e-324], 2)
+@example([0.3, 0.1 + 0.2, 0.3], 5)
 def test_histogram_matches_oracle_and_sums(values, k):
-    span = max(values) - min(values)
-    if span > 0 and span / k == 0:
-        # a range a few subnormals wide has no bin width: refused, not binned
-        with pytest.raises(DataError, match="too narrow a range"):
-            histogram(values, "x", bins=k)
+    lo, hi = min(values), max(values)
+    if is_flat(lo, hi):
+        # one value, or values apart by float noise or a few subnormals: one
+        # bin, widened as its axis is (a wider range has a width in 20 bins)
+        assert histogram(values, "x", bins=k) == [(lo - 0.5, hi + 0.5, len(values))]
         return
     bins = histogram(values, "x", bins=k)
     assert sum(c for _, _, c in bins) == len(values)
-    assert bins == histogram_oracle(values, k if min(values) < max(values) else k)
+    assert bins == histogram_oracle(values, k)
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -126,20 +127,21 @@ def _values_on_bin_edges(draw):
 def test_histogram_matches_the_value_loop_on_bin_edges(case, n_missing):
     values, k = case
     column = [None] * n_missing + values  # missing values are dropped
-    if (max(values) - min(values)) / k == 0:
-        with pytest.raises(DataError, match="too narrow"):
-            histogram(column, "x", bins=k)
+    lo, hi = min(values), max(values)
+    if is_flat(lo, hi):
+        assert histogram(column, "x", bins=k) == [(lo - 0.5, hi + 0.5, len(values))]
         return
     assert histogram(column, "x", bins=k) == histogram_loop_oracle(values, k)
 
 
 def test_histogram_range_too_narrow_for_its_bins():
-    # (hi - lo) / k underflows to zero: an error, not a division by zero
-    with pytest.raises(DataError, match="too narrow a range for 2 bins"):
-        histogram([1e-323, 1.5e-323], "x", bins=2)
-    assert histogram([1e-323, 1.5e-323], "x", bins=1) == [
-        (1e-323, 1.5e-323, 2)
-    ]
+    # 41 subnormals is not flat, but (hi - lo) / k underflows to zero in 329
+    # bins: an error, not a division by zero
+    hi = 41 * 5e-324
+    assert not is_flat(0.0, hi)
+    with pytest.raises(DataError, match="too narrow a range for 329 bins"):
+        histogram([0.0, hi], "x", bins=329)
+    assert histogram([0.0, hi], "x", bins=1) == [(0.0, hi, 2)]
 
 
 def test_histogram_range_too_wide_for_its_bins():
